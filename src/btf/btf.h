@@ -122,6 +122,8 @@ class TypeGraph {
   BtfTypeId Func(std::string_view name, BtfTypeId proto);
 
   // --- Lookups (first match by name) ---
+  // Each is a linear scan over every type, meant for small graphs; code that
+  // resolves many names in a large graph indexes it once instead.
   std::optional<BtfTypeId> FindByKindAndName(BtfKind kind, std::string_view name) const;
   std::optional<BtfTypeId> FindStruct(std::string_view name) const;
   std::optional<BtfTypeId> FindFunc(std::string_view name) const;

@@ -141,13 +141,10 @@ std::string TypeJsonDepth(const TypeGraph& graph, BtfTypeId id, int depth) {
   return out + "}";
 }
 
-}  // namespace
-
-std::string TypeString(const TypeGraph& graph, BtfTypeId id) {
-  return TypeStringDepth(graph, id, 0);
-}
-
-std::string FuncDeclString(const TypeGraph& graph, BtfTypeId func_id) {
+// The one FUNC formatter; `type_string(id)` renders a top-level type.
+template <typename TypeStringFn>
+std::string FormatFuncDecl(const TypeGraph& graph, BtfTypeId func_id,
+                           TypeStringFn&& type_string) {
   const BtfType* func = graph.Get(func_id);
   if (func == nullptr || func->kind != BtfKind::kFunc) {
     return "<not a function>";
@@ -156,12 +153,15 @@ std::string FuncDeclString(const TypeGraph& graph, BtfTypeId func_id) {
   if (proto == nullptr || proto->kind != BtfKind::kFuncProto) {
     return func->name + "()";
   }
-  std::string out = TypeString(graph, proto->ref_type_id) + " " + func->name + "(";
+  std::string out = type_string(proto->ref_type_id);
+  out += ' ';
+  out += func->name;
+  out += '(';
   for (size_t i = 0; i < proto->params.size(); ++i) {
     if (i != 0) {
       out += ", ";
     }
-    std::string type_str = TypeString(graph, proto->params[i].type_id);
+    const std::string& type_str = type_string(proto->params[i].type_id);
     out += type_str;
     if (!proto->params[i].name.empty()) {
       if (type_str.empty() || type_str.back() != '*') {
@@ -172,6 +172,37 @@ std::string FuncDeclString(const TypeGraph& graph, BtfTypeId func_id) {
   }
   out += ")";
   return out;
+}
+
+}  // namespace
+
+std::string TypeString(const TypeGraph& graph, BtfTypeId id) {
+  return TypeStringDepth(graph, id, 0);
+}
+
+TypeStringMemo::TypeStringMemo(const TypeGraph& graph)
+    : graph_(graph), renders_(static_cast<size_t>(graph.num_types()) + 1) {}
+
+const std::string& TypeStringMemo::Get(BtfTypeId id) {
+  // Ids beyond the graph have no node, which TypeString renders as void.
+  static const std::string kVoid = "void";
+  if (id >= renders_.size()) {
+    return kVoid;
+  }
+  std::optional<std::string>& render = renders_[id];
+  if (!render.has_value()) {
+    render = TypeString(graph_, id);
+  }
+  return *render;
+}
+
+std::string FuncDeclString(const TypeGraph& graph, BtfTypeId func_id) {
+  return FormatFuncDecl(graph, func_id, [&graph](BtfTypeId id) { return TypeString(graph, id); });
+}
+
+std::string FuncDeclString(TypeStringMemo& types, BtfTypeId func_id) {
+  return FormatFuncDecl(types.graph(), func_id,
+                        [&types](BtfTypeId id) -> const std::string& { return types.Get(id); });
 }
 
 std::string TypeJson(const TypeGraph& graph, BtfTypeId id, int max_depth) {

@@ -103,6 +103,9 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
   record.meta = surface.meta();
   record.health = surface.health();
   const TypeGraph& graph = surface.btf();
+  // Each top-level type is rendered once per image and shared by the decl
+  // hash, the declaration and every field or parameter that uses it.
+  TypeStringMemo type_string(graph);
 
   auto decl_hash = [&](BtfTypeId func_id) -> uint64_t {
     const BtfType* func = graph.Get(func_id);
@@ -110,9 +113,9 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
     if (proto == nullptr || proto->kind != BtfKind::kFuncProto) {
       return 0;
     }
-    uint64_t h = HashString(TypeString(graph, proto->ref_type_id));
+    uint64_t h = HashString(type_string.Get(proto->ref_type_id));
     for (const BtfParam& p : proto->params) {
-      h = HashCombine({h, HashString(p.name), HashString(TypeString(graph, p.type_id))});
+      h = HashCombine({h, HashString(p.name), HashString(type_string.Get(p.type_id))});
     }
     return h;
   };
@@ -122,7 +125,7 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
     fr.status = entry.status;
     if (entry.btf_id != 0) {
       fr.decl_hash = decl_hash(entry.btf_id);
-      fr.decl = Intern(FuncDeclString(graph, entry.btf_id));
+      fr.decl = Intern(FuncDeclString(type_string, entry.btf_id));
     }
     record.funcs.emplace(Intern(name), std::move(fr));
   }
@@ -133,7 +136,7 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
     if (st != nullptr) {
       sr.fields.reserve(st->members.size());
       for (const BtfMember& m : st->members) {
-        sr.fields.emplace_back(Intern(m.name), Intern(TypeString(graph, m.type_id)));
+        sr.fields.emplace_back(Intern(m.name), Intern(type_string.Get(m.type_id)));
       }
       std::sort(sr.fields.begin(), sr.fields.end());
     }
@@ -147,7 +150,7 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
       const BtfType* proto = func != nullptr ? graph.Get(func->ref_type_id) : nullptr;
       if (proto != nullptr) {
         for (const BtfParam& p : proto->params) {
-          tr.func_params.emplace_back(Intern(p.name), Intern(TypeString(graph, p.type_id)));
+          tr.func_params.emplace_back(Intern(p.name), Intern(type_string.Get(p.type_id)));
         }
       }
     }
@@ -155,7 +158,7 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
       const BtfType* st = graph.Get(tp.struct_btf_id);
       if (st != nullptr) {
         for (const BtfMember& m : st->members) {
-          tr.event_fields.emplace_back(Intern(m.name), Intern(TypeString(graph, m.type_id)));
+          tr.event_fields.emplace_back(Intern(m.name), Intern(type_string.Get(m.type_id)));
         }
         std::sort(tr.event_fields.begin(), tr.event_fields.end());
       }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -384,22 +385,23 @@ std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset) {
   // and diagnostic messages appended in first-use order. Keeping v1 ids
   // intact is what makes `dataset migrate` byte-deterministic and lets the
   // two formats share query semantics (ids compare within the same pool).
-  std::vector<std::string> pool;
-  std::unordered_map<std::string, uint32_t> index;
-  pool.reserve(dataset.pool_size());
-  for (size_t i = 0; i < dataset.pool_size(); ++i) {
-    pool.push_back(dataset.StringAt(static_cast<StrId>(i)));
-    index.emplace(pool.back(), static_cast<uint32_t>(i));
-  }
-  auto intern = [&pool, &index](const std::string& s) -> uint32_t {
-    auto it = index.find(s);
-    if (it != index.end()) {
-      return it->second;
+  // The dataset's own index resolves pool strings (its pool holds no
+  // duplicates); only the appended strings get a side table, whose views
+  // point into `dataset`.
+  const uint32_t pool_size = static_cast<uint32_t>(dataset.pool_size());
+  std::vector<std::string_view> appended;
+  std::unordered_map<std::string_view, uint32_t> appended_index;
+  auto intern = [&](const std::string& s) -> uint32_t {
+    StrId id = dataset.Lookup(s);
+    if (id != Dataset::kNoStr) {
+      return id;
     }
-    uint32_t id = static_cast<uint32_t>(pool.size());
-    pool.push_back(s);
-    index.emplace(s, id);
-    return id;
+    auto [it, inserted] =
+        appended_index.try_emplace(s, pool_size + static_cast<uint32_t>(appended.size()));
+    if (inserted) {
+      appended.push_back(s);
+    }
+    return it->second;
   };
 
   ByteWriter images_w(Endian::kLittle);
@@ -503,11 +505,17 @@ std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset) {
   }
 
   // String table: cumulative offsets + NUL-terminated blob + sorted index.
+  std::vector<std::string_view> pool;
+  pool.reserve(pool_size + appended.size());
+  for (uint32_t i = 0; i < pool_size; ++i) {
+    pool.push_back(dataset.StringAt(i));
+  }
+  pool.insert(pool.end(), appended.begin(), appended.end());
   ByteWriter str_offsets_w(Endian::kLittle);
   ByteWriter str_blob_w(Endian::kLittle);
   ByteWriter str_sorted_w(Endian::kLittle);
   uint64_t blob_cursor = 0;
-  for (const std::string& s : pool) {
+  for (std::string_view s : pool) {
     str_offsets_w.WriteU64(blob_cursor);
     str_blob_w.WriteCString(s);
     blob_cursor += s.size() + 1;

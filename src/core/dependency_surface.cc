@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
+#include <unordered_map>
 
 #include "src/btf/btf_codec.h"
 #include "src/dwarf/dwarf_codec.h"
@@ -34,15 +36,17 @@ constexpr const char* kSyscallPrefixes[] = {"__x64_sys_", "__arm64_sys_", "__ris
 // Known compiler transformation suffix markers.
 constexpr const char* kTransformSuffixes[] = {".isra.", ".constprop.", ".part.", ".cold"};
 
-// Splits "name.isra.0" into base and suffix; base == input when unsuffixed.
-std::pair<std::string, std::string> SplitTransformSuffix(const std::string& symbol) {
+// "name" for "name.isra.0": the symbol up to the first marker (in list
+// order) it contains, or the whole symbol when unsuffixed. The suffix is the
+// rest, symbol.substr(base.size()).
+std::string_view BaseName(std::string_view symbol) {
   for (const char* marker : kTransformSuffixes) {
     size_t pos = symbol.find(marker);
-    if (pos != std::string::npos) {
-      return {symbol.substr(0, pos), symbol.substr(pos)};
+    if (pos != std::string_view::npos) {
+      return symbol.substr(0, pos);
     }
   }
-  return {symbol, ""};
+  return symbol;
 }
 
 // Identity facts that cannot fail once the ELF container parsed.
@@ -211,7 +215,12 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
   // ---- BTF: declarations of functions and structs. A corrupt .BTF costs
   // the type graph (declarations, struct layouts) but not the symbol-table,
   // tracepoint, or syscall views.
-  std::map<std::string, BtfTypeId> btf_funcs;
+  // Name indexes filled by the one pass over the graph below; the first id
+  // wins, as in TypeGraph::FindByKindAndName. btf_structs holds every
+  // STRUCT, trace_event_raw_* and anonymous ones included. Keys view names
+  // inside surface.btf_, which is not modified after this block.
+  std::unordered_map<std::string_view, BtfTypeId> btf_funcs;
+  std::unordered_map<std::string_view, BtfTypeId> btf_structs;
   {
     obs::ScopedSpan btf_span("surface.btf");
     auto decode_btf = [&]() -> Status {
@@ -233,12 +242,13 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
     }
     for (BtfTypeId id = 1; id <= surface.btf_.num_types(); ++id) {
       const BtfType* t = surface.btf_.Get(id);
-      if (t->kind == BtfKind::kStruct && !t->name.empty()) {
-        if (!StartsWith(t->name, kTraceStructPrefix)) {
+      if (t->kind == BtfKind::kStruct) {
+        btf_structs.emplace(t->name, id);
+        if (!t->name.empty() && !StartsWith(t->name, kTraceStructPrefix)) {
           surface.structs_.emplace(t->name, id);
         }
       } else if (t->kind == BtfKind::kFunc) {
-        btf_funcs.emplace(t->name, id);  // first wins (collisions share names)
+        btf_funcs.emplace(t->name, id);  // collisions share names
       }
     }
     btf_span.AddAttr("structs", static_cast<uint64_t>(surface.structs_.size()));
@@ -282,10 +292,9 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
     if (!surface.meta_.has_debug_info) {
       // Seed the function table from BTF FUNC declarations; instances stay
       // empty and the status classifier sees only the symbol table.
-      for (BtfTypeId id = 1; id <= surface.btf_.num_types(); ++id) {
-        const BtfType* t = surface.btf_.Get(id);
-        if (t->kind == BtfKind::kFunc && !StartsWith(t->name, kTraceFuncPrefix)) {
-          instances.try_emplace(t->name);
+      for (const auto& [name, id] : btf_funcs) {
+        if (!StartsWith(name, kTraceFuncPrefix)) {
+          instances.try_emplace(std::string(name));
         }
       }
       if (instances.empty()) {
@@ -295,9 +304,9 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
           if (sym.type != SymType::kFunc) {
             continue;
           }
-          std::string base = SplitTransformSuffix(sym.name).first;
+          std::string_view base = BaseName(sym.name);
           if (!base.empty() && !StartsWith(base, kTraceFuncPrefix)) {
-            instances.try_emplace(std::move(base));
+            instances.try_emplace(std::string(base));
           }
         }
       }
@@ -306,10 +315,11 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
     dwarf_span.AddAttr("health", DegradationStateName(health.dwarf));
   }
 
-  // Symbol indexes: by base name (strips transformation suffixes) and by
-  // address (for tracepoint/syscall reverse lookup).
-  std::map<std::string, std::vector<ElfSymbol>> symbols_by_base;
-  std::map<uint64_t, const ElfSymbol*> func_sym_at;
+  // Symbol indexes over FUNC symbols: by base name (strips transformation
+  // suffixes) and by address (for tracepoint/syscall reverse lookup). Both
+  // point into the reader; the first symbol at an address wins.
+  std::unordered_map<std::string_view, std::vector<const ElfSymbol*>> symbols_by_base;
+  std::unordered_map<uint64_t, const ElfSymbol*> func_sym_at;
   {
   obs::ScopedSpan classify_span("surface.classify_functions");
   classify_span.AddAttr("instances", static_cast<uint64_t>(instances.size()));
@@ -317,39 +327,57 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
     if (sym.type != SymType::kFunc) {
       continue;
     }
-    auto [base, suffix] = SplitTransformSuffix(sym.name);
-    symbols_by_base[base].push_back(sym);
+    symbols_by_base[BaseName(sym.name)].push_back(&sym);
     func_sym_at.emplace(sym.value, &sym);
   }
 
-  for (auto& [name, insts] : instances) {
+  // Each name moves out of `instances` into its entry's key, in ascending
+  // order, so every insertion lands at the end of functions_.
+  while (!instances.empty()) {
+    auto node = instances.extract(instances.begin());
+    const std::string& name = node.key();
+    // Functions that are really tracepoint machinery must not pollute the
+    // function surface (they are reachable through their own table below).
+    // Our DWARF only covers source functions, but scripted syscall
+    // implementations like __x64_sys_fsync legitimately appear in both
+    // tables; keep them.
+    if (StartsWith(name, kTraceFuncPrefix)) {
+      continue;
+    }
     FunctionEntry entry;
     entry.name = name;
-    entry.instances = std::move(insts);
+    entry.instances = std::move(node.mapped());
     auto bit = btf_funcs.find(name);
     if (bit != btf_funcs.end()) {
       entry.btf_id = bit->second;
     }
     auto sit = symbols_by_base.find(name);
     if (sit != symbols_by_base.end()) {
-      entry.symbols = sit->second;
+      entry.symbols.reserve(sit->second.size());
+      for (const ElfSymbol* sym : sit->second) {
+        entry.symbols.push_back(*sym);
+      }
     }
 
     FunctionStatus& status = entry.status;
     bool any_code = false;
     bool any_inline_site = false;
-    std::set<std::string> decl_locations;
+    // Whether all instances share one declaration site (decl_file,
+    // decl_line); vacuously true without instances.
+    bool one_decl_site = true;
     for (const FunctionInstance& inst : entry.instances) {
       any_code |= inst.HasCode();
       any_inline_site |= !inst.caller_inline.empty();
       status.external |= inst.external;
-      decl_locations.insert(StrFormat("%s:%u", inst.decl_file.c_str(), inst.decl_line));
+      const FunctionInstance& first = entry.instances.front();
+      one_decl_site &= inst.decl_line == first.decl_line && inst.decl_file == first.decl_file;
     }
+    // Every symbol here has base name `name`; the rest is its suffix.
     for (const ElfSymbol& sym : entry.symbols) {
       if (sym.name == name) {
         status.has_exact_symbol = true;
       } else {
-        status.transform_suffix = SplitTransformSuffix(sym.name).second;
+        status.transform_suffix = sym.name.substr(name.size());
       }
     }
     status.transformed = !status.has_exact_symbol && !status.transform_suffix.empty();
@@ -358,8 +386,8 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
       status.selectively_inlined = any_code && any_inline_site;
       // Duplication counts debug-info instances (a fully-inlined header
       // static is still duplicated across its including TUs).
-      status.duplicated = entry.instances.size() >= 2 && decl_locations.size() == 1;
-      status.collided = decl_locations.size() >= 2;
+      status.duplicated = entry.instances.size() >= 2 && one_decl_site;
+      status.collided = !one_decl_site;
     } else {
       // Without DWARF only the symbol table speaks: a BTF function with no
       // symbol at all was compiled away (inlined); selective inlining,
@@ -368,7 +396,8 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
       status.external = !entry.symbols.empty() &&
                         entry.symbols.front().bind == SymBind::kGlobal;
     }
-    surface.functions_.emplace(name, std::move(entry));
+    surface.functions_.emplace_hint(surface.functions_.end(), std::move(node.key()),
+                                    std::move(entry));
   }
   }
 
@@ -416,11 +445,11 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
         if (auto it = func_sym_at.find(func_addr); it != func_sym_at.end()) {
           tp.func_name = it->second->name;
         }
-        if (auto id = surface.btf_.FindByKindAndName(BtfKind::kStruct, tp.struct_name)) {
-          tp.struct_btf_id = *id;
+        if (auto it = btf_structs.find(tp.struct_name); it != btf_structs.end()) {
+          tp.struct_btf_id = it->second;
         }
-        if (auto id = surface.btf_.FindFunc(tp.func_name)) {
-          tp.func_btf_id = *id;
+        if (auto it = btf_funcs.find(tp.func_name); it != btf_funcs.end()) {
+          tp.func_btf_id = it->second;
         }
         surface.tracepoints_.emplace(tp.event_name, std::move(tp));
         return Status::Ok();
@@ -546,19 +575,6 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
       }
       ledger.AddError(DiagSeverity::kDegraded, DiagSubsystem::kBtf,
                       st.error().Wrap(".bpf_helpers unreadable"));
-    }
-  }
-
-  // Functions that are really tracepoint machinery or syscall stubs must
-  // not pollute the function surface (they are reachable through their own
-  // tables above). Our DWARF only covers source functions, but scripted
-  // syscall implementations like __x64_sys_fsync legitimately appear in
-  // both; keep them.
-  for (auto it = surface.functions_.begin(); it != surface.functions_.end();) {
-    if (StartsWith(it->first, kTraceFuncPrefix)) {
-      it = surface.functions_.erase(it);
-    } else {
-      ++it;
     }
   }
 

@@ -4,32 +4,43 @@ namespace depsurf {
 
 Result<std::map<std::string, std::vector<FunctionInstance>>> CollectFunctionInstances(
     const DwarfDocument& document) {
-  // Pass 1: map every subprogram DIE index to its slot in the result, and
-  // record the enclosing (CU file, subprogram name) context of each DIE.
+  // Pass 1: record every subprogram in the result, and its slot in a table
+  // indexed by DIE index. The slot points at the result map's vector, which
+  // stays put as the map grows (map nodes are stable).
   struct Slot {
-    std::string name;
-    size_t index;  // into instances[name]
+    std::vector<FunctionInstance>* list = nullptr;
+    size_t index = 0;
   };
   std::map<std::string, std::vector<FunctionInstance>> instances;
-  std::map<uint32_t, Slot> subprogram_slots;
+  std::vector<Slot> slots(static_cast<size_t>(document.num_dies()) + 1);
+  static const std::string kNoName;
 
   for (uint32_t root : document.roots()) {
     const Die& cu = document.die(root);
     if (cu.tag != DwTag::kCompileUnit) {
       return Error(ErrorCode::kMalformedData, "top-level DIE is not a compile unit");
     }
-    std::string cu_file = cu.GetString(DwAttr::kName).value_or("");
+    const DwarfAttrValue* cu_name = cu.Find(DwAttr::kName);
+    const std::string& cu_file = cu_name != nullptr ? cu_name->str : kNoName;
     for (uint32_t child : cu.children) {
       const Die& die = document.die(child);
       if (die.tag != DwTag::kSubprogram) {
         continue;
       }
-      FunctionInstance inst;
-      inst.name = die.GetString(DwAttr::kName).value_or("");
-      if (inst.name.empty()) {
+      const DwarfAttrValue* name = die.Find(DwAttr::kName);
+      if (name == nullptr || name->str.empty()) {
         return Error(ErrorCode::kMalformedData, "subprogram without a name");
       }
-      inst.decl_file = die.GetString(DwAttr::kDeclFile).value_or(cu_file);
+      auto it = instances.lower_bound(name->str);
+      if (it == instances.end() || it->first != name->str) {
+        it = instances.emplace_hint(it, name->str, std::vector<FunctionInstance>());
+      }
+      std::vector<FunctionInstance>& list = it->second;
+      slots[child] = Slot{&list, list.size()};
+      FunctionInstance& inst = list.emplace_back();
+      inst.name = it->first;
+      const DwarfAttrValue* decl_file = die.Find(DwAttr::kDeclFile);
+      inst.decl_file = decl_file != nullptr ? decl_file->str : cu_file;
       inst.decl_line = static_cast<uint32_t>(die.GetNumber(DwAttr::kDeclLine).value_or(0));
       inst.external = die.GetFlag(DwAttr::kExternal);
       inst.inline_attr =
@@ -37,9 +48,6 @@ Result<std::map<std::string, std::vector<FunctionInstance>>> CollectFunctionInst
       if (auto pc = die.GetNumber(DwAttr::kLowPc); pc.has_value()) {
         inst.low_pc = *pc;
       }
-      auto& list = instances[inst.name];
-      subprogram_slots[child] = Slot{inst.name, list.size()};
-      list.push_back(std::move(inst));
     }
   }
 
@@ -48,13 +56,15 @@ Result<std::map<std::string, std::vector<FunctionInstance>>> CollectFunctionInst
   Status bad = Status::Ok();
   for (uint32_t root : document.roots()) {
     const Die& cu = document.die(root);
-    std::string cu_file = cu.GetString(DwAttr::kName).value_or("");
+    const DwarfAttrValue* cu_name = cu.Find(DwAttr::kName);
+    const std::string& cu_file = cu_name != nullptr ? cu_name->str : kNoName;
     for (uint32_t sub_index : cu.children) {
       const Die& sub = document.die(sub_index);
-      if (sub.tag != DwTag::kSubprogram) {
+      if (sub.tag != DwTag::kSubprogram || sub.children.empty()) {
         continue;
       }
-      std::string caller = cu_file + ":" + sub.GetString(DwAttr::kName).value_or("?");
+      // Pass 1 rejected unnamed subprograms.
+      const std::string caller = cu_file + ":" + sub.Find(DwAttr::kName)->str;
       document.Walk(sub_index, [&](uint32_t index, const Die& die) {
         if (index == sub_index) {
           return;
@@ -69,12 +79,14 @@ Result<std::map<std::string, std::vector<FunctionInstance>>> CollectFunctionInst
         } else {
           return;
         }
-        auto it = subprogram_slots.find(static_cast<uint32_t>(origin));
-        if (it == subprogram_slots.end()) {
+        // Compare the full 64-bit reference before indexing: narrowing it
+        // first would let (1 << 32) | i resolve to DIE i.
+        if (origin >= slots.size() || slots[origin].list == nullptr) {
           bad = Status(ErrorCode::kMalformedData, "call origin is not a subprogram");
           return;
         }
-        FunctionInstance& target = instances[it->second.name][it->second.index];
+        const Slot& slot = slots[origin];
+        FunctionInstance& target = (*slot.list)[slot.index];
         if (is_inline_site) {
           target.caller_inline.push_back(caller);
         } else {

@@ -5,7 +5,10 @@
 #include <memory>
 
 #include "src/bpf/bpf_builder.h"
+#include "src/btf/btf_codec.h"
+#include "src/btf/btf_print.h"
 #include "src/core/depsurf.h"
+#include "src/elf/elf_writer.h"
 #include "src/kernelgen/compiler.h"
 #include "src/kernelgen/configurator.h"
 #include "src/kernelgen/corpus.h"
@@ -209,6 +212,64 @@ TEST_F(CorpusFixture, DatasetTracepointAndSyscallQueries) {
   for (size_t i = 17; i < 21; ++i) {
     EXPECT_TRUE(regs[i].count(MismatchKind::kChanged)) << i;
   }
+}
+
+// Distillation must render every field and declaration exactly as the
+// uncached printers do, even where rendering is cut off 32 levels down
+// (an inner type's text there depends on its depth) or loops.
+TEST(DatasetDistillTest, ExactOnHostileBtf) {
+  TypeGraph graph;
+  BtfTypeId int_id = graph.Int("int", 4);
+  std::vector<BtfTypeId> chain = {int_id};  // chain[k]: k pointers to int
+  for (int k = 1; k <= 40; ++k) {
+    chain.push_back(graph.Ptr(chain.back()));
+  }
+  BtfType ptr;
+  ptr.kind = BtfKind::kPtr;
+  ptr.ref_type_id = graph.num_types() + 2;
+  BtfTypeId loop_ptr = graph.Add(ptr);
+  BtfTypeId loop_const = graph.Const(loop_ptr);
+  ASSERT_EQ(loop_const, ptr.ref_type_id);
+  // The capped chain comes first, so its inner nodes are visited deep
+  // before the same nodes are rendered at the top of a later member.
+  graph.Struct("deep", 16, {{"capped", chain[40], 0}, {"inner", chain[30], 64}});
+  graph.Struct("looped", 8, {{"loop", loop_ptr, 0}, {"loop_const", loop_const, 32}});
+  BtfTypeId proto = graph.FuncProto(
+      int_id, {{"capped", chain[40]}, {"inner", chain[30]}, {"loop", loop_const}});
+  graph.Func("hostile_fn", proto);
+  ASSERT_TRUE(graph.Validate().ok());
+
+  ElfWriter writer(ElfIdent{});
+  writer.AddSection(".BTF", SectionType::kProgbits, EncodeBtf(graph));
+  auto image = writer.Finish();
+  ASSERT_TRUE(image.ok()) << image.error().ToString();
+  auto surface = DependencySurface::Extract(image.TakeValue());
+  ASSERT_TRUE(surface.ok()) << surface.error().ToString();
+  const TypeGraph& btf = surface->btf();
+  ASSERT_EQ(btf.num_types(), graph.num_types());
+  EXPECT_EQ(TypeString(btf, chain[40]).find("<cycle>"), 0u);
+  EXPECT_EQ(TypeString(btf, chain[30]), "int " + std::string(30, '*'));
+
+  Dataset dataset;
+  dataset.AddImage("hostile", *surface);
+  for (const char* name : {"deep", "looped"}) {
+    auto id = surface->FindStruct(name);
+    ASSERT_TRUE(id.has_value()) << name;
+    for (const BtfMember& m : btf.Get(*id)->members) {
+      auto distilled = dataset.FieldTypeAt(name, m.name, 0);
+      ASSERT_TRUE(distilled.has_value()) << name << "::" << m.name;
+      EXPECT_EQ(*distilled, TypeString(btf, m.type_id)) << name << "::" << m.name;
+    }
+  }
+  const FunctionEntry* fn = surface->FindFunction("hostile_fn");
+  ASSERT_NE(fn, nullptr);
+  ASSERT_NE(fn->btf_id, 0u);
+  std::string decl = FuncDeclString(btf, fn->btf_id);
+  EXPECT_EQ(decl.find("int hostile_fn(<cycle>"), 0u) << decl;
+  EXPECT_NE(decl.find(", int " + std::string(30, '*') + "inner, "), std::string::npos) << decl;
+  auto distilled = dataset.FuncDeclAt("hostile_fn", 0);
+  ASSERT_TRUE(distilled.has_value());
+  EXPECT_EQ(*distilled, decl);
 }
 
 TEST_F(CorpusFixture, BiotopReportMatchesFigure4) {

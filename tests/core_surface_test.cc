@@ -2,6 +2,7 @@
 // content, extract through the full binary path, verify classifications.
 #include <gtest/gtest.h>
 
+#include "src/btf/btf_codec.h"
 #include "src/btf/btf_print.h"
 #include "src/core/dependency_surface.h"
 #include "src/elf/elf_reader.h"
@@ -10,6 +11,7 @@
 #include "src/kernelgen/configurator.h"
 #include "src/kernelgen/corpus.h"
 #include "src/kernelgen/image_builder.h"
+#include "src/kernelgen/rates.h"
 #include "src/kernelgen/scripted.h"
 
 namespace depsurf {
@@ -143,6 +145,79 @@ TEST(SurfaceExtractTest, TracepointsViaDataSections) {
   EXPECT_EQ(v54.FindTracepoint("block_io_start"), nullptr);
   DependencySurface v65 = ExtractFor(KernelVersion(6, 5));
   EXPECT_NE(v65.FindTracepoint("block_io_start"), nullptr);
+}
+
+// The id index built during extraction answers exactly what the linear
+// TypeGraph lookups answer (0 when absent).
+void ExpectTracepointIdsMatchLinearLookups(const DependencySurface& surface) {
+  for (const auto& [event, tp] : surface.tracepoints()) {
+    auto struct_id = surface.btf().FindByKindAndName(BtfKind::kStruct, tp.struct_name);
+    EXPECT_EQ(tp.struct_btf_id, struct_id.value_or(0)) << event;
+    auto func_id = surface.btf().FindFunc(tp.func_name);
+    EXPECT_EQ(tp.func_btf_id, func_id.value_or(0)) << event;
+  }
+}
+
+TEST(SurfaceExtractTest, TracepointIdsMatchLinearLookupsOnLtsImages) {
+  for (KernelVersion version : kLtsVersions) {
+    DependencySurface surface = ExtractFor(version);
+    ASSERT_GT(surface.tracepoints().size(), 0u) << version.ToString();
+    ExpectTracepointIdsMatchLinearLookups(surface);
+  }
+}
+
+TEST(SurfaceExtractTest, DuplicateTracepointStructResolvesToFirstId) {
+  // Append a second STRUCT named like an existing event struct to the
+  // image's .BTF; the tracepoint keeps the first one.
+  KernelModel model(kSeed, kScale, BuildCuratedCatalog());
+  auto kernel = model.Configure(MakeBuild(KernelVersion(5, 4)));
+  ASSERT_TRUE(kernel.ok());
+  auto bytes = BuildKernelImage(CompileKernel(kSeed, kernel.TakeValue()));
+  ASSERT_TRUE(bytes.ok());
+  auto full = ElfReader::Parse(*bytes);
+  ASSERT_TRUE(full.ok());
+  auto btf_data = full->SectionDataByName(".BTF");
+  ASSERT_TRUE(btf_data.ok());
+  auto graph = DecodeBtf(*btf_data);
+  ASSERT_TRUE(graph.ok()) << graph.error().ToString();
+  auto first = graph->FindByKindAndName(BtfKind::kStruct, "trace_event_raw_block_rq");
+  ASSERT_TRUE(first.has_value());
+  BtfTypeId second = graph->Struct("trace_event_raw_block_rq", 8,
+                                   {{"decoy", graph->Int("u64", 8), 0}});
+  ASSERT_GT(second, *first);
+
+  ElfWriter rewritten(full->ident());
+  for (const ElfSectionView& section : full->sections()) {
+    if (section.type == SectionType::kNull || section.name == ".shstrtab" ||
+        section.name == ".symtab" || section.name == ".strtab") {
+      continue;
+    }
+    std::vector<uint8_t> body;
+    if (section.name == ".BTF") {
+      body = EncodeBtf(*graph, full->endian());
+    } else {
+      auto data = full->SectionData(section);
+      ASSERT_TRUE(data.ok());
+      auto raw = data->ReadBytes(data->size());
+      ASSERT_TRUE(raw.ok());
+      body = raw.TakeValue();
+    }
+    rewritten.AddSection(section.name, section.type, std::move(body), section.addr,
+                         section.flags, section.entsize);
+  }
+  for (const ElfSymbol& sym : full->symbols()) {
+    rewritten.AddSymbol(sym);
+  }
+  auto rewritten_bytes = rewritten.Finish();
+  ASSERT_TRUE(rewritten_bytes.ok());
+
+  auto surface = DependencySurface::Extract(rewritten_bytes.TakeValue());
+  ASSERT_TRUE(surface.ok()) << surface.error().ToString();
+  EXPECT_FALSE(surface->health().AnyDegraded()) << surface->health().Summary();
+  const TracepointEntry* rq = surface->FindTracepoint("block_rq_issue");
+  ASSERT_NE(rq, nullptr);
+  EXPECT_EQ(rq->struct_btf_id, *first);
+  ExpectTracepointIdsMatchLinearLookups(*surface);
 }
 
 TEST(SurfaceExtractTest, SyscallsViaSysCallTable) {

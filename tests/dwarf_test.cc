@@ -206,6 +206,32 @@ TEST(FunctionViewTest, RejectsOriginPointingAtNonSubprogram) {
   EXPECT_FALSE(CollectFunctionInstances(doc).ok());
 }
 
+TEST(FunctionViewTest, RejectsOriginBeyondTheDocument) {
+  DwarfDocument doc;
+  uint32_t cu = doc.AddDie(DwTag::kCompileUnit, 0);
+  doc.SetString(cu, DwAttr::kName, "a.c");
+  uint32_t sub = doc.AddDie(DwTag::kSubprogram, cu);
+  doc.SetString(sub, DwAttr::kName, "f");
+  uint32_t site = doc.AddDie(DwTag::kCallSite, sub);
+  doc.SetNumber(site, DwAttr::kCallOrigin, doc.num_dies() + 1);
+  EXPECT_FALSE(CollectFunctionInstances(doc).ok());
+}
+
+TEST(FunctionViewTest, RejectsOriginWithHighBitsSet) {
+  // The low 32 bits name a real subprogram; the reference as a whole does
+  // not, so it must not resolve to it.
+  DwarfDocument doc;
+  uint32_t cu = doc.AddDie(DwTag::kCompileUnit, 0);
+  doc.SetString(cu, DwAttr::kName, "a.c");
+  uint32_t target = doc.AddDie(DwTag::kSubprogram, cu);
+  doc.SetString(target, DwAttr::kName, "target");
+  uint32_t caller = doc.AddDie(DwTag::kSubprogram, cu);
+  doc.SetString(caller, DwAttr::kName, "caller");
+  uint32_t site = doc.AddDie(DwTag::kInlinedSubroutine, caller);
+  doc.SetNumber(site, DwAttr::kAbstractOrigin, (1ull << 32) | target);
+  EXPECT_FALSE(CollectFunctionInstances(doc).ok());
+}
+
 TEST(FunctionViewTest, RejectsAnonymousSubprogram) {
   DwarfDocument doc;
   uint32_t cu = doc.AddDie(DwTag::kCompileUnit, 0);
