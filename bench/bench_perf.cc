@@ -48,7 +48,7 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
       stage.items = static_cast<uint64_t>(run.iterations);
       bench_->AddStage(stage);
       if (stage.name.rfind("BM_Serve", 0) == 0 ||
-          stage.name.rfind("BM_CheckV1Reparse", 0) == 0) {
+          stage.name.rfind("BM_CheckReparse", 0) == 0) {
         serve_->AddStage(stage);
       }
       if (stage.name.rfind("BM_AnalyzeCorpus", 0) == 0 ||
@@ -255,14 +255,13 @@ void BM_FixCorpus(benchmark::State& state) {
 }
 BENCHMARK(BM_FixCorpus)->Unit(benchmark::kMillisecond);
 
-// ---- dataset-as-a-service: cached-hit answering vs cold mmap open vs the
-// old one-parse-per-query v1 path. The gate asserts the cached engine is at
-// least 10x faster per query than re-parsing the v1 dataset every time.
+// ---- dataset-as-a-service: cached-hit answering vs cold mmap open vs one
+// full parse per query. The gate asserts the cached engine is at least 10x
+// faster per query than re-parsing the dataset every time.
 
 struct ServeCorpus {
-  std::string v1_path;
-  std::string v2_path;
-  std::vector<uint8_t> v1_bytes;
+  std::string path;
+  std::vector<uint8_t> bytes;
   DependencySet deps;
 };
 
@@ -275,17 +274,11 @@ const ServeCorpus& SharedServeCorpus() {
       dataset.AddImage(version.Tag(), *surface);
     }
     ServeCorpus out;
-    out.v1_bytes = SaveDataset(dataset);
-    std::vector<uint8_t> v2 = SaveDatasetV2(dataset);
-    out.v1_path = scratch.path + "/serve_v1.dds";
-    out.v2_path = scratch.path + "/serve_v2.dds";
-    for (const auto& [path, bytes] :
-         {std::pair<std::string, const std::vector<uint8_t>*>{out.v1_path, &out.v1_bytes},
-          {out.v2_path, &v2}}) {
-      std::ofstream file(path, std::ios::binary);
-      file.write(reinterpret_cast<const char*>(bytes->data()),
-                 static_cast<std::streamsize>(bytes->size()));
-    }
+    out.bytes = SaveDatasetV2(dataset);
+    out.path = scratch.path + "/serve.dds";
+    std::ofstream file(out.path, std::ios::binary);
+    file.write(reinterpret_cast<const char*>(out.bytes.data()),
+               static_cast<std::streamsize>(out.bytes.size()));
     auto programs = BuildProgramCorpus();
     for (const BpfObject& object : programs.objects) {
       if (object.name == "biotop") {
@@ -307,7 +300,7 @@ constexpr char kServeQueryLine[] =
 // cache, every batch is a pure hit.
 void BM_ServeQueriesCached(benchmark::State& state) {
   static ServeEngine engine = [] {
-    auto opened = ServeEngine::Open({SharedServeCorpus().v2_path}, ServeOptions{});
+    auto opened = ServeEngine::Open({SharedServeCorpus().path}, ServeOptions{});
     if (!opened.ok()) {
       fprintf(stderr, "serve open failed: %s\n", opened.error().ToString().c_str());
       abort();
@@ -328,7 +321,7 @@ BENCHMARK(BM_ServeQueriesCached)->Unit(benchmark::kMicrosecond);
 // The v2 layout keeps this cheap — open touches only the header/section
 // table pages, the query only the index pages binary search walks.
 void BM_ServeQueriesColdMmap(benchmark::State& state) {
-  const std::string path = SharedServeCorpus().v2_path;
+  const std::string path = SharedServeCorpus().path;
   for (auto _ : state) {
     auto engine = ServeEngine::Open({path}, ServeOptions{});
     auto responses = engine->HandleBatch({kServeQueryLine});
@@ -337,17 +330,17 @@ void BM_ServeQueriesColdMmap(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeQueriesColdMmap)->Unit(benchmark::kMicrosecond);
 
-// The path `serve` replaces: parse the whole v1 dataset, answer one query,
-// throw the parse away.
-void BM_CheckV1ReparsePerQuery(benchmark::State& state) {
+// The path `serve` replaces (and what `check --dataset` still does): parse
+// the whole dataset, answer one query, throw the parse away.
+void BM_CheckReparsePerQuery(benchmark::State& state) {
   const ServeCorpus& corpus = SharedServeCorpus();
   for (auto _ : state) {
-    auto dataset = LoadDataset(corpus.v1_bytes);
+    auto dataset = LoadDatasetV2(corpus.bytes);
     ProgramReport report = AnalyzeProgram(*dataset, corpus.deps);
     benchmark::DoNotOptimize(report.AnyMismatch());
   }
 }
-BENCHMARK(BM_CheckV1ReparsePerQuery)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CheckReparsePerQuery)->Unit(benchmark::kMicrosecond);
 
 void BM_DatasetQuery(benchmark::State& state) {
   static Dataset dataset = [] {

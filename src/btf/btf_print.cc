@@ -6,10 +6,18 @@ namespace depsurf {
 
 namespace {
 
-std::string TypeStringDepth(const TypeGraph& graph, BtfTypeId id, int depth) {
-  if (depth > 32) {
+// Type nodes one top-level render may visit. The depth cap alone bounds a
+// chain, not a tree: a FUNC_PROTO whose return type and parameters point
+// back at it renders 3^16 nodes before any branch is 32 levels deep. Real
+// kernel types stay far below the budget (the largest LTS render visits 16
+// nodes), so it only ever cuts hostile input.
+constexpr int kRenderBudget = 256;
+
+std::string TypeStringDepth(const TypeGraph& graph, BtfTypeId id, int depth, int& budget) {
+  if (depth > 32 || budget <= 0) {
     return "<cycle>";
   }
+  --budget;
   const BtfType* t = graph.Get(id);
   if (t == nullptr) {
     return "void";
@@ -20,14 +28,14 @@ std::string TypeStringDepth(const TypeGraph& graph, BtfTypeId id, int depth) {
     case BtfKind::kTypedef:
       return t->name;
     case BtfKind::kPtr: {
-      std::string inner = TypeStringDepth(graph, t->ref_type_id, depth + 1);
+      std::string inner = TypeStringDepth(graph, t->ref_type_id, depth + 1, budget);
       if (!inner.empty() && inner.back() == '*') {
         return inner + "*";
       }
       return inner + " *";
     }
     case BtfKind::kConst: {
-      std::string inner = TypeStringDepth(graph, t->ref_type_id, depth + 1);
+      std::string inner = TypeStringDepth(graph, t->ref_type_id, depth + 1, budget);
       // const-of-pointer is "T *const"; const-of-object is "const T".
       if (!inner.empty() && inner.back() == '*') {
         return inner + "const";
@@ -35,11 +43,11 @@ std::string TypeStringDepth(const TypeGraph& graph, BtfTypeId id, int depth) {
       return "const " + inner;
     }
     case BtfKind::kVolatile:
-      return "volatile " + TypeStringDepth(graph, t->ref_type_id, depth + 1);
+      return "volatile " + TypeStringDepth(graph, t->ref_type_id, depth + 1, budget);
     case BtfKind::kRestrict:
-      return TypeStringDepth(graph, t->ref_type_id, depth + 1) + " restrict";
+      return TypeStringDepth(graph, t->ref_type_id, depth + 1, budget) + " restrict";
     case BtfKind::kArray:
-      return StrFormat("%s[%u]", TypeStringDepth(graph, t->ref_type_id, depth + 1).c_str(),
+      return StrFormat("%s[%u]", TypeStringDepth(graph, t->ref_type_id, depth + 1, budget).c_str(),
                        t->nelems);
     case BtfKind::kStruct:
     case BtfKind::kFwd:
@@ -51,12 +59,16 @@ std::string TypeStringDepth(const TypeGraph& graph, BtfTypeId id, int depth) {
     case BtfKind::kFunc:
       return t->name;
     case BtfKind::kFuncProto: {
-      std::string out = TypeStringDepth(graph, t->ref_type_id, depth + 1) + " (*)(";
+      std::string out = TypeStringDepth(graph, t->ref_type_id, depth + 1, budget) + " (*)(";
       for (size_t i = 0; i < t->params.size(); ++i) {
         if (i != 0) {
           out += ", ";
         }
-        out += TypeStringDepth(graph, t->params[i].type_id, depth + 1);
+        if (budget <= 0) {
+          out += "<cycle>";  // the rest of the list is past the budget too
+          break;
+        }
+        out += TypeStringDepth(graph, t->params[i].type_id, depth + 1, budget);
       }
       out += ")";
       return out;
@@ -65,80 +77,6 @@ std::string TypeStringDepth(const TypeGraph& graph, BtfTypeId id, int depth) {
       return "void";
   }
   return "?";
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
-
-std::string TypeJsonDepth(const TypeGraph& graph, BtfTypeId id, int depth) {
-  const BtfType* t = graph.Get(id);
-  if (t == nullptr) {
-    return "{\"name\": \"void\", \"kind\": \"VOID\"}";
-  }
-  std::string out = "{\"kind\": \"" + std::string(BtfKindName(t->kind)) + "\"";
-  if (!t->name.empty()) {
-    out += ", \"name\": \"" + JsonEscape(t->name) + "\"";
-  }
-  if (depth <= 0) {
-    return out + "}";
-  }
-  switch (t->kind) {
-    case BtfKind::kPtr:
-    case BtfKind::kConst:
-    case BtfKind::kVolatile:
-    case BtfKind::kRestrict:
-    case BtfKind::kTypedef:
-      out += ", \"type\": " + TypeJsonDepth(graph, t->ref_type_id, depth - 1);
-      break;
-    case BtfKind::kArray:
-      out += StrFormat(", \"nelems\": %u, \"type\": ", t->nelems) +
-             TypeJsonDepth(graph, t->ref_type_id, depth - 1);
-      break;
-    case BtfKind::kStruct:
-    case BtfKind::kUnion: {
-      out += StrFormat(", \"size\": %u, \"members\": [", t->size);
-      for (size_t i = 0; i < t->members.size(); ++i) {
-        if (i != 0) {
-          out += ", ";
-        }
-        const BtfMember& m = t->members[i];
-        out += "{\"name\": \"" + JsonEscape(m.name) + "\"";
-        out += StrFormat(", \"bits_offset\": %u, \"type\": ", m.bits_offset);
-        // Members render shallow struct references, as in the dataset.
-        out += TypeJsonDepth(graph, m.type_id, 1);
-        out += "}";
-      }
-      out += "]";
-      break;
-    }
-    case BtfKind::kFunc:
-      out += ", \"type\": " + TypeJsonDepth(graph, t->ref_type_id, depth - 1);
-      break;
-    case BtfKind::kFuncProto: {
-      out += ", \"params\": [";
-      for (size_t i = 0; i < t->params.size(); ++i) {
-        if (i != 0) {
-          out += ", ";
-        }
-        const BtfParam& p = t->params[i];
-        out += "{\"name\": \"" + JsonEscape(p.name) +
-               "\", \"type\": " + TypeJsonDepth(graph, p.type_id, depth - 1) + "}";
-      }
-      out += "], \"ret_type\": " + TypeJsonDepth(graph, t->ref_type_id, depth - 1);
-      break;
-    }
-    default:
-      break;
-  }
-  return out + "}";
 }
 
 // The one FUNC formatter; `type_string(id)` renders a top-level type.
@@ -177,7 +115,8 @@ std::string FormatFuncDecl(const TypeGraph& graph, BtfTypeId func_id,
 }  // namespace
 
 std::string TypeString(const TypeGraph& graph, BtfTypeId id) {
-  return TypeStringDepth(graph, id, 0);
+  int budget = kRenderBudget;
+  return TypeStringDepth(graph, id, 0, budget);
 }
 
 TypeStringMemo::TypeStringMemo(const TypeGraph& graph)
@@ -203,10 +142,6 @@ std::string FuncDeclString(const TypeGraph& graph, BtfTypeId func_id) {
 std::string FuncDeclString(TypeStringMemo& types, BtfTypeId func_id) {
   return FormatFuncDecl(types.graph(), func_id,
                         [&types](BtfTypeId id) -> const std::string& { return types.Get(id); });
-}
-
-std::string TypeJson(const TypeGraph& graph, BtfTypeId id, int max_depth) {
-  return TypeJsonDepth(graph, id, max_depth);
 }
 
 }  // namespace depsurf

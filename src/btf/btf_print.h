@@ -1,5 +1,5 @@
-// Rendering of BTF types as C-like declarations and as JSON matching the
-// DepSurf dataset format (paper artifact, Appendix A.2.4).
+// Rendering of BTF types as C-like declarations, as stored in the DepSurf
+// dataset (paper artifact, Appendix A.2.4).
 #ifndef DEPSURF_SRC_BTF_BTF_PRINT_H_
 #define DEPSURF_SRC_BTF_BTF_PRINT_H_
 
@@ -12,6 +12,8 @@
 namespace depsurf {
 
 // C-ish rendering of a type: "struct file *", "const char *", "u64".
+// Anything more than 32 levels down, or past a fixed budget of visited
+// nodes, renders as "<cycle>", so hostile BTF costs bounded work.
 std::string TypeString(const TypeGraph& graph, BtfTypeId id);
 
 // TypeString(graph, id) for every id of one graph, each rendered on first
@@ -36,10 +38,6 @@ class TypeStringMemo {
 std::string FuncDeclString(const TypeGraph& graph, BtfTypeId func_id);
 // The same, with the return and parameter types taken from `types`.
 std::string FuncDeclString(TypeStringMemo& types, BtfTypeId func_id);
-
-// JSON rendering of a type tree (depth-limited; struct references render as
-// {"kind": "STRUCT", "name": ...} without members, as in the paper dataset).
-std::string TypeJson(const TypeGraph& graph, BtfTypeId id, int max_depth = 6);
 
 }  // namespace depsurf
 

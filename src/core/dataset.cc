@@ -170,7 +170,6 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
     (void)entry;
     record.syscalls.insert(Intern(name));
   }
-  record.compat_syscalls_traceable = record.meta.compat_syscalls_traceable;
   if (auto pt_regs = surface.FindStruct("pt_regs"); pt_regs.has_value()) {
     const BtfType* st = graph.Get(*pt_regs);
     uint64_t h = 0x9e11;

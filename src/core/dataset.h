@@ -51,7 +51,6 @@ struct ImageRecord {
   std::map<StrId, StructRecord> structs;
   std::map<StrId, TracepointRecord> tracepoints;
   std::set<StrId> syscalls;
-  bool compat_syscalls_traceable = true;
   uint64_t pt_regs_hash = 0;
   // Salvage provenance, persisted with the record (see dataset_io.cc):
   // per-subsystem degradation states plus the extraction ledger, so report
@@ -113,7 +112,7 @@ class Dataset : public DatasetView {
   // current obs::Context. Intern() itself only bumps plain members — it is
   // the hot path of distillation, and resolving a registry counter per string
   // (or caching one across per-image contexts) would be wrong or slow.
-  // AddImage flushes automatically; LoadDataset flushes after the pool read.
+  // AddImage flushes automatically; LoadDatasetV2 flushes after the pool read.
   void FlushInternMetrics();
 
  private:

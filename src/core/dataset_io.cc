@@ -7,13 +7,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 
 #include "src/util/byte_buffer.h"
-#include "src/util/leb128.h"
 
 namespace depsurf {
 
@@ -52,273 +50,7 @@ FunctionStatus UnpackStatus(uint8_t flags, std::string suffix) {
   return status;
 }
 
-void WritePairs(ByteWriter& w, const std::vector<std::pair<StrId, StrId>>& pairs) {
-  WriteUleb128(w, pairs.size());
-  for (const auto& [a, b] : pairs) {
-    WriteUleb128(w, a);
-    WriteUleb128(w, b);
-  }
-}
-
-Result<std::vector<std::pair<StrId, StrId>>> ReadPairs(ByteReader& r, size_t max_id) {
-  DEPSURF_ASSIGN_OR_RETURN(count, ReadUleb128(r));
-  if (count > r.remaining()) {
-    return Error(ErrorCode::kMalformedData, "pair count beyond buffer");
-  }
-  std::vector<std::pair<StrId, StrId>> out;
-  out.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    DEPSURF_ASSIGN_OR_RETURN(a, ReadUleb128(r));
-    DEPSURF_ASSIGN_OR_RETURN(b, ReadUleb128(r));
-    if (a >= max_id || b >= max_id) {
-      return Error(ErrorCode::kMalformedData, "string id out of range");
-    }
-    out.emplace_back(static_cast<StrId>(a), static_cast<StrId>(b));
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<uint8_t> SaveDataset(const Dataset& dataset) {
-  ByteWriter w(Endian::kLittle);
-  w.WriteU32(kDatasetMagic);
-  WriteUleb128(w, dataset.pool_size());
-  WriteUleb128(w, dataset.num_images());
-  for (size_t i = 0; i < dataset.pool_size(); ++i) {
-    w.WriteCString(dataset.StringAt(static_cast<StrId>(i)));
-  }
-  // Suffix strings are interned too; record a suffix id per function. Any
-  // suffix seen must already be in the pool (AddImage interned names/types
-  // only), so serialize suffixes inline as cstrings instead.
-  for (const ImageRecord& image : dataset.images()) {
-    w.WriteCString(image.label);
-    w.WriteU16(static_cast<uint16_t>(image.meta.version_major));
-    w.WriteU16(static_cast<uint16_t>(image.meta.version_minor));
-    w.WriteCString(image.meta.flavor);
-    w.WriteCString(image.meta.arch);
-    w.WriteU8(static_cast<uint8_t>(image.meta.gcc_major));
-    w.WriteU8(static_cast<uint8_t>(image.meta.pointer_size));
-    w.WriteU8(image.meta.endian == Endian::kBig ? 1 : 0);
-    w.WriteU32(image.meta.config_options);
-    w.WriteU8(image.meta.compat_syscalls_traceable ? 1 : 0);
-    w.WriteU64(image.pt_regs_hash);
-
-    WriteUleb128(w, image.funcs.size());
-    for (const auto& [name, record] : image.funcs) {
-      WriteUleb128(w, name);
-      w.WriteU8(PackStatus(record.status));
-      w.WriteCString(record.status.transform_suffix);
-      w.WriteU64(record.decl_hash);
-      // kNoStr sentinel encodes as pool_size (never a valid id).
-      WriteUleb128(w, record.decl == Dataset::kNoStr ? dataset.pool_size() : record.decl);
-    }
-    WriteUleb128(w, image.structs.size());
-    for (const auto& [name, record] : image.structs) {
-      WriteUleb128(w, name);
-      WritePairs(w, record.fields);
-    }
-    WriteUleb128(w, image.tracepoints.size());
-    for (const auto& [name, record] : image.tracepoints) {
-      WriteUleb128(w, name);
-      WritePairs(w, record.func_params);
-      WritePairs(w, record.event_fields);
-    }
-    WriteUleb128(w, image.syscalls.size());
-    for (StrId id : image.syscalls) {
-      WriteUleb128(w, id);
-    }
-
-    // Salvage provenance: per-subsystem degradation states, then the
-    // diagnostic ledger (messages inline; they are rare and unpooled).
-    w.WriteU8(static_cast<uint8_t>(image.health.elf));
-    w.WriteU8(static_cast<uint8_t>(image.health.dwarf));
-    w.WriteU8(static_cast<uint8_t>(image.health.btf));
-    w.WriteU8(static_cast<uint8_t>(image.health.tracepoint));
-    w.WriteU8(static_cast<uint8_t>(image.health.syscall));
-    const auto& entries = image.health.ledger.entries();
-    WriteUleb128(w, entries.size());
-    for (const DiagnosticEntry& entry : entries) {
-      w.WriteU8(static_cast<uint8_t>(entry.severity));
-      w.WriteU8(static_cast<uint8_t>(entry.subsystem));
-      w.WriteU8(static_cast<uint8_t>(entry.code));
-      w.WriteU8(entry.has_offset ? 1 : 0);
-      w.WriteU64(entry.offset);
-      w.WriteCString(entry.message);
-    }
-  }
-  return w.TakeBytes();
-}
-
-Result<Dataset> LoadDataset(const std::vector<uint8_t>& bytes) {
-  ByteReader r(bytes, Endian::kLittle);
-  DEPSURF_ASSIGN_OR_RETURN(magic, r.ReadU32());
-  if (magic != kDatasetMagic) {
-    return Error(ErrorCode::kMalformedData, "not a depsurf dataset (bad magic)");
-  }
-  DEPSURF_ASSIGN_OR_RETURN(num_strings, ReadUleb128(r));
-  DEPSURF_ASSIGN_OR_RETURN(num_images, ReadUleb128(r));
-  if (num_strings > bytes.size() || num_images > bytes.size()) {
-    return Error(ErrorCode::kMalformedData, "counts beyond buffer");
-  }
-  Dataset dataset;
-  for (uint64_t i = 0; i < num_strings; ++i) {
-    DEPSURF_ASSIGN_OR_RETURN(s, r.ReadCString());
-    // Fresh interning assigns sequential ids, so saved ids stay valid.
-    StrId id = dataset.Intern(s);
-    if (id != i) {
-      return Error(ErrorCode::kMalformedData, "duplicate string in pool");
-    }
-  }
-  dataset.FlushInternMetrics();
-  for (uint64_t image_index = 0; image_index < num_images; ++image_index) {
-    ImageRecord image;
-    DEPSURF_ASSIGN_OR_RETURN(label, r.ReadCString());
-    image.label = std::move(label);
-    DEPSURF_ASSIGN_OR_RETURN(major, r.ReadU16());
-    image.meta.version_major = major;
-    DEPSURF_ASSIGN_OR_RETURN(minor, r.ReadU16());
-    image.meta.version_minor = minor;
-    DEPSURF_ASSIGN_OR_RETURN(flavor, r.ReadCString());
-    image.meta.flavor = std::move(flavor);
-    DEPSURF_ASSIGN_OR_RETURN(arch, r.ReadCString());
-    image.meta.arch = std::move(arch);
-    DEPSURF_ASSIGN_OR_RETURN(gcc, r.ReadU8());
-    image.meta.gcc_major = gcc;
-    DEPSURF_ASSIGN_OR_RETURN(pointer_size, r.ReadU8());
-    image.meta.pointer_size = pointer_size;
-    DEPSURF_ASSIGN_OR_RETURN(endian, r.ReadU8());
-    image.meta.endian = endian == 1 ? Endian::kBig : Endian::kLittle;
-    DEPSURF_ASSIGN_OR_RETURN(config, r.ReadU32());
-    image.meta.config_options = config;
-    DEPSURF_ASSIGN_OR_RETURN(compat, r.ReadU8());
-    image.meta.compat_syscalls_traceable = compat != 0;
-    image.compat_syscalls_traceable = image.meta.compat_syscalls_traceable;
-    DEPSURF_ASSIGN_OR_RETURN(pt_regs_hash, r.ReadU64());
-    image.pt_regs_hash = pt_regs_hash;
-
-    DEPSURF_ASSIGN_OR_RETURN(num_funcs, ReadUleb128(r));
-    if (num_funcs > r.remaining()) {
-      return Error(ErrorCode::kMalformedData, "function count beyond buffer");
-    }
-    for (uint64_t i = 0; i < num_funcs; ++i) {
-      DEPSURF_ASSIGN_OR_RETURN(name, ReadUleb128(r));
-      if (name >= num_strings) {
-        return Error(ErrorCode::kMalformedData, "function name id out of range");
-      }
-      DEPSURF_ASSIGN_OR_RETURN(flags, r.ReadU8());
-      DEPSURF_ASSIGN_OR_RETURN(suffix, r.ReadCString());
-      DEPSURF_ASSIGN_OR_RETURN(decl_hash, r.ReadU64());
-      DEPSURF_ASSIGN_OR_RETURN(decl, ReadUleb128(r));
-      if (decl > num_strings) {
-        return Error(ErrorCode::kMalformedData, "decl id out of range");
-      }
-      FuncRecord record;
-      record.status = UnpackStatus(flags, std::move(suffix));
-      record.decl_hash = decl_hash;
-      record.decl = decl == num_strings ? Dataset::kNoStr : static_cast<StrId>(decl);
-      image.funcs.emplace(static_cast<StrId>(name), std::move(record));
-    }
-    DEPSURF_ASSIGN_OR_RETURN(num_structs, ReadUleb128(r));
-    if (num_structs > r.remaining()) {
-      return Error(ErrorCode::kMalformedData, "struct count beyond buffer");
-    }
-    for (uint64_t i = 0; i < num_structs; ++i) {
-      DEPSURF_ASSIGN_OR_RETURN(name, ReadUleb128(r));
-      if (name >= num_strings) {
-        return Error(ErrorCode::kMalformedData, "struct name id out of range");
-      }
-      StructRecord record;
-      DEPSURF_ASSIGN_OR_RETURN(fields, ReadPairs(r, num_strings));
-      record.fields = std::move(fields);
-      image.structs.emplace(static_cast<StrId>(name), std::move(record));
-    }
-    DEPSURF_ASSIGN_OR_RETURN(num_tracepoints, ReadUleb128(r));
-    if (num_tracepoints > r.remaining()) {
-      return Error(ErrorCode::kMalformedData, "tracepoint count beyond buffer");
-    }
-    for (uint64_t i = 0; i < num_tracepoints; ++i) {
-      DEPSURF_ASSIGN_OR_RETURN(name, ReadUleb128(r));
-      if (name >= num_strings) {
-        return Error(ErrorCode::kMalformedData, "tracepoint name id out of range");
-      }
-      TracepointRecord record;
-      DEPSURF_ASSIGN_OR_RETURN(params, ReadPairs(r, num_strings));
-      record.func_params = std::move(params);
-      DEPSURF_ASSIGN_OR_RETURN(fields, ReadPairs(r, num_strings));
-      record.event_fields = std::move(fields);
-      image.tracepoints.emplace(static_cast<StrId>(name), std::move(record));
-    }
-    DEPSURF_ASSIGN_OR_RETURN(num_syscalls, ReadUleb128(r));
-    if (num_syscalls > r.remaining()) {
-      return Error(ErrorCode::kMalformedData, "syscall count beyond buffer");
-    }
-    for (uint64_t i = 0; i < num_syscalls; ++i) {
-      DEPSURF_ASSIGN_OR_RETURN(id, ReadUleb128(r));
-      if (id >= num_strings) {
-        return Error(ErrorCode::kMalformedData, "syscall id out of range");
-      }
-      image.syscalls.insert(static_cast<StrId>(id));
-    }
-
-    auto read_state = [&r]() -> Result<DegradationState> {
-      DEPSURF_ASSIGN_OR_RETURN(raw, r.ReadU8());
-      if (raw > static_cast<uint8_t>(DegradationState::kMissing)) {
-        return Error(ErrorCode::kMalformedData, "bad degradation state");
-      }
-      return static_cast<DegradationState>(raw);
-    };
-    DEPSURF_ASSIGN_OR_RETURN(elf_state, read_state());
-    image.health.elf = elf_state;
-    DEPSURF_ASSIGN_OR_RETURN(dwarf_state, read_state());
-    image.health.dwarf = dwarf_state;
-    DEPSURF_ASSIGN_OR_RETURN(btf_state, read_state());
-    image.health.btf = btf_state;
-    DEPSURF_ASSIGN_OR_RETURN(tracepoint_state, read_state());
-    image.health.tracepoint = tracepoint_state;
-    DEPSURF_ASSIGN_OR_RETURN(syscall_state, read_state());
-    image.health.syscall = syscall_state;
-    DEPSURF_ASSIGN_OR_RETURN(num_diags, ReadUleb128(r));
-    if (num_diags > r.remaining()) {
-      return Error(ErrorCode::kMalformedData, "diagnostic count beyond buffer");
-    }
-    for (uint64_t i = 0; i < num_diags; ++i) {
-      DEPSURF_ASSIGN_OR_RETURN(severity, r.ReadU8());
-      if (severity > static_cast<uint8_t>(DiagSeverity::kFatal)) {
-        return Error(ErrorCode::kMalformedData, "bad diagnostic severity");
-      }
-      DEPSURF_ASSIGN_OR_RETURN(subsystem, r.ReadU8());
-      if (subsystem > static_cast<uint8_t>(DiagSubsystem::kBpf)) {
-        return Error(ErrorCode::kMalformedData, "bad diagnostic subsystem");
-      }
-      DEPSURF_ASSIGN_OR_RETURN(code, r.ReadU8());
-      if (code > static_cast<uint8_t>(ErrorCode::kIoError)) {
-        return Error(ErrorCode::kMalformedData, "bad diagnostic error code");
-      }
-      DEPSURF_ASSIGN_OR_RETURN(has_offset, r.ReadU8());
-      DEPSURF_ASSIGN_OR_RETURN(offset, r.ReadU64());
-      DEPSURF_ASSIGN_OR_RETURN(message, r.ReadCString());
-      if (has_offset != 0) {
-        image.health.ledger.AddAt(static_cast<DiagSeverity>(severity),
-                                  static_cast<DiagSubsystem>(subsystem),
-                                  static_cast<ErrorCode>(code), offset,
-                                  std::move(message));
-      } else {
-        image.health.ledger.Add(static_cast<DiagSeverity>(severity),
-                                static_cast<DiagSubsystem>(subsystem),
-                                static_cast<ErrorCode>(code), std::move(message));
-      }
-    }
-    dataset.RestoreImage(std::move(image));
-  }
-  return dataset;
-}
-
-// ---------------------------------------------------------------------------
-// `.dds` v2: page-aligned sections + flat sorted record arrays (mmap path).
-// ---------------------------------------------------------------------------
-
-namespace {
+constexpr uint32_t kRetiredMagicV1 = 0x31534444;  // "DDS1", refused on open
 
 // Section kinds, also the section-table order. sections_ is indexed by kind.
 constexpr uint32_t kSecStringOffsets = 1;  // u64[string_count + 1]
@@ -381,13 +113,11 @@ SurfaceHealth HealthFromHeader(const uint8_t* img) {
 }  // namespace
 
 std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset) {
-  // v2 pool = the v1 pool with every id preserved, then transform suffixes
-  // and diagnostic messages appended in first-use order. Keeping v1 ids
-  // intact is what makes `dataset migrate` byte-deterministic and lets the
-  // two formats share query semantics (ids compare within the same pool).
-  // The dataset's own index resolves pool strings (its pool holds no
-  // duplicates); only the appended strings get a side table, whose views
-  // point into `dataset`.
+  // File pool = the dataset's pool with every id preserved, then labels,
+  // arch/flavor, transform suffixes and diagnostic messages appended in
+  // first-use order, so record ids need no remapping. The dataset's own
+  // index resolves pool strings (its pool holds no duplicates); only the
+  // appended strings get a side table, whose views point into `dataset`.
   const uint32_t pool_size = static_cast<uint32_t>(dataset.pool_size());
   std::vector<std::string_view> appended;
   std::unordered_map<std::string_view, uint32_t> appended_index;
@@ -578,25 +308,6 @@ std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset) {
   return out.TakeBytes();
 }
 
-Result<int> DatasetFormatVersion(const std::vector<uint8_t>& bytes) {
-  if (bytes.size() < 4) {
-    return Error(ErrorCode::kMalformedData, "not a depsurf dataset (too short)");
-  }
-  uint32_t magic = LoadU32(bytes.data());
-  if (magic == kDatasetMagic) {
-    return 1;
-  }
-  if (magic == kDatasetMagicV2) {
-    return 2;
-  }
-  return Error(ErrorCode::kMalformedData, "not a depsurf dataset (bad magic)");
-}
-
-Result<Dataset> LoadAnyDataset(const std::vector<uint8_t>& bytes) {
-  DEPSURF_ASSIGN_OR_RETURN(format, DatasetFormatVersion(bytes));
-  return format == 2 ? LoadDatasetV2(bytes) : LoadDataset(bytes);
-}
-
 // ---------------------------------------------------------------------------
 // MmapDataset
 // ---------------------------------------------------------------------------
@@ -604,6 +315,13 @@ Result<Dataset> LoadAnyDataset(const std::vector<uint8_t>& bytes) {
 Status MmapDataset::Attach(const uint8_t* data, size_t size) {
   data_ = data;
   size_ = size;
+  // The retired sequential layout: name it instead of calling it garbage,
+  // so the way forward is one rebuild.
+  if (size >= 4 && LoadU32(data) == kRetiredMagicV1) {
+    return Status(ErrorCode::kMalformedData,
+                  "v1 dataset (DDS1) is no longer readable; rebuild it with "
+                  "`depsurf dataset build` or `depsurf study build`");
+  }
   if (size < kV2HeaderSize) {
     return Status(ErrorCode::kMalformedData, "v2 dataset shorter than its header");
   }
@@ -1139,7 +857,7 @@ std::optional<std::string_view> MmapDataset::FieldTypeAt(const std::string& stru
 }
 
 // ---------------------------------------------------------------------------
-// Full strict v2 parse (dataset info / migrate round-trips).
+// Full strict parse (dataset info, check/analyze/fix against a dataset).
 // ---------------------------------------------------------------------------
 
 Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
@@ -1166,6 +884,20 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
     const uint8_t* entry = table + (kind - 1) * kV2SectionEntrySize;
     return std::make_pair(LoadU64(entry + 8), LoadU64(entry + 16));
   };
+  // The sorted index must be a permutation of the ids in strictly
+  // ascending string order: MmapDataset::LookupId binary-searches it.
+  const uint8_t* sorted = data + section(kSecStringSorted).first;
+  for (uint32_t i = 0, prev = 0; i < num_strings; ++i) {
+    uint32_t id = LoadU32(sorted + static_cast<uint64_t>(i) * 4);
+    if (id >= num_strings) {
+      return Error(ErrorCode::kMalformedData, "v2 sorted string index id out of range");
+    }
+    if (i != 0 && !(dataset.StringAt(prev) < dataset.StringAt(id))) {
+      return Error(ErrorCode::kMalformedData, "v2 sorted string index out of order");
+    }
+    prev = id;
+  }
+
   auto [funcs_off, funcs_size] = section(kSecFuncs);
   auto [structs_off, structs_size] = section(kSecStructs);
   auto [tps_off, tps_size] = section(kSecTracepoints);
@@ -1173,7 +905,9 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
   auto [pairs_off, pairs_size] = section(kSecPairs);
   auto [diags_off, diags_size] = section(kSecDiags);
   uint64_t pair_entries = pairs_size / kV2PairSize;
-  auto read_pairs = [&](uint32_t begin, uint32_t count,
+  // `by_name`: struct fields, which the view binary-searches by name id.
+  // Equal ids stay legal (anonymous members share the empty name).
+  auto read_pairs = [&](uint32_t begin, uint32_t count, bool by_name,
                         std::vector<std::pair<StrId, StrId>>* out) -> Status {
     if (begin > pair_entries || count > pair_entries - begin) {
       return Status(ErrorCode::kMalformedData, "v2 pair range beyond section");
@@ -1186,7 +920,24 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
       if (a >= num_strings || b >= num_strings) {
         return Status(ErrorCode::kMalformedData, "string id out of range");
       }
+      if (by_name && !out->empty() && a < out->back().first) {
+        return Status(ErrorCode::kMalformedData, "v2 struct fields not sorted by name");
+      }
       out->emplace_back(a, b);
+    }
+    return Status::Ok();
+  };
+  // Record runs are binary-searched by name id (FindNamedEntry), so each
+  // name must be in range and above the previous entry's, if any.
+  auto check_name = [num_strings](const uint8_t* entry, const uint8_t* prev_entry,
+                                  const char* what) -> Status {
+    uint32_t name = LoadU32(entry);
+    if (name >= num_strings) {
+      return Status(ErrorCode::kMalformedData, std::string(what) + " name id out of range");
+    }
+    if (prev_entry != nullptr && name <= LoadU32(prev_entry)) {
+      return Status(ErrorCode::kMalformedData,
+                    std::string("v2 ") + what + " run not sorted by name");
     }
     return Status::Ok();
   };
@@ -1221,7 +972,6 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
     image.meta.pointer_size = img[17];
     image.meta.endian = img[18] == 1 ? Endian::kBig : Endian::kLittle;
     image.meta.compat_syscalls_traceable = img[19] != 0;
-    image.compat_syscalls_traceable = image.meta.compat_syscalls_traceable;
     image.meta.config_options = LoadU32(img + 20);
     image.pt_regs_hash = LoadU64(img + 24);
     for (size_t h = 0; h < 5; ++h) {
@@ -1242,10 +992,7 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
     for (uint32_t i = 0; i < func_count; ++i) {
       const uint8_t* e =
           data + funcs_off + (static_cast<uint64_t>(func_begin) + i) * kV2FuncEntrySize;
-      uint32_t name = LoadU32(e);
-      if (name >= num_strings) {
-        return Error(ErrorCode::kMalformedData, "function name id out of range");
-      }
+      DEPSURF_RETURN_IF_ERROR(check_name(e, i == 0 ? nullptr : e - kV2FuncEntrySize, "function"));
       uint32_t decl = LoadU32(e + 4);
       if (decl != Dataset::kNoStr && decl >= num_strings) {
         return Error(ErrorCode::kMalformedData, "decl id out of range");
@@ -1259,7 +1006,7 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
           e[20], suffix == Dataset::kNoStr ? std::string() : dataset.StringAt(suffix));
       record.decl_hash = LoadU64(e + 8);
       record.decl = decl;
-      image.funcs.emplace(static_cast<StrId>(name), std::move(record));
+      image.funcs.emplace_hint(image.funcs.end(), LoadU32(e), std::move(record));
     }
 
     uint32_t struct_begin = LoadU32(img + kImgStructRange);
@@ -1269,13 +1016,10 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
     for (uint32_t i = 0; i < struct_count; ++i) {
       const uint8_t* e =
           data + structs_off + (static_cast<uint64_t>(struct_begin) + i) * kV2StructEntrySize;
-      uint32_t name = LoadU32(e);
-      if (name >= num_strings) {
-        return Error(ErrorCode::kMalformedData, "struct name id out of range");
-      }
+      DEPSURF_RETURN_IF_ERROR(check_name(e, i == 0 ? nullptr : e - kV2StructEntrySize, "struct"));
       StructRecord record;
-      DEPSURF_RETURN_IF_ERROR(read_pairs(LoadU32(e + 4), LoadU32(e + 8), &record.fields));
-      image.structs.emplace(static_cast<StrId>(name), std::move(record));
+      DEPSURF_RETURN_IF_ERROR(read_pairs(LoadU32(e + 4), LoadU32(e + 8), true, &record.fields));
+      image.structs.emplace_hint(image.structs.end(), LoadU32(e), std::move(record));
     }
 
     uint32_t tp_begin = LoadU32(img + kImgTracepointRange);
@@ -1285,26 +1029,23 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
     for (uint32_t i = 0; i < tp_count; ++i) {
       const uint8_t* e =
           data + tps_off + (static_cast<uint64_t>(tp_begin) + i) * kV2TracepointEntrySize;
-      uint32_t name = LoadU32(e);
-      if (name >= num_strings) {
-        return Error(ErrorCode::kMalformedData, "tracepoint name id out of range");
-      }
-      TracepointRecord record;
-      DEPSURF_RETURN_IF_ERROR(read_pairs(LoadU32(e + 4), LoadU32(e + 8), &record.func_params));
       DEPSURF_RETURN_IF_ERROR(
-          read_pairs(LoadU32(e + 12), LoadU32(e + 16), &record.event_fields));
-      image.tracepoints.emplace(static_cast<StrId>(name), std::move(record));
+          check_name(e, i == 0 ? nullptr : e - kV2TracepointEntrySize, "tracepoint"));
+      TracepointRecord record;
+      DEPSURF_RETURN_IF_ERROR(
+          read_pairs(LoadU32(e + 4), LoadU32(e + 8), false, &record.func_params));
+      DEPSURF_RETURN_IF_ERROR(
+          read_pairs(LoadU32(e + 12), LoadU32(e + 16), false, &record.event_fields));
+      image.tracepoints.emplace_hint(image.tracepoints.end(), LoadU32(e), std::move(record));
     }
 
     uint32_t sys_begin = LoadU32(img + kImgSyscallRange);
     uint32_t sys_count = LoadU32(img + kImgSyscallRange + 4);
     DEPSURF_RETURN_IF_ERROR(check_range(sys_begin, sys_count, sys_size / 4, "syscall"));
     for (uint32_t i = 0; i < sys_count; ++i) {
-      uint32_t id = LoadU32(data + sys_off + (static_cast<uint64_t>(sys_begin) + i) * 4);
-      if (id >= num_strings) {
-        return Error(ErrorCode::kMalformedData, "syscall id out of range");
-      }
-      image.syscalls.insert(static_cast<StrId>(id));
+      const uint8_t* e = data + sys_off + (static_cast<uint64_t>(sys_begin) + i) * 4;
+      DEPSURF_RETURN_IF_ERROR(check_name(e, i == 0 ? nullptr : e - 4, "syscall"));
+      image.syscalls.insert(image.syscalls.end(), LoadU32(e));
     }
 
     uint32_t diag_begin = LoadU32(img + kImgDiagRange);
@@ -1344,44 +1085,6 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
     dataset.RestoreImage(std::move(image));
   }
   return dataset;
-}
-
-Result<OpenedDataset> OpenDatasetView(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Error(ErrorCode::kIoError, "cannot open " + path);
-  }
-  uint8_t magic_bytes[4] = {0, 0, 0, 0};
-  in.read(reinterpret_cast<char*>(magic_bytes), 4);
-  if (in.gcount() != 4) {
-    return Error(ErrorCode::kMalformedData, path + ": not a depsurf dataset (too short)");
-  }
-  uint32_t magic = LoadU32(magic_bytes);
-  OpenedDataset opened;
-  if (magic == kDatasetMagicV2) {
-    in.close();
-    DEPSURF_ASSIGN_OR_RETURN(view, MmapDataset::Open(path));
-    opened.format = 2;
-    opened.images = view.num_images();
-    opened.view = std::make_unique<MmapDataset>(std::move(view));
-    return opened;
-  }
-  if (magic != kDatasetMagic) {
-    return Error(ErrorCode::kMalformedData, path + ": not a depsurf dataset (bad magic)");
-  }
-  in.seekg(0, std::ios::end);
-  std::streamoff len = in.tellg();
-  in.seekg(0, std::ios::beg);
-  std::vector<uint8_t> bytes(static_cast<size_t>(len));
-  in.read(reinterpret_cast<char*>(bytes.data()), len);
-  if (!in) {
-    return Error(ErrorCode::kIoError, "short read on " + path);
-  }
-  DEPSURF_ASSIGN_OR_RETURN(dataset, LoadDataset(bytes));
-  opened.format = 1;
-  opened.images = dataset.num_images();
-  opened.view = std::make_unique<Dataset>(std::move(dataset));
-  return opened;
 }
 
 }  // namespace depsurf

@@ -3,19 +3,16 @@
 // (64 GB of) kernel images; this is the equivalent: distill images once
 // with `depsurf dataset build`, query the compact file forever after.
 //
-// Two on-disk formats coexist:
-//  - v1 ("DDS1"): ULEB128 sequential encoding. Compact, but every open is a
-//    full parse — the wrong shape for a long-lived query server.
-//  - v2 ("DDS2"): page-aligned sections, an offset-based interned string
-//    table, and flat per-image record arrays sorted by name id, so a file
-//    opens via mmap in O(pages touched) and `MmapDataset` answers queries
-//    with zero-copy string/record views (see docs/FORMATS.md §6a).
-// `depsurf dataset migrate` converts v1 -> v2 byte-deterministically.
+// The on-disk format ("DDS2") uses page-aligned sections, an offset-based
+// interned string table, and flat per-image record arrays sorted by name
+// id, so a file opens via mmap in O(pages touched) and `MmapDataset`
+// answers queries with zero-copy string/record views (see docs/FORMATS.md
+// §6). Files in the retired sequential "DDS1" layout are refused; rebuild
+// them from their images.
 #ifndef DEPSURF_SRC_CORE_DATASET_IO_H_
 #define DEPSURF_SRC_CORE_DATASET_IO_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,34 +21,24 @@
 
 namespace depsurf {
 
-inline constexpr uint32_t kDatasetMagic = 0x31534444;    // "DDS1"
 inline constexpr uint32_t kDatasetMagicV2 = 0x32534444;  // "DDS2"
 // Every v2 section starts on a page boundary so a query touches only the
 // pages its binary searches land on.
 inline constexpr uint32_t kDatasetV2PageSize = 4096;
 
-// Compact binary encoding (string pool + per-image records).
-std::vector<uint8_t> SaveDataset(const Dataset& dataset);
-
-// Parses a v1 dataset file; validates the magic, bounds, and string ids.
-Result<Dataset> LoadDataset(const std::vector<uint8_t>& bytes);
-
-// Emits the mmap-friendly v2 layout. The v2 string pool preserves every v1
-// pool id and appends transform suffixes / diagnostic messages after them,
-// so migration is deterministic byte-for-byte.
+// Emits the dataset file, byte-deterministically. The string pool is the
+// dataset's own pool in id order, followed by labels, arch/flavor, function
+// suffixes and diagnostic messages in first-use order.
 std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset);
 
-// Full strict parse of a v2 buffer into an in-memory Dataset (the path for
-// `dataset info` and other whole-file consumers; servers use MmapDataset).
+// Full strict parse into an in-memory Dataset (the path for `dataset info`,
+// `check`, `analyze` and `fix`; servers use MmapDataset). Besides bounds and
+// ids it enforces every order the mmap view binary-searches, so a file this
+// accepts answers the same through either reader. Saving the result of
+// loading a file SaveDatasetV2 wrote reproduces that file's bytes.
 Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes);
 
-// Dispatches on the magic; accepts v1 and v2 buffers.
-Result<Dataset> LoadAnyDataset(const std::vector<uint8_t>& bytes);
-
-// 1 or 2; kMalformedData when the buffer carries neither magic.
-Result<int> DatasetFormatVersion(const std::vector<uint8_t>& bytes);
-
-// Zero-copy read view over a `.dds` v2 file. Open() maps the file and
+// Zero-copy read view over a `.dds` file. Open() maps the file and
 // validates the header + section table once (O(sections)); every query then
 // touches only the pages its lookups land on. Record accessors re-check
 // bounds on every access, so a truncated or bit-flipped file degrades to
@@ -119,14 +106,6 @@ class MmapDataset : public DatasetView {
   uint32_t string_count_ = 0;
   std::vector<Section> sections_;  // indexed by section kind (1..10)
 };
-
-// A dataset opened for querying, either format: v1 loads fully, v2 maps.
-struct OpenedDataset {
-  std::unique_ptr<DatasetView> view;
-  int format = 1;
-  size_t images = 0;
-};
-Result<OpenedDataset> OpenDatasetView(const std::string& path);
 
 }  // namespace depsurf
 

@@ -1,6 +1,6 @@
 // Read-side interface over a mismatch dataset. Two implementations exist:
-// `Dataset` (the in-memory pool built by distillation or a full v1/v2 parse)
-// and `MmapDataset` (zero-copy views over a mmap'd `.dds` v2 file, see
+// `Dataset` (the in-memory pool built by distillation or a full parse) and
+// `MmapDataset` (zero-copy views over a mmap'd `.dds` file, see
 // dataset_io.h). Report building and the `serve` query loop are written
 // against this interface so a long-lived server never pays a full parse.
 #ifndef DEPSURF_SRC_CORE_DATASET_VIEW_H_

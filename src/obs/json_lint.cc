@@ -1125,9 +1125,9 @@ Status ValidateServeReportDoc(std::string_view json) {
     }
     const JsonValue* format = entry.Find("format");
     if (format == nullptr || format->kind != JsonValue::Kind::kString ||
-        (format->string != "v1" && format->string != "v2")) {
+        format->string != "v2") {
       return Status(ErrorCode::kMalformedData,
-                    StrFormat("datasets[%zu].format is not \"v1\" or \"v2\"", i));
+                    StrFormat("datasets[%zu].format is not \"v2\"", i));
     }
     const JsonValue* images = entry.Find("images");
     if (images == nullptr || images->kind != JsonValue::Kind::kNumber ||

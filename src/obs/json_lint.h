@@ -87,7 +87,7 @@ Status ValidateFuzzCampaignDoc(std::string_view json);
 
 // Validates a depsurf.serve_report.v1 document (`depsurf serve
 // --report-out`): schema marker, a nonnegative "jobs" number, a non-empty
-// "datasets" array ({path, format v1|v2, images >= 0} each), request
+// "datasets" array ({path, format "v2", images >= 0} each), request
 // counters with ok + errors == requests, and a "cache" block whose
 // hits + misses == ok, entries <= misses, entries <= capacity. The schema
 // is defined by the serve layer; structure only is checked here.

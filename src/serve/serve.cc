@@ -81,16 +81,11 @@ Result<ServeEngine> ServeEngine::Open(const std::vector<std::string>& dataset_pa
   ServeEngine engine;
   engine.options_ = options;
   for (const std::string& path : dataset_paths) {
-    auto opened = OpenDatasetView(path);
+    auto opened = MmapDataset::Open(path);
     if (!opened.ok()) {
       return opened.TakeError().Wrap("opening " + path);
     }
-    DatasetEntry entry;
-    entry.path = path;
-    entry.format = opened.value().format;
-    entry.images = opened.value().images;
-    entry.view = std::move(opened.value().view);
-    engine.datasets_.push_back(std::move(entry));
+    engine.datasets_.push_back(DatasetEntry{path, opened.TakeValue()});
   }
   return engine;
 }
@@ -254,14 +249,13 @@ ServeEngine::RequestOutcome ServeEngine::Answer(const DependencySet& deps) const
     span.AddAttr("datasets", static_cast<uint64_t>(datasets_.size()));
     for (size_t d = 0; d < datasets_.size(); ++d) {
       const DatasetEntry& entry = datasets_[d];
-      ProgramReport report = AnalyzeProgram(*entry.view, deps);
+      ProgramReport report = AnalyzeProgram(entry.view, deps);
       if (d != 0) {
         results += ",";
       }
-      results += "{\"dataset\": \"" + obs::JsonEscape(entry.path) + "\", \"format\": \"v";
-      results += entry.format == 2 ? "2" : "1";
-      results += StrFormat("\", \"images\": %zu, \"any_mismatch\": %s", entry.images,
-                           report.AnyMismatch() ? "true" : "false");
+      results += "{\"dataset\": \"" + obs::JsonEscape(entry.path) + "\"";
+      results += StrFormat(", \"format\": \"v2\", \"images\": %zu, \"any_mismatch\": %s",
+                           entry.view.num_images(), report.AnyMismatch() ? "true" : "false");
       results += ", \"worst_implication\": \"";
       results += obs::JsonEscape(ImplicationName(report.WorstImplication()));
       results += "\", \"rows\": [";
@@ -413,9 +407,8 @@ std::string ServeEngine::ReportJson() const {
     if (i != 0) {
       out += ",";
     }
-    out += "\n  {\"path\": \"" + obs::JsonEscape(datasets_[i].path) + "\", \"format\": \"v";
-    out += datasets_[i].format == 2 ? "2" : "1";
-    out += StrFormat("\", \"images\": %zu}", datasets_[i].images);
+    out += "\n  {\"path\": \"" + obs::JsonEscape(datasets_[i].path) + "\"";
+    out += StrFormat(", \"format\": \"v2\", \"images\": %zu}", datasets_[i].view.num_images());
   }
   out += "\n],\n";
   out += StrFormat("\"requests\": %llu,\n\"ok\": %llu,\n\"errors\": %llu,\n",

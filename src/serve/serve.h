@@ -1,10 +1,10 @@
 // Dataset-as-a-service: a long-lived query engine over N opened datasets.
 //
 // `depsurf serve` is the shape the ROADMAP north star asks for: datasets are
-// opened once (v2 via zero-copy mmap, v1 via one legacy parse) and batched
-// dependency-set queries stream through a bounded-window executor — the same
-// dispatch/consume-in-order pattern the parallel report builds use — so
-// responses are byte-identical at any --jobs value. A content-hash
+// opened once through a zero-copy mmap and batched dependency-set queries
+// stream through a bounded-window executor — the same dispatch/consume-in-
+// order pattern the parallel report builds use — so responses are
+// byte-identical at any --jobs value. A content-hash
 // admission/result cache answers repeated queries without re-analysis.
 //
 // Wire format: newline-delimited JSON. One request per line:
@@ -22,7 +22,6 @@
 #define DEPSURF_SRC_SERVE_SERVE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -76,9 +75,7 @@ class ServeEngine {
  private:
   struct DatasetEntry {
     std::string path;
-    int format = 1;
-    size_t images = 0;
-    std::unique_ptr<DatasetView> view;
+    MmapDataset view;
   };
   struct RequestOutcome {
     std::string body;  // response fragment after the cache marker

@@ -21,7 +21,6 @@
 //   depsurf profile REPORT.json | --live          self-profile: self-time, critical path
 //   depsurf study   build [--versions=..]         build a dataset corpus, with reports
 //   depsurf serve   --against=DS[,DS] --oneshot   batched NDJSON dependency queries
-//   depsurf dataset migrate IN OUT                convert a .dds to the v2 mmap layout
 //
 // Every command accepts --metrics-out=FILE (write a depsurf.run_report.v1
 // JSON document on exit), --trace-out=FILE (write a Chrome/Perfetto
@@ -163,7 +162,7 @@ Result<std::vector<Dataset>> LoadAgainstDatasets(const std::string& against) {
     if (!bytes.ok()) {
       return bytes.TakeError();
     }
-    auto loaded = LoadAnyDataset(*bytes);
+    auto loaded = LoadDatasetV2(*bytes);
     if (!loaded.ok()) {
       return loaded.TakeError().Wrap(path);
     }
@@ -1183,7 +1182,7 @@ int CmdStudy(int argc, char** argv) {
   }
   std::string out = FlagValue(argc, argv, "out", "");
   if (!out.empty()) {
-    std::vector<uint8_t> bytes = SaveDataset(*dataset);
+    std::vector<uint8_t> bytes = SaveDatasetV2(*dataset);
     Status written = WriteFile(out, bytes);
     if (!written.ok()) {
       return DiagError(written.ToString());
@@ -1379,7 +1378,7 @@ int CmdCheck(int argc, char** argv) {
     if (!bytes.ok()) {
       return DiagError(bytes.error().ToString());
     }
-    auto loaded = LoadAnyDataset(*bytes);
+    auto loaded = LoadDatasetV2(*bytes);
     if (!loaded.ok()) {
       return DiagError(dataset_path + ": " + loaded.error().ToString());
     }
@@ -1592,7 +1591,7 @@ int CmdFix(int argc, char** argv) {
 int CmdDataset(int argc, char** argv) {
   auto positional = Positional(argc, argv);
   if (positional.empty()) {
-    return DiagError("dataset requires a subcommand: build | info | migrate");
+    return DiagError("dataset requires a subcommand: build | info");
   }
   if (positional[0] == "build") {
     std::string out = FlagValue(argc, argv, "out", "");
@@ -1612,42 +1611,13 @@ int CmdDataset(int argc, char** argv) {
       dataset.AddImage(positional[i], *surface);
       printf("distilled %s\n", positional[i].c_str());
     }
-    std::vector<uint8_t> bytes = SaveDataset(dataset);
+    std::vector<uint8_t> bytes = SaveDatasetV2(dataset);
     Status written = WriteFile(out, bytes);
     if (!written.ok()) {
       return DiagError(written.ToString());
     }
     printf("wrote %s (%zu images, %zu bytes)\n", out.c_str(), dataset.num_images(),
            bytes.size());
-    return 0;
-  }
-  // migrate IN OUT: rewrite any .dds (v1 or v2) as the v2 mmap layout.
-  // Byte-deterministic: the same input always produces the same output, and
-  // migrating a v2 file reproduces it exactly.
-  if (positional[0] == "migrate") {
-    if (positional.size() < 3) {
-      return DiagError("dataset migrate requires IN and OUT paths");
-    }
-    auto bytes = ReadFile(positional[1]);
-    if (!bytes.ok()) {
-      return DiagError(bytes.error().ToString());
-    }
-    auto format = DatasetFormatVersion(*bytes);
-    if (!format.ok()) {
-      return DiagError(positional[1] + ": " + format.error().ToString());
-    }
-    auto dataset = LoadAnyDataset(*bytes);
-    if (!dataset.ok()) {
-      return DiagError(positional[1] + ": " + dataset.error().ToString());
-    }
-    std::vector<uint8_t> v2 = SaveDatasetV2(*dataset);
-    Status written = WriteFile(positional[2], v2);
-    if (!written.ok()) {
-      return DiagError(written.ToString());
-    }
-    printf("migrated %s (v%d, %zu bytes) -> %s (v2, %zu images, %zu bytes)\n",
-           positional[1].c_str(), *format, bytes->size(), positional[2].c_str(),
-           dataset->num_images(), v2.size());
     return 0;
   }
   if (positional[0] == "info") {
@@ -1658,15 +1628,11 @@ int CmdDataset(int argc, char** argv) {
     if (!bytes.ok()) {
       return DiagError(bytes.error().ToString());
     }
-    auto format = DatasetFormatVersion(*bytes);
-    if (!format.ok()) {
-      return DiagError(positional[1] + ": " + format.error().ToString());
-    }
-    auto dataset = LoadAnyDataset(*bytes);
+    auto dataset = LoadDatasetV2(*bytes);
     if (!dataset.ok()) {
-      return DiagError(dataset.error().ToString());
+      return DiagError(positional[1] + ": " + dataset.error().ToString());
     }
-    printf("format v%d: %zu images, %zu interned strings\n", *format, dataset->num_images(),
+    printf("format v2: %zu images, %zu interned strings\n", dataset->num_images(),
            dataset->pool_size());
     for (const ImageRecord& image : dataset->images()) {
       printf("  %-28s v%d.%d %s/%s gcc%d: %zu funcs, %zu structs, %zu tracepoints, %zu syscalls\n",
@@ -1677,12 +1643,11 @@ int CmdDataset(int argc, char** argv) {
     }
     return 0;
   }
-  return DiagError("unknown dataset subcommand " + positional[0] +
-                   " (build | info | migrate)");
+  return DiagError("unknown dataset subcommand " + positional[0] + " (build | info)");
 }
 
-// Dataset-as-a-service: open every --against dataset once (v2 zero-copy
-// mmap, v1 legacy parse), then answer batched NDJSON dependency-set
+// Dataset-as-a-service: open every --against dataset once (zero-copy
+// mmap), then answer batched NDJSON dependency-set
 // queries. --oneshot reads one batch from stdin and writes one response
 // line per request to stdout, in request order. --socket=PATH listens on a
 // unix stream socket instead: each connection is one batch (client writes
@@ -1865,8 +1830,6 @@ constexpr char kUsage[] =
     "          (synthesize field_exists guards for unguarded relocs, verify by\n"
     "           re-analysis; exit 0 clean, 2 unfixable findings remain, 1 error)\n"
     "  dataset build IMG... --out=FILE | dataset info FILE\n"
-    "  dataset migrate IN OUT (rewrite any .dds as the v2 mmap layout;\n"
-    "          byte-deterministic)\n"
     "  serve   --against=DS[,DS...] (--oneshot | --socket=PATH) [--jobs=N]\n"
     "          [--cache-capacity=N] [--max-connections=N] [--report-out=FILE]\n"
     "          (batched NDJSON dependency-set queries; one response line per\n"

@@ -341,5 +341,25 @@ TEST(ResolveRelocTest, ErrorsOnBadAccess) {
   EXPECT_FALSE(ResolveReloc(btf, bad_index).ok());
 }
 
+// Object BTF is request input for `serve`, `analyze` and `fix`: a member
+// whose type fans out (a PTR to a FUNC_PROTO returning and taking that PTR)
+// must render in bounded time and size.
+TEST(ResolveRelocTest, FanOutMemberTypeRendersBounded) {
+  TypeGraph btf;
+  BtfType ptr;
+  ptr.kind = BtfKind::kPtr;
+  ptr.ref_type_id = btf.num_types() + 2;
+  BtfTypeId fan = btf.Add(ptr);
+  ASSERT_EQ(btf.FuncProto(fan, {{"a", fan}, {"b", fan}}), ptr.ref_type_id);
+  BtfTypeId st = btf.Struct("ops", 8, {{"cb", fan, 0}});
+  CoreReloc reloc{st, "0:0", CoreRelocKind::kFieldByteOffset};
+  auto chain = ResolveReloc(btf, reloc);
+  ASSERT_TRUE(chain.ok()) << chain.error().ToString();
+  ASSERT_EQ(chain->size(), 1u);
+  EXPECT_EQ((*chain)[0].field_name, "cb");
+  EXPECT_LT((*chain)[0].field_type.size(), 8192u);
+  EXPECT_NE((*chain)[0].field_type.find("<cycle>"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace depsurf

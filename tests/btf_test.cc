@@ -161,15 +161,27 @@ TEST(BtfPrintTest, FuncDecl) {
   EXPECT_EQ(FuncDeclString(g, kBtfVoid), "<not a function>");
 }
 
-TEST(BtfPrintTest, JsonMatchesDatasetShape) {
-  BtfTypeId func;
-  TypeGraph g = MakeVfsFsyncGraph(&func);
-  std::string json = TypeJson(g, func);
-  EXPECT_NE(json.find("\"kind\": \"FUNC\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"vfs_fsync\""), std::string::npos);
-  EXPECT_NE(json.find("\"kind\": \"FUNC_PROTO\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"datasync\""), std::string::npos);
-  EXPECT_NE(json.find("\"ret_type\""), std::string::npos);
+// A PTR to a FUNC_PROTO whose return type and both parameters are that
+// PTR: each level triples, so the depth cap alone allows 3^16 nodes (a
+// 602 MB string). The node budget keeps the render small and cuts it with
+// the same marker as the depth cap.
+TEST(BtfPrintTest, FanOutRenderIsBounded) {
+  TypeGraph g;
+  BtfType ptr;
+  ptr.kind = BtfKind::kPtr;
+  ptr.ref_type_id = g.num_types() + 2;
+  BtfTypeId fan = g.Add(ptr);
+  ASSERT_EQ(g.FuncProto(fan, {{"a", fan}, {"b", fan}}), ptr.ref_type_id);
+  BtfTypeId func = g.Func("fan_out", ptr.ref_type_id);
+
+  std::string rendered = TypeString(g, fan);
+  EXPECT_LT(rendered.size(), 8192u);
+  EXPECT_NE(rendered.find("<cycle>"), std::string::npos);
+  // Each top-level render gets the whole budget, so the memo stays exact.
+  TypeStringMemo memo(g);
+  EXPECT_EQ(memo.Get(fan), rendered);
+  EXPECT_EQ(FuncDeclString(memo, func), FuncDeclString(g, func));
+  EXPECT_EQ(FuncDeclString(g, func), rendered + " fan_out(" + rendered + "a, " + rendered + "b)");
 }
 
 TEST(BtfCompareTest, EqualAcrossGraphs) {

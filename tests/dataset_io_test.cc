@@ -1,9 +1,12 @@
 // Round-trip and robustness tests for dataset serialization (the published
-// dataset artifact format).
+// dataset artifact format): the strict load, the lazy mmap view, and the
+// orders and bounds the strict load must enforce for the two to agree.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "src/core/dataset_io.h"
@@ -19,6 +22,28 @@
 
 namespace depsurf {
 namespace {
+
+// Little-endian integer of `width` bytes, for poking at file layouts.
+uint64_t LoadLe(const uint8_t* p, size_t width) {
+  uint64_t value = 0;
+  for (size_t i = 0; i < width; ++i) {
+    value |= static_cast<uint64_t>(p[i]) << (8 * i);
+  }
+  return value;
+}
+
+// File offset of section `kind` (1..10) of a dataset file, read from its
+// section table (see docs/FORMATS.md §6).
+uint64_t SectionOffset(const std::vector<uint8_t>& bytes, uint32_t kind) {
+  return LoadLe(bytes.data() + 40 + (kind - 1) * 24 + 8, 8);
+}
+
+// Reverses `count` fixed-size entries starting at `base`.
+void ReverseEntries(uint8_t* base, size_t count, size_t stride) {
+  for (size_t i = 0; 2 * i + 1 < count; ++i) {
+    std::swap_ranges(base + i * stride, base + (i + 1) * stride, base + (count - 1 - i) * stride);
+  }
+}
 
 Dataset SmallDataset() {
   Dataset dataset;
@@ -37,9 +62,9 @@ Dataset SmallDataset() {
 
 TEST(DatasetIoTest, RoundTripPreservesQueries) {
   Dataset original = SmallDataset();
-  std::vector<uint8_t> bytes = SaveDataset(original);
+  std::vector<uint8_t> bytes = SaveDatasetV2(original);
   EXPECT_GT(bytes.size(), 1000u);
-  auto loaded = LoadDataset(bytes);
+  auto loaded = LoadDatasetV2(bytes);
   ASSERT_TRUE(loaded.ok()) << loaded.error().ToString();
 
   EXPECT_EQ(loaded->num_images(), original.num_images());
@@ -89,7 +114,7 @@ TEST(DatasetIoTest, HealthAndLedgerSurviveRoundTrip) {
   ASSERT_EQ(salvaged->health().dwarf, DegradationState::kDegraded);
   dataset.AddImage("salvaged", *salvaged);
 
-  auto loaded = LoadDataset(SaveDataset(dataset));
+  auto loaded = LoadDatasetV2(SaveDatasetV2(dataset));
   ASSERT_TRUE(loaded.ok()) << loaded.error().ToString();
   ASSERT_EQ(loaded->num_images(), 2u);
   const ImageRecord& a = loaded->images()[0];
@@ -111,26 +136,25 @@ TEST(DatasetIoTest, HealthAndLedgerSurviveRoundTrip) {
   }
 }
 
-TEST(DatasetIoTest, RoundTripIsByteStable) {
-  Dataset original = SmallDataset();
-  std::vector<uint8_t> once = SaveDataset(original);
-  auto loaded = LoadDataset(once);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(SaveDataset(*loaded), once);
-}
-
 TEST(DatasetIoTest, RejectsCorruptedInput) {
-  std::vector<uint8_t> bytes = SaveDataset(SmallDataset());
+  std::vector<uint8_t> bytes = SaveDatasetV2(SmallDataset());
   // Bad magic.
   std::vector<uint8_t> bad_magic = bytes;
   bad_magic[0] ^= 0xff;
-  EXPECT_FALSE(LoadDataset(bad_magic).ok());
+  EXPECT_FALSE(LoadDatasetV2(bad_magic).ok());
   // Truncations at various points must error, not crash.
   for (size_t cut : {4ul, 64ul, bytes.size() / 2, bytes.size() - 3}) {
     std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
-    EXPECT_FALSE(LoadDataset(truncated).ok()) << cut;
+    EXPECT_FALSE(LoadDatasetV2(truncated).ok()) << cut;
   }
-  EXPECT_FALSE(LoadDataset({}).ok());
+  EXPECT_FALSE(LoadDatasetV2({}).ok());
+  // A record id past the string pool: image 0's first function name.
+  std::vector<uint8_t> bad_id = bytes;
+  std::memset(bad_id.data() + SectionOffset(bad_id, 5), 0xfe, 4);
+  auto loaded = LoadDatasetV2(bad_id);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.error().message().find("out of range"), std::string::npos)
+      << loaded.error().ToString();
 }
 
 // The full bundled LTS corpus, at a scale small enough for test time.
@@ -153,7 +177,7 @@ const Dataset& LtsDataset() {
 }
 
 // Every DatasetView query the two implementations share, compared cell for
-// cell. Used for both v1-load-vs-v2-mmap and v2-reload equivalence.
+// cell: heap-vs-mmap and strict-load-vs-mmap equivalence.
 void ExpectViewsAgree(const DatasetView& a, const DatasetView& b) {
   ASSERT_EQ(a.num_images(), b.num_images());
   EXPECT_EQ(a.labels(), b.labels());
@@ -193,23 +217,28 @@ void ExpectViewsAgree(const DatasetView& a, const DatasetView& b) {
 
 TEST(DatasetV2Test, MmapViewMatchesV1LoadOverLtsCorpus) {
   const Dataset& original = LtsDataset();
-  auto v1 = LoadDataset(SaveDataset(original));
-  ASSERT_TRUE(v1.ok()) << v1.error().ToString();
-  auto v2 = MmapDataset::FromBytes(SaveDatasetV2(original));
-  ASSERT_TRUE(v2.ok()) << v2.error().ToString();
-  ExpectViewsAgree(*v1, *v2);
+  std::vector<uint8_t> bytes = SaveDatasetV2(original);
+  auto loaded = LoadDatasetV2(bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.error().ToString();
+  auto view = MmapDataset::FromBytes(bytes);
+  ASSERT_TRUE(view.ok()) << view.error().ToString();
+  ExpectViewsAgree(original, *view);
+  ExpectViewsAgree(*loaded, *view);
 
-  // Whole-program analysis over the two views renders identically.
+  // Whole-program analysis over the three readers renders identically.
   DependencySet deps;
   deps.program = "probe";
   deps.funcs = {"blk_account_io_start", "vfs_read"};
   deps.fields["request"]["rq_disk"] = FieldDep{"struct gendisk *", false};
   deps.tracepoints = {"block_rq_issue"};
   deps.syscalls = {"openat2"};
-  ProgramReport a = AnalyzeProgram(*v1, deps);
-  ProgramReport b = AnalyzeProgram(*v2, deps);
-  EXPECT_EQ(a.RenderMatrix(), b.RenderMatrix());
-  EXPECT_EQ(a.WorstImplication(), b.WorstImplication());
+  ProgramReport a = AnalyzeProgram(original, deps);
+  for (const DatasetView* other : {static_cast<const DatasetView*>(&*loaded),
+                                   static_cast<const DatasetView*>(&*view)}) {
+    ProgramReport b = AnalyzeProgram(*other, deps);
+    EXPECT_EQ(a.RenderMatrix(), b.RenderMatrix());
+    EXPECT_EQ(a.WorstImplication(), b.WorstImplication());
+  }
 }
 
 TEST(DatasetV2Test, MigrateIsByteDeterministic) {
@@ -218,50 +247,18 @@ TEST(DatasetV2Test, MigrateIsByteDeterministic) {
   std::vector<uint8_t> second = SaveDatasetV2(original);
   EXPECT_EQ(first, second);
 
-  // Migrating an already-migrated dataset reproduces it exactly: v2 load
-  // followed by v2 save is the identity on bytes.
+  // Load followed by save is the identity on bytes, and the loaded copy
+  // answers like the original.
   auto reloaded = LoadDatasetV2(first);
   ASSERT_TRUE(reloaded.ok()) << reloaded.error().ToString();
   EXPECT_EQ(SaveDatasetV2(*reloaded), first);
-
-  // The v1 -> v2 path preserves every v1 string id (the v2 pool only
-  // appends the suffix/diagnostic strings v1 stored inline), so migrating
-  // the re-loaded dataset reproduces the same v2 bytes, and the round trip
-  // is query-equivalent with the v1 load.
-  std::vector<uint8_t> v1 = SaveDataset(original);
-  auto v1_loaded = LoadDataset(v1);
-  ASSERT_TRUE(v1_loaded.ok());
-  EXPECT_EQ(SaveDatasetV2(*v1_loaded), first);
-  auto via_v2 = LoadDatasetV2(first);
-  ASSERT_TRUE(via_v2.ok());
-  ExpectViewsAgree(*v1_loaded, *via_v2);
-}
-
-TEST(DatasetV2Test, FormatDetectionAndLoadAny) {
-  Dataset original = SmallDataset();
-  std::vector<uint8_t> v1 = SaveDataset(original);
-  std::vector<uint8_t> v2 = SaveDatasetV2(original);
-  ASSERT_TRUE(DatasetFormatVersion(v1).ok());
-  EXPECT_EQ(*DatasetFormatVersion(v1), 1);
-  ASSERT_TRUE(DatasetFormatVersion(v2).ok());
-  EXPECT_EQ(*DatasetFormatVersion(v2), 2);
-  EXPECT_FALSE(DatasetFormatVersion({0, 1, 2, 3}).ok());
-
-  auto from_v1 = LoadAnyDataset(v1);
-  auto from_v2 = LoadAnyDataset(v2);
-  ASSERT_TRUE(from_v1.ok());
-  ASSERT_TRUE(from_v2.ok()) << from_v2.error().ToString();
-  EXPECT_EQ(from_v1->labels(), from_v2->labels());
-  // Both loads canonicalize to the same v2 bytes. (v1 byte-identity is not
-  // an invariant here: the v2 pool interns the suffix/diagnostic strings
-  // that v1 stores inline, so a v2-loaded pool carries extra entries.)
-  EXPECT_EQ(SaveDatasetV2(*from_v1), SaveDatasetV2(*from_v2));
+  ExpectViewsAgree(original, *reloaded);
 }
 
 TEST(DatasetV2Test, HealthAndDiagnosticsSurviveV2) {
-  // Same salvage scenario as the v1 ledger test: a degraded image's states
-  // and diagnostics must survive the v2 round trip and surface through the
-  // mmap view's health summary.
+  // Same salvage scenario as the ledger round-trip test: a degraded image's
+  // states and diagnostics must survive the round trip and surface through
+  // the mmap view's health summary.
   Dataset dataset;
   KernelModel model(2025, 0.01, BuildCuratedCatalog());
   auto kernel = model.Configure(MakeBuild(KernelVersion(5, 4)));
@@ -353,37 +350,9 @@ TEST(DatasetV2Test, MmapViewSurvivesHeaderAndIndexMutations) {
   }
 }
 
-TEST(DatasetV2Test, OpenDatasetViewDispatchesOnMagic) {
-  Dataset original = SmallDataset();
-  char tmpl[] = "/tmp/depsurf_dsio_XXXXXX";
-  const char* dir = mkdtemp(tmpl);
-  ASSERT_NE(dir, nullptr);
-  const std::string v1_path = std::string(dir) + "/a.dds";
-  const std::string v2_path = std::string(dir) + "/b.dds";
-  for (const auto& [path, bytes] :
-       {std::pair<std::string, std::vector<uint8_t>>{v1_path, SaveDataset(original)},
-        {v2_path, SaveDatasetV2(original)}}) {
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
-  auto v1 = OpenDatasetView(v1_path);
-  ASSERT_TRUE(v1.ok()) << v1.error().ToString();
-  EXPECT_EQ(v1->format, 1);
-  auto v2 = OpenDatasetView(v2_path);
-  ASSERT_TRUE(v2.ok()) << v2.error().ToString();
-  EXPECT_EQ(v2->format, 2);
-  EXPECT_EQ(v1->images, v2->images);
-  ExpectViewsAgree(*v1->view, *v2->view);
-  EXPECT_FALSE(OpenDatasetView(std::string(dir) + "/missing.dds").ok());
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
-  rmdir(dir);
-}
-
 TEST(DatasetIoTest, AnalysisOnLoadedDatasetMatches) {
   Dataset original = SmallDataset();
-  auto loaded = LoadDataset(SaveDataset(original));
+  auto loaded = LoadDatasetV2(SaveDatasetV2(original));
   ASSERT_TRUE(loaded.ok());
   DependencySet deps;
   deps.program = "probe";
@@ -392,6 +361,119 @@ TEST(DatasetIoTest, AnalysisOnLoadedDatasetMatches) {
   ProgramReport a = AnalyzeProgram(original, deps);
   ProgramReport b = AnalyzeProgram(*loaded, deps);
   EXPECT_EQ(a.RenderMatrix(), b.RenderMatrix());
+}
+
+// Each of these files opens as a lazy view whose binary searches then go
+// wrong; the strict load must refuse every one.
+TEST(DatasetV2Test, StrictLoadRejectsBrokenOrder) {
+  const std::vector<uint8_t> bytes = SaveDatasetV2(SmallDataset());
+  auto clean = MmapDataset::FromBytes(bytes);
+  ASSERT_TRUE(clean.ok());
+  const uint32_t task_struct = clean->LookupId("task_struct");
+  ASSERT_NE(task_struct, Dataset::kNoStr);
+  const uint8_t* image0 = bytes.data() + SectionOffset(bytes, 4);
+  const uint32_t func_begin = static_cast<uint32_t>(LoadLe(image0 + 40, 4));
+  const uint32_t func_count = static_cast<uint32_t>(LoadLe(image0 + 44, 4));
+  const uint32_t struct_begin = static_cast<uint32_t>(LoadLe(image0 + 48, 4));
+  const uint32_t struct_count = static_cast<uint32_t>(LoadLe(image0 + 52, 4));
+  ASSERT_GT(func_count, 2u);
+
+  std::vector<std::pair<const char*, std::vector<uint8_t>>> mutants;
+  {
+    std::vector<uint8_t> m = bytes;
+    ReverseEntries(m.data() + SectionOffset(m, 3), clean->string_count(), 4);
+    mutants.emplace_back("string index reversed", std::move(m));
+  }
+  {
+    std::vector<uint8_t> m = bytes;
+    ReverseEntries(m.data() + SectionOffset(m, 5) + func_begin * 24ull, func_count, 24);
+    mutants.emplace_back("function run reversed", std::move(m));
+  }
+  {
+    std::vector<uint8_t> m = bytes;
+    uint8_t* entry = m.data() + SectionOffset(m, 5) + (func_begin + func_count / 2) * 24ull;
+    std::memcpy(entry + 24, entry, 24);
+    mutants.emplace_back("function entry duplicated", std::move(m));
+  }
+  {
+    std::vector<uint8_t> m = bytes;
+    const uint8_t* structs = m.data() + SectionOffset(m, 6);
+    for (uint32_t i = struct_begin; i < struct_begin + struct_count; ++i) {
+      const uint8_t* entry = structs + i * 12ull;
+      if (LoadLe(entry, 4) == task_struct) {
+        const uint64_t pair_begin = LoadLe(entry + 4, 4);
+        const uint64_t pair_count = LoadLe(entry + 8, 4);
+        ASSERT_GT(pair_count, 2u);
+        ReverseEntries(m.data() + SectionOffset(m, 9) + pair_begin * 8, pair_count, 8);
+        mutants.emplace_back("task_struct fields reversed", std::move(m));
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(mutants.size(), 4u);
+  for (auto& [what, mutated] : mutants) {
+    EXPECT_TRUE(MmapDataset::FromBytes(mutated).ok()) << what;
+    auto loaded = LoadDatasetV2(mutated);
+    EXPECT_FALSE(loaded.ok()) << what;
+    if (!loaded.ok()) {
+      EXPECT_NE(loaded.error().message().find("sorted"), std::string::npos)
+          << what << ": " << loaded.error().ToString();
+    }
+  }
+}
+
+// The oracle for hostile dataset files: whenever the strict load accepts a
+// file, the lazy view over the same bytes gives the same answers.
+TEST(DatasetV2Test, StrictLoadAcceptsOnlyWhatTheViewReadsAlike) {
+  const std::vector<uint8_t> bytes = SaveDatasetV2(SmallDataset());
+  Prng prng(2026);
+  int accepted = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<uint8_t> flipped = bytes;
+    const size_t offset = static_cast<size_t>(prng.NextBelow(flipped.size()));
+    flipped[offset] ^= static_cast<uint8_t>(1 + prng.NextBelow(255));
+    auto heap = LoadDatasetV2(flipped);
+    if (!heap.ok()) {
+      continue;
+    }
+    auto view = MmapDataset::FromBytes(std::move(flipped));
+    ASSERT_TRUE(view.ok()) << "byte " << offset;
+    ++accepted;
+    SCOPED_TRACE("flipped byte " + std::to_string(offset));
+    ExpectViewsAgree(*heap, *view);
+  }
+  EXPECT_GT(accepted, 0);
+}
+
+// The retired "DDS1" layout is refused by name, through every reader.
+TEST(DatasetV2Test, RefusesV1Files) {
+  std::vector<uint8_t> v1 = {'D', 'D', 'S', '1'};
+  v1.resize(64, 0);
+  auto expect_v1_message = [](const Error& error) {
+    EXPECT_NE(error.message().find("v1 dataset (DDS1)"), std::string::npos) << error.ToString();
+    EXPECT_NE(error.message().find("depsurf dataset build"), std::string::npos)
+        << error.ToString();
+  };
+  auto view = MmapDataset::FromBytes(v1);
+  ASSERT_FALSE(view.ok());
+  expect_v1_message(view.error());
+  auto loaded = LoadDatasetV2(v1);
+  ASSERT_FALSE(loaded.ok());
+  expect_v1_message(loaded.error());
+
+  char tmpl[] = "/tmp/depsurf_dsio_XXXXXX";
+  const char* dir = mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  const std::string path = std::string(dir) + "/old.dds";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(v1.data()), static_cast<std::streamsize>(v1.size()));
+  }
+  auto opened = MmapDataset::Open(path);
+  ASSERT_FALSE(opened.ok());
+  expect_v1_message(opened.error());
+  std::remove(path.c_str());
+  rmdir(dir);
 }
 
 }  // namespace

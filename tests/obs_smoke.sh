@@ -115,18 +115,16 @@ awk 'NF < 2 || $NF !~ /^[0-9]+$/ { exit 1 }' flame.folded \
 "$DEPSURF" metrics lint remerge.json --kind=agg || fail "re-merged aggregate invalid"
 grep -q '"reports": 5' remerge.json || fail "re-merge lost report provenance"
 
-# ---- dataset-as-a-service: migrate the study dataset to the mmap-friendly
-# v2 layout, answer a batched oneshot query stream against it, and lint the
-# emitted serve report.
-"$DEPSURF" dataset migrate ds1 ds_v2.dds || fail "dataset migrate exited $?"
-"$DEPSURF" dataset info ds_v2.dds | grep -q "format v2" \
-  || fail "migrated dataset does not identify as v2"
+# ---- dataset-as-a-service: serve the study dataset as written, answer a
+# batched oneshot query stream against it, and lint the emitted serve report.
+"$DEPSURF" dataset info ds1 | grep -q "format v2" \
+  || fail "study dataset does not identify as v2"
 cat > requests.ndjson <<'EOF'
 {"id": 1, "program": "biotop", "funcs": ["vfs_read"], "tracepoints": ["block_rq_issue"], "syscalls": ["openat"]}
 {"id": 2, "program": "biotop", "funcs": ["vfs_read"], "tracepoints": ["block_rq_issue"], "syscalls": ["openat"]}
 {"id": 3, not json
 EOF
-"$DEPSURF" serve --against=ds_v2.dds --oneshot --report-out=serve_report.json \
+"$DEPSURF" serve --against=ds1 --oneshot --report-out=serve_report.json \
   < requests.ndjson > responses1.ndjson || fail "serve --oneshot exited $?"
 [ "$(wc -l < responses1.ndjson)" -eq 3 ] || fail "serve answered wrong line count"
 grep -q '"id": 1, "cache": "miss"' responses1.ndjson || fail "first query not a miss"
@@ -138,10 +136,26 @@ grep -q '"ok": false' responses1.ndjson || fail "malformed request not answered 
 
 # ---- serve determinism: the response stream is byte-identical whether the
 # executor runs serially or with 8 workers.
-"$DEPSURF" serve --against=ds_v2.dds --oneshot --jobs=8 \
+"$DEPSURF" serve --against=ds1 --oneshot --jobs=8 \
   < requests.ndjson > responses8.ndjson || fail "serve --jobs=8 exited $?"
 cmp -s responses1.ndjson responses8.ndjson \
   || fail "serve responses differ between --jobs=1 and --jobs=8"
+
+# ---- a dataset in the retired v1 layout is refused by name, never misread:
+# every reader exits 1 with the one-line rebuild hint.
+printf 'DDS1\0\0\0\0' > old.dds
+for cmd in "dataset info old.dds" "check biotop.o --dataset=old.dds" \
+    "analyze biotop.o --against=old.dds" "fix biotop.o --against=old.dds" \
+    "serve --against=old.dds --oneshot"; do
+  set +e
+  # shellcheck disable=SC2086
+  "$DEPSURF" $cmd < /dev/null > v1err.txt 2>&1
+  v1_code=$?
+  set -e
+  [ "$v1_code" -eq 1 ] || fail "'depsurf $cmd' on a v1 file exited $v1_code, want 1"
+  grep -q "v1 dataset (DDS1).*depsurf dataset build" v1err.txt \
+    || fail "'depsurf $cmd' does not name the v1 format: $(cat v1err.txt)"
+done
 
 # ---- strict flag parsing: every malformed numeric flag must exit 1 with an
 # error that names the flag, never silently parse to 0 (the atoi family) or
@@ -159,7 +173,7 @@ check_flag_error() {
 }
 check_flag_error --jobs study build --scale=0.02 --out=dsx --jobs=abc
 check_flag_error --jobs profile reps1/report_agg.json --live --jobs=abc
-check_flag_error --jobs serve --against=ds_v2.dds --oneshot --jobs=999
+check_flag_error --jobs serve --against=ds1 --oneshot --jobs=999
 check_flag_error --min-spans metrics lint gen.json --min-spans=abc
 check_flag_error --window perf trend --history=none.ndjson --window=0
 check_flag_error --window perf trend --history=none.ndjson --window=abc
@@ -167,6 +181,6 @@ check_flag_error --top perf diff a.json b.json --top=0
 check_flag_error --top perf diff a.json b.json --top=abc
 check_flag_error --scale gen --version=5.4 --out=imgx --scale=abc
 check_flag_error --seed study build --scale=0.02 --out=dsx --seed=-1
-check_flag_error --oneshot serve --against=ds_v2.dds
+check_flag_error --oneshot serve --against=ds1
 
 echo "obs_smoke: PASS"

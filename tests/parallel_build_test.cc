@@ -63,7 +63,7 @@ BuildOutputs RunBuild(Study& study, const std::vector<BuildSpec>& corpus, int jo
   if (!dataset.ok()) {
     return out;
   }
-  out.dataset_bytes = SaveDataset(*dataset);
+  out.dataset_bytes = SaveDatasetV2(*dataset);
   for (const std::string& path : files.per_image) {
     out.masked_reports.push_back(MaskedFile(path));
   }

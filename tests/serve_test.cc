@@ -1,4 +1,4 @@
-// Dataset-as-a-service tests: batched NDJSON queries against v1 and v2
+// Dataset-as-a-service tests: batched NDJSON queries against mmap'd
 // datasets, response determinism across --jobs values, cache accounting,
 // and the depsurf.serve_report.v1 contract.
 #include "src/serve/serve.h"
@@ -26,7 +26,6 @@ namespace {
 
 struct ServeFixture {
   std::string dir;
-  std::string v1_path;
   std::string v2_path;
   std::string object_path;
 };
@@ -50,15 +49,11 @@ const ServeFixture& Fixture() {
       EXPECT_TRUE(surface.ok());
       dataset.AddImage(version.Tag(), *surface);
     }
-    out.v1_path = out.dir + "/ds_v1.dds";
     out.v2_path = out.dir + "/ds_v2.dds";
-    for (const auto& [path, bytes] :
-         {std::pair<std::string, std::vector<uint8_t>>{out.v1_path, SaveDataset(dataset)},
-          {out.v2_path, SaveDatasetV2(dataset)}}) {
-      std::ofstream file(path, std::ios::binary);
-      file.write(reinterpret_cast<const char*>(bytes.data()),
-                 static_cast<std::streamsize>(bytes.size()));
-    }
+    std::vector<uint8_t> bytes = SaveDatasetV2(dataset);
+    std::ofstream file(out.v2_path, std::ios::binary);
+    file.write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
 
     out.object_path = out.dir + "/biotop.o";
     for (const BpfObject& object : BuildProgramCorpus().objects) {
@@ -144,7 +139,7 @@ TEST(ServeTest, ResponsesAreByteIdenticalAcrossJobs) {
   for (int jobs : {1, 8}) {
     ServeOptions options;
     options.jobs = jobs;
-    auto engine = ServeEngine::Open({Fixture().v1_path, Fixture().v2_path}, options);
+    auto engine = ServeEngine::Open({Fixture().v2_path, Fixture().v2_path}, options);
     ASSERT_TRUE(engine.ok()) << engine.error().ToString();
     all_responses.push_back(engine->HandleBatch(RequestBatch()));
     std::string report = engine->ReportJson();
@@ -156,26 +151,6 @@ TEST(ServeTest, ResponsesAreByteIdenticalAcrossJobs) {
   }
   EXPECT_EQ(all_responses[0], all_responses[1]);
   EXPECT_EQ(all_reports[0], all_reports[1]);
-}
-
-TEST(ServeTest, V1AndV2DatasetsAnswerIdenticalRows) {
-  auto v1 = ServeEngine::Open({Fixture().v1_path}, ServeOptions{});
-  auto v2 = ServeEngine::Open({Fixture().v2_path}, ServeOptions{});
-  ASSERT_TRUE(v1.ok());
-  ASSERT_TRUE(v2.ok());
-  std::vector<std::string> a = v1->HandleBatch(RequestBatch());
-  std::vector<std::string> b = v2->HandleBatch(RequestBatch());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    // The payloads differ only in the dataset path/format markers; the
-    // analysis rows must match cell for cell.
-    size_t rows_a = a[i].find("\"rows\"");
-    size_t rows_b = b[i].find("\"rows\"");
-    EXPECT_EQ(rows_a == std::string::npos, rows_b == std::string::npos) << a[i];
-    if (rows_a != std::string::npos) {
-      EXPECT_EQ(a[i].substr(rows_a), b[i].substr(rows_b)) << i;
-    }
-  }
 }
 
 TEST(ServeTest, ReportJsonIsValidAndAccountsForEverything) {
@@ -206,6 +181,16 @@ TEST(ServeTest, OpenFailsLoudly) {
   auto missing = ServeEngine::Open({Fixture().dir + "/nope.dds"}, ServeOptions{});
   ASSERT_FALSE(missing.ok());
   EXPECT_NE(missing.error().message().find("nope.dds"), std::string::npos);
+  // A file in the retired v1 layout is refused by name, not misread.
+  const std::string v1_path = Fixture().dir + "/old.dds";
+  {
+    std::ofstream file(v1_path, std::ios::binary);
+    file << "DDS1" << std::string(60, '\0');
+  }
+  auto v1 = ServeEngine::Open({Fixture().v2_path, v1_path}, ServeOptions{});
+  ASSERT_FALSE(v1.ok());
+  EXPECT_NE(v1.error().message().find("v1 dataset"), std::string::npos) << v1.error().ToString();
+  std::remove(v1_path.c_str());
 }
 
 }  // namespace
