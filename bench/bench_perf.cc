@@ -223,9 +223,9 @@ void BM_AnalyzeCorpus(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeCorpus)->Unit(benchmark::kMillisecond);
 
-// The full remediation pipeline over the same corpus: analyze, plan guard
-// insertions, rewrite the instruction streams, and re-encode to ELF bytes
-// (the `depsurf fix` hot path minus the re-analysis verification).
+// The whole `depsurf fix` path over the same corpus, per object: analyze,
+// plan guard insertions, rewrite the instruction streams, re-encode to ELF
+// bytes, re-parse them, re-analyze the fixed object and verify the result.
 void BM_FixCorpus(benchmark::State& state) {
   static const std::vector<BpfObject> objects = [] {
     std::vector<BpfObject> out = BuildProgramCorpus().objects;
@@ -233,24 +233,27 @@ void BM_FixCorpus(benchmark::State& state) {
     out.push_back(BuildRawOffsetProbe());
     return out;
   }();
-  size_t bytes_written = 0;
+  size_t verified = 0;
   for (auto _ : state) {
     for (const BpfObject& object : objects) {
-      ObjectAnalysis analysis = AnalyzeObject(object);
-      RemediationPlan plan = PlanRemediation(object, analysis);
-      if (plan.FixableCount() == 0) {
-        continue;
-      }
+      ObjectAnalysis before = AnalyzeObject(object);
+      RemediationPlan plan = PlanRemediation(object, before);
       BpfObject fixed = object;
       if (!InsertFieldExistsGuards(fixed, plan.Insertions()).ok()) {
         continue;
       }
       auto encoded = WriteBpfObject(fixed);
-      if (encoded.ok()) {
-        bytes_written += encoded->size();
+      if (!encoded.ok()) {
+        continue;
       }
+      auto reparsed = ParseBpfObject(*encoded);
+      if (!reparsed.ok()) {
+        continue;
+      }
+      ObjectAnalysis after = AnalyzeObject(*reparsed);
+      verified += VerifyRemediation(before, plan, after).ok ? 1 : 0;
     }
-    benchmark::DoNotOptimize(bytes_written);
+    benchmark::DoNotOptimize(verified);
   }
 }
 BENCHMARK(BM_FixCorpus)->Unit(benchmark::kMillisecond);

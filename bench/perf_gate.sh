@@ -53,8 +53,9 @@ done
 grep -q 'BM_AnalyzeCorpus' base/BENCH_perf.json \
   || fail "BENCH_perf.json is missing the BM_AnalyzeCorpus stage"
 
-# ---- the remediation pipeline (plan + rewrite + re-encode) is gated the
-# same way, and both analyzer stages are mirrored into BENCH_analyzer.json.
+# ---- the whole `depsurf fix` path (plan, rewrite, re-encode, re-parse,
+# re-analyze, verify) is gated the same way, and both analyzer stages are
+# mirrored into BENCH_analyzer.json.
 grep -q 'BM_FixCorpus' base/BENCH_perf.json \
   || fail "BENCH_perf.json is missing the BM_FixCorpus stage"
 [ -f base/BENCH_analyzer.json ] || fail "bench_perf wrote no BENCH_analyzer.json"

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <numeric>
 #include <set>
+#include <tuple>
 
 #include "src/analyzer/cfg.h"
 #include "src/analyzer/dominator.h"
@@ -13,6 +15,7 @@
 #include "src/obs/context.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
+#include "src/util/bucket_index.h"
 #include "src/util/str_util.h"
 
 namespace depsurf {
@@ -184,6 +187,69 @@ BlockStates RunDataflow(const Cfg& cfg, const std::vector<BpfInsn>& insns,
   return states;
 }
 
+// Numbers each relocation's (struct, field) pair, so guard facts match by
+// integer: two records share a key exactly when both names are equal.
+std::vector<uint32_t> FieldKeys(const std::vector<RelocInfo>& infos) {
+  auto names = [&](size_t r) { return std::tie(infos[r].struct_name, infos[r].field_name); };
+  std::vector<size_t> order(infos.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) { return names(a) < names(b); });
+  std::vector<uint32_t> keys(infos.size());
+  uint32_t key = 0;
+  for (size_t k = 0; k < order.size(); ++k) {
+    if (k > 0 && names(order[k - 1]) != names(order[k])) {
+      ++key;
+    }
+    keys[order[k]] = key;
+  }
+  return keys;
+}
+
+// Marks the instructions whose relocation a guard fact covers. A fact
+// (E, guard reloc) holds in the blocks E dominates, which are E's subtree of
+// the dominator tree, so one preorder walk that counts the facts started on
+// the path from the entry, per (struct, field) key, answers every
+// relocation: one in block d is guarded exactly when its key's count at d
+// is nonzero. O(blocks + insns). The stack is explicit because sequential
+// guards make the tree as deep as the program has blocks. `active` holds a
+// zero per key on entry, and again on return.
+std::vector<uint8_t> GuardedInsns(const Cfg& cfg, const DominatorTree& dom,
+                                  const std::vector<std::pair<size_t, size_t>>& facts,
+                                  const std::vector<size_t>& reloc_at,
+                                  const std::vector<uint32_t>& field_key,
+                                  std::vector<uint32_t>& active) {
+  constexpr uint32_t kNoFact = static_cast<uint32_t>(-1);
+  const size_t n = cfg.blocks.size();
+  // E has a single inbound edge, so at most one fact starts at each block.
+  std::vector<uint32_t> starts(n, kNoFact);
+  for (const auto& [block, guard] : facts) {
+    starts[block] = field_key[guard];
+  }
+  // The entry is the root; unreachable blocks (idom kUnreachable) drop out.
+  const BucketIndex children =
+      BuildBucketIndex(n, n, [&](size_t b) { return b == 0 ? n : dom.idom[b]; });
+  std::vector<uint8_t> guarded(reloc_at.size(), 0);
+  std::vector<size_t> stack{0};
+  while (!stack.empty()) {
+    const size_t d = stack.back();
+    stack.pop_back();
+    if (d >= n) {  // ~E: the walk leaves E's subtree, where its fact held
+      --active[starts[~d]];
+      continue;
+    }
+    if (starts[d] != kNoFact) {
+      ++active[starts[d]];
+      stack.push_back(~d);
+    }
+    for (size_t i = cfg.blocks[d].first; i <= cfg.blocks[d].last; ++i) {
+      guarded[i] = reloc_at[i] != kNoReloc && active[field_key[reloc_at[i]]] != 0;
+    }
+    stack.insert(stack.end(), children.order.begin() + children.begin[d],
+                 children.order.begin() + children.begin[d + 1]);
+  }
+  return guarded;
+}
+
 const char* ProvName(Prov prov) {
   switch (prov) {
     case Prov::kCtxPtr:
@@ -301,6 +367,13 @@ ObjectAnalysis AnalyzeObject(const BpfObject& object, const AnalyzeOptions& opts
   }
 
   // ---- Per-program passes.
+  BucketIndex by_program =
+      BuildBucketIndex(object.programs.size(), object.relocs.size(),
+                       [&](size_t r) { return object.relocs[r].prog_index; });
+  // Built at the first program with a guard fact: the (struct, field) key of
+  // every relocation, and per key the facts active at the walked block.
+  std::vector<uint32_t> field_key;
+  std::vector<uint32_t> active_facts;
   for (size_t p = 0; p < object.programs.size(); ++p) {
     const BpfProgram& program = object.programs[p];
     obs::ScopedSpan prog_span("analyze.program");
@@ -314,29 +387,32 @@ ObjectAnalysis AnalyzeObject(const BpfObject& object, const AnalyzeOptions& opts
     Cfg cfg = BuildCfg(program.insns);
     pa.block_count = cfg.blocks.size();
 
-    // Byte offset -> reloc index for this program.
-    std::map<uint32_t, size_t> by_offset;
-    for (size_t r = 0; r < object.relocs.size(); ++r) {
-      if (object.relocs[r].prog_index == p) {
-        by_offset[object.relocs[r].insn_off] = r;
-      }
-    }
-    std::vector<size_t> reloc_at(program.insns.size(), kNoReloc);
-    std::map<uint32_t, size_t> insn_at_off;
-    for (size_t i = 0; i < program.insns.size(); ++i) {
-      insn_at_off[cfg.insn_byte_off[i]] = i;
-      auto it = by_offset.find(cfg.insn_byte_off[i]);
-      if (it != by_offset.end()) {
-        reloc_at[i] = it->second;
-      }
-    }
-
     std::vector<bool> reachable = ReachableInsns(cfg, program.insns);
-    // Reachability verdict for every reloc bound into this program; a
-    // binding past the decoded prefix (salvaged stream) is unreachable.
-    for (const auto& [off, r] : by_offset) {
-      auto it = insn_at_off.find(off);
-      analysis.relocs[r].reachable = it != insn_at_off.end() && reachable[it->second];
+    // Reloc index per instruction: this program's records, sorted by byte
+    // offset, meet the ascending instruction offsets in one merge. Of two
+    // records at one offset the later binds and gets the reachability
+    // verdict; the earlier keeps its skeleton. A binding past the decoded
+    // prefix (salvaged stream) or inside an instruction is unreachable.
+    std::vector<size_t> reloc_at(program.insns.size(), kNoReloc);
+    const auto first = by_program.order.begin() + by_program.begin[p];
+    const auto last = by_program.order.begin() + by_program.begin[p + 1];
+    std::sort(first, last, [&](size_t a, size_t b) {
+      return std::pair(object.relocs[a].insn_off, a) < std::pair(object.relocs[b].insn_off, b);
+    });
+    size_t at = 0;
+    for (auto it = first; it != last; ++it) {
+      const uint32_t off = object.relocs[*it].insn_off;
+      if (it + 1 != last && object.relocs[it[1]].insn_off == off) {
+        continue;
+      }
+      while (at < reloc_at.size() && cfg.insn_byte_off[at] < off) {
+        ++at;
+      }
+      const bool bound = at < reloc_at.size() && cfg.insn_byte_off[at] == off;
+      if (bound) {
+        reloc_at[at] = *it;
+      }
+      analysis.relocs[*it].reachable = bound && reachable[at];
     }
     pa.reachable_insns =
         static_cast<size_t>(std::count(reachable.begin(), reachable.end(), true));
@@ -361,9 +437,8 @@ ObjectAnalysis AnalyzeObject(const BpfObject& object, const AnalyzeOptions& opts
     // the fact holds in exactly the blocks E dominates — provided E is
     // reached by no other edge (a side entry would bypass the check) and is
     // not also the branch's other successor (both arms landing on one block
-    // proves nothing).
-    DominatorTree dom = BuildDominatorTree(cfg);
-    std::vector<std::set<size_t>> facts(cfg.blocks.size());
+    // proves nothing). A program with no such guard builds no tree.
+    std::vector<std::pair<size_t, size_t>> facts;  // (E, guard reloc)
     for (size_t b = 0; b < cfg.blocks.size(); ++b) {
       if (!states.seen[b] || cfg.blocks[b].succs.size() != 2) {
         continue;
@@ -381,13 +456,20 @@ ObjectAnalysis AnalyzeObject(const BpfObject& object, const AnalyzeOptions& opts
       size_t exists_pos = term.opcode == kOpJeqImm ? 1 : 0;
       size_t exists_succ = cfg.blocks[b].succs[exists_pos];
       size_t other_succ = cfg.blocks[b].succs[1 - exists_pos];
-      if (exists_succ == other_succ || dom.pred_edges[exists_succ] != 1) {
-        continue;
+      if (exists_succ != other_succ) {
+        facts.push_back({exists_succ, v.guard_reloc});
       }
-      for (size_t d = 0; d < cfg.blocks.size(); ++d) {
-        if (dom.Dominates(exists_succ, d)) {
-          facts[d].insert(v.guard_reloc);
+    }
+    std::vector<uint8_t> guarded_at;  // per insn; empty when no fact holds
+    if (!facts.empty()) {
+      DominatorTree dom = BuildDominatorTree(cfg);
+      std::erase_if(facts, [&](const auto& fact) { return dom.pred_edges[fact.first] != 1; });
+      if (!facts.empty()) {
+        if (field_key.empty()) {
+          field_key = FieldKeys(infos);
+          active_facts.assign(infos.size(), 0);
         }
+        guarded_at = GuardedInsns(cfg, dom, facts, reloc_at, field_key, active_facts);
       }
     }
 
@@ -473,16 +555,8 @@ ObjectAnalysis AnalyzeObject(const BpfObject& object, const AnalyzeOptions& opts
 
         if (reloc_idx != kNoReloc && !infos[reloc_idx].is_guard_kind) {
           RelocVerdict& verdict = analysis.relocs[reloc_idx];
-          // Dominated by a matching exists-guard? Facts are per-block,
-          // derived from the dominator tree above.
-          bool guarded = false;
-          for (size_t f : facts[b]) {
-            if (infos[f].struct_name == infos[reloc_idx].struct_name &&
-                infos[f].field_name == infos[reloc_idx].field_name) {
-              guarded = true;
-              break;
-            }
-          }
+          // Dominated by a matching exists-guard (the walk above)?
+          const bool guarded = !guarded_at.empty() && guarded_at[i] != 0;
           verdict.unguarded = !guarded;
           if (!guarded && reachable[i]) {
             Finding finding;

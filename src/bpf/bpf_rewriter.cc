@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/bpf/bpf_insn.h"
+#include "src/util/bucket_index.h"
 #include "src/util/str_util.h"
 
 namespace depsurf {
@@ -62,6 +63,9 @@ Status InsertFieldExistsGuards(BpfObject& object,
   }
 
   // All-or-nothing: rewrite copies, commit only if every step succeeds.
+  const BucketIndex by_program =
+      BuildBucketIndex(object.programs.size(), object.relocs.size(),
+                       [&](size_t r) { return object.relocs[r].prog_index; });
   std::vector<std::vector<BpfInsn>> new_streams(object.programs.size());
   std::vector<CoreReloc> new_relocs = object.relocs;
   std::vector<CoreReloc> appended;
@@ -167,10 +171,8 @@ Status InsertFieldExistsGuards(BpfObject& object,
 
     // Shift the .BTF.ext view: every relocation bound to this program moves
     // with the instruction it patches.
-    for (CoreReloc& reloc : new_relocs) {
-      if (reloc.prog_index != p) {
-        continue;
-      }
+    for (size_t k = by_program.begin[p]; k < by_program.begin[p + 1]; ++k) {
+      CoreReloc& reloc = new_relocs[by_program.order[k]];
       if (reloc.insn_off % 8 == 0 &&
           slot_to_insn.count(reloc.insn_off / 8) != 0) {
         reloc.insn_off =

@@ -347,7 +347,7 @@ std::string ExplainReport(const DatasetView& dataset, const ProgramReport& repor
 }
 
 ProgramReport AnalyzeProgram(const DatasetView& dataset, const DependencySet& deps) {
-  obs::ScopedSpan span("analyze.program");
+  obs::ScopedSpan span("report.program");
   span.AddAttr("program", deps.program);
   span.AddAttr("images", static_cast<uint64_t>(dataset.num_images()));
   ProgramReport report;

@@ -10,13 +10,17 @@
 #include "src/analyzer/dominator.h"
 #include "src/analyzer/liveness.h"
 #include "src/bpf/bpf_builder.h"
+#include "src/bpf/bpf_rewriter.h"
 #include "src/bpfgen/program_corpus.h"
+#include "src/core/report.h"
 #include "src/kernelgen/compiler.h"
 #include "src/kernelgen/configurator.h"
 #include "src/kernelgen/corpus.h"
 #include "src/kernelgen/image_builder.h"
 #include "src/kernelgen/scripted.h"
+#include "src/obs/context.h"
 #include "src/obs/json_lint.h"
+#include "src/obs/span.h"
 
 namespace depsurf {
 namespace {
@@ -236,6 +240,72 @@ TEST(AnalyzerTest, SalvagedProgramAnalyzesDecodedPrefix) {
   // The byte-offset reloc (insn_off=32) has no instruction: unreachable.
   ASSERT_EQ(analysis.relocs.size(), 2u);
   EXPECT_FALSE(analysis.relocs[1].reachable);
+}
+
+TEST(AnalyzerTest, LaterRecordAtSharedOffsetBinds) {
+  // Two records of one program at one insn_off: the later binds the
+  // instruction and gets the verdicts; the earlier keeps its skeleton.
+  BpfObjectBuilder builder("shared_off");
+  builder.AttachKprobe("blk_account_io_start");
+  ASSERT_TRUE(builder.AccessField("request", "rq_disk", "struct gendisk *").ok());
+  ASSERT_TRUE(builder.AccessField("request", "start_time_ns", "u64").ok());
+  BpfObject object = builder.Build();
+  ASSERT_EQ(object.relocs.size(), 2u);
+  object.relocs[1].insn_off = 0;  // both on the first load
+  // A second pair inside that load's slot binds no instruction.
+  object.relocs.push_back(object.relocs[0]);
+  object.relocs.push_back(object.relocs[1]);
+  object.relocs[2].insn_off = 4;
+  object.relocs[3].insn_off = 4;
+
+  ObjectAnalysis analysis = AnalyzeObject(object);
+  ASSERT_EQ(analysis.relocs.size(), 4u);
+  EXPECT_TRUE(analysis.relocs[0].reachable);
+  EXPECT_TRUE(analysis.relocs[1].reachable);
+  EXPECT_TRUE(analysis.relocs[2].reachable);
+  EXPECT_FALSE(analysis.relocs[3].reachable);
+  std::vector<const Finding*> unguarded;
+  for (const Finding& finding : analysis.findings) {
+    if (finding.kind == FindingKind::kUnguardedReloc) {
+      unguarded.push_back(&finding);
+    }
+  }
+  ASSERT_EQ(unguarded.size(), 1u);
+  EXPECT_EQ(unguarded[0]->insn_off, 0u);
+  EXPECT_EQ(unguarded[0]->reloc_index, 1);
+  EXPECT_NE(unguarded[0]->detail.find("request::start_time_ns"), std::string::npos);
+
+  // The rewriter moves every record bound to the program, both of a pair.
+  object.relocs.resize(2);
+  GuardInsertion guard;  // before program 0's insn_off 0
+  guard.scratch_reg = 3;
+  guard.reloc_index = 1;
+  ASSERT_TRUE(InsertFieldExistsGuards(object, {guard}).ok());
+  ASSERT_EQ(object.relocs.size(), 3u);
+  EXPECT_EQ(object.relocs[0].insn_off, 24u);
+  EXPECT_EQ(object.relocs[1].insn_off, 24u);
+  EXPECT_EQ(object.relocs[2].insn_off, 0u);  // the new guard
+}
+
+TEST(AnalyzerTest, SpansAreNamedPerLayer) {
+  // `analyze` and `fix` open analyze.object with one analyze.program per
+  // program; the report matrix opens report.program, so a profile keeps
+  // the two layers in separate rows.
+  obs::Context context;
+  {
+    obs::ScopedContext scope(context);
+    AnalyzeObject(BuildGuardedProbe());
+    DependencySet deps;
+    deps.program = "probe";
+    AnalyzeProgram(Dataset(), deps);
+  }
+  std::vector<obs::SpanNode> roots = context.spans().Snapshot();
+  ASSERT_EQ(roots.size(), 2u);
+  EXPECT_EQ(roots[0].name, "analyze.object");
+  ASSERT_EQ(roots[0].children.size(), 1u);
+  EXPECT_EQ(roots[0].children[0].name, "analyze.program");
+  EXPECT_EQ(roots[1].name, "report.program");
+  EXPECT_TRUE(roots[1].children.empty());
 }
 
 // ---- Guard facts fold back into the dependency set ----------------------

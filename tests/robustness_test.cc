@@ -3,6 +3,9 @@
 // error (or a benign parse), never a crash, hang, or sanitizer fault.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+
 #include "src/analyzer/analyzer.h"
 #include "src/analyzer/remediation.h"
 #include "src/bpf/bpf_builder.h"
@@ -16,6 +19,7 @@
 #include "src/kernelgen/image_builder.h"
 #include "src/kernelgen/scripted.h"
 #include "src/util/prng.h"
+#include "src/util/str_util.h"
 
 namespace depsurf {
 namespace {
@@ -311,6 +315,304 @@ TEST(RobustnessTest, EmptyDatasetAnalysisIsWellFormed) {
   EXPECT_EQ(report.image_labels.size(), 0u);
   EXPECT_EQ(report.rows.size(), 1u);
   EXPECT_FALSE(report.AnyMismatch());  // no images, no mismatch evidence
+}
+
+
+// ---- Guard facts: linear at scale, exact against a brute-force oracle ----
+
+// Wall time of one AnalyzeObject call, in milliseconds.
+ObjectAnalysis TimedAnalyze(const BpfObject& object, double* ms) {
+  const auto t0 = std::chrono::steady_clock::now();
+  ObjectAnalysis analysis = AnalyzeObject(object);
+  *ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+  return analysis;
+}
+
+// 2,000 distinct (struct, field) pairs, 50 fields per struct.
+constexpr size_t kScaleGuards = 2000;
+std::string ScaleStruct(size_t k) { return StrFormat("scale_s%zu", k / 50); }
+std::string ScaleField(size_t k) { return StrFormat("f%zu", k % 50); }
+
+void ExpectEveryReadGuarded(const ObjectAnalysis& analysis) {
+  EXPECT_TRUE(analysis.findings.empty())
+      << analysis.findings.size() << " findings, first: " << analysis.findings[0].detail;
+  size_t reads = 0;
+  for (const RelocVerdict& verdict : analysis.relocs) {
+    if (verdict.kind == CoreRelocKind::kFieldByteOffset) {
+      ++reads;
+      EXPECT_FALSE(verdict.unguarded) << verdict.struct_name << "::" << verdict.field_name;
+    }
+  }
+  EXPECT_EQ(reads, kScaleGuards);
+}
+
+// One guard per read, one after another: the dominator tree is a chain
+// about 2 x 2,000 blocks deep, and one dominance query per (guard, block)
+// would take seconds.
+TEST(GuardScalingTest, SequentialGuardsAnalyzeInLinearTime) {
+  BpfObjectBuilder builder("sequential");
+  builder.AttachKprobe("vfs_read");
+  for (size_t k = 0; k < kScaleGuards; ++k) {
+    ASSERT_TRUE(builder.BeginGuard(ScaleStruct(k), ScaleField(k), "u64").ok());
+    ASSERT_TRUE(builder.AccessField(ScaleStruct(k), ScaleField(k), "u64").ok());
+    ASSERT_TRUE(builder.EndGuard().ok());
+  }
+  BpfObject object = builder.Build();
+  double ms = 0;
+  ObjectAnalysis analysis = TimedAnalyze(object, &ms);
+  EXPECT_LT(ms, 1000.0);
+  ExpectEveryReadGuarded(analysis);
+}
+
+// Each read inside every guard opened before it: 2,000 facts nest, and the
+// innermost read sees all of them.
+TEST(GuardScalingTest, NestedGuardsAnalyzeInLinearTime) {
+  BpfObjectBuilder builder("nested");
+  builder.AttachKprobe("vfs_read");
+  for (size_t k = 0; k < kScaleGuards; ++k) {
+    ASSERT_TRUE(builder.BeginGuard(ScaleStruct(k), ScaleField(k), "u64").ok());
+    ASSERT_TRUE(builder.AccessField(ScaleStruct(k), ScaleField(k), "u64").ok());
+  }
+  for (size_t k = 0; k < kScaleGuards; ++k) {
+    ASSERT_TRUE(builder.EndGuard().ok());
+  }
+  BpfObject object = builder.Build();
+  double ms = 0;
+  ObjectAnalysis analysis = TimedAnalyze(object, &ms);
+  EXPECT_LT(ms, 1000.0);
+  ExpectEveryReadGuarded(analysis);
+}
+
+// 20,000 programs with one unguarded read each: the `depsurf fix` path
+// (analyze, plan, rewrite, re-encode, re-analyze, verify) binds every
+// program's relocations without a scan of the whole object per program.
+// Outcomes only; the time bound lives in the two tests above.
+TEST(GuardScalingTest, ManyProgramsFixEndToEnd) {
+  constexpr size_t kPrograms = 20000;
+  BpfObjectBuilder builder("spread");
+  for (size_t p = 0; p < kPrograms; ++p) {
+    builder.AttachKprobe(StrFormat("fn%zu", p));
+    ASSERT_TRUE(builder.AccessField("request", "rq_disk", "struct gendisk *").ok());
+  }
+  BpfObject object = builder.Build();
+  ObjectAnalysis before = AnalyzeObject(object);
+  ASSERT_EQ(before.programs.size(), kPrograms);
+  ASSERT_EQ(before.CountKind(FindingKind::kUnguardedReloc), kPrograms);
+  RemediationPlan plan = PlanRemediation(object, before);
+  ASSERT_EQ(plan.FixableCount(), kPrograms);
+
+  BpfObject fixed = object;
+  ASSERT_TRUE(InsertFieldExistsGuards(fixed, plan.Insertions()).ok());
+  ASSERT_EQ(fixed.relocs.size(), 2 * kPrograms);
+  for (size_t r = 0; r < kPrograms; ++r) {
+    // The read moved past its guard; the guard's record binds the guard.
+    EXPECT_EQ(fixed.relocs[r].prog_index, r);
+    EXPECT_EQ(fixed.relocs[r].insn_off, 24u);
+    EXPECT_EQ(fixed.relocs[kPrograms + r].prog_index, r);
+    EXPECT_EQ(fixed.relocs[kPrograms + r].insn_off, 0u);
+  }
+  auto encoded = WriteBpfObject(fixed);
+  ASSERT_TRUE(encoded.ok()) << encoded.error().ToString();
+  auto reparsed = ParseBpfObject(encoded.TakeValue());
+  ASSERT_TRUE(reparsed.ok()) << reparsed.error().ToString();
+  ObjectAnalysis after = AnalyzeObject(*reparsed);
+  EXPECT_TRUE(after.findings.empty());
+  EXPECT_TRUE(VerifyRemediation(before, plan, after).ok);
+}
+
+// A seeded random single-program stream over kOracleFields fields, built
+// from units that never split: a guard (ld_imm64 rG; jeq/jne rG,0), a
+// read, a jump (ja, or jeq/jne on the ctx register r1, never a guard), or
+// an exit. Jumps land on unit starts anywhere in the stream, so loops and
+// side entries into guarded regions are common.
+constexpr size_t kOracleFields = 3;
+
+struct OracleUnit {
+  enum Kind { kGuard, kRead, kJump, kExit } kind = kExit;
+  size_t field = 0;
+  uint8_t opcode = 0;  // the jump's opcode (kGuard, kJump)
+  uint8_t reg = 0;     // kGuard: the register holding the probe result
+  size_t target = 0;   // unit index the jump lands on
+};
+
+std::vector<OracleUnit> RandomUnits(Prng& prng) {
+  const size_t n = 4 + prng.NextBelow(28);
+  std::vector<OracleUnit> units(n);
+  for (size_t u = 0; u + 1 < n; ++u) {
+    OracleUnit& unit = units[u];
+    const uint64_t roll = prng.NextBelow(20);
+    unit.kind = roll < 7    ? OracleUnit::kGuard
+                : roll < 14 ? OracleUnit::kRead
+                : roll < 18 ? OracleUnit::kJump
+                            : OracleUnit::kExit;
+    unit.field = prng.NextBelow(kOracleFields);
+    unit.reg = static_cast<uint8_t>(3 + prng.NextBelow(4));
+    const uint64_t op = prng.NextBelow(unit.kind == OracleUnit::kJump ? 3 : 2);
+    unit.opcode = op == 0 ? kOpJeqImm : op == 1 ? kOpJneImm : kOpJa;
+    // Mostly a short hop forward (a guarded body), sometimes anywhere.
+    unit.target = prng.NextBelow(4) != 0
+                      ? std::min(n - 1, u + 1 + prng.NextBelow(4))
+                      : prng.NextBelow(n);
+  }
+  return units;  // the last unit is an exit
+}
+
+struct OracleStream {
+  std::vector<BpfInsn> insns;
+  std::vector<size_t> unit_insn;  // first instruction of each unit
+  std::vector<size_t> unit_slot;  // and its slot; one past the end last
+};
+
+OracleStream LowerUnits(const std::vector<OracleUnit>& units) {
+  OracleStream stream;
+  stream.unit_slot.assign(units.size() + 1, 0);
+  for (size_t u = 0; u < units.size(); ++u) {
+    stream.unit_slot[u + 1] =
+        stream.unit_slot[u] + (units[u].kind == OracleUnit::kGuard ? 3 : 1);
+  }
+  for (size_t u = 0; u < units.size(); ++u) {
+    const OracleUnit& unit = units[u];
+    stream.unit_insn.push_back(stream.insns.size());
+    // The jump is the unit's last slot; deltas count from the slot after it.
+    const int16_t delta =
+        static_cast<int16_t>(static_cast<int64_t>(stream.unit_slot[unit.target]) -
+                             static_cast<int64_t>(stream.unit_slot[u + 1]));
+    auto jump = [&](uint8_t reg) {
+      return unit.opcode == kOpJa        ? JumpAlways(delta)
+             : unit.opcode == kOpJeqImm ? JumpEqImm(reg, 0, delta)
+                                        : JumpNeImm(reg, 0, delta);
+    };
+    switch (unit.kind) {
+      case OracleUnit::kGuard:
+        stream.insns.push_back(LoadImm64(unit.reg, 1));
+        stream.insns.push_back(jump(unit.reg));
+        break;
+      case OracleUnit::kRead:
+        stream.insns.push_back(LoadField(2, 1, 0));
+        break;
+      case OracleUnit::kJump:
+        stream.insns.push_back(jump(1));
+        break;
+      case OracleUnit::kExit:
+        stream.insns.push_back(ExitInsn());
+        break;
+    }
+  }
+  return stream;
+}
+
+// Instruction-level successors, independent of BuildCfg: each entry is one
+// edge, so a conditional jump to the next instruction yields two.
+std::vector<std::vector<size_t>> InsnSuccessors(const std::vector<BpfInsn>& insns) {
+  std::vector<size_t> insn_at_slot;
+  for (size_t i = 0; i < insns.size(); ++i) {
+    insn_at_slot.resize(insn_at_slot.size() + insns[i].Slots(), i);
+  }
+  std::vector<std::vector<size_t>> succs(insns.size());
+  size_t slot = 0;
+  for (size_t i = 0; i < insns.size(); ++i) {
+    slot += insns[i].Slots();
+    if (insns[i].IsJump()) {
+      succs[i].push_back(insn_at_slot[slot + insns[i].offset]);
+    }
+    if (!insns[i].IsExit() && !insns[i].IsUncondJump() && i + 1 < insns.size()) {
+      succs[i].push_back(i + 1);
+    }
+  }
+  return succs;
+}
+
+// Instructions reachable from the entry without executing `removed`.
+std::vector<bool> ReachableAvoiding(const std::vector<std::vector<size_t>>& succs,
+                                    size_t removed) {
+  std::vector<bool> seen(succs.size(), false);
+  std::vector<size_t> work;
+  if (!succs.empty() && removed != 0) {
+    seen[0] = true;
+    work.push_back(0);
+  }
+  while (!work.empty()) {
+    const size_t i = work.back();
+    work.pop_back();
+    for (size_t s : succs[i]) {
+      if (s != removed && !seen[s]) {
+        seen[s] = true;
+        work.push_back(s);
+      }
+    }
+  }
+  return seen;
+}
+
+TEST(GuardOracleTest, VerdictsMatchBruteForceDominance) {
+  // Exists and read records for each field, bound to one program; each
+  // stream rebinds copies of them to its own instructions.
+  BpfObjectBuilder builder("oracle");
+  builder.AttachKprobe("vfs_read");
+  for (size_t f = 0; f < kOracleFields; ++f) {
+    ASSERT_TRUE(builder.CheckFieldExists("task_struct", StrFormat("f%zu", f), "u64").ok());
+    ASSERT_TRUE(builder.AccessField("task_struct", StrFormat("f%zu", f), "u64").ok());
+  }
+  const BpfObject base = builder.Build();
+  ASSERT_EQ(base.relocs.size(), 2 * kOracleFields);
+
+  size_t guarded_reads = 0;
+  size_t unguarded_reads = 0;
+  for (uint64_t seed = 1; seed <= 2000; ++seed) {
+    Prng prng(seed);
+    const std::vector<OracleUnit> units = RandomUnits(prng);
+    const OracleStream stream = LowerUnits(units);
+    BpfObject object = base;
+    object.programs[0].insns = stream.insns;
+    object.relocs.clear();
+    std::vector<size_t> reloc_unit;
+    for (size_t u = 0; u < units.size(); ++u) {
+      if (units[u].kind == OracleUnit::kGuard || units[u].kind == OracleUnit::kRead) {
+        CoreReloc reloc = base.relocs[2 * units[u].field + (units[u].kind == OracleUnit::kRead)];
+        reloc.insn_off = static_cast<uint32_t>(8 * stream.unit_slot[u]);
+        object.relocs.push_back(reloc);
+        reloc_unit.push_back(u);
+      }
+    }
+    ObjectAnalysis analysis = AnalyzeObject(object);
+
+    const std::vector<std::vector<size_t>> succs = InsnSuccessors(stream.insns);
+    const std::vector<bool> reachable = ReachableAvoiding(succs, succs.size());
+    std::vector<size_t> inbound(succs.size(), 0);
+    for (size_t i = 0; i < succs.size(); ++i) {
+      for (size_t s : succs[i]) {
+        inbound[s] += reachable[i] ? 1 : 0;
+      }
+    }
+    for (size_t r = 0; r < object.relocs.size(); ++r) {
+      const size_t u = reloc_unit[r];
+      if (units[u].kind != OracleUnit::kRead) {
+        continue;
+      }
+      const size_t at = stream.unit_insn[u];
+      bool expect_guarded = false;
+      for (size_t g = 0; g < units.size() && reachable[at]; ++g) {
+        const size_t jump = stream.unit_insn[g] + 1;
+        if (units[g].kind != OracleUnit::kGuard || units[g].field != units[u].field ||
+            !reachable[jump]) {
+          continue;
+        }
+        // jeq r,0 falls through when the field exists; jne r,0 jumps.
+        const size_t exists = units[g].opcode == kOpJeqImm ? succs[jump][1] : succs[jump][0];
+        const size_t other = units[g].opcode == kOpJeqImm ? succs[jump][0] : succs[jump][1];
+        if (exists != other && inbound[exists] == 1 &&
+            (at == exists || !ReachableAvoiding(succs, exists)[at])) {
+          expect_guarded = true;
+        }
+      }
+      EXPECT_EQ(analysis.relocs[r].unguarded, !expect_guarded)
+          << "seed " << seed << ", read unit " << u;
+      ++(expect_guarded ? guarded_reads : unguarded_reads);
+    }
+  }
+  // The streams exercise both verdicts, not just one.
+  EXPECT_GT(guarded_reads, 100u);
+  EXPECT_GT(unguarded_reads, 100u);
 }
 
 }  // namespace
