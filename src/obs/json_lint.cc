@@ -385,11 +385,9 @@ void AppendCanonical(std::string& out, const JsonValue& value) {
         // serial-share percentage, critical_path steps, and executor
         // section are all timing-derived (the executor window also varies
         // with --jobs), so they mask wholesale.
-        // top_movers (profile_diff.v1) is selected and ordered by timing
-        // deltas, so like critical_path it masks wholesale.
         if (key == "dur_ns" || key == "alloc_count" || key == "alloc_bytes" ||
             key == "serial_share_pct" || key == "critical_path" || key == "executor" ||
-            key == "top_movers" || IsTimingMetricName(key)) {
+            IsTimingMetricName(key)) {
           AppendMaskedValue(out, member);
         } else {
           AppendCanonical(out, member);

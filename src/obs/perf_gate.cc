@@ -120,13 +120,7 @@ PerfComparison ComparePerf(const std::vector<StageTiming>& base,
     }
     bool under_floor = b.seconds < options.noise_floor_seconds &&
                        h.seconds < options.noise_floor_seconds;
-    bool under_delta_floor = false;
-    if (auto floor_it = options.stage_delta_floors_seconds.find(b.name);
-        floor_it != options.stage_delta_floors_seconds.end()) {
-      delta.floor_seconds = floor_it->second;
-      under_delta_floor = std::fabs(h.seconds - b.seconds) <= floor_it->second;
-    }
-    if (under_floor || under_delta_floor) {
+    if (under_floor) {
       delta.cls = StageClass::kFlat;
     } else if (h.seconds > b.seconds * (1.0 + options.max_regress)) {
       delta.cls = StageClass::kRegressed;
@@ -196,9 +190,9 @@ std::string PerfComparisonJson(const PerfComparison& comparison,
     }
     out += StrFormat(
         "\n  {\"name\": \"%s\", \"class\": \"%s\", \"base_seconds\": %.6f, "
-        "\"head_seconds\": %.6f, \"delta_pct\": %.2f, \"floor_seconds\": %.6f}",
+        "\"head_seconds\": %.6f, \"delta_pct\": %.2f}",
         JsonEscape(delta.name).c_str(), StageClassName(delta.cls), delta.base_seconds,
-        delta.head_seconds, delta.delta_pct, delta.floor_seconds);
+        delta.head_seconds, delta.delta_pct);
   }
   out += "\n]\n}\n";
   return out;

@@ -17,15 +17,11 @@
 //     "improved": N, "flat": N, "regressed": N, "added": N, "removed": N,
 //     "stages": [ {"name": "...", "class": "flat",
 //                  "base_seconds": 1.2, "head_seconds": 1.3,
-//                  "delta_pct": 8.3, "floor_seconds": 0.0}, ... ]
+//                  "delta_pct": 8.3}, ... ]
 //   }
-//
-// floor_seconds is the adaptive per-stage delta floor applied from run
-// history (perf_history.h), 0 when the gate ran without one.
 #ifndef DEPSURF_SRC_OBS_PERF_GATE_H_
 #define DEPSURF_SRC_OBS_PERF_GATE_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -59,9 +55,6 @@ struct StageDelta {
   double base_seconds = 0;
   double head_seconds = 0;
   double delta_pct = 0;  // (head - base) / base * 100; 0 for added/removed
-  // The adaptive per-stage delta floor applied to this stage (0 when the
-  // gate ran without one).
-  double floor_seconds = 0;
 };
 
 struct PerfGateOptions {
@@ -72,12 +65,6 @@ struct PerfGateOptions {
   // ratio: a 2x blowup of a 100 us stage is scheduler noise, not a
   // regression.
   double noise_floor_seconds = 0.005;
-  // Adaptive per-stage delta floors from run history (see
-  // perf_history.h::AdaptiveStageFloors): a stage whose |head - base| is at
-  // or below its floor is flat regardless of ratio, because the observed
-  // run-to-run spread of that stage on this host covers the delta. Stages
-  // absent from the map fall back to the two rules above.
-  std::map<std::string, double> stage_delta_floors_seconds;
 };
 
 struct PerfComparison {

@@ -71,11 +71,15 @@ void FoldNode(const SpanNode& span, std::string& stack,
   stack.resize(prefix);
 }
 
-uint64_t NodeU64(const JsonValue& span, const char* key) {
-  const JsonValue* value = span.Find(key);
-  return value != nullptr && value->kind == JsonValue::Kind::kNumber && value->number > 0
-             ? static_cast<uint64_t>(value->number)
-             : 0;
+uint64_t MemberU64(const JsonValue& object, const char* key) {
+  const JsonValue* value = object.Find(key);
+  if (value == nullptr || value->kind != JsonValue::Kind::kNumber || !(value->number > 0)) {
+    return 0;
+  }
+  // Documents are outside input, and casting a double at or past 2^64 to
+  // uint64_t is undefined: saturate instead.
+  return value->number < 18446744073709551616.0 ? static_cast<uint64_t>(value->number)
+                                                 : UINT64_MAX;
 }
 
 // Rebuilds a SpanNode subtree from a parsed run-report span object.
@@ -84,10 +88,10 @@ SpanNode SpanFromValue(const JsonValue& value) {
   SpanNode node;
   const JsonValue* name = value.Find("name");
   node.name = name != nullptr ? name->string : "";
-  node.dur_ns = NodeU64(value, "dur_ns");
-  node.cpu_ns = NodeU64(value, "cpu_ns");
-  node.alloc_count = NodeU64(value, "alloc_count");
-  node.alloc_bytes = NodeU64(value, "alloc_bytes");
+  node.dur_ns = MemberU64(value, "dur_ns");
+  node.cpu_ns = MemberU64(value, "cpu_ns");
+  node.alloc_count = MemberU64(value, "alloc_count");
+  node.alloc_bytes = MemberU64(value, "alloc_bytes");
   const JsonValue* children = value.Find("children");
   if (children != nullptr && children->kind == JsonValue::Kind::kArray) {
     for (const JsonValue& child : children->array) {
@@ -317,6 +321,53 @@ std::string ProfileJson(const Profile& profile) {
   }
   out += "]}\n}\n";
   return out;
+}
+
+Result<Profile> ParseProfileDoc(std::string_view json) {
+  // Lean on the schema validator first so extraction below can assume
+  // well-formed members.
+  if (Status valid = ValidateProfileDoc(json); !valid.ok()) {
+    return valid.TakeError();
+  }
+  auto parsed = ParseJson(json);
+  if (!parsed.ok()) {
+    return parsed.TakeError();
+  }
+  const JsonValue& doc = *parsed;
+  Profile profile;
+  profile.span_nodes = MemberU64(doc, "span_nodes");
+  for (const JsonValue& entry : doc.Find("names")->array) {
+    ProfileNameRow row;
+    row.name = entry.Find("name")->string;
+    row.count = MemberU64(entry, "count");
+    row.dur_ns = MemberU64(entry, "dur_ns");
+    row.self_ns = MemberU64(entry, "self_ns");
+    row.cpu_ns = MemberU64(entry, "cpu_ns");
+    row.alloc_count = MemberU64(entry, "alloc_count");
+    row.alloc_bytes = MemberU64(entry, "alloc_bytes");
+    profile.names.push_back(std::move(row));
+  }
+  const JsonValue& path = *doc.Find("critical_path");
+  profile.wall_ns = MemberU64(path, "wall_ns");
+  profile.serial_self_ns = MemberU64(path, "serial_self_ns");
+  for (const JsonValue& entry : path.Find("steps")->array) {
+    profile.critical_path.push_back(CriticalPathStep{entry.Find("name")->string,
+                                                     MemberU64(entry, "dur_ns"),
+                                                     MemberU64(entry, "self_ns")});
+  }
+  const JsonValue& executor = *doc.Find("executor");
+  ExecutorStats& stats = profile.executor;
+  stats.window = static_cast<int64_t>(MemberU64(executor, "window"));
+  stats.wall_ms = static_cast<int64_t>(MemberU64(executor, "wall_ms"));
+  stats.serialize_stall_us = MemberU64(executor, "serialize_stall_us");
+  stats.queue_waits = MemberU64(executor, "queue_waits");
+  for (const JsonValue& worker : executor.Find("workers")->array) {
+    stats.worker_busy_ms.emplace_back(static_cast<int64_t>(MemberU64(worker, "lane")),
+                                      static_cast<int64_t>(MemberU64(worker, "busy_ms")));
+  }
+  stats.present = stats.window != 0 || !stats.worker_busy_ms.empty() ||
+                  stats.serialize_stall_us != 0 || stats.queue_waits != 0;
+  return profile;
 }
 
 std::string ProfileText(const Profile& profile) {

@@ -106,6 +106,11 @@ Result<Profile> ProfileFromReportJson(std::string_view json);
 // Deterministically serializes the profile (see schema above).
 std::string ProfileJson(const Profile& profile);
 
+// Parses a depsurf.profile.v1 document back into a Profile, the inverse of
+// ProfileJson, so `depsurf profile` can re-render a saved profile. The
+// document must pass ValidateProfileDoc.
+Result<Profile> ParseProfileDoc(std::string_view json);
+
 // Human-readable table: per-name rows sorted by self time descending, the
 // critical path, and executor lane utilization.
 std::string ProfileText(const Profile& profile);

@@ -16,8 +16,6 @@
 //   depsurf report  merge OUT IN...               merge run reports into an aggregate
 //   depsurf report  flame REPORT.json             folded stacks for flamegraph.pl
 //   depsurf perf    compare BASE HEAD             perf regression gate over stage timings
-//   depsurf perf    record|trend|diff             run-history store, trend analytics,
-//                                                 differential profile attribution
 //   depsurf profile REPORT.json | --live          self-profile: self-time, critical path
 //   depsurf study   build [--versions=..]         build a dataset corpus, with reports
 //   depsurf serve   --against=DS[,DS] --oneshot   batched NDJSON dependency queries
@@ -35,7 +33,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -57,9 +54,7 @@
 #include "src/obs/diagnostics.h"
 #include "src/obs/json_lint.h"
 #include "src/obs/perf_gate.h"
-#include "src/obs/perf_history.h"
 #include "src/obs/profile.h"
-#include "src/obs/profile_diff.h"
 #include "src/obs/report_merge.h"
 #include "src/obs/run_report.h"
 #include "src/obs/trace_export.h"
@@ -586,6 +581,10 @@ int CmdFuzz(int argc, char** argv) {
 // `canon` re-emits any document in compact form with timing fields masked,
 // so two runs over the same inputs can be compared byte for byte.
 int CmdMetrics(int argc, char** argv) {
+  if (int rc = RejectUnknownFlags(argc, argv, "metrics",
+                                  {"kind", "min-spans", "require", "report"})) {
+    return rc;
+  }
   auto positional = Positional(argc, argv);
   if (positional.size() < 2 || (positional[0] != "lint" && positional[0] != "canon")) {
     return DiagError("metrics requires a subcommand: lint FILE | canon FILE");
@@ -697,32 +696,6 @@ int CmdMetrics(int argc, char** argv) {
     printf("%s: valid %s\n", positional[1].c_str(), kFuzzCampaignSchema);
     return 0;
   }
-  if (kind == "history") {
-    size_t records = 0;
-    Status valid = obs::ValidateHistoryNdjson(text, &records);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid %s (%zu records)\n", positional[1].c_str(), obs::kPerfHistorySchema,
-           records);
-    return 0;
-  }
-  if (kind == "trend") {
-    Status valid = obs::ValidateTrendDoc(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid %s\n", positional[1].c_str(), obs::kPerfTrendSchema);
-    return 0;
-  }
-  if (kind == "profile_diff") {
-    Status valid = obs::ValidateProfileDiffDoc(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid %s\n", positional[1].c_str(), obs::kProfileDiffSchema);
-    return 0;
-  }
   if (kind == "serve") {
     Status valid = obs::ValidateServeReportDoc(text);
     if (!valid.ok()) {
@@ -759,7 +732,7 @@ int CmdMetrics(int argc, char** argv) {
   }
   return DiagError("unknown --kind=" + kind +
                    " (valid kinds: report|agg|bench|perf|trace|diag|analysis|"
-                   "remediation|profile|history|trend|profile_diff|fuzz|serve)");
+                   "remediation|profile|fuzz|serve)");
 }
 
 // Merges run reports (per-image documents from a study build, or prior
@@ -862,32 +835,13 @@ Result<double> ParseSecondsFlag(const std::string& text, double fallback) {
   return value;
 }
 
-Result<std::string> ReadTextFile(const std::string& path) {
-  auto bytes = ReadFile(path);
-  if (!bytes.ok()) {
-    return bytes.TakeError();
-  }
-  return std::string(bytes->begin(), bytes->end());
-}
-
-// Loads an NDJSON history store from disk.
-Result<std::vector<obs::HistoryRecord>> LoadHistory(const std::string& path) {
-  auto text = ReadTextFile(path);
-  if (!text.ok()) {
-    return text.TakeError();
-  }
-  auto records = obs::ParseHistoryNdjson(*text);
-  if (!records.ok()) {
-    return Error(ErrorCode::kMalformedData, path + ": " + records.error().message());
-  }
-  return records;
-}
-
 // The perf regression gate: exit 0 when no stage regressed beyond the
-// threshold, 3 when one did (1 stays "could not compare at all"). With
-// --history=FILE, per-stage adaptive noise floors from the run history
-// replace the hardcoded default for every stage the history has seen.
+// threshold, 3 when one did (1 stays "could not compare at all").
 int CmdPerfCompare(int argc, char** argv, const std::vector<std::string>& positional) {
+  if (int rc = RejectUnknownFlags(argc, argv, "perf compare",
+                                  {"max-regress", "noise-floor", "json"})) {
+    return rc;
+  }
   if (positional.size() < 3) {
     return DiagError("perf compare requires BASE.json and HEAD.json");
   }
@@ -902,25 +856,13 @@ int CmdPerfCompare(int argc, char** argv, const std::vector<std::string>& positi
     return DiagError("--noise-floor: " + floor.error().message());
   }
   options.noise_floor_seconds = *floor;
-  std::string history_path = FlagValue(argc, argv, "history", "");
-  if (!history_path.empty()) {
-    auto records = LoadHistory(history_path);
-    if (!records.ok()) {
-      return DiagError(records.error());
-    }
-    obs::TrendOptions trend_options;
-    trend_options.min_floor_seconds = options.noise_floor_seconds;
-    obs::TrendReport trend =
-        obs::AnalyzeTrend(*records, obs::CurrentHostFingerprint(), trend_options);
-    options.stage_delta_floors_seconds = obs::AdaptiveStageFloors(trend);
-  }
   std::vector<std::vector<obs::StageTiming>> sides;
   for (size_t i = 1; i <= 2; ++i) {
-    auto text = ReadTextFile(positional[i]);
-    if (!text.ok()) {
-      return DiagError(text.error());
+    auto bytes = ReadFile(positional[i]);
+    if (!bytes.ok()) {
+      return DiagError(bytes.error());
     }
-    auto json = obs::ParseJson(*text);
+    auto json = obs::ParseJson(std::string(bytes->begin(), bytes->end()));
     if (!json.ok()) {
       return DiagError(positional[i], json.error());
     }
@@ -939,158 +881,15 @@ int CmdPerfCompare(int argc, char** argv, const std::vector<std::string>& positi
   return comparison.gate_failed() ? 3 : 0;
 }
 
-// Appends one depsurf.perf_history.v1 record (all stages across the given
-// bench/run reports, the optional profile's critical-path summary, host
-// fingerprint, label) to an NDJSON history store.
-int CmdPerfRecord(int argc, char** argv, const std::vector<std::string>& positional) {
-  std::string history_path = FlagValue(argc, argv, "history", "");
-  if (positional.size() < 2 || history_path.empty()) {
-    return DiagError("perf record requires BENCH.json... and --history=FILE");
-  }
-  obs::HistoryRecord record;
-  record.label = FlagValue(argc, argv, "label", "");
-  if (record.label.empty()) {
-    const char* env = getenv("DEPSURF_BUILD_LABEL");
-    record.label = env != nullptr && env[0] != '\0' ? env : "unlabeled";
-  }
-  // Timestamps are injected here at the CLI edge; obs library code never
-  // reads a wall clock, so its outputs stay deterministic.
-  record.recorded_unix_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                                std::chrono::system_clock::now().time_since_epoch())
-                                .count();
-  record.host = obs::CurrentHostFingerprint();
-  for (size_t i = 1; i < positional.size(); ++i) {
-    auto text = ReadTextFile(positional[i]);
-    if (!text.ok()) {
-      return DiagError(text.error());
-    }
-    auto json = obs::ParseJson(*text);
-    if (!json.ok()) {
-      return DiagError(positional[i], json.error());
-    }
-    auto timings = obs::LoadStageTimings(*json);
-    if (!timings.ok()) {
-      return DiagError(positional[i], timings.error());
-    }
-    obs::AddStageTimings(record, *timings);
-  }
-  std::string profile_path = FlagValue(argc, argv, "profile", "");
-  if (!profile_path.empty()) {
-    auto text = ReadTextFile(profile_path);
-    if (!text.ok()) {
-      return DiagError(text.error());
-    }
-    auto profile = obs::ParseProfileDoc(*text);
-    if (!profile.ok()) {
-      return DiagError(profile_path, profile.error());
-    }
-    obs::SetProfileSummary(record, *profile);
-  }
-  Status appended = obs::AppendHistoryRecord(history_path, record);
-  if (!appended.ok()) {
-    return DiagError(appended.error());
-  }
-  printf("recorded \"%s\" (%zu stages%s) into %s\n", record.label.c_str(),
-         record.stages.size(), record.profile.present ? " + profile summary" : "",
-         history_path.c_str());
-  return 0;
-}
-
-// Robust per-stage baselines over the history store: median/MAD, the
-// latest run's deviation, change-point flags, and the adaptive floor each
-// stage would gate with.
-int CmdPerfTrend(int argc, char** argv) {
-  std::string history_path = FlagValue(argc, argv, "history", "");
-  if (history_path.empty()) {
-    return DiagError("perf trend requires --history=FILE");
-  }
-  obs::TrendOptions options;
-  // A zero window would mean "baseline over no runs" — reject it along with
-  // anything the old unvalidated strtoull silently read as 0. Flags are
-  // checked before the history loads so the error names the flag.
-  auto window = ParseU64Flag(FlagValue(argc, argv, "window", ""), 8);
-  if (!window.ok()) {
-    return DiagError("--window: " + window.error().message());
-  }
-  if (*window == 0) {
-    return DiagError("--window: must be at least 1");
-  }
-  options.window = static_cast<size_t>(*window);
-  auto records = LoadHistory(history_path);
-  if (!records.ok()) {
-    return DiagError(records.error());
-  }
-  auto min_floor = ParseSecondsFlag(FlagValue(argc, argv, "min-floor", ""),
-                                    options.min_floor_seconds);
-  if (!min_floor.ok()) {
-    return DiagError("--min-floor: " + min_floor.error().message());
-  }
-  options.min_floor_seconds = *min_floor;
-  obs::TrendReport report =
-      obs::AnalyzeTrend(*records, obs::CurrentHostFingerprint(), options);
-  if (HasFlag(argc, argv, "json")) {
-    printf("%s", obs::TrendReportJson(report).c_str());
-  } else {
-    printf("%s", obs::TrendReportText(report).c_str());
-  }
-  return 0;
-}
-
-// Differential profile attribution: which span names and which critical-
-// path chain got slower between two depsurf.profile.v1 documents.
-int CmdPerfDiff(int argc, char** argv, const std::vector<std::string>& positional) {
-  if (positional.size() < 3) {
-    return DiagError("perf diff requires BASE_PROFILE.json and HEAD_PROFILE.json");
-  }
-  // Flags are checked before the profiles load so the error names the flag.
-  auto top_flag = ParseU64Flag(FlagValue(argc, argv, "top", ""), 10);
-  if (!top_flag.ok()) {
-    return DiagError("--top: " + top_flag.error().message());
-  }
-  if (*top_flag == 0) {
-    return DiagError("--top: must be at least 1");
-  }
-  size_t top = static_cast<size_t>(*top_flag);
-  std::vector<obs::Profile> profiles;
-  for (size_t i = 1; i <= 2; ++i) {
-    auto text = ReadTextFile(positional[i]);
-    if (!text.ok()) {
-      return DiagError(text.error());
-    }
-    auto profile = obs::ParseProfileDoc(*text);
-    if (!profile.ok()) {
-      return DiagError(positional[i], profile.error());
-    }
-    profiles.push_back(profile.TakeValue());
-  }
-  obs::ProfileDiff diff = obs::DiffProfiles(profiles[0], profiles[1], top);
-  if (HasFlag(argc, argv, "json")) {
-    printf("%s", obs::ProfileDiffJson(diff).c_str());
-  } else {
-    printf("%s", obs::ProfileDiffText(diff).c_str());
-  }
-  return 0;
-}
-
 int CmdPerf(int argc, char** argv) {
   auto positional = Positional(argc, argv);
   if (positional.empty()) {
-    return DiagError("perf requires a subcommand: compare|record|trend|diff");
+    return DiagError("perf requires a subcommand: compare");
   }
   if (positional[0] == "compare") {
     return CmdPerfCompare(argc, argv, positional);
   }
-  if (positional[0] == "record") {
-    return CmdPerfRecord(argc, argv, positional);
-  }
-  if (positional[0] == "trend") {
-    return CmdPerfTrend(argc, argv);
-  }
-  if (positional[0] == "diff") {
-    return CmdPerfDiff(argc, argv, positional);
-  }
-  return DiagError("unknown perf subcommand " + positional[0] +
-                   " (compare|record|trend|diff)");
+  return DiagError("unknown perf subcommand " + positional[0] + " (compare)");
 }
 
 // Shared by `study build` and `profile --live`: --versions/--arch/--flavor
@@ -1231,8 +1030,9 @@ int CmdStudy(int argc, char** argv) {
 // Self-profile of a run: per-name self-time/CPU/alloc aggregates, the
 // critical path (the serial distill/serialize share of wall time), and
 // executor stats. Input is a run report or aggregate from `study build
-// --report-dir`; --live instead runs a corpus build in-process and
-// profiles the spans it just recorded.
+// --report-dir`, or a saved depsurf.profile.v1 document to re-render;
+// --live instead runs a corpus build in-process and profiles the spans it
+// just recorded.
 int CmdProfile(int argc, char** argv) {
   auto positional = Positional(argc, argv);
   obs::Profile profile;
@@ -1265,21 +1065,35 @@ int CmdProfile(int argc, char** argv) {
     folded = obs::FoldedStacks(roots);
   } else {
     if (positional.empty()) {
-      return DiagError("profile requires a RUN_REPORT.json path or --live");
+      return DiagError("profile requires a RUN_REPORT.json or PROFILE.json path, or --live");
     }
     auto bytes = ReadFile(positional[0]);
     if (!bytes.ok()) {
       return DiagError(bytes.error());
     }
     std::string text(bytes->begin(), bytes->end());
-    auto parsed = obs::ProfileFromReportJson(text);
+    auto doc = obs::ParseJson(text);
+    if (!doc.ok()) {
+      return DiagError(positional[0], doc.error());
+    }
+    const obs::JsonValue* schema = doc->Find("schema");
+    const bool saved = schema != nullptr && schema->string == obs::kProfileSchema;
+    // A saved profile keeps per-name aggregates, not the span forest.
+    if (saved && !FlagValue(argc, argv, "folded-out", "").empty()) {
+      return DiagError(StrFormat("--folded-out: %s has no span stacks (%s documents "
+                                 "keep per-name totals only)",
+                                 positional[0].c_str(), obs::kProfileSchema));
+    }
+    auto parsed = saved ? obs::ParseProfileDoc(text) : obs::ProfileFromReportJson(text);
     if (!parsed.ok()) {
       return DiagError(positional[0], parsed.error());
     }
     profile = parsed.TakeValue();
-    auto folded_or = obs::FoldedStacksFromReportJson(text);
-    if (folded_or.ok()) {
-      folded = folded_or.TakeValue();
+    if (!saved) {
+      auto folded_or = obs::FoldedStacksFromReportJson(text);
+      if (folded_or.ok()) {
+        folded = folded_or.TakeValue();
+      }
     }
   }
   std::string out_path = FlagValue(argc, argv, "out", "");
@@ -1844,17 +1658,12 @@ constexpr char kUsage[] =
     "          (coverage-guided campaign; exit 2 on oracle disagreements,\n"
     "           1 on hangs)\n"
     "  metrics lint FILE [--kind=report|agg|bench|perf|trace|diag|analysis\n"
-    "          |remediation|profile|history|trend|profile_diff|fuzz|serve] [--min-spans=N]\n"
+    "          |remediation|profile|fuzz|serve] [--min-spans=N]\n"
     "          [--require=a,b,c] [--report=FILE] | metrics canon FILE\n"
     "  report  merge OUT IN... | report flame REPORT.json [--out=FILE]\n"
     "  perf    compare BASE.json HEAD.json [--max-regress=15%] [--noise-floor=S]\n"
-    "          [--history=FILE] [--json]\n"
-    "          (exit 3 when a stage regressed beyond the threshold; --history\n"
-    "           replaces the fixed floor with per-stage adaptive floors)\n"
-    "  perf    record BENCH.json... --history=FILE [--label=L] [--profile=P.json]\n"
-    "  perf    trend --history=FILE [--window=K] [--min-floor=S] [--json]\n"
-    "  perf    diff BASE_PROFILE.json HEAD_PROFILE.json [--top=N] [--json]\n"
-    "  profile RUN_REPORT.json | profile --live [study flags]\n"
+    "          [--json] (exit 3 when a stage regressed beyond the threshold)\n"
+    "  profile RUN_REPORT.json | PROFILE.json | profile --live [study flags]\n"
     "          [--json] [--out=PROFILE.json] [--folded-out=FLAME.folded]\n"
     "  study   build [--versions=5.4,6.8] [--arch=A] [--flavor=F] [--scale=S] [--seed=N]\n"
     "          [--out=DATASET] [--report-dir=DIR] [--profile-out=FILE] [--jobs=N]\n"

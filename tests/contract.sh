@@ -1,0 +1,109 @@
+#!/usr/bin/env bash
+# Behavioural contract check, registered with ctest as `contract`. Rebuilds
+# the outputs the pipeline promises not to change and compares each one's
+# SHA-256 with the committed manifest tests/golden/contract.sha256. For
+# seeds 2025 and 601 at --scale=0.02 the outputs are:
+#   - the stdout of the ten paper benches (bench_table{1,3,4,5,6,7,8},
+#     bench_fig{4,5,6});
+#   - the `study build --out` dataset at --jobs=1, which must also be
+#     byte-identical to the same build at --jobs=4;
+#   - `dataset info` of that dataset.
+# `study build`'s own stdout is not hashed: it prints per-image times.
+#
+#   contract.sh DEPSURF BENCH_DIR [--out DIR] [--regen]
+#
+# DEPSURF is the depsurf CLI and BENCH_DIR the directory holding the bench
+# binaries. Outputs go to a temp dir that is removed on success; on a
+# mismatch the script names each differing output and keeps the dir.
+# --out DIR writes (and keeps) every output under DIR, so the outputs of
+# two checkouts can be compared with `diff -r`. --regen rewrites the
+# manifest from this run instead of checking it; a change that needs it
+# should say which lines moved and why.
+set -eu
+
+usage="usage: contract.sh DEPSURF BENCH_DIR [--out DIR] [--regen]"
+[ $# -ge 2 ] || { echo "$usage" >&2; exit 1; }
+abspath() { echo "$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"; }
+DEPSURF=$(abspath "$1")
+BENCH_DIR=$(cd "$2" && pwd)
+shift 2
+OUT=""
+REGEN=0
+while [ $# -gt 0 ]; do
+  case "$1" in
+    --out) OUT=${2:?$usage}; shift 2 ;;
+    --out=*) OUT=${1#--out=}; shift ;;
+    --regen) REGEN=1; shift ;;
+    *) echo "$usage" >&2; exit 1 ;;
+  esac
+done
+MANIFEST=$(cd "$(dirname "$0")" && pwd)/golden/contract.sha256
+
+SCALE=0.02
+SEEDS="2025 601"
+BENCHES="bench_table1 bench_table3 bench_table4 bench_table5 bench_table6
+         bench_table7 bench_table8 bench_fig4 bench_fig5 bench_fig6"
+
+if [ -n "$OUT" ]; then
+  mkdir -p "$OUT"
+  WORKDIR=$(cd "$OUT" && pwd)
+  KEEP=1
+else
+  WORKDIR=$(mktemp -d)
+  KEEP=0
+fi
+trap '[ "$KEEP" -eq 1 ] || rm -rf "$WORKDIR"' EXIT
+cd "$WORKDIR"
+export DEPSURF_BENCH_DIR="$WORKDIR"
+
+fail() {
+  KEEP=1
+  echo "contract: FAIL: $*" >&2
+  echo "contract: outputs kept in $WORKDIR" >&2
+  exit 1
+}
+
+HASHED=""
+for seed in $SEEDS; do
+  dir=seed$seed
+  mkdir -p "$dir"
+  for bench in $BENCHES; do
+    "$BENCH_DIR/$bench" --scale=$SCALE --seed="$seed" > "$dir/$bench.txt" \
+        2> "$dir/$bench.log" || fail "$bench --seed=$seed exited $?"
+    HASHED="$HASHED $dir/$bench.txt"
+  done
+  for jobs in 1 4; do
+    "$DEPSURF" study build --scale=$SCALE --seed="$seed" --jobs=$jobs \
+        --out="$dir/dataset_jobs$jobs.dds" > "$dir/study_jobs$jobs.log" 2>&1 \
+      || fail "study build --seed=$seed --jobs=$jobs exited $?"
+  done
+  cmp -s "$dir/dataset_jobs1.dds" "$dir/dataset_jobs4.dds" \
+    || fail "$dir: study build --out differs between --jobs=1 and --jobs=4"
+  (cd "$dir" && "$DEPSURF" dataset info dataset_jobs1.dds) > "$dir/dataset_info.txt" \
+    || fail "dataset info ($dir) exited $?"
+  HASHED="$HASHED $dir/dataset_jobs1.dds $dir/dataset_info.txt"
+done
+
+# shellcheck disable=SC2086
+if [ "$REGEN" -eq 1 ]; then
+  sha256sum $HASHED > "$MANIFEST"
+  echo "contract: wrote $MANIFEST ($(wc -l < "$MANIFEST") outputs)"
+  exit 0
+fi
+
+[ -f "$MANIFEST" ] || fail "no manifest at $MANIFEST (create it with --regen)"
+# The manifest must name exactly the outputs made above: a dropped or an
+# added output is a contract change too.
+# shellcheck disable=SC2086
+made=$(printf '%s\n' $HASHED | sort)
+listed=$(awk '{ print $2 }' "$MANIFEST" | sort)
+[ "$made" = "$listed" ] \
+  || fail "manifest lists other outputs than were made:
+$(diff <(echo "$listed") <(echo "$made") || true)"
+if ! sha256sum -c --quiet "$MANIFEST" > sha256.txt 2>&1; then
+  sed -n 's/: FAILED.*$//p' sha256.txt | while read -r name; do
+    echo "contract: mismatch: $name" >&2
+  done
+  fail "$(grep -c ': FAILED' sha256.txt) of $(wc -l < "$MANIFEST") outputs differ from $MANIFEST"
+fi
+echo "contract: PASS ($(wc -l < "$MANIFEST") outputs match)"

@@ -99,6 +99,28 @@ done
 cmp -s profile1.canon profile2.canon \
   || fail "masked profiles differ between identical study builds"
 
+# ---- a saved profile re-renders: `profile P.json --json` reproduces the
+# file byte for byte, the text form names its critical path, and a
+# tampered copy is refused. The document keeps no span stacks, so
+# --folded-out is an error that names the flag.
+"$DEPSURF" profile --live --scale=0.02 --out=p.json > /dev/null \
+  || fail "profile --live exited $?"
+"$DEPSURF" profile p.json --json > p_again.json || fail "profile p.json --json exited $?"
+cmp -s p.json p_again.json || fail "profile re-render is not byte-identical"
+"$DEPSURF" profile p.json > p.txt || fail "profile p.json exited $?"
+grep -q "^critical path" p.txt || fail "re-rendered profile missing critical path"
+sed '0,/"self_ns": [0-9]*/s//"self_ns": -1/' p.json > p_bad.json
+cmp -s p.json p_bad.json && fail "could not tamper with p.json"
+set +e
+"$DEPSURF" profile p_bad.json > p_bad.txt 2>&1
+bad_code=$?
+"$DEPSURF" profile p.json --folded-out=p.folded > p_folded.txt 2>&1
+folded_code=$?
+set -e
+[ "$bad_code" -eq 1 ] || fail "tampered profile exited $bad_code, want 1"
+[ "$folded_code" -eq 1 ] || fail "profile of a profile with --folded-out exited $folded_code"
+grep -q -- "--folded-out" p_folded.txt || fail "--folded-out error does not name the flag"
+
 # ---- flamegraph export: folded stacks, one "name;child;... self_ns" line
 # per distinct stack — the format flamegraph.pl consumes directly.
 "$DEPSURF" report flame reps1/report_agg.json --out=flame.folded \
@@ -159,7 +181,8 @@ done
 
 # ---- strict flag parsing: every malformed numeric flag must exit 1 with an
 # error that names the flag, never silently parse to 0 (the atoi family) or
-# to a truncated prefix (the strtoull family).
+# to a truncated prefix (the strtoull family). Unknown flags, subcommands
+# and lint kinds (including the retired perf history ones) fail the same way.
 check_flag_error() {
   flag_name=$1; shift
   set +e
@@ -175,10 +198,10 @@ check_flag_error --jobs study build --scale=0.02 --out=dsx --jobs=abc
 check_flag_error --jobs profile reps1/report_agg.json --live --jobs=abc
 check_flag_error --jobs serve --against=ds1 --oneshot --jobs=999
 check_flag_error --min-spans metrics lint gen.json --min-spans=abc
-check_flag_error --window perf trend --history=none.ndjson --window=0
-check_flag_error --window perf trend --history=none.ndjson --window=abc
-check_flag_error --top perf diff a.json b.json --top=0
-check_flag_error --top perf diff a.json b.json --top=abc
+check_flag_error --history perf compare a.json b.json --history=h.ndjson
+check_flag_error --min-spnas metrics lint gen.json --min-spnas=1
+check_flag_error "subcommand trend" perf trend
+check_flag_error "kind=trend (valid kinds: report|" metrics lint gen.json --kind=trend
 check_flag_error --scale gen --version=5.4 --out=imgx --scale=abc
 check_flag_error --seed study build --scale=0.02 --out=dsx --seed=-1
 check_flag_error --oneshot serve --against=ds1

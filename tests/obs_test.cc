@@ -775,6 +775,58 @@ TEST(ProfileTest, RoundTripsThroughRunReportWithExecutorStats) {
   }
 }
 
+TEST(ProfileTest, ParseProfileDocInvertsProfileJson) {
+  obs::Profile profile = obs::BuildProfile(ProfileFixtureForest());
+  obs::MetricsRegistry registry;
+  registry.Set("study.build_dataset.window", 4);
+  registry.Set("study.build_dataset.wall_ms", 120);
+  registry.Incr("study.executor.serialize_stall_us", 5000);
+  registry.Record("study.executor.queue_wait_us", 10);
+  registry.Set("study.executor.worker0.busy_ms", 91);
+  registry.Set("study.executor.worker1.busy_ms", 112);
+  obs::FillExecutorStats(profile, registry);
+  const std::string json = obs::ProfileJson(profile);
+
+  auto back = obs::ParseProfileDoc(json);
+  ASSERT_TRUE(back.ok()) << back.error().ToString();
+  EXPECT_EQ(back->span_nodes, profile.span_nodes);
+  EXPECT_EQ(back->wall_ns, profile.wall_ns);
+  EXPECT_EQ(back->serial_self_ns, profile.serial_self_ns);
+  ASSERT_EQ(back->names.size(), profile.names.size());
+  for (size_t i = 0; i < profile.names.size(); ++i) {
+    EXPECT_EQ(back->names[i].name, profile.names[i].name);
+    EXPECT_EQ(back->names[i].count, profile.names[i].count);
+    EXPECT_EQ(back->names[i].self_ns, profile.names[i].self_ns);
+    EXPECT_EQ(back->names[i].alloc_bytes, profile.names[i].alloc_bytes);
+  }
+  ASSERT_EQ(back->critical_path.size(), profile.critical_path.size());
+  for (size_t i = 0; i < profile.critical_path.size(); ++i) {
+    EXPECT_EQ(back->critical_path[i].name, profile.critical_path[i].name);
+    EXPECT_EQ(back->critical_path[i].dur_ns, profile.critical_path[i].dur_ns);
+  }
+  EXPECT_TRUE(back->executor.present);
+  EXPECT_EQ(back->executor.worker_busy_ms, profile.executor.worker_busy_ms);
+  // `depsurf profile P.json --json` re-renders a saved profile byte for byte.
+  EXPECT_EQ(obs::ProfileJson(*back), json);
+
+  // Non-profile and inconsistent documents are rejected up front.
+  EXPECT_FALSE(obs::ParseProfileDoc("{\"schema\": \"depsurf.bench_report.v1\"}").ok());
+  std::string negative = json;
+  size_t at = negative.find("\"self_ns\": 2000");
+  ASSERT_NE(at, std::string::npos);
+  negative.replace(at, 15, "\"self_ns\": -1");
+  EXPECT_FALSE(obs::ParseProfileDoc(negative).ok());
+
+  // A count past 2^64 saturates instead of overflowing the conversion.
+  std::string huge = json;
+  at = huge.find("\"dur_ns\": 10000,");
+  ASSERT_NE(at, std::string::npos);
+  huge.replace(at, 15, "\"dur_ns\": 1e300");
+  auto saturated = obs::ParseProfileDoc(huge);
+  ASSERT_TRUE(saturated.ok()) << saturated.error().ToString();
+  EXPECT_EQ(saturated->names[0].dur_ns, UINT64_MAX);
+}
+
 TEST(ProfileTest, LiveSpansKeepCpuWithinWallAndSelfTelescopes) {
   obs::SpanCollector::Global().Clear();
   {

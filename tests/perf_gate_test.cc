@@ -1,10 +1,9 @@
 // Edge-case coverage for the perf gate comparison itself (ComparePerf was
 // previously exercised only end-to-end through bench/perf_gate.sh):
-// one-sided stages, zero-duration stages, exact noise-floor and threshold
-// boundaries, and the adaptive per-stage delta floors fed from run history.
+// one-sided stages, zero-duration stages, and exact noise-floor and
+// threshold boundaries.
 #include <gtest/gtest.h>
 
-#include "src/obs/json_lint.h"
 #include "src/obs/perf_gate.h"
 
 namespace depsurf {
@@ -80,42 +79,6 @@ TEST(PerfGateEdgeTest, ExactRegressThresholdBoundary) {
   EXPECT_EQ(at.improved, 0u);
   obs::PerfComparison past = obs::ComparePerf({Stage("s", 1.16)}, base, options);
   EXPECT_EQ(past.improved, 1u);
-}
-
-TEST(PerfGateEdgeTest, AdaptiveDeltaFloorCoversNoisyStage) {
-  obs::PerfGateOptions options;
-  options.stage_delta_floors_seconds["noisy"] = 0.5;
-  // +40% would trip the 15% gate, but the delta (0.4 s) is inside the
-  // stage's learned noise floor, so it is flat — and the applied floor is
-  // recorded on the row.
-  obs::PerfComparison flat =
-      obs::ComparePerf({Stage("noisy", 1.0)}, {Stage("noisy", 1.4)}, options);
-  ASSERT_EQ(flat.stages.size(), 1u);
-  EXPECT_EQ(flat.stages[0].cls, obs::StageClass::kFlat);
-  EXPECT_DOUBLE_EQ(flat.stages[0].floor_seconds, 0.5);
-  // The floor is a delta bound, not a blanket pass: a move beyond it still
-  // regresses (and symmetric deltas inside it stay flat either way).
-  obs::PerfComparison beyond =
-      obs::ComparePerf({Stage("noisy", 1.0)}, {Stage("noisy", 1.6)}, options);
-  EXPECT_TRUE(beyond.gate_failed());
-  obs::PerfComparison down =
-      obs::ComparePerf({Stage("noisy", 1.4)}, {Stage("noisy", 1.0)}, options);
-  EXPECT_EQ(down.improved, 0u);
-  // Stages without a learned floor keep the plain ratio rules.
-  obs::PerfComparison other =
-      obs::ComparePerf({Stage("other", 1.0)}, {Stage("other", 1.4)}, options);
-  EXPECT_TRUE(other.gate_failed());
-  EXPECT_DOUBLE_EQ(other.stages[0].floor_seconds, 0.0);
-}
-
-TEST(PerfGateEdgeTest, JsonCarriesFloorAndStillLints) {
-  obs::PerfGateOptions options;
-  options.stage_delta_floors_seconds["s"] = 0.25;
-  obs::PerfComparison cmp =
-      obs::ComparePerf({Stage("s", 1.0)}, {Stage("s", 1.2)}, options);
-  std::string json = obs::PerfComparisonJson(cmp, options);
-  EXPECT_NE(json.find("\"floor_seconds\": 0.250000"), std::string::npos) << json;
-  EXPECT_TRUE(obs::ValidatePerfCompare(json).ok()) << json;
 }
 
 }  // namespace
