@@ -7,7 +7,14 @@
 #     bench_fig{4,5,6});
 #   - the `study build --out` dataset at --jobs=1, which must also be
 #     byte-identical to the same build at --jobs=4;
-#   - `dataset info` of that dataset.
+#   - `dataset info` of that dataset;
+#   - `serve --oneshot` responses and the `--report-out` serve_report for
+#     one batch against that dataset at --jobs=1. The responses must also
+#     be byte-identical at --jobs=4 (the reports differ in "jobs"). The
+#     batch is every program `progs` lists as an object line, the same
+#     lines again (in-batch hits), then tests/golden/serve_requests.ndjson,
+#     hand-written lines covering every key, repeated members, escapes, id
+#     kinds, expectation shapes and each error message.
 # `study build`'s own stdout is not hashed: it prints per-image times.
 #
 #   contract.sh DEPSURF BENCH_DIR [--out DIR] [--regen]
@@ -37,7 +44,8 @@ while [ $# -gt 0 ]; do
     *) echo "$usage" >&2; exit 1 ;;
   esac
 done
-MANIFEST=$(cd "$(dirname "$0")" && pwd)/golden/contract.sha256
+GOLDEN=$(cd "$(dirname "$0")" && pwd)/golden
+MANIFEST=$GOLDEN/contract.sha256
 
 SCALE=0.02
 SEEDS="2025 601"
@@ -82,6 +90,29 @@ for seed in $SEEDS; do
   (cd "$dir" && "$DEPSURF" dataset info dataset_jobs1.dds) > "$dir/dataset_info.txt" \
     || fail "dataset info ($dir) exited $?"
   HASHED="$HASHED $dir/dataset_jobs1.dds $dir/dataset_info.txt"
+
+  # Serve from inside the seed dir, so every path in a request or a
+  # response is relative.
+  cd "$dir"
+  mkdir -p obj
+  "$DEPSURF" progs > progs.txt || fail "progs exited $?"
+  : > serve_objects.ndjson
+  while read -r prog; do
+    "$DEPSURF" emit "$prog" --out="obj/$prog.o" > /dev/null || fail "emit $prog exited $?"
+    printf '{"id": "%s", "object": "obj/%s.o"}\n' "$prog" "$prog" >> serve_objects.ndjson
+  done < progs.txt
+  cat serve_objects.ndjson serve_objects.ndjson "$GOLDEN/serve_requests.ndjson" \
+    > serve_batch.ndjson
+  for jobs in 1 4; do
+    "$DEPSURF" serve --against=dataset_jobs1.dds --oneshot --jobs=$jobs \
+        --report-out="serve_report_jobs$jobs.json" < serve_batch.ndjson \
+        > "serve_jobs$jobs.ndjson" 2> "serve_jobs$jobs.log" \
+      || fail "serve --seed=$seed --jobs=$jobs exited $?"
+  done
+  cmp -s serve_jobs1.ndjson serve_jobs4.ndjson \
+    || fail "$dir: serve responses differ between --jobs=1 and --jobs=4"
+  cd "$WORKDIR"
+  HASHED="$HASHED $dir/serve_jobs1.ndjson $dir/serve_report_jobs1.json"
 done
 
 # shellcheck disable=SC2086
