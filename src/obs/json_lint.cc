@@ -16,6 +16,10 @@ namespace {
 
 class Parser {
  public:
+  // Containers nest at most this deep (a study build's run reports nest 8),
+  // so no document can exhaust the stack of this recursive parser.
+  static constexpr size_t kMaxDepth = 256;
+
   explicit Parser(std::string_view text) : text_(text) {}
 
   Result<JsonValue> Parse() {
@@ -179,7 +183,18 @@ class Parser {
     return out;
   }
 
+  // Counts one open container for as long as it lives.
+  struct DepthScope {
+    explicit DepthScope(size_t& open) : depth(open) { ++depth; }
+    ~DepthScope() { --depth; }
+    size_t& depth;
+  };
+
   Result<JsonValue> ParseArray() {
+    if (depth_ == kMaxDepth) {
+      return Fail("nesting deeper than 256");
+    }
+    DepthScope scope(depth_);
     ++pos_;  // '['
     JsonValue out;
     out.kind = JsonValue::Kind::kArray;
@@ -201,6 +216,10 @@ class Parser {
   }
 
   Result<JsonValue> ParseObject() {
+    if (depth_ == kMaxDepth) {
+      return Fail("nesting deeper than 256");
+    }
+    DepthScope scope(depth_);
     ++pos_;  // '{'
     JsonValue out;
     out.kind = JsonValue::Kind::kObject;
@@ -231,6 +250,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  size_t depth_ = 0;
 };
 
 size_t CountSpanNodesFrom(const JsonValue& span) {

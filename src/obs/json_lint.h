@@ -2,6 +2,8 @@
 // dependencies: full object/array/string/number/bool/null grammar, parsed
 // into a small DOM that preserves object key order. Powers the golden-schema
 // test, `depsurf metrics lint`, and the obs-smoke determinism check.
+// Arrays and objects nest at most 256 deep; a deeper document is rejected
+// as malformed, naming the offset of the container that went too deep.
 #ifndef DEPSURF_SRC_OBS_JSON_LINT_H_
 #define DEPSURF_SRC_OBS_JSON_LINT_H_
 

@@ -1,20 +1,25 @@
 #include "src/serve/serve.h"
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <cmath>
+#include <cerrno>
+#include <cstring>
 #include <deque>
-#include <fstream>
-#include <future>
 #include <thread>
 #include <utility>
 
 #include "src/bpf/bpf_object.h"
 #include "src/core/report.h"
 #include "src/obs/context.h"
-#include "src/obs/json_lint.h"
 #include "src/obs/metrics.h"
 #include "src/obs/run_report.h"
 #include "src/obs/span.h"
+#include "src/serve/request_reader.h"
 #include "src/util/prng.h"
 #include "src/util/str_util.h"
 
@@ -32,42 +37,121 @@ size_t EffectiveWindow(int jobs) {
   return std::min(window, size_t{8});
 }
 
-// Renders a request's "id" member back to JSON. Ids are echoed, not
-// interpreted; anything but a string/number/bool round-trips as null.
-std::string RenderId(const obs::JsonValue* id) {
-  if (id == nullptr) {
-    return "null";
+// Reads a whole file. Any open, stat or read error, a directory's EISDIR
+// included, returns false.
+bool ReadObjectFile(const std::string& path, std::vector<uint8_t>* bytes) {
+  const int fd = open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return false;
   }
-  switch (id->kind) {
-    case obs::JsonValue::Kind::kString:
-      return "\"" + obs::JsonEscape(id->string) + "\"";
-    case obs::JsonValue::Kind::kNumber: {
-      long long integral = static_cast<long long>(id->number);
-      if (static_cast<double>(integral) == id->number) {
-        return StrFormat("%lld", integral);
-      }
-      return StrFormat("%g", id->number);
+  struct stat st {};
+  bool ok = fstat(fd, &st) == 0;
+  // One byte past the stat size, so a regular file reads in one call plus
+  // the one that sees end of file.
+  bytes->resize(ok && st.st_size > 0 ? static_cast<size_t>(st.st_size) + 1 : 4096);
+  size_t got = 0;
+  while (ok) {
+    if (got == bytes->size()) {
+      bytes->resize(bytes->size() * 2);
     }
-    case obs::JsonValue::Kind::kBool:
-      return id->boolean ? "true" : "false";
-    default:
-      return "null";
+    const ssize_t n = read(fd, bytes->data() + got, bytes->size() - got);
+    if (n > 0) {
+      got += static_cast<size_t>(n);
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      ok = false;
+    }
   }
+  close(fd);
+  bytes->resize(got);
+  return ok;
 }
 
-Result<std::vector<std::string>> StringArray(const obs::JsonValue& value, const char* what) {
-  if (value.kind != obs::JsonValue::Kind::kArray) {
-    return Error(ErrorCode::kInvalidArgument, std::string(what) + " must be an array");
+// Canonical form for the content hash: every container is sorted
+// (std::set/std::map), so equal dependency sets hash equal regardless of
+// the JSON spelling that produced them.
+uint64_t DependencySetKey(const DependencySet& deps) {
+  std::string canonical = "p\x01" + deps.program;
+  for (const std::string& name : deps.funcs) {
+    canonical += "\x02f";
+    canonical += name;
   }
-  std::vector<std::string> out;
-  out.reserve(value.array.size());
-  for (const obs::JsonValue& element : value.array) {
-    if (element.kind != obs::JsonValue::Kind::kString) {
-      return Error(ErrorCode::kInvalidArgument,
-                   std::string(what) + " must contain only strings");
+  for (const std::string& name : deps.lsm_hooks) {
+    canonical += "\x02l";
+    canonical += name;
+  }
+  for (const std::string& name : deps.tracepoints) {
+    canonical += "\x02t";
+    canonical += name;
+  }
+  for (const std::string& name : deps.syscalls) {
+    canonical += "\x02s";
+    canonical += name;
+  }
+  for (const auto& [struct_name, field_map] : deps.fields) {
+    canonical += "\x02S";
+    canonical += struct_name;
+    for (const auto& [field_name, dep] : field_map) {
+      canonical += "\x03";
+      canonical += field_name;
+      canonical += "\x01";
+      canonical += dep.expected_type;
+      canonical += dep.guarded ? "\x01g" : "\x01u";
     }
-    out.push_back(element.string);
   }
+  return HashCombine({HashString("serve.deps"), HashString(canonical)});
+}
+
+struct ParsedRequest {
+  std::string id_json = "null";
+  std::string error;  // non-empty: malformed request (bypasses the cache)
+  uint64_t key = 0;
+  DependencySet deps;
+};
+
+// Reads one request line into its dependency set and cache key. An object
+// line stops after hashing its bytes when `known(key)`, i.e. the key is
+// cached or already dispatched in this batch: a key gets there only after
+// its bytes parsed and extracted cleanly, so the answer cannot change.
+template <typename Known>
+ParsedRequest ParseRequest(const std::string& line, const Known& known) {
+  RequestLine request = ReadRequestLine(line);
+  ParsedRequest out;
+  out.id_json = std::move(request.id_json);
+  if (!request.error.empty()) {
+    out.error = std::move(request.error);
+    return out;
+  }
+  if (!request.has_object) {
+    out.deps = std::move(request.deps);
+    out.key = DependencySetKey(out.deps);
+    return out;
+  }
+  std::vector<uint8_t> bytes;
+  if (!ReadObjectFile(request.object_path, &bytes)) {
+    out.error = "cannot read object file: " + request.object_path;
+    return out;
+  }
+  // Admission key: the object's content hash, not its path — re-uploads
+  // of the same bytes hit regardless of filename.
+  out.key = HashCombine(
+      {HashString("serve.object"),
+       HashString(std::string_view(reinterpret_cast<const char*>(bytes.data()), bytes.size()))});
+  if (known(out.key)) {
+    return out;
+  }
+  Result<BpfObject> obj = ParseBpfObject(std::move(bytes));
+  if (!obj.ok()) {
+    out.error = "bad eBPF object: " + obj.error().message();
+    return out;
+  }
+  Result<DependencySet> deps = ExtractDependencySet(obj.value());
+  if (!deps.ok()) {
+    out.error = "cannot extract dependency set: " + deps.error().message();
+    return out;
+  }
+  out.deps = deps.TakeValue();
   return out;
 }
 
@@ -87,152 +171,8 @@ Result<ServeEngine> ServeEngine::Open(const std::vector<std::string>& dataset_pa
     }
     engine.datasets_.push_back(DatasetEntry{path, opened.TakeValue()});
   }
+  engine.pool_ = std::make_unique<WorkerPool>(EffectiveWindow(options.jobs));
   return engine;
-}
-
-ServeEngine::ParsedRequest ServeEngine::ParseRequest(const std::string& line) const {
-  ParsedRequest out;
-  Result<obs::JsonValue> parsed = obs::ParseJson(line);
-  if (!parsed.ok()) {
-    out.error = "bad request JSON: " + parsed.error().message();
-    return out;
-  }
-  const obs::JsonValue& doc = parsed.value();
-  if (doc.kind != obs::JsonValue::Kind::kObject) {
-    out.error = "request must be a JSON object";
-    return out;
-  }
-  out.id_json = RenderId(doc.Find("id"));
-
-  const obs::JsonValue* object = doc.Find("object");
-  if (object != nullptr) {
-    if (object->kind != obs::JsonValue::Kind::kString) {
-      out.error = "object must be a file path string";
-      return out;
-    }
-    std::ifstream in(object->string, std::ios::binary);
-    if (!in) {
-      out.error = "cannot read object file: " + object->string;
-      return out;
-    }
-    std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                               std::istreambuf_iterator<char>());
-    // Admission key: the object's content hash, not its path — re-uploads
-    // of the same bytes hit regardless of filename.
-    out.key = HashCombine(
-        {HashString("serve.object"),
-         HashString(std::string_view(reinterpret_cast<const char*>(bytes.data()),
-                                     bytes.size()))});
-    Result<BpfObject> obj = ParseBpfObject(std::move(bytes));
-    if (!obj.ok()) {
-      out.error = "bad eBPF object: " + obj.error().message();
-      return out;
-    }
-    Result<DependencySet> deps = ExtractDependencySet(obj.value());
-    if (!deps.ok()) {
-      out.error = "cannot extract dependency set: " + deps.error().message();
-      return out;
-    }
-    out.deps = deps.TakeValue();
-    return out;
-  }
-
-  const obs::JsonValue* program = doc.Find("program");
-  if (program != nullptr && program->kind != obs::JsonValue::Kind::kString) {
-    out.error = "program must be a string";
-    return out;
-  }
-  out.deps.program = program != nullptr ? program->string : "query";
-  struct ListTarget {
-    const char* name;
-    std::set<std::string>* target;
-  };
-  ListTarget lists[] = {
-      {"funcs", &out.deps.funcs},
-      {"tracepoints", &out.deps.tracepoints},
-      {"syscalls", &out.deps.syscalls},
-      {"lsm_hooks", &out.deps.lsm_hooks},
-  };
-  for (const ListTarget& list : lists) {
-    const obs::JsonValue* value = doc.Find(list.name);
-    if (value == nullptr) {
-      continue;
-    }
-    Result<std::vector<std::string>> names = StringArray(*value, list.name);
-    if (!names.ok()) {
-      out.error = names.error().message();
-      return out;
-    }
-    list.target->insert(names.value().begin(), names.value().end());
-  }
-  const obs::JsonValue* fields = doc.Find("fields");
-  if (fields != nullptr) {
-    if (fields->kind != obs::JsonValue::Kind::kObject) {
-      out.error = "fields must be an object of {struct: {field: expectation}}";
-      return out;
-    }
-    for (const auto& [struct_name, field_map] : fields->object) {
-      if (field_map.kind != obs::JsonValue::Kind::kObject) {
-        out.error = "fields." + struct_name + " must be an object";
-        return out;
-      }
-      auto& target = out.deps.fields[struct_name];  // empty map = struct-only dep
-      for (const auto& [field_name, expectation] : field_map.object) {
-        FieldDep dep;
-        if (expectation.kind == obs::JsonValue::Kind::kString) {
-          dep.expected_type = expectation.string;
-        } else if (expectation.kind == obs::JsonValue::Kind::kObject) {
-          const obs::JsonValue* type = expectation.Find("type");
-          if (type != nullptr && type->kind == obs::JsonValue::Kind::kString) {
-            dep.expected_type = type->string;
-          }
-          const obs::JsonValue* guarded = expectation.Find("guarded");
-          if (guarded != nullptr && guarded->kind == obs::JsonValue::Kind::kBool) {
-            dep.guarded = guarded->boolean;
-          }
-        } else if (expectation.kind != obs::JsonValue::Kind::kNull) {
-          out.error = "fields." + struct_name + "." + field_name +
-                      " must be a type string, an object, or null";
-          return out;
-        }
-        target[field_name] = std::move(dep);
-      }
-    }
-  }
-
-  // Canonical form for the content hash: every container is sorted
-  // (std::set/std::map), so equal dependency sets hash equal regardless of
-  // the JSON spelling that produced them.
-  std::string canonical = "p\x01" + out.deps.program;
-  for (const std::string& name : out.deps.funcs) {
-    canonical += "\x02f";
-    canonical += name;
-  }
-  for (const std::string& name : out.deps.lsm_hooks) {
-    canonical += "\x02l";
-    canonical += name;
-  }
-  for (const std::string& name : out.deps.tracepoints) {
-    canonical += "\x02t";
-    canonical += name;
-  }
-  for (const std::string& name : out.deps.syscalls) {
-    canonical += "\x02s";
-    canonical += name;
-  }
-  for (const auto& [struct_name, field_map] : out.deps.fields) {
-    canonical += "\x02S";
-    canonical += struct_name;
-    for (const auto& [field_name, dep] : field_map) {
-      canonical += "\x03";
-      canonical += field_name;
-      canonical += "\x01";
-      canonical += dep.expected_type;
-      canonical += dep.guarded ? "\x01g" : "\x01u";
-    }
-  }
-  out.key = HashCombine({HashString("serve.deps"), HashString(canonical)});
-  return out;
 }
 
 ServeEngine::RequestOutcome ServeEngine::Answer(const DependencySet& deps) const {
@@ -350,8 +290,11 @@ std::vector<std::string> ServeEngine::HandleBatch(const std::vector<std::string>
                                (pending.hit ? "hit" : "miss") + "\", " + body + "}";
   };
 
+  auto known = [&](uint64_t key) {
+    return cache_.count(key) != 0 || batch_futures.count(key) != 0;
+  };
   for (size_t i = 0; i < lines.size(); ++i) {
-    ParsedRequest parsed = ParseRequest(lines[i]);
+    ParsedRequest parsed = ParseRequest(lines[i], known);
     Pending pending;
     pending.index = i;
     pending.id_json = std::move(parsed.id_json);
@@ -371,12 +314,11 @@ std::vector<std::string> ServeEngine::HandleBatch(const std::vector<std::string>
         consume();
       }
       pending.owner = true;
-      OutcomeFuture future =
-          std::async(std::launch::async,
-                     [this, deps = std::move(parsed.deps)]() {
-                       return std::make_shared<RequestOutcome>(Answer(deps));
-                     })
-              .share();
+      OutcomeFuture future = pool_
+                                 ->Submit([this, deps = std::move(parsed.deps)]() {
+                                   return std::make_shared<RequestOutcome>(Answer(deps));
+                                 })
+                                 .share();
       pending.future = future;
       batch_futures.emplace(parsed.key, std::move(future));
     }
@@ -421,6 +363,73 @@ std::string ServeEngine::ReportJson() const {
       cache_.size(), options_.cache_capacity);
   out += "}\n";
   return out;
+}
+
+Status ServeUnixSocket(ServeEngine& engine, const std::string& path, uint64_t max_connections,
+                       const std::function<void()>& listening) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (path.size() >= sizeof(addr.sun_path)) {
+    return Status(ErrorCode::kInvalidArgument, "--socket: path longer than sockaddr_un allows");
+  }
+  memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int listener = socket(AF_UNIX, SOCK_STREAM, 0);
+  if (listener < 0) {
+    return Status(ErrorCode::kIoError, StrFormat("socket: %s", strerror(errno)));
+  }
+  unlink(path.c_str());
+  if (bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+      listen(listener, 8) != 0) {
+    const int saved = errno;
+    close(listener);
+    return Status(ErrorCode::kIoError,
+                  StrFormat("cannot listen on %s: %s", path.c_str(), strerror(saved)));
+  }
+  if (listening) {
+    listening();
+  }
+  for (uint64_t served = 0; max_connections == 0 || served < max_connections; ++served) {
+    const int conn = accept(listener, nullptr, nullptr);
+    if (conn < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      const int saved = errno;
+      close(listener);
+      return Status(ErrorCode::kIoError, StrFormat("accept: %s", strerror(saved)));
+    }
+    std::string incoming;
+    char buffer[4096];
+    ssize_t n;
+    while ((n = read(conn, buffer, sizeof(buffer))) > 0) {
+      incoming.append(buffer, static_cast<size_t>(n));
+    }
+    std::vector<std::string> lines;
+    for (const std::string& request : SplitString(incoming, '\n')) {
+      if (!request.empty()) {
+        lines.push_back(request);
+      }
+    }
+    std::string out;
+    for (const std::string& response : engine.HandleBatch(lines)) {
+      out += response;
+      out += '\n';
+    }
+    // MSG_NOSIGNAL: a client that hung up gets EPIPE here, not a SIGPIPE
+    // that would kill the server.
+    size_t sent = 0;
+    while (sent < out.size()) {
+      const ssize_t wrote = send(conn, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
+      if (wrote <= 0) {
+        break;  // client hung up; drop the rest of this batch
+      }
+      sent += static_cast<size_t>(wrote);
+    }
+    close(conn);
+  }
+  close(listener);
+  unlink(path.c_str());
+  return Status::Ok();
 }
 
 }  // namespace depsurf

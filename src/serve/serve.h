@@ -2,10 +2,13 @@
 //
 // `depsurf serve` is the shape the ROADMAP north star asks for: datasets are
 // opened once through a zero-copy mmap and batched dependency-set queries
-// stream through a bounded-window executor — the same dispatch/consume-in-
-// order pattern the parallel report builds use — so responses are
-// byte-identical at any --jobs value. A content-hash
-// admission/result cache answers repeated queries without re-analysis.
+// stream through a bounded window over one persistent worker pool, made
+// when the engine opens. Dispatch and dedup run in request order and
+// answers are consumed in request order, the same pattern the parallel
+// report builds use, so responses are byte-identical at any --jobs value.
+// A content-hash admission/result cache answers repeated queries without
+// re-analysis; an object line whose bytes hash to a known key is answered
+// without parsing the object again.
 //
 // Wire format: newline-delimited JSON. One request per line:
 //   {"id": 1, "program": "biotop", "funcs": ["vfs_read"],
@@ -18,25 +21,31 @@
 // One response per line, in request order:
 //   {"id": 1, "cache": "miss", "ok": true, "results": [...]}
 //   {"id": 2, "ok": false, "error": "..."}
+// Lines are read in one pass by ReadRequestLine (request_reader.h), which
+// also defines the key rules and the order errors are reported in.
 #ifndef DEPSURF_SRC_SERVE_SERVE_H_
 #define DEPSURF_SRC_SERVE_SERVE_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/core/dataset_io.h"
 #include "src/core/dependency_set.h"
+#include "src/util/worker_pool.h"
 
 namespace depsurf {
 
 inline constexpr char kServeReportSchema[] = "depsurf.serve_report.v1";
 
 struct ServeOptions {
-  // Width of the concurrent request window. 0 auto-sizes like study builds:
-  // min(hardware_concurrency, 8). Responses and cache counters are
-  // byte-identical for any value.
+  // Width of the concurrent request window, and the number of threads in
+  // the engine's worker pool, which persist from Open until the engine is
+  // destroyed. 0 auto-sizes like study builds: min(hardware_concurrency, 8).
+  // Responses and cache counters are byte-identical for any value.
   int jobs = 0;
   // Result-cache admission bound: once this many distinct results are
   // cached, later misses are computed but not admitted.
@@ -55,9 +64,10 @@ class ServeEngine {
   ServeEngine& operator=(const ServeEngine&) = delete;
 
   // Answers one batch of request lines. The returned vector is parallel to
-  // `lines`. Workers run under per-request obs::Contexts; summary counters
-  // and a "serve.batch" span land in the caller's context. Not re-entrant:
-  // call from one thread at a time (workers are managed internally).
+  // `lines`. Misses run on the pool under per-request obs::Contexts;
+  // request reading, object parsing, summary counters and one "serve.batch"
+  // root span stay on the calling thread, in its context. Not re-entrant:
+  // call from one thread at a time.
   std::vector<std::string> HandleBatch(const std::vector<std::string>& lines);
 
   // Deterministic depsurf.serve_report.v1 summary of everything served so
@@ -82,19 +92,15 @@ class ServeEngine {
     uint64_t rows = 0;
     uint64_t mismatch_rows = 0;
   };
-  struct ParsedRequest {
-    std::string id_json = "null";
-    std::string error;  // non-empty: malformed request (bypasses the cache)
-    uint64_t key = 0;
-    DependencySet deps;
-  };
 
   ServeEngine() = default;
-  ParsedRequest ParseRequest(const std::string& line) const;
   RequestOutcome Answer(const DependencySet& deps) const;
 
   ServeOptions options_;
   std::vector<DatasetEntry> datasets_;
+  // Declared after datasets_ so the threads join before the views their
+  // tasks read are unmapped; a pointer so the engine stays movable.
+  std::unique_ptr<WorkerPool> pool_;
   std::unordered_map<uint64_t, std::string> cache_;
   uint64_t requests_ = 0;
   uint64_t ok_ = 0;
@@ -102,6 +108,16 @@ class ServeEngine {
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };
+
+// Serves `engine` on a unix stream socket at `path`. Each connection is one
+// batch: the client writes request lines and shuts down its write side; the
+// server answers every line, then closes. A client that hangs up before
+// reading its answers loses them, and the loop goes on to the next one.
+// `listening` runs once the socket is bound. Returns after
+// `max_connections` connections (0: never), or on a socket, bind, listen
+// or accept error, with the message the CLI prints.
+Status ServeUnixSocket(ServeEngine& engine, const std::string& path, uint64_t max_connections,
+                       const std::function<void()>& listening);
 
 }  // namespace depsurf
 

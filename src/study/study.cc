@@ -21,6 +21,7 @@
 #include "src/obs/run_report.h"
 #include "src/obs/span.h"
 #include "src/util/str_util.h"
+#include "src/util/worker_pool.h"
 
 namespace depsurf {
 
@@ -214,6 +215,7 @@ Result<Dataset> Study::BuildDataset(
   const size_t window = EffectiveWindow(policy);
   ExecutorTelemetry telemetry(window);
   Dataset dataset;
+  WorkerPool pool(window);
   std::deque<std::future<WorkerResult>> in_flight;
   size_t next_launch = 0;
   size_t next_consume = 0;
@@ -221,7 +223,7 @@ Result<Dataset> Study::BuildDataset(
     while (next_launch < corpus.size() && in_flight.size() < window) {
       const BuildSpec& build = corpus[next_launch++];
       const auto enqueue = std::chrono::steady_clock::now();
-      in_flight.push_back(std::async(std::launch::async, [this, build, enqueue] {
+      in_flight.push_back(pool.Submit([this, build, enqueue] {
         const auto start = std::chrono::steady_clock::now();
         const std::chrono::duration<double> queued = start - enqueue;
         Result<DependencySurface> surface = ExtractSurface(build);
@@ -299,10 +301,10 @@ Result<Dataset> Study::BuildDatasetWithReports(
   const size_t window = EffectiveWindow(policy);
 
   // Per-image isolation comes from obs::Context, not from clearing the
-  // globals: each in-flight image owns a fresh context, and the worker
-  // pushes it on its own thread (the TLS stack does not cross std::async
-  // boundaries). Everything BuildImage + Extract collect — spans, metrics,
-  // the salvage ledger — lands in that context. The main thread consumes in
+  // globals: each in-flight image owns a fresh context, and the task pushes
+  // it on its pool thread (the TLS stack does not cross threads).
+  // Everything BuildImage + Extract collect — spans, metrics, the salvage
+  // ledger — lands in that context. The main thread consumes in
   // corpus order, distills under the same context, and serializes it as the
   // per-image report, so report contents match the old serial build while
   // generate+extract overlap across the window.
@@ -314,6 +316,7 @@ Result<Dataset> Study::BuildDatasetWithReports(
   ExecutorTelemetry telemetry(window);
   Dataset dataset;
   std::vector<obs::LabeledReport> reports;
+  WorkerPool pool(window);
   std::deque<InFlight> in_flight;
   size_t next_launch = 0;
   size_t next_consume = 0;
@@ -324,7 +327,7 @@ Result<Dataset> Study::BuildDatasetWithReports(
       InFlight entry;
       entry.context = context;
       const auto enqueue = std::chrono::steady_clock::now();
-      entry.future = std::async(std::launch::async, [this, build, context, enqueue] {
+      entry.future = pool.Submit([this, build, context, enqueue] {
         obs::ScopedContext scope(*context);
         const auto start = std::chrono::steady_clock::now();
         const std::chrono::duration<double> queued = start - enqueue;

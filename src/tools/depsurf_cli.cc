@@ -28,10 +28,6 @@
 // Images and objects are ordinary files; `gen`/`emit` exist because this
 // reproduction generates its corpus instead of downloading Ubuntu dbgsym
 // packages (see DESIGN.md).
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -1516,69 +1512,18 @@ int CmdServe(int argc, char** argv) {
       printf("%s\n", response.c_str());
     }
   } else {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (socket_path.size() >= sizeof(addr.sun_path)) {
-      return DiagError("--socket: path longer than sockaddr_un allows");
+    Status served = ServeUnixSocket(*engine, socket_path, *max_conns, [&] {
+      fprintf(stderr, "serving %zu dataset(s) on %s%s\n", engine->num_datasets(),
+              socket_path.c_str(),
+              *max_conns > 0
+                  ? StrFormat(" (%llu connection(s))",
+                              static_cast<unsigned long long>(*max_conns))
+                        .c_str()
+                  : "");
+    });
+    if (!served.ok()) {
+      return DiagError(served.error().message());
     }
-    memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-    int listener = socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listener < 0) {
-      return DiagError(StrFormat("socket: %s", strerror(errno)));
-    }
-    unlink(socket_path.c_str());
-    if (bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        listen(listener, 8) != 0) {
-      int saved = errno;
-      close(listener);
-      return DiagError(StrFormat("cannot listen on %s: %s", socket_path.c_str(),
-                                 strerror(saved)));
-    }
-    fprintf(stderr, "serving %zu dataset(s) on %s%s\n", engine->num_datasets(),
-            socket_path.c_str(),
-            *max_conns > 0
-                ? StrFormat(" (%llu connection(s))",
-                            static_cast<unsigned long long>(*max_conns))
-                      .c_str()
-                : "");
-    for (uint64_t served = 0; *max_conns == 0 || served < *max_conns; ++served) {
-      int conn = accept(listener, nullptr, nullptr);
-      if (conn < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        close(listener);
-        return DiagError(StrFormat("accept: %s", strerror(errno)));
-      }
-      std::string incoming;
-      char buffer[4096];
-      ssize_t n;
-      while ((n = read(conn, buffer, sizeof(buffer))) > 0) {
-        incoming.append(buffer, static_cast<size_t>(n));
-      }
-      std::vector<std::string> lines;
-      for (const std::string& request : SplitString(incoming, '\n')) {
-        if (!request.empty()) {
-          lines.push_back(request);
-        }
-      }
-      std::string out;
-      for (const std::string& response : engine->HandleBatch(lines)) {
-        out += response;
-        out += '\n';
-      }
-      size_t sent = 0;
-      while (sent < out.size()) {
-        ssize_t wrote = write(conn, out.data() + sent, out.size() - sent);
-        if (wrote <= 0) {
-          break;  // client hung up; drop the rest of this batch
-        }
-        sent += static_cast<size_t>(wrote);
-      }
-      close(conn);
-    }
-    close(listener);
-    unlink(socket_path.c_str());
   }
 
   std::string report_out = FlagValue(argc, argv, "report-out", "");

@@ -485,6 +485,33 @@ TEST(JsonLintTest, ParsesAndRejects) {
   EXPECT_FALSE(obs::ParseJson("[1, 2,]").ok());
 }
 
+TEST(JsonLintTest, NestingPast256IsMalformedNotACrash) {
+  // 100,000 levels once overflowed the parser's stack.
+  const std::string deep = std::string(100000, '[') + std::string(100000, ']');
+  auto rejected = obs::ParseJson(deep);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.error().code(), ErrorCode::kMalformedData);
+  EXPECT_EQ(rejected.error().message(), "JSON: nesting deeper than 256 at offset 256");
+  // Objects count too, and the limit is exact: 256 levels parse.
+  std::string objects;
+  for (int i = 0; i < 257; ++i) {
+    objects += "{\"k\": ";
+  }
+  objects += "1" + std::string(257, '}');
+  EXPECT_EQ(obs::ParseJson(objects).error().message(),
+            "JSON: nesting deeper than 256 at offset 1536");
+  EXPECT_TRUE(obs::ParseJson(std::string(256, '[') + std::string(256, ']')).ok());
+  const std::string shallow = std::string(200, '[') + "\"x\"" + std::string(200, ']');
+  auto accepted = obs::ParseJson(shallow);
+  ASSERT_TRUE(accepted.ok()) << accepted.error().ToString();
+  const obs::JsonValue* level = &accepted.value();
+  for (int i = 0; i < 199; ++i) {
+    ASSERT_EQ(level->array.size(), 1u);
+    level = &level->array[0];
+  }
+  EXPECT_EQ(level->array[0].string, "x");
+}
+
 TEST(ContextTest, CurrentFallsBackToRootWrappingTheGlobals) {
   EXPECT_TRUE(obs::Context::Root().is_root());
   EXPECT_EQ(&obs::Context::Current(), &obs::Context::Root());

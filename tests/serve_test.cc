@@ -1,14 +1,22 @@
 // Dataset-as-a-service tests: batched NDJSON queries against mmap'd
 // datasets, response determinism across --jobs values, cache accounting,
-// and the depsurf.serve_report.v1 contract.
+// the depsurf.serve_report.v1 contract, the request reader's grammar and
+// key rules, hostile lines, and the unix-socket loop.
 #include "src/serve/serve.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <future>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/bpf/bpf_object.h"
@@ -20,6 +28,8 @@
 #include "src/kernelgen/corpus.h"
 #include "src/kernelgen/image_builder.h"
 #include "src/obs/json_lint.h"
+#include "src/obs/run_report.h"
+#include "src/util/prng.h"
 
 namespace depsurf {
 namespace {
@@ -191,6 +201,274 @@ TEST(ServeTest, OpenFailsLoudly) {
   ASSERT_FALSE(v1.ok());
   EXPECT_NE(v1.error().message().find("v1 dataset"), std::string::npos) << v1.error().ToString();
   std::remove(v1_path.c_str());
+}
+
+std::string ReplaceAll(std::string text, const std::string& from, const std::string& to) {
+  for (size_t pos = text.find(from); pos != std::string::npos;
+       pos = text.find(from, pos + to.size())) {
+    text.replace(pos, from.size(), to);
+  }
+  return text;
+}
+
+TEST(ServeTest, HostileRequestLinesGetAnswers) {
+  auto engine = ServeEngine::Open({Fixture().v2_path}, ServeOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.error().ToString();
+  // 100,000 levels once overflowed the stack of the recursive parser.
+  const std::string deep = std::string(100000, '[') + std::string(100000, ']');
+  const std::string unclosed = "{\"id\": 5, \"funcs\": " + std::string(100000, '[') + "}";
+  std::vector<std::string> responses = engine->HandleBatch({
+      "{\"id\": 1, \"funcs\": " + deep + "}",
+      "{\"id\": 1, \"funcs\": [[[]]]}",
+      "{\"id\": 2, \"deep\": " + deep + ", \"funcs\": [\"vfs_read\"]}",
+      "{\"id\": 2, \"funcs\": [\"vfs_read\"]}",
+      // A directory opens but cannot be read; it once escaped as an
+      // uncaught std::ios_base::failure.
+      "{\"id\": 3, \"object\": \"" + Fixture().dir + "\"}",
+      "{\"id\": 4, \"object\": \"" + Fixture().dir + "/missing.o\"}",
+      unclosed,
+  });
+  ASSERT_EQ(responses.size(), 7u);
+  EXPECT_EQ(responses[0], "{\"id\": 1, \"ok\": false, \"error\": \"funcs must contain only strings\"}");
+  EXPECT_EQ(responses[1], responses[0]);
+  EXPECT_NE(responses[2].find("{\"id\": 2, \"cache\": \"miss\", \"ok\": true"), std::string::npos)
+      << responses[2];
+  EXPECT_EQ(responses[3], ReplaceAll(responses[2], "\"cache\": \"miss\"", "\"cache\": \"hit\""));
+  EXPECT_EQ(responses[4], "{\"id\": 3, \"ok\": false, \"error\": \"cannot read object file: " +
+                              Fixture().dir + "\"}");
+  EXPECT_EQ(responses[5], "{\"id\": 4, \"ok\": false, \"error\": \"cannot read object file: " +
+                              Fixture().dir + "/missing.o\"}");
+  EXPECT_EQ(responses[6],
+            "{\"id\": null, \"ok\": false, \"error\": \"bad request JSON: JSON: expected a value at "
+            "offset " + std::to_string(unclosed.size() - 1) + "\"}");
+}
+
+// Seeded byte mutations of request lines: the reader must reject exactly
+// the lines the lint parser rejects, with the same message. Mutations add
+// at most a few brackets, so nesting stays far below the lint's limit.
+TEST(ServeTest, ReaderMatchesLintGrammar) {
+  auto engine = ServeEngine::Open({Fixture().v2_path}, ServeOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.error().ToString();
+  std::vector<std::string> seeds = RequestBatch();
+  seeds.push_back(
+      R"({"id": -1.5e3, "x": {"a": [true, false, null, "\u00e9\n\/é"]}, "funcs": ["a\"b"]})");
+  seeds.push_back(R"({"id": "s", "fields": {"request": {"rq_disk": {"type": "int",)"
+                  R"( "guarded": true}, "q": null}}, "lsm_hooks": [], "program": "p"})");
+  seeds.push_back(" \t{\"id\":+1,\"tracepoints\":[\"a\",\"b\"]}\r ");
+  const std::string alphabet = "{}[]\",:\\ \t\r\ntfnu0123456789.eE+-abx";
+  Prng rng(2025);
+  auto random_byte = [&]() -> char {
+    if (rng.NextBool(0.85)) {
+      return alphabet[rng.NextBelow(alphabet.size())];
+    }
+    return static_cast<char>(rng.NextBelow(256));
+  };
+  std::vector<std::string> lines;
+  while (lines.size() < 12000) {
+    std::string line = seeds[rng.NextBelow(seeds.size())];
+    for (uint64_t m = rng.NextInRange(1, 3); m > 0; --m) {
+      const size_t pos = rng.NextBelow(line.size() + 1);
+      switch (rng.NextBelow(5)) {
+        case 0:  // replace
+          if (pos < line.size()) {
+            line[pos] = random_byte();
+          }
+          break;
+        case 1:  // delete
+          line.erase(pos, rng.NextInRange(1, 3));
+          break;
+        case 2:  // insert
+          line.insert(line.begin() + static_cast<std::ptrdiff_t>(pos), random_byte());
+          break;
+        case 3:  // truncate
+          line.resize(pos);
+          break;
+        default: {  // splice another seed's tail
+          const std::string& other = seeds[rng.NextBelow(seeds.size())];
+          line = line.substr(0, pos) + other.substr(rng.NextBelow(other.size() + 1));
+          break;
+        }
+      }
+    }
+    lines.push_back(std::move(line));
+  }
+  std::vector<std::string> responses = engine->HandleBatch(lines);
+  ASSERT_EQ(responses.size(), lines.size());
+  size_t rejected = 0;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    Result<obs::JsonValue> lint = obs::ParseJson(lines[i]);
+    if (!lint.ok()) {
+      ++rejected;
+      EXPECT_EQ(responses[i], "{\"id\": null, \"ok\": false, \"error\": \"" +
+                                  obs::JsonEscape("bad request JSON: " + lint.error().message()) +
+                                  "\"}")
+          << "line: " << lines[i];
+    } else {
+      EXPECT_EQ(responses[i].find("bad request JSON"), std::string::npos)
+          << "line: " << lines[i] << "\nresponse: " << responses[i];
+    }
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(rejected, lines.size() / 4);
+  EXPECT_LT(rejected, lines.size() * 9 / 10);
+}
+
+// The request key rules, as a table of lines and the responses the
+// DOM-based reader that preceded the one-pass reader gave them. OBJECT
+// stands for the fixture's biotop.o and DATASET for its dataset path.
+TEST(ServeTest, RequestKeySemantics) {
+  const std::pair<const char*, const char*> table[] = {
+      // The first id, program and list member wins.
+      {R"({"id": 1, "id": 2, "program": "first", "program": "second", "funcs": ["vfs_read"], "funcs": ["vfs_write"]})",
+       R"json({"id": 1, "cache": "miss", "ok": true, "results": [{"dataset": "DATASET", "format": "v2", "images": 2, "any_mismatch": true, "worst_implication": "explicit error (before execution)", "rows": [{"kind": "function", "name": "vfs_read", "cells": ["-","-"]}]}]})json"},
+      {R"({"id": 2, "funcs": 5, "funcs": ["vfs_read"]})",
+       R"json({"id": 2, "ok": false, "error": "funcs must be an array"})json"},
+      // The first fields member wins.
+      {R"({"id": 3, "fields": {"request": {"rq_disk": "int"}}, "fields": {"task_struct": {"pid": "int"}}})",
+       R"json({"id": 3, "cache": "miss", "ok": true, "results": [{"dataset": "DATASET", "format": "v2", "images": 2, "any_mismatch": true, "worst_implication": "incorrect result (might be detectable)", "rows": [{"kind": "struct", "name": "request", "cells": [".","."]},{"kind": "field", "name": "request::rq_disk", "cells": ["C","-"]}]}]})json"},
+      // Repeated struct entries merge; a repeated field's last entry wins.
+      {R"({"id": 4, "fields": {"request": {"rq_disk": "int", "cmd_flags": null}, "request": {"rq_disk": {"guarded": true}}}})",
+       R"json({"id": 4, "cache": "miss", "ok": true, "results": [{"dataset": "DATASET", "format": "v2", "images": 2, "any_mismatch": true, "worst_implication": "incorrect result (might be detectable)", "rows": [{"kind": "struct", "name": "request", "cells": [".","."]},{"kind": "field", "name": "request::cmd_flags", "cells": [".","C"]},{"kind": "field", "name": "request::rq_disk", "cells": [".","."]}]}]})json"},
+      // In an expectation, the first type and the first guarded win ...
+      {R"({"id": 5, "fields": {"request": {"rq_disk": {"type": "struct gendisk *", "type": "int", "guarded": true, "guarded": false}}}})",
+       R"json({"id": 5, "cache": "miss", "ok": true, "results": [{"dataset": "DATASET", "format": "v2", "images": 2, "any_mismatch": false, "worst_implication": "none", "rows": [{"kind": "struct", "name": "request", "cells": [".","."]},{"kind": "field", "name": "request::rq_disk", "cells": [".","."]}]}]})json"},
+      // ... and a first value of the wrong kind is ignored.
+      {R"({"id": 6, "fields": {"request": {"rq_disk": {"type": 1, "type": "int", "guarded": "no", "guarded": true, "other": [{}]}}}})",
+       R"json({"id": 6, "cache": "miss", "ok": true, "results": [{"dataset": "DATASET", "format": "v2", "images": 2, "any_mismatch": true, "worst_implication": "explicit error (before execution)", "rows": [{"kind": "struct", "name": "request", "cells": [".","."]},{"kind": "field", "name": "request::rq_disk", "cells": [".","-"]}]}]})json"},
+      // An object line ignores the inline keys, malformed or not.
+      {R"({"id": 7, "funcs": 5, "object": "OBJECT", "object": 7, "fields": [], "program": null})",
+       R"json({"id": 7, "cache": "miss", "ok": true, "results": [{"dataset": "DATASET", "format": "v2", "images": 2, "any_mismatch": true, "worst_implication": "incorrect result (might be detectable)", "rows": [{"kind": "function", "name": "__blk_account_io_done", "cells": ["-","."]},{"kind": "function", "name": "__blk_account_io_start", "cells": ["-","F"]},{"kind": "function", "name": "blk_account_io_done", "cells": [".","CF"]},{"kind": "function", "name": "blk_account_io_start", "cells": [".","CF"]},{"kind": "function", "name": "blk_mq_start_request", "cells": [".","."]},{"kind": "struct", "name": "gendisk", "cells": [".","."]},{"kind": "field", "name": "gendisk::disk_name", "cells": [".","."]},{"kind": "struct", "name": "request", "cells": [".","."]},{"kind": "field", "name": "request::__data_len", "cells": [".","."]},{"kind": "field", "name": "request::__sector", "cells": [".","."]},{"kind": "field", "name": "request::cmd_flags", "cells": [".","C"]},{"kind": "field", "name": "request::rq_disk", "cells": [".","-"]},{"kind": "field", "name": "request::start_time_ns", "cells": [".","."]},{"kind": "struct", "name": "request_queue", "cells": [".","."]},{"kind": "field", "name": "request_queue::disk", "cells": ["-","."]},{"kind": "tracepoint", "name": "block_io_done", "cells": ["-","-"]},{"kind": "tracepoint", "name": "block_io_start", "cells": ["-","-"]}]}]})json"},
+      {R"({"id": 8, "object": 7, "object": "OBJECT"})",
+       R"json({"id": 8, "ok": false, "error": "object must be a file path string"})json"},
+      // Errors come in a fixed order, whatever the member order.
+      {R"({"id": 9, "fields": 1, "lsm_hooks": 2, "syscalls": 3, "tracepoints": 4, "funcs": 5, "program": 6})",
+       R"json({"id": 9, "ok": false, "error": "program must be a string"})json"},
+      {R"({"id": 10, "fields": {"a": 1}, "lsm_hooks": [2], "syscalls": ["x", 3]})",
+       R"json({"id": 10, "ok": false, "error": "syscalls must contain only strings"})json"},
+      // Inside fields, the first error in document order.
+      {R"({"id": 11, "fields": {"request": {"rq_disk": 5}, "request": "x"}})",
+       R"json({"id": 11, "ok": false, "error": "fields.request.rq_disk must be a type string, an object, or null"})json"},
+      {R"({"id": 12, "fields": {"request": "x", "task_struct": {"pid": 5}}})",
+       R"json({"id": 12, "ok": false, "error": "fields.request must be an object"})json"},
+      // A syntax error anywhere beats every key error.
+      {R"({"id": 13, "funcs": 5, "x": [1, 2,]})",
+       R"json({"id": null, "ok": false, "error": "bad request JSON: JSON: expected a value at offset 34"})json"},
+      // Escaped keys and names; code points at 0x80 or above read as '?'.
+      {R"({"\u0069d": 14, "f\u0075ncs": ["vfs_\u0072ead", "caf\u00e9"]})",
+       R"json({"id": 14, "cache": "miss", "ok": true, "results": [{"dataset": "DATASET", "format": "v2", "images": 2, "any_mismatch": true, "worst_implication": "explicit error (before execution)", "rows": [{"kind": "function", "name": "caf?", "cells": ["-","-"]},{"kind": "function", "name": "vfs_read", "cells": ["-","-"]}]}]})json"},
+      // Ids of each kind.
+      {R"({"id": "a\u0041\u00e9\"\n", "syscalls": ["openat"]})",
+       R"json({"id": "aA?\"\n", "cache": "miss", "ok": true, "results": [{"dataset": "DATASET", "format": "v2", "images": 2, "any_mismatch": false, "worst_implication": "none", "rows": [{"kind": "syscall", "name": "openat", "cells": [".","."]}]}]})json"},
+      {R"({"id": 1.5, "syscalls": ["openat"]})",
+       R"json({"id": 1.5, "cache": "hit", "ok": true, "results": [{"dataset": "DATASET", "format": "v2", "images": 2, "any_mismatch": false, "worst_implication": "none", "rows": [{"kind": "syscall", "name": "openat", "cells": [".","."]}]}]})json"},
+      {R"({"id": -0, "syscalls": ["openat"]})",
+       R"json({"id": 0, "cache": "hit", "ok": true, "results": [{"dataset": "DATASET", "format": "v2", "images": 2, "any_mismatch": false, "worst_implication": "none", "rows": [{"kind": "syscall", "name": "openat", "cells": [".","."]}]}]})json"},
+      {R"({"id": 1e2, "syscalls": ["openat"]})",
+       R"json({"id": 100, "cache": "hit", "ok": true, "results": [{"dataset": "DATASET", "format": "v2", "images": 2, "any_mismatch": false, "worst_implication": "none", "rows": [{"kind": "syscall", "name": "openat", "cells": [".","."]}]}]})json"},
+      {R"({"id": true, "syscalls": ["openat"]})",
+       R"json({"id": true, "cache": "hit", "ok": true, "results": [{"dataset": "DATASET", "format": "v2", "images": 2, "any_mismatch": false, "worst_implication": "none", "rows": [{"kind": "syscall", "name": "openat", "cells": [".","."]}]}]})json"},
+      {R"({"id": [1], "syscalls": ["openat"]})",
+       R"json({"id": null, "cache": "hit", "ok": true, "results": [{"dataset": "DATASET", "format": "v2", "images": 2, "any_mismatch": false, "worst_implication": "none", "rows": [{"kind": "syscall", "name": "openat", "cells": [".","."]}]}]})json"},
+      // An empty field map is a struct-only dependency.
+      {R"({"id": 15, "tracepoints": ["block_rq_issue"], "lsm_hooks": [], "fields": {"request": {}}})",
+       R"json({"id": 15, "cache": "miss", "ok": true, "results": [{"dataset": "DATASET", "format": "v2", "images": 2, "any_mismatch": true, "worst_implication": "incorrect result (might be detectable)", "rows": [{"kind": "struct", "name": "request", "cells": [".","."]},{"kind": "tracepoint", "name": "block_rq_issue", "cells": [".","C"]}]}]})json"},
+  };
+  auto engine = ServeEngine::Open({Fixture().v2_path}, ServeOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.error().ToString();
+  std::vector<std::string> lines;
+  for (const auto& [line, response] : table) {
+    lines.push_back(ReplaceAll(line, "OBJECT", Fixture().object_path));
+  }
+  std::vector<std::string> responses = engine->HandleBatch(lines);
+  ASSERT_EQ(responses.size(), lines.size());
+  for (size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(ReplaceAll(responses[i], Fixture().v2_path, "DATASET"), table[i].second)
+        << "line: " << table[i].first;
+  }
+}
+
+int ConnectUnix(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd >= 0 && connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool WriteAll(int fd, const std::string& data) {
+  for (size_t sent = 0; sent < data.size();) {
+    const ssize_t n = write(fd, data.data() + sent, data.size() - sent);
+    if (n <= 0) {
+      return false;
+    }
+    sent += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// A client that sends a batch and hangs up without reading its answers
+// once killed the server with SIGPIPE, and the next client found nobody
+// listening.
+TEST(ServeTest, SocketLoopSurvivesAClientThatHangsUp) {
+  auto engine = ServeEngine::Open({Fixture().v2_path}, ServeOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.error().ToString();
+  const std::string path = Fixture().dir + "/serve.sock";
+  std::promise<bool> listening;
+  Status served;
+  std::thread server([&] {
+    bool told = false;
+    served = ServeUnixSocket(*engine, path, 2, [&] {
+      told = true;
+      listening.set_value(true);
+    });
+    if (!told) {
+      listening.set_value(false);
+    }
+  });
+  if (!listening.get_future().get()) {
+    server.join();
+    FAIL() << served.ToString();
+  }
+
+  // 200 lines of 120 functions each: well over 1 MB of answers, more than
+  // the socket buffers hold, so the server blocks writing them.
+  std::string funcs;
+  for (int f = 0; f < 120; ++f) {
+    funcs += (f == 0 ? "\"func_" : ", \"func_") + std::to_string(f) + "\"";
+  }
+  std::string batch;
+  for (int i = 0; i < 200; ++i) {
+    batch += "{\"id\": " + std::to_string(i) + ", \"funcs\": [" + funcs + "]}\n";
+  }
+  const int first = ConnectUnix(path);
+  ASSERT_GE(first, 0) << strerror(errno);
+  ASSERT_TRUE(WriteAll(first, batch));
+  shutdown(first, SHUT_WR);
+  pollfd answered{first, POLLIN, 0};
+  EXPECT_EQ(poll(&answered, 1, 30000), 1);  // the server is writing
+  close(first);
+
+  const int second = ConnectUnix(path);
+  ASSERT_GE(second, 0) << strerror(errno);
+  ASSERT_TRUE(WriteAll(second, "{\"id\": \"second\", \"syscalls\": [\"openat\"]}\n"));
+  shutdown(second, SHUT_WR);
+  std::string reply;
+  char buffer[4096];
+  for (ssize_t n; (n = read(second, buffer, sizeof(buffer))) > 0;) {
+    reply.append(buffer, static_cast<size_t>(n));
+  }
+  close(second);
+  server.join();
+
+  EXPECT_TRUE(served.ok()) << served.ToString();
+  EXPECT_EQ(reply.rfind("{\"id\": \"second\", \"cache\": \"miss\", \"ok\": true", 0), 0u) << reply;
+  EXPECT_EQ(reply.back(), '\n');
+  EXPECT_EQ(engine->requests(), 201u);
+  EXPECT_NE(access(path.c_str(), F_OK), 0);  // the loop removed its socket
 }
 
 }  // namespace
