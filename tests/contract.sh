@@ -15,6 +15,12 @@
 #     lines again (in-batch hits), then tests/golden/serve_requests.ndjson,
 #     hand-written lines covering every key, repeated members, escapes, id
 #     kinds, expectation shapes and each error message.
+#   - for each of those programs, the exit code and stdout of `check
+#     --dataset`, `analyze --against --json`, `fix --against --json --out`
+#     and `analyze --json` of the fixed object, one file per command, and
+#     the fixed objects concatenated in `progs` order;
+#   - for a `gen --version=5.4` image: `doctor --json`, a 32-mutation
+#     `doctor --sweep` and a 32-round image-mode `fuzz --json` campaign.
 # `study build`'s own stdout is not hashed: it prints per-image times.
 #
 #   contract.sh DEPSURF BENCH_DIR [--out DIR] [--regen]
@@ -71,6 +77,16 @@ fail() {
   exit 1
 }
 
+# record FILE ARGS...: appends a "== ARGS: exit N" line and the stdout of
+# `depsurf ARGS` to FILE. The exit code is part of the answer (`check`,
+# `analyze` and `fix` exit 2 on mismatches or findings), so none fails here.
+record() {
+  local file=$1 code=0
+  shift
+  "$DEPSURF" "$@" > record.out 2>> record.log || code=$?
+  { echo "== $*: exit $code"; cat record.out; } >> "$file"
+}
+
 HASHED=""
 for seed in $SEEDS; do
   dir=seed$seed
@@ -111,8 +127,29 @@ for seed in $SEEDS; do
   done
   cmp -s serve_jobs1.ndjson serve_jobs4.ndjson \
     || fail "$dir: serve responses differ between --jobs=1 and --jobs=4"
+
+  mkdir -p fixed
+  : > check.txt; : > analyze.txt; : > fix.txt; : > fixed_objects.bin
+  while read -r prog; do
+    record check.txt check "obj/$prog.o" --dataset=dataset_jobs1.dds
+    record analyze.txt analyze "obj/$prog.o" --against=dataset_jobs1.dds --json
+    record fix.txt fix "obj/$prog.o" --against=dataset_jobs1.dds --json \
+      --out="fixed/$prog.o"
+    record fix.txt analyze "fixed/$prog.o" --against=dataset_jobs1.dds --json
+    cat "fixed/$prog.o" >> fixed_objects.bin
+  done < progs.txt
+
+  "$DEPSURF" gen --version=5.4 --scale=$SCALE --seed="$seed" --out=img54 > /dev/null \
+    || fail "gen --seed=$seed exited $?"
+  : > doctor.txt; : > fuzz.txt
+  record doctor.txt doctor img54 --json
+  record doctor.txt doctor img54 --sweep=32 --seed=11
+  record fuzz.txt fuzz img54 --rounds=32 --seed=2025 --json
   cd "$WORKDIR"
   HASHED="$HASHED $dir/serve_jobs1.ndjson $dir/serve_report_jobs1.json"
+  for out in check.txt analyze.txt fix.txt fixed_objects.bin doctor.txt fuzz.txt; do
+    HASHED="$HASHED $dir/$out"
+  done
 done
 
 # shellcheck disable=SC2086
