@@ -8,7 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -362,10 +361,27 @@ BENCHMARK(BM_DatasetQuery)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
+  // google-benchmark takes its --benchmark_* flags out of argv, except one
+  // whose value it cannot read (this version warns about "0.05s" and leaves
+  // it); the only other argument is --scale=S, strictly parsed.
+  benchmark::Initialize(&argc, argv);
   for (int i = 1; i < argc; ++i) {
-    if (strncmp(argv[i], "--scale=", 8) == 0) {
-      g_scale = atof(argv[i] + 8);
+    const std::string arg = argv[i];
+    if (StartsWith(arg, "--benchmark_")) {
+      continue;
     }
+    if (!StartsWith(arg, "--scale=")) {
+      fprintf(stderr,
+              "depsurf: error: unknown argument %s (accepted: --scale=S --benchmark_*)\n",
+              arg.c_str());
+      return 1;
+    }
+    auto scale = StudyOptions::ParseScale(arg.substr(8));
+    if (!scale.ok()) {
+      fprintf(stderr, "depsurf: error: --scale: %s\n", scale.error().message().c_str());
+      return 1;
+    }
+    g_scale = *scale;
   }
   printf("analysis performance at scale %.2f (paper, at scale 1.0 in Python:\n"
          "extraction 104 s/image, 17-image diff 3 s, per-program analysis <1 s)\n",
@@ -377,7 +393,6 @@ int main(int argc, char** argv) {
   obs::BenchReporter analyzer_bench("analyzer");
   analyzer_bench.AddNote("scale", StrFormat("%.2f", g_scale));
   JsonTeeReporter reporter(&bench, &serve_bench, &analyzer_bench);
-  benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   return 0;
 }

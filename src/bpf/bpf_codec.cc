@@ -115,6 +115,12 @@ Result<std::vector<uint8_t>> WriteBpfObject(const BpfObject& object) {
 }
 
 Result<BpfObject> ParseBpfObject(std::vector<uint8_t> bytes, DiagnosticLedger* ledger) {
+  // Without a caller ledger the parse is strict: salvage records into a
+  // local one, and its first entry is returned as the error below.
+  DiagnosticLedger strict;
+  if (ledger == nullptr) {
+    ledger = &strict;
+  }
   DEPSURF_ASSIGN_OR_RETURN(reader, ElfReader::Parse(std::move(bytes)));
   BpfObject object;
   // Program sections -> hooks; the section's FUNC symbol names the program.
@@ -137,7 +143,7 @@ Result<BpfObject> ParseBpfObject(std::vector<uint8_t> bytes, DiagnosticLedger* l
     Result<ByteReader> data = reader.SectionData(section);
     if (data.ok()) {
       program.insns = DecodeInsns(*data, ledger);
-    } else if (ledger != nullptr) {
+    } else {
       ledger->AddError(DiagSeverity::kDegraded, DiagSubsystem::kBpf, data.error());
     }
     object.programs.push_back(std::move(program));
@@ -157,14 +163,17 @@ Result<BpfObject> ParseBpfObject(std::vector<uint8_t> bytes, DiagnosticLedger* l
   // in transit) back to "unbound" so downstream indexing stays safe.
   for (CoreReloc& reloc : object.relocs) {
     if (reloc.prog_index != kRelocUnbound && reloc.prog_index >= object.programs.size()) {
-      if (ledger != nullptr) {
-        ledger->Add(DiagSeverity::kWarning, DiagSubsystem::kBpf, ErrorCode::kMalformedData,
-                    StrFormat("reloc bound to missing program %u; treating as unbound",
-                              reloc.prog_index));
-      }
+      ledger->Add(DiagSeverity::kWarning, DiagSubsystem::kBpf, ErrorCode::kMalformedData,
+                  StrFormat("reloc bound to missing program %u; treating as unbound",
+                            reloc.prog_index));
       reloc.prog_index = kRelocUnbound;
       reloc.insn_off = 0;
     }
+  }
+  if (!strict.empty()) {
+    const DiagnosticEntry& first = strict.entries().front();
+    Error error = Error(first.code, first.message).WithSubsystem(DiagSubsystem::kBpf);
+    return first.has_offset ? std::move(error).WithOffset(first.offset) : error;
   }
   return object;
 }

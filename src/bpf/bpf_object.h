@@ -118,7 +118,10 @@ Result<std::vector<uint8_t>> WriteBpfObject(const BpfObject& object);
 // Parses an object from ELF bytes. With a non-null `ledger`, malformed
 // instruction streams degrade per program (the well-formed prefix is kept
 // and a kBpf entry records the failing byte offset) instead of failing the
-// whole object; .BTF / .BTF.ext problems remain fatal either way.
+// whole object. Without a ledger the parse is strict: the first event the
+// ledger would have recorded (an unreadable program section, a damaged
+// instruction stream, a relocation bound to a missing program) is returned
+// as the error. .BTF / .BTF.ext problems are fatal either way.
 Result<BpfObject> ParseBpfObject(std::vector<uint8_t> bytes,
                                  DiagnosticLedger* ledger = nullptr);
 

@@ -205,8 +205,11 @@ bool GuardedEvaluate(SeedMode mode, const std::vector<uint8_t>& bytes,
   return done;
 }
 
+// An object seed is one that parses under salvage, so a damaged object
+// stays an object seed.
 Result<SeedMode> DetectMode(const FuzzSeed& seed) {
-  if (ParseBpfObject(seed.bytes).ok()) {
+  DiagnosticLedger ledger;
+  if (ParseBpfObject(seed.bytes, &ledger).ok()) {
     return SeedMode::kObject;
   }
   auto surface = DependencySurface::Extract(seed.bytes);
@@ -277,6 +280,16 @@ Result<FuzzCampaignResult> RunFuzzCampaign(std::vector<FuzzSeed> seeds,
                  "fuzz campaign needs at least one seed input");
   }
   DEPSURF_ASSIGN_OR_RETURN(mode, DetectMode(seeds.front()));
+  for (size_t i = 1; i < seeds.size(); ++i) {
+    DEPSURF_ASSIGN_OR_RETURN(seed_mode, DetectMode(seeds[i]));
+    if (seed_mode != mode) {
+      return Error(ErrorCode::kInvalidArgument,
+                   StrFormat("seed '%s' is an %s but '%s' makes this an %s-mode "
+                             "campaign; fuzz images and objects separately",
+                             seeds[i].name.c_str(), SeedModeName(seed_mode),
+                             seeds.front().name.c_str(), SeedModeName(mode)));
+    }
+  }
 
   FuzzCampaignResult result;
   result.mode = mode;

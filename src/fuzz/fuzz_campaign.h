@@ -33,9 +33,9 @@ namespace depsurf {
 inline constexpr char kFuzzCampaignSchema[] = "depsurf.fuzz_campaign.v1";
 
 // What kind of input the campaign is fuzzing. Auto-detected from the first
-// seed: a strict-parseable eBPF object fuzzes the object pipeline
-// (ParseBpfObject + analyzer), anything else the image pipeline
-// (DependencySurface::Extract).
+// seed: an eBPF object that parses (salvage included) fuzzes the object
+// pipeline (ParseBpfObject + analyzer), anything else the image pipeline
+// (DependencySurface::Extract). Every other seed must be of the same kind.
 enum class SeedMode : uint8_t { kImage, kObject };
 
 // "image" / "object".
@@ -131,8 +131,9 @@ struct FuzzCampaignResult {
 // `depsurf doctor --sweep` reuses this around each mutation.
 bool RunWithWallClock(uint64_t budget_ms, std::function<void()> work);
 
-// Runs the campaign. Fails only on infrastructure problems (no seeds,
-// undecodable seed); damaged candidates are the point, not an error.
+// Runs the campaign. Fails only on infrastructure problems (no seeds, an
+// undecodable seed, images and objects mixed); damaged candidates are the
+// point, not an error.
 Result<FuzzCampaignResult> RunFuzzCampaign(std::vector<FuzzSeed> seeds,
                                            const FuzzOptions& options);
 

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <deque>
 #include <fstream>
@@ -133,36 +132,39 @@ Status WriteFileBytes(const std::string& path, const std::string& contents) {
 
 }  // namespace
 
+Result<double> StudyOptions::ParseScale(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  double value = strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno == ERANGE || !std::isfinite(value)) {
+    return Error(ErrorCode::kInvalidArgument, StrFormat("\"%s\" is not a number", text.c_str()));
+  }
+  if (value <= 0.0 || value > 4.0) {
+    return Error(ErrorCode::kInvalidArgument, StrFormat("%s is outside (0, 4]", text.c_str()));
+  }
+  return value;
+}
+
 Result<StudyOptions> StudyOptions::Parse(int argc, char** argv, double default_scale) {
   StudyOptions options;
   options.scale = default_scale;
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (strncmp(arg, "--scale=", 8) == 0) {
-      const char* text = arg + 8;
-      char* end = nullptr;
-      errno = 0;
-      double value = strtod(text, &end);
-      if (*text == '\0' || end == nullptr || *end != '\0' || errno == ERANGE ||
-          !std::isfinite(value)) {
-        return Error(ErrorCode::kInvalidArgument,
-                     StrFormat("--scale: \"%s\" is not a number", text));
+    const std::string arg = argv[i];
+    if (StartsWith(arg, "--scale=")) {
+      auto scale = ParseScale(arg.substr(8));
+      if (!scale.ok()) {
+        return scale.TakeError().Wrap("--scale");
       }
-      if (value <= 0.0 || value > 4.0) {
-        return Error(ErrorCode::kInvalidArgument,
-                     StrFormat("--scale: %s is outside (0, 4]", text));
+      options.scale = *scale;
+    } else if (StartsWith(arg, "--seed=")) {
+      auto seed = ParseUnsigned(arg.substr(7));
+      if (!seed.ok()) {
+        return seed.TakeError().Wrap("--seed");
       }
-      options.scale = value;
-    } else if (strncmp(arg, "--seed=", 7) == 0) {
-      const char* text = arg + 7;
-      char* end = nullptr;
-      errno = 0;
-      unsigned long long value = strtoull(text, &end, 10);
-      if (*text == '\0' || *text == '-' || end == nullptr || *end != '\0' || errno == ERANGE) {
-        return Error(ErrorCode::kInvalidArgument,
-                     StrFormat("--seed: \"%s\" is not an unsigned integer", text));
-      }
-      options.seed = value;
+      options.seed = *seed;
+    } else {
+      return Error(ErrorCode::kInvalidArgument,
+                   "unknown argument " + arg + " (accepted: --scale=S --seed=N)");
     }
   }
   return options;

@@ -24,10 +24,13 @@ struct StudyOptions {
   uint64_t seed = 2025;
   double scale = 1.0;
 
-  // Strict flag parsing: `--scale=` must be a finite number in (0, 4] and
-  // `--seed=` a full unsigned integer; anything else is an error naming the
-  // offending flag. Unrecognized arguments are ignored (callers own their
-  // other flags).
+  // The value parser behind --scale=, shared with the depsurf CLI and
+  // bench_perf: a finite number in (0, 4]. The error names the value, not
+  // the flag. --seed= values go through ParseUnsigned (str_util.h).
+  static Result<double> ParseScale(const std::string& text);
+  // Strict argument parsing for the benches and examples, which own no
+  // other flags: every argument must be a valid --scale= or --seed=, and
+  // anything else is an error naming it.
   static Result<StudyOptions> Parse(int argc, char** argv, double default_scale = 1.0);
   // Convenience wrapper for benches/examples: prints the parse error to
   // stderr and exits 1 instead of propagating it.
@@ -39,10 +42,10 @@ struct StudyOptions {
 // degradation; this policy covers the residue (unreadable ELF container,
 // image generation failure).
 struct BuildPolicy {
-  // true (the default, `--keep-going`): quarantine the failed image —
-  // record its label + error, keep it out of the dataset, and finish the
-  // rest of the corpus. false (`--strict`): abort the build with the
-  // failed image's error, wrapped with its label.
+  // true (the default; there is no flag for it): quarantine the failed
+  // image — record its label + error, keep it out of the dataset, and
+  // finish the rest of the corpus. false (`--strict`): abort the build with
+  // the failed image's error, wrapped with its label.
   bool keep_going = true;
   // Width of the concurrent generate+extract window (`--jobs=N`). 0 (the
   // default) auto-sizes to min(hardware_concurrency, 8). Results are
@@ -156,7 +159,8 @@ class Study {
   static OracleOutcome RunSalvageStrictOracle(const std::vector<uint8_t>& bytes);
 
   // eBPF objects: ParseBpfObject with a ledger (per-program salvage of the
-  // instruction streams) vs without one (malformed streams are fatal).
+  // instruction streams) vs without one (strict: whatever salvage would
+  // record is the error, so a strict success means an empty ledger).
   static OracleOutcome RunObjectSalvageStrictOracle(const std::vector<uint8_t>& bytes);
 
  private:

@@ -1,24 +1,7 @@
-// depsurf: command-line interface to the analysis library.
-//
-//   depsurf gen   --version=5.4 [--arch=x86] [--flavor=generic] [--scale=1.0]
-//                 [--seed=N] --out=IMAGE          generate a kernel image
-//   depsurf surface IMAGE [--func=NAME] [--json]  inspect a dependency surface
-//   depsurf stats   IMAGE [--json]                decode an image, report pipeline metrics
-//   depsurf doctor  IMAGE [--sweep=N] [--json]    triage a damaged image / fault sweep
-//   depsurf fuzz    SEED... [--rounds=N] [--json]  coverage-guided fault fuzzing
-//   depsurf diff    OLD NEW                       diff two images (Table 3/4 style)
-//   depsurf check   OBJECT IMAGE...               report mismatches for an eBPF object
-//   depsurf analyze OBJECT [--against=DS[,DS]]    static analysis of the insn stream
-//   depsurf fix     OBJECT [--against=DS[,DS]]    synthesize + verify exists-guards
-//   depsurf progs                                 list the bundled 53-program corpus
-//   depsurf emit    PROGRAM --out=OBJ             write a bundled program's .o
-//   depsurf metrics lint|canon FILE               validate / canonicalize a report
-//   depsurf report  merge OUT IN...               merge run reports into an aggregate
-//   depsurf report  flame REPORT.json             folded stacks for flamegraph.pl
-//   depsurf perf    compare BASE HEAD             perf regression gate over stage timings
-//   depsurf profile REPORT.json | --live          self-profile: self-time, critical path
-//   depsurf study   build [--versions=..]         build a dataset corpus, with reports
-//   depsurf serve   --against=DS[,DS] --oneshot   batched NDJSON dependency queries
+// depsurf: command-line interface to the analysis library. Run it with no
+// arguments for the usage, generated from the command table at the end of
+// this file: each command declares its arguments and flags there once, and
+// rejects anything it does not declare.
 //
 // Every command accepts --metrics-out=FILE (write a depsurf.run_report.v1
 // JSON document on exit), --trace-out=FILE (write a Chrome/Perfetto
@@ -28,13 +11,15 @@
 // Images and objects are ordinary files; `gen`/`emit` exist because this
 // reproduction generates its corpus instead of downloading Ubuntu dbgsym
 // packages (see DESIGN.md).
-#include <cerrno>
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 
 #include "src/analyzer/analyzer.h"
 #include "src/analyzer/remediation.h"
@@ -63,6 +48,50 @@ using obs::DiagError;
 
 namespace {
 
+// How a flag's value is read. kBool flags are bare (`--json`); every other
+// kind is given as `--name=value`.
+enum class Kind : uint8_t {
+  kBool,
+  kString,
+  kU64,      // ParseUnsigned
+  kJobs,     // executor width: 0 (auto) through 256
+  kSeconds,  // a nonnegative number of seconds
+  kRatio,    // "15%", "15" or "0.15"
+  kScale,    // StudyOptions::ParseScale
+  kEnum,     // one of Flag::choices
+};
+
+struct Flag {
+  const char* name;
+  Kind kind = Kind::kBool;
+  // The value when the flag is absent, read like a given one; empty means
+  // zero, "" or false.
+  const char* fallback = "";
+  const char* meta = "";  // usage placeholder for the value, e.g. "FILE"
+  const std::vector<std::string>* choices = nullptr;  // kEnum only
+};
+
+// One flag's value, given or fallback. A kEnum value also keeps its index
+// into the choices in `number`.
+struct Value {
+  bool given = false;
+  std::string text;
+  uint64_t number = 0;
+  double real = 0;
+};
+
+// What a handler receives: its positionals, and the value of every flag its
+// table entry declares.
+struct Args {
+  std::vector<std::string> pos;
+  std::map<std::string, Value> values;
+
+  bool Has(const std::string& flag) const { return values.at(flag).given; }
+  const std::string& Str(const std::string& flag) const { return values.at(flag).text; }
+  uint64_t Num(const std::string& flag) const { return values.at(flag).number; }
+  double Real(const std::string& flag) const { return values.at(flag).real; }
+};
+
 Result<std::vector<uint8_t>> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -83,71 +112,19 @@ Status WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
   return Status::Ok();
 }
 
-std::string FlagValue(int argc, char** argv, const char* name, const char* fallback) {
-  std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return fallback;
+// The items of a comma-separated flag value (--against, --versions,
+// --require), or of another `sep`-separated list; empty items are dropped.
+std::vector<std::string> SplitList(const std::string& text, char sep = ',') {
+  std::vector<std::string> items = SplitString(text, sep);
+  items.erase(std::remove(items.begin(), items.end(), ""), items.end());
+  return items;
 }
 
-bool HasFlag(int argc, char** argv, const char* name) {
-  std::string flag = std::string("--") + name;
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) {
-      return true;
-    }
-  }
-  return false;
-}
-
-std::vector<std::string> Positional(int argc, char** argv) {
-  std::vector<std::string> out;
-  for (int i = 2; i < argc; ++i) {
-    if (strncmp(argv[i], "--", 2) != 0) {
-      out.push_back(argv[i]);
-    }
-  }
-  return out;
-}
-
-// Strict flag parsing: every --flag must be one of `allowed` or a global
-// flag (--metrics-out / --trace-out / --trace); exit 1 naming the flag
-// otherwise, matching the PR 9 sweep (a typo'd flag must never be silently
-// ignored). Returns 0 when all flags are known.
-int RejectUnknownFlags(int argc, char** argv, const char* command,
-                       std::initializer_list<const char*> allowed) {
-  for (int i = 2; i < argc; ++i) {
-    if (strncmp(argv[i], "--", 2) != 0) {
-      continue;
-    }
-    std::string name = argv[i] + 2;
-    if (size_t eq = name.find('='); eq != std::string::npos) {
-      name = name.substr(0, eq);
-    }
-    bool known = name == "metrics-out" || name == "trace-out" || name == "trace";
-    for (const char* a : allowed) {
-      known = known || name == a;
-    }
-    if (!known) {
-      return DiagError(StrFormat("%s: unknown flag --%s", command, name.c_str()));
-    }
-  }
-  return 0;
-}
-
-// Loads every dataset named in a comma-separated --against value.
-Result<std::vector<Dataset>> LoadAgainstDatasets(const std::string& against) {
-  std::vector<std::string> paths;
-  for (const std::string& path : SplitString(against, ',')) {
-    if (!path.empty()) {
-      paths.push_back(path);
-    }
-  }
-  std::vector<Dataset> datasets;
-  datasets.reserve(paths.size());
+// Loads every dataset --against names into `datasets` (sized up front, so
+// the pointers `opts` gets stay valid).
+Status LoadAgainst(const Args& args, std::vector<Dataset>* datasets, AnalyzeOptions* opts) {
+  std::vector<std::string> paths = SplitList(args.Str("against"));
+  datasets->reserve(paths.size());
   for (const std::string& path : paths) {
     auto bytes = ReadFile(path);
     if (!bytes.ok()) {
@@ -157,87 +134,106 @@ Result<std::vector<Dataset>> LoadAgainstDatasets(const std::string& against) {
     if (!loaded.ok()) {
       return loaded.TakeError().Wrap(path);
     }
-    datasets.push_back(loaded.TakeValue());
+    datasets->push_back(loaded.TakeValue());
+    opts->against_all.push_back(&datasets->back());
   }
-  return datasets;
-}
-
-// A nonnegative integer flag value; empty means the fallback. Anything that
-// does not fully parse is an error: the old strtoull path read
-// "--sweep=abc" as 0 and silently skipped the sweep (same bug PR 7 fixed
-// for --noise-floor).
-Result<uint64_t> ParseU64Flag(const std::string& text, uint64_t fallback) {
-  if (text.empty()) {
-    return fallback;
-  }
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long value = strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-      text.front() == '-') {
-    return Error(ErrorCode::kInvalidArgument,
-                 "\"" + text + "\" is not a nonnegative integer");
-  }
-  return static_cast<uint64_t>(value);
+  return Status::Ok();
 }
 
 // --jobs=N executor-window width: 0 (auto) through 256, strictly parsed.
 // The old atoi path read "--jobs=abc" as 0 and silently went auto-wide.
-Result<int> ParseJobsFlag(const std::string& text) {
-  auto value = ParseU64Flag(text, 0);
-  if (!value.ok()) {
-    return value.TakeError();
-  }
-  if (*value > 256) {
+Result<uint64_t> ParseJobs(const std::string& text) {
+  auto value = ParseUnsigned(text);
+  if (value.ok() && *value > 256) {
     return Error(ErrorCode::kInvalidArgument,
                  "\"" + text + "\" is out of range (0 = auto, max 256)");
   }
-  return static_cast<int>(*value);
+  return value;
 }
 
-Result<double> ParseSecondsFlag(const std::string& text, double fallback);
-
-// Parses --arch/--flavor flags into enums; false on an unknown name.
-bool ParseArchFlavor(int argc, char** argv, Arch* arch, Flavor* flavor) {
-  std::string arch_name = FlagValue(argc, argv, "arch", "x86");
-  std::string flavor_name = FlagValue(argc, argv, "flavor", "generic");
-  bool arch_ok = false;
-  for (Arch a : kAllArches) {
-    if (arch_name == ArchName(a)) {
-      *arch = a;
-      arch_ok = true;
-    }
+// Accepts "15%", "15", or "0.15" — all meaning a 15% threshold. Anything
+// non-numeric is an error: the old atof path read "--max-regress=abc" as 0
+// and turned the gate into a tripwire on pure noise.
+Result<double> ParseRatio(const std::string& text) {
+  bool percent = !text.empty() && text.back() == '%';
+  std::string digits = percent ? text.substr(0, text.size() - 1) : text;
+  char* end = nullptr;
+  double value = digits.empty() ? 0 : strtod(digits.c_str(), &end);
+  if (digits.empty() || end == nullptr || *end != '\0' || !std::isfinite(value) ||
+      value <= 0) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "\"" + text + "\" is not a positive ratio (try 15%, 15, or 0.15)");
   }
-  bool flavor_ok = false;
-  for (Flavor f : kAllFlavors) {
-    if (flavor_name == FlavorName(f)) {
-      *flavor = f;
-      flavor_ok = true;
-    }
+  if (percent || value > 1.0) {
+    value /= 100.0;
   }
-  return arch_ok && flavor_ok;
+  return value;
 }
 
-int CmdGen(int argc, char** argv) {
-  auto version = KernelVersion::Parse(FlagValue(argc, argv, "version", "5.4"));
+// A nonnegative seconds value; anything that does not fully parse as a
+// finite number is an error.
+Result<double> ParseSeconds(const std::string& text) {
+  char* end = nullptr;
+  double value = strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || !std::isfinite(value) || value < 0) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "\"" + text + "\" is not a nonnegative number of seconds");
+  }
+  return value;
+}
+
+// Reads `text` into `value` by `flag`'s kind. Errors name the flag.
+Status ParseValue(const Flag& flag, const std::string& text, Value* value) {
+  Result<uint64_t> number = uint64_t{0};
+  Result<double> real = 0.0;
+  switch (flag.kind) {
+    case Kind::kBool: break;
+    case Kind::kString: value->text = text; break;
+    case Kind::kEnum: {
+      auto it = std::find(flag.choices->begin(), flag.choices->end(), text);
+      if (it == flag.choices->end()) {
+        return Status(ErrorCode::kInvalidArgument,
+                      StrFormat("unknown --%s=%s (valid %ss: %s)", flag.name, text.c_str(),
+                                flag.name, JoinStrings(*flag.choices, "|").c_str()));
+      }
+      value->text = text;
+      number = static_cast<uint64_t>(it - flag.choices->begin());
+      break;
+    }
+    case Kind::kU64: number = ParseUnsigned(text); break;
+    case Kind::kJobs: number = ParseJobs(text); break;
+    case Kind::kSeconds: real = ParseSeconds(text); break;
+    case Kind::kRatio: real = ParseRatio(text); break;
+    case Kind::kScale: real = StudyOptions::ParseScale(text); break;
+  }
+  if (!number.ok()) {
+    return number.TakeError().Wrap(std::string("--") + flag.name);
+  }
+  if (!real.ok()) {
+    return real.TakeError().Wrap(std::string("--") + flag.name);
+  }
+  value->number = *number;
+  value->real = *real;
+  return Status::Ok();
+}
+
+StudyOptions StudyOptionsFrom(const Args& args) {
+  return StudyOptions{args.Num("seed"), args.Real("scale")};
+}
+
+int CmdGen(const Args& args) {
+  auto version = KernelVersion::Parse(args.Str("version"));
   if (!version.ok()) {
     return DiagError(version.error().ToString());
   }
-  std::string out = FlagValue(argc, argv, "out", "");
+  const std::string& out = args.Str("out");
   if (out.empty()) {
     return DiagError("gen requires --out=FILE");
   }
-  Arch arch = Arch::kX86;
-  Flavor flavor = Flavor::kGeneric;
-  if (!ParseArchFlavor(argc, argv, &arch, &flavor)) {
-    return DiagError("unknown --arch or --flavor");
-  }
-  auto options = StudyOptions::Parse(argc, argv, /*default_scale=*/1.0);
-  if (!options.ok()) {
-    return DiagError(options.error());
-  }
-  Study study(options.TakeValue());
-  auto bytes = study.BuildImage(MakeBuild(*version, arch, flavor));
+  BuildSpec build =
+      MakeBuild(*version, kAllArches[args.Num("arch")], kAllFlavors[args.Num("flavor")]);
+  Study study(StudyOptionsFrom(args));
+  auto bytes = study.BuildImage(build);
   if (!bytes.ok()) {
     return DiagError(bytes.error().ToString());
   }
@@ -245,17 +241,12 @@ int CmdGen(int argc, char** argv) {
   if (!written.ok()) {
     return DiagError(written.ToString());
   }
-  printf("wrote %s (%zu bytes, %s)\n", out.c_str(), bytes->size(),
-         MakeBuild(*version, arch, flavor).Label().c_str());
+  printf("wrote %s (%zu bytes, %s)\n", out.c_str(), bytes->size(), build.Label().c_str());
   return 0;
 }
 
-int CmdSurface(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.empty()) {
-    return DiagError("surface requires an IMAGE path");
-  }
-  auto bytes = ReadFile(positional[0]);
+int CmdSurface(const Args& args) {
+  auto bytes = ReadFile(args.pos[0]);
   if (!bytes.ok()) {
     return DiagError(bytes.error().ToString());
   }
@@ -287,13 +278,13 @@ int CmdSurface(int argc, char** argv) {
   printf("syscalls:    %zu (compat 32-bit tracing: %s)\n", surface->syscalls().size(),
          meta.compat_syscalls_traceable ? "supported" : "blind spot");
 
-  std::string func = FlagValue(argc, argv, "func", "");
+  const std::string& func = args.Str("func");
   if (!func.empty()) {
     const FunctionEntry* entry = surface->FindFunction(func);
     if (entry == nullptr) {
       return DiagError("no function named " + func + " on this surface");
     }
-    if (HasFlag(argc, argv, "json")) {
+    if (args.Has("json")) {
       printf("%s\n", entry->StatusJson().c_str());
     } else {
       printf("\n%s\n", entry->btf_id != 0
@@ -324,20 +315,16 @@ int CmdSurface(int argc, char** argv) {
 // Decodes an image end to end (ELF, BTF, DWARF, surface extraction) and
 // prints the metrics the pipeline collected along the way. The JSON form is
 // the same document --metrics-out writes.
-int CmdStats(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.empty()) {
-    return DiagError("stats requires an IMAGE path");
-  }
-  auto bytes = ReadFile(positional[0]);
+int CmdStats(const Args& args) {
+  auto bytes = ReadFile(args.pos[0]);
   if (!bytes.ok()) {
     return DiagError(bytes.error());
   }
   auto surface = DependencySurface::Extract(bytes.TakeValue());
   if (!surface.ok()) {
-    return DiagError(positional[0], surface.error());
+    return DiagError(args.pos[0], surface.error());
   }
-  if (HasFlag(argc, argv, "json")) {
+  if (args.Has("json")) {
     printf("%s\n", obs::GlobalRunReportJson().c_str());
   } else {
     printf("%s", obs::GlobalRunReportText().c_str());
@@ -382,49 +369,33 @@ std::string DiagnosticsDocJson(const std::string& image, const SurfaceHealth& he
 // extraction survived, or sweep N seeded mutations over the image and
 // assert the crash-free contract corpus-wide. Exit codes mirror `check`:
 // 0 clean, 2 salvaged (degraded subsystems), 1 unreadable container.
-int CmdDoctor(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.empty()) {
-    return DiagError("doctor requires an IMAGE path");
-  }
-  auto bytes = ReadFile(positional[0]);
+int CmdDoctor(const Args& args) {
+  const std::string& image = args.pos[0];
+  auto bytes = ReadFile(image);
   if (!bytes.ok()) {
     return DiagError(bytes.error());
   }
-  const bool json = HasFlag(argc, argv, "json");
-  auto sweep_flag = ParseU64Flag(FlagValue(argc, argv, "sweep", ""), 0);
-  if (!sweep_flag.ok()) {
-    return DiagError("--sweep: " + sweep_flag.error().message());
-  }
-  auto seed_flag = ParseU64Flag(FlagValue(argc, argv, "seed", ""), 2025);
-  if (!seed_flag.ok()) {
-    return DiagError("--seed: " + seed_flag.error().message());
-  }
-  auto timeout_flag =
-      ParseSecondsFlag(FlagValue(argc, argv, "mutation-timeout", ""), 30.0);
-  if (!timeout_flag.ok()) {
-    return DiagError("--mutation-timeout: " + timeout_flag.error().message());
-  }
-  const uint64_t sweep = *sweep_flag;
-  const uint64_t seed = *seed_flag;
-  const uint64_t budget_ms = static_cast<uint64_t>(*timeout_flag * 1000.0);
+  const bool json = args.Has("json");
+  const uint64_t sweep = args.Num("sweep");
+  const uint64_t seed = args.Num("seed");
+  const double timeout = args.Real("mutation-timeout");
+  const uint64_t budget_ms = static_cast<uint64_t>(timeout * 1000.0);
 
   if (sweep == 0) {
     auto surface = DependencySurface::Extract(*bytes);
     if (!surface.ok()) {
       if (json) {
-        printf("%s", DiagnosticsDocJson(positional[0], SurfaceHealth{}, &surface.error()).c_str());
+        printf("%s", DiagnosticsDocJson(image, SurfaceHealth{}, &surface.error()).c_str());
       } else {
-        printf("%s: unreadable (%s)\n", positional[0].c_str(),
-               surface.error().ToString().c_str());
+        printf("%s: unreadable (%s)\n", image.c_str(), surface.error().ToString().c_str());
       }
       return 1;
     }
     const SurfaceHealth& health = surface->health();
     if (json) {
-      printf("%s", DiagnosticsDocJson(positional[0], health, nullptr).c_str());
+      printf("%s", DiagnosticsDocJson(image, health, nullptr).c_str());
     } else {
-      printf("%s: %s\n", positional[0].c_str(), health.Summary().c_str());
+      printf("%s: %s\n", image.c_str(), health.Summary().c_str());
       for (const DiagnosticEntry& entry : health.ledger.entries()) {
         printf("  %s\n", entry.ToString().c_str());
       }
@@ -474,14 +445,13 @@ int CmdDoctor(int argc, char** argv) {
       obs::Diag(obs::Severity::kError,
                 StrFormat("sweep mutation %llu exceeded --mutation-timeout "
                           "(%.1fs): %s",
-                          static_cast<unsigned long long>(i), *timeout_flag,
-                          what.c_str()));
+                          static_cast<unsigned long long>(i), timeout, what.c_str()));
     }
   }
   printf("sweep: %llu mutations over %s: %zu clean, %zu salvaged, %zu fatal, "
          "%zu timed out, 0 crashes\n",
-         static_cast<unsigned long long>(sweep), positional[0].c_str(), clean, salvaged,
-         fatal, timed_out);
+         static_cast<unsigned long long>(sweep), image.c_str(), clean, salvaged, fatal,
+         timed_out);
   return timed_out > 0 ? 1 : 0;
 }
 
@@ -491,36 +461,15 @@ int CmdDoctor(int argc, char** argv) {
 // salvage-vs-strict oracle. Exit codes: 0 clean campaign, 2 oracle
 // disagreements, 1 hangs or infrastructure failure. Deterministic in
 // (--seed, seed files): two runs emit byte-identical JSON and corpora.
-int CmdFuzz(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.empty()) {
-    return DiagError("fuzz requires at least one SEED path (image or object)");
-  }
+int CmdFuzz(const Args& args) {
   FuzzOptions options;
-  auto rounds = ParseU64Flag(FlagValue(argc, argv, "rounds", ""), 64);
-  if (!rounds.ok()) {
-    return DiagError("--rounds: " + rounds.error().message());
-  }
-  options.rounds = *rounds;
-  auto seed = ParseU64Flag(FlagValue(argc, argv, "seed", ""), 2025);
-  if (!seed.ok()) {
-    return DiagError("--seed: " + seed.error().message());
-  }
-  options.seed = *seed;
-  auto timeout =
-      ParseSecondsFlag(FlagValue(argc, argv, "mutation-timeout", ""), 10.0);
-  if (!timeout.ok()) {
-    return DiagError("--mutation-timeout: " + timeout.error().message());
-  }
-  options.time_budget_ms = static_cast<uint64_t>(*timeout * 1000.0);
-  auto max_ledger = ParseU64Flag(FlagValue(argc, argv, "max-ledger", ""), 10000);
-  if (!max_ledger.ok()) {
-    return DiagError("--max-ledger: " + max_ledger.error().message());
-  }
-  options.max_ledger_entries = static_cast<size_t>(*max_ledger);
+  options.rounds = args.Num("rounds");
+  options.seed = args.Num("seed");
+  options.time_budget_ms = static_cast<uint64_t>(args.Real("mutation-timeout") * 1000.0);
+  options.max_ledger_entries = static_cast<size_t>(args.Num("max-ledger"));
 
   std::vector<FuzzSeed> seeds;
-  for (const std::string& path : positional) {
+  for (const std::string& path : args.pos) {
     auto bytes = ReadFile(path);
     if (!bytes.ok()) {
       return DiagError(bytes.error());
@@ -536,14 +485,14 @@ int CmdFuzz(int argc, char** argv) {
   if (!campaign.ok()) {
     return DiagError(campaign.error());
   }
-  std::string corpus_dir = FlagValue(argc, argv, "corpus-dir", "");
+  const std::string& corpus_dir = args.Str("corpus-dir");
   if (!corpus_dir.empty()) {
     auto written = WriteFuzzCorpus(*campaign, corpus_dir);
     if (!written.ok()) {
       return DiagError(written.error());
     }
   }
-  if (HasFlag(argc, argv, "json")) {
+  if (args.Has("json")) {
     printf("%s", RenderFuzzCampaignJson(*campaign).c_str());
     return campaign->ExitCode();
   }
@@ -572,141 +521,46 @@ int CmdFuzz(int argc, char** argv) {
   return campaign->ExitCode();
 }
 
-// Validates or canonicalizes an observability JSON file. `lint` dispatches
-// on --kind (run report, aggregate, bench report, perf comparison, trace);
-// `canon` re-emits any document in compact form with timing fields masked,
-// so two runs over the same inputs can be compared byte for byte.
-int CmdMetrics(int argc, char** argv) {
-  if (int rc = RejectUnknownFlags(argc, argv, "metrics",
-                                  {"kind", "min-spans", "require", "report"})) {
-    return rc;
-  }
-  auto positional = Positional(argc, argv);
-  if (positional.size() < 2 || (positional[0] != "lint" && positional[0] != "canon")) {
-    return DiagError("metrics requires a subcommand: lint FILE | canon FILE");
-  }
-  auto bytes = ReadFile(positional[1]);
+// metrics lint --kind=K: the validator and schema name of each kind.
+// `report` and `trace` read extra flags and print more, so CmdMetricsLint
+// validates those two itself.
+struct LintKind {
+  const char* kind;
+  Status (*validate)(std::string_view json);
+  const char* schema;
+};
+
+constexpr LintKind kLintKinds[] = {
+    {"report", nullptr, obs::kRunReportSchema},
+    {"agg", obs::ValidateAggReport, obs::kRunReportAggSchema},
+    {"bench", obs::ValidateBenchReport, obs::kBenchReportSchema},
+    {"perf", obs::ValidatePerfCompare, obs::kPerfCompareSchema},
+    {"trace", nullptr, "trace_event JSON"},
+    {"diag", obs::ValidateDiagnosticsDoc, obs::kDiagnosticsSchema},
+    {"analysis", obs::ValidateAnalysisDoc, kAnalysisSchema},
+    {"remediation", obs::ValidateRemediationDoc, kRemediationSchema},
+    {"profile", obs::ValidateProfileDoc, obs::kProfileSchema},
+    {"fuzz", obs::ValidateFuzzCampaignDoc, kFuzzCampaignSchema},
+    {"serve", obs::ValidateServeReportDoc, kServeReportSchema},
+};
+
+// Validates an observability JSON file as the document --kind names.
+int CmdMetricsLint(const Args& args) {
+  const std::string& path = args.pos[0];
+  auto bytes = ReadFile(path);
   if (!bytes.ok()) {
     return DiagError(bytes.error());
   }
   std::string text(bytes->begin(), bytes->end());
-  if (positional[0] == "canon") {
-    auto json = obs::ParseJson(text);
-    if (!json.ok()) {
-      return DiagError(positional[1], json.error());
-    }
-    printf("%s\n", obs::CanonicalMaskedJson(*json).c_str());
-    return 0;
-  }
-  std::string kind = FlagValue(argc, argv, "kind", "report");
-  if (kind == "report") {
-    auto min_spans_flag = ParseU64Flag(FlagValue(argc, argv, "min-spans", ""), 0);
-    if (!min_spans_flag.ok()) {
-      return DiagError("--min-spans: " + min_spans_flag.error().message());
-    }
-    size_t min_spans = static_cast<size_t>(*min_spans_flag);
-    std::vector<std::string> required;
-    for (const std::string& name : SplitString(FlagValue(argc, argv, "require", ""), ',')) {
-      if (!name.empty()) {
-        required.push_back(name);
-      }
-    }
-    Status valid = obs::ValidateRunReport(text, min_spans, required);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    auto json = obs::ParseJson(text);
-    for (const std::string& note : obs::RunReportLintNotes(*json)) {
-      printf("note: %s: %s\n", positional[1].c_str(), note.c_str());
-    }
-    printf("%s: valid %s (%zu distinct spans)\n", positional[1].c_str(),
-           obs::kRunReportSchema, obs::CollectSpanNames(*json).size());
-    return 0;
-  }
-  if (kind == "agg") {
-    Status valid = obs::ValidateAggReport(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    if (auto json = obs::ParseJson(text); json.ok()) {
-      for (const std::string& note : obs::RunReportLintNotes(*json)) {
-        printf("note: %s: %s\n", positional[1].c_str(), note.c_str());
-      }
-    }
-    printf("%s: valid %s\n", positional[1].c_str(), obs::kRunReportAggSchema);
-    return 0;
-  }
-  if (kind == "profile") {
-    Status valid = obs::ValidateProfileDoc(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid %s\n", positional[1].c_str(), obs::kProfileSchema);
-    return 0;
-  }
-  if (kind == "bench") {
-    Status valid = obs::ValidateBenchReport(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid %s\n", positional[1].c_str(), obs::kBenchReportSchema);
-    return 0;
-  }
-  if (kind == "perf") {
-    Status valid = obs::ValidatePerfCompare(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid %s\n", positional[1].c_str(), obs::kPerfCompareSchema);
-    return 0;
-  }
-  if (kind == "diag") {
-    Status valid = obs::ValidateDiagnosticsDoc(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid %s\n", positional[1].c_str(), obs::kDiagnosticsSchema);
-    return 0;
-  }
-  if (kind == "analysis") {
-    Status valid = obs::ValidateAnalysisDoc(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid depsurf.analysis.v1\n", positional[1].c_str());
-    return 0;
-  }
-  if (kind == "remediation") {
-    Status valid = obs::ValidateRemediationDoc(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid depsurf.remediation.v1\n", positional[1].c_str());
-    return 0;
-  }
-  if (kind == "fuzz") {
-    Status valid = obs::ValidateFuzzCampaignDoc(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid %s\n", positional[1].c_str(), kFuzzCampaignSchema);
-    return 0;
-  }
-  if (kind == "serve") {
-    Status valid = obs::ValidateServeReportDoc(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid depsurf.serve_report.v1\n", positional[1].c_str());
-    return 0;
-  }
+  const LintKind& lint = kLintKinds[args.Num("kind")];
+  const std::string& kind = args.Str("kind");
   if (kind == "trace") {
     auto json = obs::ParseJson(text);
     if (!json.ok()) {
-      return DiagError(positional[1], json.error());
+      return DiagError(path, json.error());
     }
     int64_t expect_events = -1;
-    std::string report_path = FlagValue(argc, argv, "report", "");
+    const std::string& report_path = args.Str("report");
     if (!report_path.empty()) {
       auto report_bytes = ReadFile(report_path);
       if (!report_bytes.ok()) {
@@ -720,156 +574,126 @@ int CmdMetrics(int argc, char** argv) {
     }
     Status valid = obs::ValidateTrace(*json, expect_events);
     if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
+      return DiagError(path, valid.error());
     }
-    printf("%s: valid trace_event JSON (%zu events)\n", positional[1].c_str(),
+    printf("%s: valid trace_event JSON (%zu events)\n", path.c_str(),
            json->Find("traceEvents")->array.size());
     return 0;
   }
-  return DiagError("unknown --kind=" + kind +
-                   " (valid kinds: report|agg|bench|perf|trace|diag|analysis|"
-                   "remediation|profile|fuzz|serve)");
+  Status valid = kind == "report" ? obs::ValidateRunReport(text, args.Num("min-spans"),
+                                                          SplitList(args.Str("require")))
+                                   : lint.validate(text);
+  if (!valid.ok()) {
+    return DiagError(path, valid.error());
+  }
+  std::string detail;
+  if (kind == "report" || kind == "agg") {
+    auto json = obs::ParseJson(text);
+    for (const std::string& note : obs::RunReportLintNotes(*json)) {
+      printf("note: %s: %s\n", path.c_str(), note.c_str());
+    }
+    if (kind == "report") {
+      detail = StrFormat(" (%zu distinct spans)", obs::CollectSpanNames(*json).size());
+    }
+  }
+  printf("%s: valid %s%s\n", path.c_str(), lint.schema, detail.c_str());
+  return 0;
+}
+
+// Re-emits any observability document in compact form with timing fields
+// masked, so two runs over the same inputs can be compared byte for byte.
+int CmdMetricsCanon(const Args& args) {
+  auto bytes = ReadFile(args.pos[0]);
+  if (!bytes.ok()) {
+    return DiagError(bytes.error());
+  }
+  auto json = obs::ParseJson(std::string(bytes->begin(), bytes->end()));
+  if (!json.ok()) {
+    return DiagError(args.pos[0], json.error());
+  }
+  printf("%s\n", obs::CanonicalMaskedJson(*json).c_str());
+  return 0;
+}
+
+// Folded stacks (`root;child;leaf self_ns` lines) from a run report or
+// aggregate, directly consumable by flamegraph.pl / speedscope.
+int CmdReportFlame(const Args& args) {
+  auto bytes = ReadFile(args.pos[0]);
+  if (!bytes.ok()) {
+    return DiagError(bytes.error());
+  }
+  auto folded = obs::FoldedStacksFromReportJson(std::string(bytes->begin(), bytes->end()));
+  if (!folded.ok()) {
+    return DiagError(args.pos[0], folded.error());
+  }
+  const std::string& out_path = args.Str("out");
+  if (out_path.empty()) {
+    printf("%s", folded->c_str());
+    return 0;
+  }
+  std::ofstream out(out_path, std::ios::binary);
+  out.write(folded->data(), static_cast<std::streamsize>(folded->size()));
+  if (!out) {
+    return DiagError("cannot write " + out_path);
+  }
+  printf("wrote %s (%zu bytes)\n", out_path.c_str(), folded->size());
+  return 0;
 }
 
 // Merges run reports (per-image documents from a study build, or prior
 // aggregates) into one depsurf.run_report_agg.v1 file.
-int CmdReport(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  // `report flame REPORT.json [--out=FILE]`: folded stacks
-  // (`root;child;leaf self_ns` lines) from a run report or aggregate,
-  // directly consumable by flamegraph.pl / speedscope.
-  if (!positional.empty() && positional[0] == "flame") {
-    if (positional.size() < 2) {
-      return DiagError("report flame requires a REPORT.json path");
-    }
-    auto bytes = ReadFile(positional[1]);
-    if (!bytes.ok()) {
-      return DiagError(bytes.error());
-    }
-    auto folded = obs::FoldedStacksFromReportJson(std::string(bytes->begin(), bytes->end()));
-    if (!folded.ok()) {
-      return DiagError(positional[1], folded.error());
-    }
-    std::string out_path = FlagValue(argc, argv, "out", "");
-    if (out_path.empty()) {
-      printf("%s", folded->c_str());
-      return 0;
-    }
-    std::ofstream out(out_path, std::ios::binary);
-    out.write(folded->data(), static_cast<std::streamsize>(folded->size()));
-    if (!out) {
-      return DiagError("cannot write " + out_path);
-    }
-    printf("wrote %s (%zu bytes)\n", out_path.c_str(), folded->size());
-    return 0;
-  }
-  if (positional.size() < 3 || positional[0] != "merge") {
-    return DiagError(
-        "report requires a subcommand: merge OUT IN... | flame REPORT.json [--out=FILE]");
-  }
+int CmdReportMerge(const Args& args) {
+  const std::string& out_path = args.pos[0];
   std::vector<obs::LabeledReport> reports;
-  for (size_t i = 2; i < positional.size(); ++i) {
-    auto bytes = ReadFile(positional[i]);
+  for (size_t i = 1; i < args.pos.size(); ++i) {
+    auto bytes = ReadFile(args.pos[i]);
     if (!bytes.ok()) {
       return DiagError(bytes.error());
     }
     reports.push_back(
-        obs::LabeledReport{positional[i], std::string(bytes->begin(), bytes->end())});
+        obs::LabeledReport{args.pos[i], std::string(bytes->begin(), bytes->end())});
   }
   auto merged = obs::MergeRunReports(reports);
   if (!merged.ok()) {
     return DiagError(merged.error());
   }
-  std::ofstream out(positional[1], std::ios::binary);
+  std::ofstream out(out_path, std::ios::binary);
   if (!out) {
-    return DiagError("cannot write " + positional[1]);
+    return DiagError("cannot write " + out_path);
   }
   out.write(merged->data(), static_cast<std::streamsize>(merged->size()));
   if (!out) {
-    return DiagError("short write to " + positional[1]);
+    return DiagError("short write to " + out_path);
   }
-  printf("wrote %s (%zu input reports, %zu bytes)\n", positional[1].c_str(), reports.size(),
+  printf("wrote %s (%zu input reports, %zu bytes)\n", out_path.c_str(), reports.size(),
          merged->size());
   return 0;
 }
 
-// Accepts "15%", "15", or "0.15" — all meaning a 15% threshold; empty
-// means the fallback. Anything non-numeric is an error: the old atof path
-// read "--max-regress=abc" as 0 and turned the gate into a tripwire on
-// pure noise.
-Result<double> ParseRatioFlag(const std::string& text, double fallback) {
-  if (text.empty()) {
-    return fallback;
-  }
-  bool percent = text.back() == '%';
-  std::string digits = percent ? text.substr(0, text.size() - 1) : text;
-  char* end = nullptr;
-  double value = digits.empty() ? 0 : strtod(digits.c_str(), &end);
-  if (digits.empty() || end == nullptr || *end != '\0' || !std::isfinite(value) ||
-      value <= 0) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "\"" + text + "\" is not a positive ratio (try 15%, 15, or 0.15)");
-  }
-  if (percent || value > 1.0) {
-    value /= 100.0;
-  }
-  return value;
-}
-
-// A nonnegative seconds value; empty means the fallback, anything that does
-// not fully parse as a finite number is an error.
-Result<double> ParseSecondsFlag(const std::string& text, double fallback) {
-  if (text.empty()) {
-    return fallback;
-  }
-  char* end = nullptr;
-  double value = strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || !std::isfinite(value) || value < 0) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "\"" + text + "\" is not a nonnegative number of seconds");
-  }
-  return value;
-}
-
 // The perf regression gate: exit 0 when no stage regressed beyond the
 // threshold, 3 when one did (1 stays "could not compare at all").
-int CmdPerfCompare(int argc, char** argv, const std::vector<std::string>& positional) {
-  if (int rc = RejectUnknownFlags(argc, argv, "perf compare",
-                                  {"max-regress", "noise-floor", "json"})) {
-    return rc;
-  }
-  if (positional.size() < 3) {
-    return DiagError("perf compare requires BASE.json and HEAD.json");
-  }
+int CmdPerfCompare(const Args& args) {
   obs::PerfGateOptions options;
-  auto ratio = ParseRatioFlag(FlagValue(argc, argv, "max-regress", ""), 0.15);
-  if (!ratio.ok()) {
-    return DiagError("--max-regress: " + ratio.error().message());
-  }
-  options.max_regress = *ratio;
-  auto floor = ParseSecondsFlag(FlagValue(argc, argv, "noise-floor", ""), 0.005);
-  if (!floor.ok()) {
-    return DiagError("--noise-floor: " + floor.error().message());
-  }
-  options.noise_floor_seconds = *floor;
+  options.max_regress = args.Real("max-regress");
+  options.noise_floor_seconds = args.Real("noise-floor");
   std::vector<std::vector<obs::StageTiming>> sides;
-  for (size_t i = 1; i <= 2; ++i) {
-    auto bytes = ReadFile(positional[i]);
+  for (const std::string& path : args.pos) {
+    auto bytes = ReadFile(path);
     if (!bytes.ok()) {
       return DiagError(bytes.error());
     }
     auto json = obs::ParseJson(std::string(bytes->begin(), bytes->end()));
     if (!json.ok()) {
-      return DiagError(positional[i], json.error());
+      return DiagError(path, json.error());
     }
     auto timings = obs::LoadStageTimings(*json);
     if (!timings.ok()) {
-      return DiagError(positional[i], timings.error());
+      return DiagError(path, timings.error());
     }
     sides.push_back(timings.TakeValue());
   }
   obs::PerfComparison comparison = obs::ComparePerf(sides[0], sides[1], options);
-  if (HasFlag(argc, argv, "json")) {
+  if (args.Has("json")) {
     printf("%s", obs::PerfComparisonJson(comparison, options).c_str());
   } else {
     printf("%s", obs::PerfComparisonText(comparison).c_str());
@@ -877,36 +701,19 @@ int CmdPerfCompare(int argc, char** argv, const std::vector<std::string>& positi
   return comparison.gate_failed() ? 3 : 0;
 }
 
-int CmdPerf(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.empty()) {
-    return DiagError("perf requires a subcommand: compare");
-  }
-  if (positional[0] == "compare") {
-    return CmdPerfCompare(argc, argv, positional);
-  }
-  return DiagError("unknown perf subcommand " + positional[0] + " (compare)");
-}
-
 // Shared by `study build` and `profile --live`: --versions/--arch/--flavor
 // into a build corpus (empty --versions means the bundled LTS set).
-Result<std::vector<BuildSpec>> CorpusFromFlags(int argc, char** argv) {
-  Arch arch = Arch::kX86;
-  Flavor flavor = Flavor::kGeneric;
-  if (!ParseArchFlavor(argc, argv, &arch, &flavor)) {
-    return Error(ErrorCode::kInvalidArgument, "unknown --arch or --flavor");
-  }
+Result<std::vector<BuildSpec>> CorpusFromArgs(const Args& args) {
+  const Arch arch = kAllArches[args.Num("arch")];
+  const Flavor flavor = kAllFlavors[args.Num("flavor")];
   std::vector<BuildSpec> corpus;
-  std::string versions = FlagValue(argc, argv, "versions", "");
+  const std::string& versions = args.Str("versions");
   if (versions.empty()) {
     for (KernelVersion version : kLtsVersions) {
       corpus.push_back(MakeBuild(version, arch, flavor));
     }
   } else {
-    for (const std::string& text : SplitString(versions, ',')) {
-      if (text.empty()) {
-        continue;
-      }
+    for (const std::string& text : SplitList(versions)) {
       auto version = KernelVersion::Parse(text);
       if (!version.ok()) {
         return version.TakeError();
@@ -922,36 +729,31 @@ Result<std::vector<BuildSpec>> CorpusFromFlags(int argc, char** argv) {
 
 // Corpus builds from the CLI: generate + extract + distill a whole version
 // corpus, optionally writing per-image run reports and their aggregate.
-int CmdStudy(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.empty() || positional[0] != "build") {
-    return DiagError("study requires a subcommand: build");
-  }
-  auto corpus_or = CorpusFromFlags(argc, argv);
+int CmdStudyBuild(const Args& args) {
+  auto corpus_or = CorpusFromArgs(args);
   if (!corpus_or.ok()) {
     return DiagError("study build: " + corpus_or.error().message());
   }
   std::vector<BuildSpec> corpus = corpus_or.TakeValue();
-  auto options = StudyOptions::Parse(argc, argv, /*default_scale=*/1.0);
-  if (!options.ok()) {
-    return DiagError(options.error());
-  }
-  Study study(options.TakeValue());
-  // Failure policy: --keep-going (the default) quarantines images whose
-  // extraction dies outright; --strict aborts the whole build instead.
+  Study study(StudyOptionsFrom(args));
+  // Failure policy: by default an image whose extraction dies outright is
+  // quarantined and the build goes on; --strict aborts the whole build.
   BuildPolicy policy;
-  policy.keep_going = !HasFlag(argc, argv, "strict");
-  // --jobs=N: width of the concurrent generate+extract window (0 = auto).
-  auto jobs = ParseJobsFlag(FlagValue(argc, argv, "jobs", ""));
-  if (!jobs.ok()) {
-    return DiagError("--jobs: " + jobs.error().message());
-  }
-  policy.jobs = *jobs;
+  policy.keep_going = !args.Has("strict");
+  policy.jobs = static_cast<int>(args.Num("jobs"));
   // --poison=LABEL (testing aid): truncate the named image below the ELF
   // header before extraction, guaranteeing a fatal failure on exactly that
   // image so the quarantine path can be demonstrated end to end.
-  std::string poison = FlagValue(argc, argv, "poison", "");
+  const std::string& poison = args.Str("poison");
   if (!poison.empty()) {
+    std::vector<std::string> labels;
+    for (const BuildSpec& build : corpus) {
+      labels.push_back(build.Label());
+    }
+    if (std::find(labels.begin(), labels.end(), poison) == labels.end()) {
+      return DiagError("--poison: no image in this corpus is labelled " + poison + " (" +
+                       JoinStrings(labels, ", ") + ")");
+    }
     study.SetImageMutator([poison](const BuildSpec& build, std::vector<uint8_t>& bytes) {
       if (build.Label() == poison && bytes.size() > 16) {
         bytes.resize(16);
@@ -962,7 +764,7 @@ int CmdStudy(int argc, char** argv) {
     printf("[%zu/%zu] %-28s %.2f s%s\n", p.index + 1, p.total, p.label.c_str(), p.seconds,
            p.quarantined ? "  (quarantined)" : "");
   };
-  std::string report_dir = FlagValue(argc, argv, "report-dir", "");
+  const std::string& report_dir = args.Str("report-dir");
   Study::DatasetReportFiles files;
   std::vector<QuarantinedImage> quarantined;
   auto dataset = report_dir.empty()
@@ -975,7 +777,7 @@ int CmdStudy(int argc, char** argv) {
   for (const QuarantinedImage& image : quarantined) {
     printf("quarantined %s: %s\n", image.label.c_str(), image.error.ToString().c_str());
   }
-  std::string out = FlagValue(argc, argv, "out", "");
+  const std::string& out = args.Str("out");
   if (!out.empty()) {
     std::vector<uint8_t> bytes = SaveDatasetV2(*dataset);
     Status written = WriteFile(out, bytes);
@@ -993,7 +795,7 @@ int CmdStudy(int argc, char** argv) {
   }
   // --profile-out=FILE: write a depsurf.profile.v1 self-profile of the
   // build that just ran (aggregate tables, critical path, executor stats).
-  std::string profile_out = FlagValue(argc, argv, "profile-out", "");
+  const std::string& profile_out = args.Str("profile-out");
   if (!profile_out.empty()) {
     obs::Profile profile;
     if (!report_dir.empty()) {
@@ -1029,28 +831,17 @@ int CmdStudy(int argc, char** argv) {
 // --report-dir`, or a saved depsurf.profile.v1 document to re-render;
 // --live instead runs a corpus build in-process and profiles the spans it
 // just recorded.
-int CmdProfile(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
+int CmdProfile(const Args& args) {
   obs::Profile profile;
   std::string folded;
-  if (HasFlag(argc, argv, "live")) {
-    auto corpus = CorpusFromFlags(argc, argv);
+  if (args.Has("live")) {
+    auto corpus = CorpusFromArgs(args);
     if (!corpus.ok()) {
       return DiagError("profile --live: " + corpus.error().message());
     }
-    // Small default scale: --live exists to profile the pipeline's shape,
-    // not to build a production dataset.
-    auto options = StudyOptions::Parse(argc, argv, /*default_scale=*/0.25);
-    if (!options.ok()) {
-      return DiagError(options.error());
-    }
-    Study study(options.TakeValue());
+    Study study(StudyOptionsFrom(args));
     BuildPolicy policy;
-    auto jobs = ParseJobsFlag(FlagValue(argc, argv, "jobs", ""));
-    if (!jobs.ok()) {
-      return DiagError("--jobs: " + jobs.error().message());
-    }
-    policy.jobs = *jobs;
+    policy.jobs = static_cast<int>(args.Num("jobs"));
     auto dataset = study.BuildDataset(*corpus, {}, policy, nullptr);
     if (!dataset.ok()) {
       return DiagError(dataset.error());
@@ -1060,29 +851,30 @@ int CmdProfile(int argc, char** argv) {
     obs::FillExecutorStats(profile, obs::MetricsRegistry::Global());
     folded = obs::FoldedStacks(roots);
   } else {
-    if (positional.empty()) {
+    if (args.pos.empty()) {
       return DiagError("profile requires a RUN_REPORT.json or PROFILE.json path, or --live");
     }
-    auto bytes = ReadFile(positional[0]);
+    const std::string& path = args.pos[0];
+    auto bytes = ReadFile(path);
     if (!bytes.ok()) {
       return DiagError(bytes.error());
     }
     std::string text(bytes->begin(), bytes->end());
     auto doc = obs::ParseJson(text);
     if (!doc.ok()) {
-      return DiagError(positional[0], doc.error());
+      return DiagError(path, doc.error());
     }
     const obs::JsonValue* schema = doc->Find("schema");
     const bool saved = schema != nullptr && schema->string == obs::kProfileSchema;
     // A saved profile keeps per-name aggregates, not the span forest.
-    if (saved && !FlagValue(argc, argv, "folded-out", "").empty()) {
+    if (saved && !args.Str("folded-out").empty()) {
       return DiagError(StrFormat("--folded-out: %s has no span stacks (%s documents "
                                  "keep per-name totals only)",
-                                 positional[0].c_str(), obs::kProfileSchema));
+                                 path.c_str(), obs::kProfileSchema));
     }
     auto parsed = saved ? obs::ParseProfileDoc(text) : obs::ProfileFromReportJson(text);
     if (!parsed.ok()) {
-      return DiagError(positional[0], parsed.error());
+      return DiagError(path, parsed.error());
     }
     profile = parsed.TakeValue();
     if (!saved) {
@@ -1092,7 +884,7 @@ int CmdProfile(int argc, char** argv) {
       }
     }
   }
-  std::string out_path = FlagValue(argc, argv, "out", "");
+  const std::string& out_path = args.Str("out");
   if (!out_path.empty()) {
     std::string json = obs::ProfileJson(profile);
     std::ofstream out(out_path, std::ios::binary);
@@ -1102,7 +894,7 @@ int CmdProfile(int argc, char** argv) {
     }
     printf("wrote %s (%s)\n", out_path.c_str(), obs::kProfileSchema);
   }
-  std::string folded_path = FlagValue(argc, argv, "folded-out", "");
+  const std::string& folded_path = args.Str("folded-out");
   if (!folded_path.empty()) {
     std::ofstream out(folded_path, std::ios::binary);
     out.write(folded.data(), static_cast<std::streamsize>(folded.size()));
@@ -1111,7 +903,7 @@ int CmdProfile(int argc, char** argv) {
     }
     printf("wrote %s (%zu bytes folded stacks)\n", folded_path.c_str(), folded.size());
   }
-  if (HasFlag(argc, argv, "json")) {
+  if (args.Has("json")) {
     printf("%s", obs::ProfileJson(profile).c_str());
   } else if (out_path.empty() && folded_path.empty()) {
     printf("%s", obs::ProfileText(profile).c_str());
@@ -1119,13 +911,9 @@ int CmdProfile(int argc, char** argv) {
   return 0;
 }
 
-int CmdDiff(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.size() < 2) {
-    return DiagError("diff requires OLD and NEW image paths");
-  }
-  auto old_bytes = ReadFile(positional[0]);
-  auto new_bytes = ReadFile(positional[1]);
+int CmdDiff(const Args& args) {
+  auto old_bytes = ReadFile(args.pos[0]);
+  auto new_bytes = ReadFile(args.pos[1]);
   if (!old_bytes.ok() || !new_bytes.ok()) {
     return DiagError("cannot read images");
   }
@@ -1145,7 +933,7 @@ int CmdDiff(int argc, char** argv) {
   printf("tracepoints: +%zu -%zu changed %zu\n", diff.tracepoints.added.size(),
          diff.tracepoints.removed.size(), diff.tracepoints.changed.size());
   printf("syscalls:    +%zu -%zu\n", diff.syscalls.added.size(), diff.syscalls.removed.size());
-  if (HasFlag(argc, argv, "verbose")) {
+  if (args.Has("verbose")) {
     for (const auto& [name, kinds] : diff.funcs.changed) {
       printf("  func %s:", name.c_str());
       for (FuncChangeKind kind : kinds) {
@@ -1164,10 +952,10 @@ int CmdDiff(int argc, char** argv) {
   return 0;
 }
 
-int CmdCheck(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  std::string dataset_path = FlagValue(argc, argv, "dataset", "");
-  if (positional.empty() || (positional.size() < 2 && dataset_path.empty())) {
+int CmdCheck(const Args& args) {
+  const std::vector<std::string>& positional = args.pos;
+  const std::string& dataset_path = args.Str("dataset");
+  if (positional.size() < 2 && dataset_path.empty()) {
     return DiagError("check requires OBJECT and either IMAGE... or --dataset=FILE");
   }
   auto object_bytes = ReadFile(positional[0]);
@@ -1224,38 +1012,24 @@ int CmdCheck(int argc, char** argv) {
 // Static analysis of a compiled object's instruction streams (CFG,
 // reachability, register provenance, guard dominance). Exit 0 when clean,
 // 2 when the analyzer reports findings, 1 when the object is unreadable.
-int CmdAnalyze(int argc, char** argv) {
-  if (int rc = RejectUnknownFlags(argc, argv, "analyze", {"against", "json"})) {
-    return rc;
-  }
-  auto positional = Positional(argc, argv);
-  if (positional.empty()) {
-    return DiagError("analyze requires an OBJECT path");
-  }
-  auto bytes = ReadFile(positional[0]);
+int CmdAnalyze(const Args& args) {
+  const std::string& path = args.pos[0];
+  auto bytes = ReadFile(path);
   if (!bytes.ok()) {
     return DiagError(bytes.error());
   }
   DiagnosticLedger ledger;
   auto object = ParseBpfObject(bytes.TakeValue(), &ledger);
   if (!object.ok()) {
-    return DiagError(positional[0] + ": " + object.error().ToString());
+    return DiagError(path + ": " + object.error().ToString());
   }
   std::vector<Dataset> datasets;
   AnalyzeOptions opts;
-  std::string against = FlagValue(argc, argv, "against", "");
-  if (!against.empty()) {
-    auto loaded = LoadAgainstDatasets(against);
-    if (!loaded.ok()) {
-      return DiagError(loaded.error());
-    }
-    datasets = loaded.TakeValue();
-    for (const Dataset& ds : datasets) {
-      opts.against_all.push_back(&ds);
-    }
+  if (Status loaded = LoadAgainst(args, &datasets, &opts); !loaded.ok()) {
+    return DiagError(loaded.error());
   }
   ObjectAnalysis analysis = AnalyzeObject(*object, opts);
-  if (HasFlag(argc, argv, "json")) {
+  if (args.Has("json")) {
     printf("%s", AnalysisToJson(analysis).c_str());
   } else {
     printf("object %s: %zu programs, %zu relocs%s\n", analysis.object_name.c_str(),
@@ -1298,35 +1072,21 @@ int CmdAnalyze(int argc, char** argv) {
 // Exit 0 when the fixed object is clean, 2 when unfixable findings remain,
 // 1 on error or when verification fails (a targeted finding survived the
 // rewrite, or the rewrite introduced a new one).
-int CmdFix(int argc, char** argv) {
-  if (int rc = RejectUnknownFlags(argc, argv, "fix", {"against", "out", "json"})) {
-    return rc;
-  }
-  auto positional = Positional(argc, argv);
-  if (positional.empty()) {
-    return DiagError("fix requires an OBJECT path");
-  }
-  auto bytes = ReadFile(positional[0]);
+int CmdFix(const Args& args) {
+  const std::string& path = args.pos[0];
+  auto bytes = ReadFile(path);
   if (!bytes.ok()) {
     return DiagError(bytes.error());
   }
   DiagnosticLedger ledger;
   auto object = ParseBpfObject(bytes.TakeValue(), &ledger);
   if (!object.ok()) {
-    return DiagError(positional[0] + ": " + object.error().ToString());
+    return DiagError(path + ": " + object.error().ToString());
   }
   std::vector<Dataset> datasets;
   AnalyzeOptions opts;
-  std::string against = FlagValue(argc, argv, "against", "");
-  if (!against.empty()) {
-    auto loaded = LoadAgainstDatasets(against);
-    if (!loaded.ok()) {
-      return DiagError(loaded.error());
-    }
-    datasets = loaded.TakeValue();
-    for (const Dataset& ds : datasets) {
-      opts.against_all.push_back(&ds);
-    }
+  if (Status loaded = LoadAgainst(args, &datasets, &opts); !loaded.ok()) {
+    return DiagError(loaded.error());
   }
 
   ObjectAnalysis before = AnalyzeObject(*object, opts);
@@ -1338,34 +1098,33 @@ int CmdFix(int argc, char** argv) {
     for (const DiagnosticEntry& entry : ledger.entries()) {
       fprintf(stderr, "note: %s\n", entry.ToString().c_str());
     }
-    return DiagError(positional[0] + ": " + applied.error().ToString());
+    return DiagError(path + ": " + applied.error().ToString());
   }
 
   // The fixed object must round-trip through the salvaging decoder and
   // re-analyze with every targeted finding gone and nothing new.
   auto encoded = WriteBpfObject(fixed);
   if (!encoded.ok()) {
-    return DiagError(positional[0] + ": fixed object does not encode: " +
-                     encoded.error().ToString());
+    return DiagError(path + ": fixed object does not encode: " + encoded.error().ToString());
   }
   DiagnosticLedger reparse_ledger;
   auto reparsed = ParseBpfObject(*encoded, &reparse_ledger);
   if (!reparsed.ok()) {
-    return DiagError(positional[0] + ": fixed object does not re-parse: " +
+    return DiagError(path + ": fixed object does not re-parse: " +
                      reparsed.error().ToString());
   }
   ledger.Merge(reparse_ledger);
   ObjectAnalysis after = AnalyzeObject(*reparsed, opts);
   RemediationVerification verification = VerifyRemediation(before, plan, after);
 
-  std::string out_path = FlagValue(argc, argv, "out", "");
+  const std::string& out_path = args.Str("out");
   if (!out_path.empty()) {
     Status written = WriteFile(out_path, *encoded);
     if (!written.ok()) {
       return DiagError(written.ToString());
     }
   }
-  if (HasFlag(argc, argv, "json")) {
+  if (args.Has("json")) {
     printf("%s", RemediationToJson(before, plan, &verification).c_str());
   } else {
     printf("object %s: %zu findings, %zu fixable%s\n", before.object_name.c_str(),
@@ -1398,62 +1157,52 @@ int CmdFix(int argc, char** argv) {
   return after.findings.empty() ? 0 : 2;
 }
 
-int CmdDataset(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.empty()) {
-    return DiagError("dataset requires a subcommand: build | info");
+int CmdDatasetBuild(const Args& args) {
+  const std::string& out = args.Str("out");
+  if (out.empty()) {
+    return DiagError("dataset build requires IMAGE... and --out=FILE");
   }
-  if (positional[0] == "build") {
-    std::string out = FlagValue(argc, argv, "out", "");
-    if (positional.size() < 2 || out.empty()) {
-      return DiagError("dataset build requires IMAGE... and --out=FILE");
-    }
-    Dataset dataset;
-    for (size_t i = 1; i < positional.size(); ++i) {
-      auto bytes = ReadFile(positional[i]);
-      if (!bytes.ok()) {
-        return DiagError(bytes.error().ToString());
-      }
-      auto surface = DependencySurface::Extract(bytes.TakeValue());
-      if (!surface.ok()) {
-        return DiagError(positional[i] + ": " + surface.error().ToString());
-      }
-      dataset.AddImage(positional[i], *surface);
-      printf("distilled %s\n", positional[i].c_str());
-    }
-    std::vector<uint8_t> bytes = SaveDatasetV2(dataset);
-    Status written = WriteFile(out, bytes);
-    if (!written.ok()) {
-      return DiagError(written.ToString());
-    }
-    printf("wrote %s (%zu images, %zu bytes)\n", out.c_str(), dataset.num_images(),
-           bytes.size());
-    return 0;
-  }
-  if (positional[0] == "info") {
-    if (positional.size() < 2) {
-      return DiagError("dataset info requires a FILE");
-    }
-    auto bytes = ReadFile(positional[1]);
+  Dataset dataset;
+  for (const std::string& path : args.pos) {
+    auto bytes = ReadFile(path);
     if (!bytes.ok()) {
       return DiagError(bytes.error().ToString());
     }
-    auto dataset = LoadDatasetV2(*bytes);
-    if (!dataset.ok()) {
-      return DiagError(positional[1] + ": " + dataset.error().ToString());
+    auto surface = DependencySurface::Extract(bytes.TakeValue());
+    if (!surface.ok()) {
+      return DiagError(path + ": " + surface.error().ToString());
     }
-    printf("format v2: %zu images, %zu interned strings\n", dataset->num_images(),
-           dataset->pool_size());
-    for (const ImageRecord& image : dataset->images()) {
-      printf("  %-28s v%d.%d %s/%s gcc%d: %zu funcs, %zu structs, %zu tracepoints, %zu syscalls\n",
-             image.label.c_str(), image.meta.version_major, image.meta.version_minor,
-             image.meta.arch.c_str(), image.meta.flavor.c_str(), image.meta.gcc_major,
-             image.funcs.size(), image.structs.size(), image.tracepoints.size(),
-             image.syscalls.size());
-    }
-    return 0;
+    dataset.AddImage(path, *surface);
+    printf("distilled %s\n", path.c_str());
   }
-  return DiagError("unknown dataset subcommand " + positional[0] + " (build | info)");
+  std::vector<uint8_t> bytes = SaveDatasetV2(dataset);
+  Status written = WriteFile(out, bytes);
+  if (!written.ok()) {
+    return DiagError(written.ToString());
+  }
+  printf("wrote %s (%zu images, %zu bytes)\n", out.c_str(), dataset.num_images(), bytes.size());
+  return 0;
+}
+
+int CmdDatasetInfo(const Args& args) {
+  auto bytes = ReadFile(args.pos[0]);
+  if (!bytes.ok()) {
+    return DiagError(bytes.error().ToString());
+  }
+  auto dataset = LoadDatasetV2(*bytes);
+  if (!dataset.ok()) {
+    return DiagError(args.pos[0] + ": " + dataset.error().ToString());
+  }
+  printf("format v2: %zu images, %zu interned strings\n", dataset->num_images(),
+         dataset->pool_size());
+  for (const ImageRecord& image : dataset->images()) {
+    printf("  %-28s v%d.%d %s/%s gcc%d: %zu funcs, %zu structs, %zu tracepoints, %zu syscalls\n",
+           image.label.c_str(), image.meta.version_major, image.meta.version_minor,
+           image.meta.arch.c_str(), image.meta.flavor.c_str(), image.meta.gcc_major,
+           image.funcs.size(), image.structs.size(), image.tracepoints.size(),
+           image.syscalls.size());
+  }
+  return 0;
 }
 
 // Dataset-as-a-service: open every --against dataset once (zero-copy
@@ -1463,39 +1212,21 @@ int CmdDataset(int argc, char** argv) {
 // unix stream socket instead: each connection is one batch (client writes
 // request lines then shuts down its write side; the server responds and
 // closes). --report-out=FILE writes a depsurf.serve_report.v1 summary.
-int CmdServe(int argc, char** argv) {
-  std::string against = FlagValue(argc, argv, "against", "");
-  if (against.empty()) {
+int CmdServe(const Args& args) {
+  if (args.Str("against").empty()) {
     return DiagError("serve requires --against=DATASET[,DATASET...]");
   }
-  std::vector<std::string> paths;
-  for (const std::string& path : SplitString(against, ',')) {
-    if (!path.empty()) {
-      paths.push_back(path);
-    }
-  }
   ServeOptions options;
-  auto jobs = ParseJobsFlag(FlagValue(argc, argv, "jobs", ""));
-  if (!jobs.ok()) {
-    return DiagError("--jobs: " + jobs.error().message());
-  }
-  options.jobs = *jobs;
-  auto capacity = ParseU64Flag(FlagValue(argc, argv, "cache-capacity", ""), 4096);
-  if (!capacity.ok()) {
-    return DiagError("--cache-capacity: " + capacity.error().message());
-  }
-  options.cache_capacity = static_cast<size_t>(*capacity);
-  auto max_conns = ParseU64Flag(FlagValue(argc, argv, "max-connections", ""), 0);
-  if (!max_conns.ok()) {
-    return DiagError("--max-connections: " + max_conns.error().message());
-  }
-  std::string socket_path = FlagValue(argc, argv, "socket", "");
-  const bool oneshot = HasFlag(argc, argv, "oneshot");
+  options.jobs = static_cast<int>(args.Num("jobs"));
+  options.cache_capacity = static_cast<size_t>(args.Num("cache-capacity"));
+  const uint64_t max_conns = args.Num("max-connections");
+  const std::string& socket_path = args.Str("socket");
+  const bool oneshot = args.Has("oneshot");
   if (oneshot == !socket_path.empty()) {
     return DiagError("serve requires exactly one of --oneshot or --socket=PATH");
   }
 
-  auto engine = ServeEngine::Open(paths, options);
+  auto engine = ServeEngine::Open(SplitList(args.Str("against")), options);
   if (!engine.ok()) {
     return DiagError(engine.error());
   }
@@ -1512,12 +1243,11 @@ int CmdServe(int argc, char** argv) {
       printf("%s\n", response.c_str());
     }
   } else {
-    Status served = ServeUnixSocket(*engine, socket_path, *max_conns, [&] {
+    Status served = ServeUnixSocket(*engine, socket_path, max_conns, [&] {
       fprintf(stderr, "serving %zu dataset(s) on %s%s\n", engine->num_datasets(),
               socket_path.c_str(),
-              *max_conns > 0
-                  ? StrFormat(" (%llu connection(s))",
-                              static_cast<unsigned long long>(*max_conns))
+              max_conns > 0
+                  ? StrFormat(" (%llu connection(s))", static_cast<unsigned long long>(max_conns))
                         .c_str()
                   : "");
     });
@@ -1526,7 +1256,7 @@ int CmdServe(int argc, char** argv) {
     }
   }
 
-  std::string report_out = FlagValue(argc, argv, "report-out", "");
+  const std::string& report_out = args.Str("report-out");
   if (!report_out.empty()) {
     std::string report = engine->ReportJson();
     std::ofstream out(report_out, std::ios::binary);
@@ -1546,21 +1276,22 @@ int CmdServe(int argc, char** argv) {
   return 0;
 }
 
-int CmdProgs(Study& study) {
+int CmdProgs(const Args& args) {
+  Study study(StudyOptionsFrom(args));
   for (const BpfObject& object : study.programs().objects) {
     printf("%s\n", object.name.c_str());
   }
   return 0;
 }
 
-int CmdEmit(int argc, char** argv, Study& study) {
-  auto positional = Positional(argc, argv);
-  std::string out = FlagValue(argc, argv, "out", "");
-  if (positional.empty() || out.empty()) {
+int CmdEmit(const Args& args) {
+  const std::string& out = args.Str("out");
+  if (out.empty()) {
     return DiagError("emit requires PROGRAM and --out=FILE");
   }
+  Study study(StudyOptionsFrom(args));
   for (const BpfObject& object : study.programs().objects) {
-    if (object.name == positional[0]) {
+    if (object.name == args.pos[0]) {
       auto bytes = WriteBpfObject(object);
       if (!bytes.ok()) {
         return DiagError(bytes.error().ToString());
@@ -1573,121 +1304,262 @@ int CmdEmit(int argc, char** argv, Study& study) {
       return 0;
     }
   }
-  return DiagError("no bundled program named " + positional[0] + " (see `depsurf progs`)");
+  return DiagError("no bundled program named " + args.pos[0] + " (see `depsurf progs`)");
 }
 
-constexpr char kUsage[] =
-    "usage: depsurf COMMAND [options]\n"
-    "  gen     --version=5.4 [--arch=A] [--flavor=F] [--scale=S] [--seed=N] --out=IMG\n"
-    "  surface IMG [--func=NAME] [--json]\n"
-    "  stats   IMG [--json]\n"
-    "  diff    OLD NEW [--verbose]\n"
-    "  check   OBJ [IMG...] [--dataset=FILE] (exit 2 when mismatches are found)\n"
-    "  analyze OBJ [--against=DS[,DS...]] [--json] (exit 2 on findings, 1 if unreadable;\n"
-    "          worst consequence across all datasets wins)\n"
-    "  fix     OBJ [--against=DS[,DS...]] [--out=FILE] [--json]\n"
-    "          (synthesize field_exists guards for unguarded relocs, verify by\n"
-    "           re-analysis; exit 0 clean, 2 unfixable findings remain, 1 error)\n"
-    "  dataset build IMG... --out=FILE | dataset info FILE\n"
-    "  serve   --against=DS[,DS...] (--oneshot | --socket=PATH) [--jobs=N]\n"
-    "          [--cache-capacity=N] [--max-connections=N] [--report-out=FILE]\n"
-    "          (batched NDJSON dependency-set queries; one response line per\n"
-    "           request, byte-identical at any --jobs)\n"
-    "  progs\n"
-    "  emit    PROGRAM --out=OBJ\n"
-    "  doctor  IMG [--sweep=N] [--seed=S] [--mutation-timeout=SECS] [--json]\n"
-    "          (exit 2 when the image needed salvage, 1 when unreadable\n"
-    "           or a sweep mutation timed out)\n"
-    "  fuzz    SEED... [--rounds=N] [--seed=S] [--corpus-dir=DIR]\n"
-    "          [--mutation-timeout=SECS] [--max-ledger=N] [--json]\n"
-    "          (coverage-guided campaign; exit 2 on oracle disagreements,\n"
-    "           1 on hangs)\n"
-    "  metrics lint FILE [--kind=report|agg|bench|perf|trace|diag|analysis\n"
-    "          |remediation|profile|fuzz|serve] [--min-spans=N]\n"
-    "          [--require=a,b,c] [--report=FILE] | metrics canon FILE\n"
-    "  report  merge OUT IN... | report flame REPORT.json [--out=FILE]\n"
-    "  perf    compare BASE.json HEAD.json [--max-regress=15%] [--noise-floor=S]\n"
-    "          [--json] (exit 3 when a stage regressed beyond the threshold)\n"
-    "  profile RUN_REPORT.json | PROFILE.json | profile --live [study flags]\n"
-    "          [--json] [--out=PROFILE.json] [--folded-out=FLAME.folded]\n"
-    "  study   build [--versions=5.4,6.8] [--arch=A] [--flavor=F] [--scale=S] [--seed=N]\n"
-    "          [--out=DATASET] [--report-dir=DIR] [--profile-out=FILE] [--jobs=N]\n"
-    "          [--strict] [--poison=LABEL]\n"
-    "global options: --metrics-out=FILE  --trace-out=FILE  --trace\n";
+// ---- The command table ---------------------------------------------------
 
-int Dispatch(int argc, char** argv, const std::string& command) {
-  if (command == "gen") {
-    return CmdGen(argc, argv);
+// The --arch, --flavor and --kind choices, in the order of the arrays the
+// handlers index with a kEnum value.
+template <typename T, size_t N, typename NameFn>
+std::vector<std::string> Names(const T (&items)[N], NameFn name) {
+  std::vector<std::string> names;
+  for (const T& item : items) {
+    names.push_back(name(item));
   }
-  if (command == "surface") {
-    return CmdSurface(argc, argv);
+  return names;
+}
+
+const std::vector<std::string> kArchNames = Names(kAllArches, ArchName);
+const std::vector<std::string> kFlavorNames = Names(kAllFlavors, FlavorName);
+const std::vector<std::string> kLintKindNames =
+    Names(kLintKinds, [](const LintKind& lint) { return lint.kind; });
+
+// Flags several commands declare alike.
+const Flag kJson{"json"};
+const Flag kSeed{"seed", Kind::kU64, "2025"};
+const Flag kJobs{"jobs", Kind::kJobs};
+const Flag kAgainst{"against", Kind::kString, "", "DS[,DS...]"};
+const Flag kVersions{"versions", Kind::kString, "", "V[,V...]"};
+const Flag kArch{"arch", Kind::kEnum, "x86", "", &kArchNames};
+const Flag kFlavor{"flavor", Kind::kEnum, "generic", "", &kFlavorNames};
+
+// Accepted by every command.
+const Flag kGlobalFlags[] = {
+    {"metrics-out", Kind::kString, "", "FILE"},
+    {"trace-out", Kind::kString, "", "FILE"},
+    {"trace"},
+};
+
+struct Command {
+  const char* name;  // "gen", or "dataset build" for a subcommand
+  // Positionals, one word each: "[X]" is optional, "X..." any number.
+  const char* args;
+  std::vector<Flag> flags;
+  int (*run)(const Args& args);
+  const char* note;  // the rest of the usage line
+};
+
+const Command kCommands[] = {
+    {"gen", "",
+     {{"version", Kind::kString, "5.4"}, kArch, kFlavor, {"scale", Kind::kScale, "1.0"}, kSeed,
+      {"out", Kind::kString, "", "IMG"}},
+     CmdGen, "generate a kernel image"},
+    {"surface", "IMG", {{"func", Kind::kString, "", "NAME"}, kJson}, CmdSurface,
+     "inspect a dependency surface"},
+    {"stats", "IMG", {kJson}, CmdStats, "decode an image, report pipeline metrics"},
+    {"diff", "OLD NEW", {{"verbose"}}, CmdDiff, "diff two images (Table 3/4 style)"},
+    {"check", "OBJ [IMG...]", {{"dataset", Kind::kString, "", "FILE"}}, CmdCheck,
+     "report mismatches against IMG... or --dataset (exit 2 when mismatches are found)"},
+    {"analyze", "OBJ", {kAgainst, kJson}, CmdAnalyze,
+     "static analysis of the insn stream (exit 2 on findings, 1 if unreadable; worst "
+     "consequence across all datasets wins)"},
+    {"fix", "OBJ", {kAgainst, {"out", Kind::kString, "", "FILE"}, kJson}, CmdFix,
+     "synthesize field_exists guards for unguarded relocs, verify by re-analysis (exit 0 "
+     "clean, 2 unfixable findings remain, 1 error)"},
+    {"dataset build", "IMG...", {{"out", Kind::kString, "", "FILE"}}, CmdDatasetBuild,
+     "distill images into a dataset"},
+    {"dataset info", "FILE", {}, CmdDatasetInfo, "summarize a dataset"},
+    {"serve", "",
+     {kAgainst, {"oneshot"}, {"socket", Kind::kString, "", "PATH"}, kJobs,
+      {"cache-capacity", Kind::kU64, "4096"}, {"max-connections", Kind::kU64},
+      {"report-out", Kind::kString, "", "FILE"}},
+     CmdServe,
+     "batched NDJSON dependency-set queries from stdin (--oneshot) or a unix socket; one "
+     "response line per request, byte-identical at any --jobs"},
+    {"progs", "", {{"scale", Kind::kScale, "0.05"}, kSeed}, CmdProgs,
+     "list the bundled 53-program corpus"},
+    {"emit", "PROGRAM",
+     {{"out", Kind::kString, "", "OBJ"}, {"scale", Kind::kScale, "0.05"}, kSeed}, CmdEmit,
+     "write a bundled program's .o"},
+    {"doctor", "IMG",
+     {{"sweep", Kind::kU64}, kSeed, {"mutation-timeout", Kind::kSeconds, "30"}, kJson},
+     CmdDoctor,
+     "triage a damaged image, or sweep N seeded faults (exit 2 when the image needed "
+     "salvage, 1 when unreadable or a sweep mutation timed out)"},
+    {"fuzz", "SEED...",
+     {{"rounds", Kind::kU64, "64"}, kSeed, {"corpus-dir", Kind::kString, "", "DIR"},
+      {"mutation-timeout", Kind::kSeconds, "10"}, {"max-ledger", Kind::kU64, "10000"}, kJson},
+     CmdFuzz,
+     "coverage-guided fuzzing of image or object seeds (exit 2 on oracle disagreements, "
+     "1 on hangs)"},
+    {"metrics lint", "FILE",
+     {{"kind", Kind::kEnum, "report", "", &kLintKindNames}, {"min-spans", Kind::kU64},
+      {"require", Kind::kString, "", "a,b,c"}, {"report", Kind::kString, "", "FILE"}},
+     CmdMetricsLint, "validate an observability document"},
+    {"metrics canon", "FILE", {}, CmdMetricsCanon, "canonical JSON, timings masked"},
+    {"report merge", "OUT IN...", {}, CmdReportMerge, "merge run reports into an aggregate"},
+    {"report flame", "REPORT.json", {{"out", Kind::kString, "", "FILE"}}, CmdReportFlame,
+     "folded stacks for flamegraph.pl"},
+    {"perf compare", "BASE.json HEAD.json",
+     {{"max-regress", Kind::kRatio, "15%"}, {"noise-floor", Kind::kSeconds, "0.005"}, kJson},
+     CmdPerfCompare, "perf regression gate (exit 3 when a stage regressed beyond the threshold)"},
+    {"profile", "[REPORT.json|PROFILE.json]",
+     {{"live"}, kVersions, kArch, kFlavor, {"scale", Kind::kScale, "0.25"}, kSeed, kJobs, kJson,
+      {"out", Kind::kString, "", "PROFILE.json"}, {"folded-out", Kind::kString, "", "FILE"}},
+     CmdProfile, "self-profile of a run report, a saved profile, or a --live corpus build"},
+    {"study build", "",
+     {kVersions, kArch, kFlavor, {"scale", Kind::kScale, "1.0"}, kSeed,
+      {"out", Kind::kString, "", "DATASET"}, {"report-dir", Kind::kString, "", "DIR"},
+      {"profile-out", Kind::kString, "", "FILE"}, kJobs, {"strict"},
+      {"poison", Kind::kString, "", "LABEL"}},
+     CmdStudyBuild, "build a dataset corpus, with reports"},
+};
+
+// "--json", "--out=FILE", "--rounds=64", "--arch=x86|arm64|...".
+std::string FlagSynopsis(const Flag& flag) {
+  std::string out = std::string("--") + flag.name;
+  if (flag.kind == Kind::kBool) {
+    return out;
   }
-  if (command == "stats") {
-    return CmdStats(argc, argv);
+  if (flag.choices != nullptr) {
+    return out + "=" + JoinStrings(*flag.choices, "|");
   }
-  if (command == "doctor") {
-    return CmdDoctor(argc, argv);
-  }
-  if (command == "fuzz") {
-    return CmdFuzz(argc, argv);
-  }
-  if (command == "diff") {
-    return CmdDiff(argc, argv);
-  }
-  if (command == "check") {
-    return CmdCheck(argc, argv);
-  }
-  if (command == "analyze") {
-    return CmdAnalyze(argc, argv);
-  }
-  if (command == "fix") {
-    return CmdFix(argc, argv);
-  }
-  if (command == "dataset") {
-    return CmdDataset(argc, argv);
-  }
-  if (command == "serve") {
-    return CmdServe(argc, argv);
-  }
-  if (command == "metrics") {
-    return CmdMetrics(argc, argv);
-  }
-  if (command == "report") {
-    return CmdReport(argc, argv);
-  }
-  if (command == "perf") {
-    return CmdPerf(argc, argv);
-  }
-  if (command == "profile") {
-    return CmdProfile(argc, argv);
-  }
-  if (command == "study") {
-    return CmdStudy(argc, argv);
-  }
-  if (command == "progs" || command == "emit") {
-    auto options = StudyOptions::Parse(argc, argv, /*default_scale=*/0.05);
-    if (!options.ok()) {
-      return DiagError(options.error());
+  const char* value = *flag.meta != '\0' ? flag.meta : flag.fallback;
+  return out + "=" + (*value != '\0' ? value : "N");
+}
+
+// One entry per table row, wrapped at 80 columns.
+std::string Usage() {
+  std::string out = "usage: depsurf COMMAND [options]\n";
+  for (const Command& command : kCommands) {
+    std::string synopsis = command.args;
+    for (const Flag& flag : command.flags) {
+      synopsis += " [" + FlagSynopsis(flag) + "]";
     }
-    Study study(options.TakeValue());
-    return command == "progs" ? CmdProgs(study) : CmdEmit(argc, argv, study);
+    std::string line = std::string("  ") + command.name;
+    for (const std::string& text : {synopsis, std::string(command.note)}) {
+      for (const std::string& word : SplitList(text, ' ')) {
+        if (line.size() + 1 + word.size() > 80) {
+          out += line + "\n";
+          line = std::string(9, ' ');
+        }
+        line += " " + word;
+      }
+      out += line + "\n";
+      line = std::string(9, ' ');
+    }
   }
-  fputs(kUsage, stderr);
-  return 1;
+  out += "global options:";
+  for (const Flag& flag : kGlobalFlags) {
+    out += "  " + FlagSynopsis(flag);
+  }
+  return out + "\n";
+}
+
+// Checks `argv` (what follows the command words) against `command`, and
+// reads the value of every flag it declares, given or fallback.
+Result<Args> ParseArgs(const Command& command, const std::vector<std::string>& argv) {
+  auto fail = [&command](const std::string& message) {
+    return Error(ErrorCode::kInvalidArgument, std::string(command.name) + ": " + message);
+  };
+  std::map<std::string, const Flag*> flags;
+  for (const Flag& flag : command.flags) {
+    flags[flag.name] = &flag;
+  }
+  for (const Flag& flag : kGlobalFlags) {
+    flags[flag.name] = &flag;
+  }
+  Args args;
+  for (const auto& [name, flag] : flags) {
+    Value& value = args.values[name];
+    if (*flag->fallback != '\0') {
+      (void)ParseValue(*flag, flag->fallback, &value);
+    }
+  }
+  const std::vector<std::string> words = SplitList(command.args, ' ');
+  const size_t min_args =
+      std::count_if(words.begin(), words.end(), [](const std::string& w) { return w[0] != '['; });
+  const size_t max_args = strstr(command.args, "...") != nullptr ? SIZE_MAX : words.size();
+  for (const std::string& arg : argv) {
+    if (!StartsWith(arg, "--")) {
+      if (args.pos.size() == max_args) {
+        return fail("unexpected argument " + arg);
+      }
+      args.pos.push_back(arg);
+      continue;
+    }
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    auto it = flags.find(name);
+    if (it == flags.end()) {
+      return fail("unknown flag --" + name);
+    }
+    const Flag& flag = *it->second;
+    if (flag.kind == Kind::kBool && eq != std::string::npos) {
+      return fail("--" + name + " takes no value");
+    }
+    if (flag.kind != Kind::kBool && eq == std::string::npos) {
+      return fail("--" + name + " needs a value: " + FlagSynopsis(flag));
+    }
+    Value& value = args.values[name];
+    if (value.given) {
+      return fail("--" + name + " is given twice");
+    }
+    value.given = true;
+    Status parsed = ParseValue(flag, eq == std::string::npos ? "" : arg.substr(eq + 1), &value);
+    if (!parsed.ok()) {
+      return parsed.TakeError();
+    }
+  }
+  if (args.pos.size() < min_args) {
+    return Error(ErrorCode::kInvalidArgument,
+                 StrFormat("%s requires %s", command.name, command.args));
+  }
+  return args;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    fputs(kUsage, stderr);
+  std::string name = argc >= 2 ? argv[1] : "";
+  std::vector<std::string> rest(argv + std::min(argc, 2), argv + argc);
+  // A command with subcommands takes its first positional as the
+  // subcommand, wherever it stands among the flags.
+  std::vector<std::string> subcommands;
+  for (const Command& command : kCommands) {
+    if (StartsWith(command.name, name + " ")) {
+      subcommands.push_back(command.name + name.size() + 1);
+    }
+  }
+  if (!subcommands.empty()) {
+    auto sub = std::find_if(rest.begin(), rest.end(),
+                            [](const std::string& arg) { return !StartsWith(arg, "--"); });
+    const std::string choices = JoinStrings(subcommands, " | ");
+    if (sub == rest.end()) {
+      return DiagError(name + " requires a subcommand: " + choices);
+    }
+    if (std::find(subcommands.begin(), subcommands.end(), *sub) == subcommands.end()) {
+      return DiagError("unknown " + name + " subcommand " + *sub + " (" + choices + ")");
+    }
+    name += " " + *sub;
+    rest.erase(sub);
+  }
+  auto command = std::find_if(std::begin(kCommands), std::end(kCommands),
+                              [&name](const Command& c) { return name == c.name; });
+  if (command == std::end(kCommands)) {
+    fputs(Usage().c_str(), stderr);
     return 1;
   }
-  if (HasFlag(argc, argv, "trace")) {
+  auto args = ParseArgs(*command, rest);
+  if (!args.ok()) {
+    return DiagError(args.error().message());
+  }
+  if (args->Has("trace")) {
     obs::SpanCollector::Global().SetLiveTrace(true);
   }
-  int code = Dispatch(argc, argv, argv[1]);
-  std::string trace_out = FlagValue(argc, argv, "trace-out", "");
+  int code = command->run(*args);
+  const std::string& trace_out = args->Str("trace-out");
   if (!trace_out.empty()) {
     Status written = obs::WriteGlobalTrace(trace_out);
     if (!written.ok()) {
@@ -1697,7 +1569,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::string metrics_out = FlagValue(argc, argv, "metrics-out", "");
+  const std::string& metrics_out = args->Str("metrics-out");
   if (!metrics_out.empty()) {
     // Preserve the command's exit code (check uses 2 for "mismatches
     // found"); a report that cannot be written is its own failure.

@@ -1,7 +1,9 @@
 #include "src/util/str_util.h"
 
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace depsurf {
 
@@ -36,6 +38,17 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
+}
+
+Result<uint64_t> ParseUnsigned(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long value = strtoull(text.c_str(), &end, 10);
+  if (text.empty() || text.front() == '-' || *end != '\0' || errno == ERANGE) {
+    return Error(ErrorCode::kInvalidArgument,
+                 StrFormat("\"%s\" is not an unsigned integer", text.c_str()));
+  }
+  return static_cast<uint64_t>(value);
 }
 
 std::string StrFormat(const char* fmt, ...) {

@@ -7,6 +7,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/util/error.h"
+
 namespace depsurf {
 
 // Splits on a single character; empty pieces are preserved.
@@ -17,6 +19,11 @@ std::string JoinStrings(const std::vector<std::string>& parts, std::string_view 
 
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
+
+// A full base-10 unsigned integer: "12x", "-1", "" and overflow are errors
+// naming the text. The one parser behind every integer flag (--seed= of the
+// benches and the CLI, --rounds=, --sweep=, ...).
+Result<uint64_t> ParseUnsigned(const std::string& text);
 
 // printf-style formatting into std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

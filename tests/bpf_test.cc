@@ -2,6 +2,7 @@
 
 #include "src/bpf/bpf_builder.h"
 #include "src/bpf/bpf_object.h"
+#include "src/elf/elf_reader.h"
 
 namespace depsurf {
 namespace {
@@ -324,6 +325,89 @@ TEST(BpfCodecTest, DanglingProgIndexClampedToUnbound) {
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed->relocs[0].prog_index, kRelocUnbound);
   EXPECT_FALSE(ledger.empty());
+}
+
+// A one-program object (kprobe/vfs_fsync: a field load, then exit).
+BpfObject ProbeObject() {
+  BpfObjectBuilder builder("probe");
+  builder.AttachKprobe("vfs_fsync");
+  Status ok = builder.AccessField("request", "rq_disk", "struct gendisk *");
+  EXPECT_TRUE(ok.ok());
+  return builder.Build();
+}
+
+// Overwrites `width` bytes at `field` in the header of the object's program
+// section (64-bit little-endian ELF, as WriteBpfObject emits).
+void PatchProgramSectionHeader(std::vector<uint8_t>& bytes, size_t field, size_t width,
+                               uint64_t value) {
+  auto elf = ElfReader::Parse(bytes);
+  ASSERT_TRUE(elf.ok());
+  size_t index = 0;
+  while (elf->sections()[index].name != "kprobe/vfs_fsync") {
+    ++index;
+  }
+  uint64_t shoff = 0;
+  for (int b = 7; b >= 0; --b) {
+    shoff = shoff << 8 | bytes[0x28 + b];
+  }
+  const size_t at = shoff + index * 64 + field;
+  for (size_t b = 0; b < width; ++b) {
+    bytes[at + b] = static_cast<uint8_t>(value >> (8 * b));
+  }
+}
+
+constexpr size_t kShType = 0x04;
+constexpr size_t kShSize = 0x20;
+
+// Without a ledger the parse is strict: the damage a salvage parse records
+// as its one ledger entry is the strict parse's error instead.
+void ExpectStrictParseFailsAsSalvageRecords(const std::vector<uint8_t>& bytes) {
+  DiagnosticLedger ledger;
+  auto salvaged = ParseBpfObject(bytes, &ledger);
+  ASSERT_TRUE(salvaged.ok()) << salvaged.error().ToString();
+  ASSERT_EQ(ledger.size(), 1u);
+  auto strict = ParseBpfObject(bytes);
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.error().message(), ledger.entries()[0].message);
+  EXPECT_EQ(strict.error().code(), ledger.entries()[0].code);
+}
+
+TEST(BpfCodecTest, StrictParseRejectsUnreadableProgramSection) {
+  // A NOBITS body passes the ELF bounds check; only reading it fails.
+  std::vector<uint8_t> bytes = WriteBpfObject(ProbeObject()).TakeValue();
+  PatchProgramSectionHeader(bytes, kShType, 4, static_cast<uint64_t>(SectionType::kNobits));
+  PatchProgramSectionHeader(bytes, kShSize, 8, uint64_t{1} << 30);
+  ExpectStrictParseFailsAsSalvageRecords(bytes);
+}
+
+TEST(BpfCodecTest, StrictParseRejectsTrailingPartialSlot) {
+  std::vector<uint8_t> bytes = WriteBpfObject(ProbeObject()).TakeValue();
+  PatchProgramSectionHeader(bytes, kShSize, 8, 13);  // two slots, cut mid-second
+  ExpectStrictParseFailsAsSalvageRecords(bytes);
+}
+
+TEST(BpfCodecTest, StrictParseRejectsUnknownOpcode) {
+  std::vector<uint8_t> bytes = WriteBpfObject(ProbeObject()).TakeValue();
+  auto elf = ElfReader::Parse(bytes);
+  ASSERT_TRUE(elf.ok());
+  const ElfSectionView* section = elf->SectionByName("kprobe/vfs_fsync");
+  ASSERT_NE(section, nullptr);
+  bytes[section->offset + 8] = 0xff;  // the exit's opcode
+  ExpectStrictParseFailsAsSalvageRecords(bytes);
+}
+
+TEST(BpfCodecTest, StrictParseRejectsLdImm64MissingSecondSlot) {
+  BpfObject object = ProbeObject();
+  object.programs[0].insns = {ExitInsn(), LoadImm64(1, 42)};
+  std::vector<uint8_t> bytes = WriteBpfObject(object).TakeValue();
+  PatchProgramSectionHeader(bytes, kShSize, 8, 16);  // drop the ld_imm64's second slot
+  ExpectStrictParseFailsAsSalvageRecords(bytes);
+}
+
+TEST(BpfCodecTest, StrictParseRejectsRelocBoundToMissingProgram) {
+  BpfObject object = ProbeObject();
+  object.relocs[0].prog_index = 7;  // no such program
+  ExpectStrictParseFailsAsSalvageRecords(WriteBpfObject(object).TakeValue());
 }
 
 TEST(ResolveRelocTest, ErrorsOnBadAccess) {

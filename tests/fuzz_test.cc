@@ -94,6 +94,35 @@ TEST(FuzzCampaignTest, ObjectModeCampaignRuns) {
   EXPECT_GT(result->coverage.size(), 1u);
 }
 
+// A strict parse fails wherever salvage records damage, so the object
+// oracle has nothing to disagree on. biotop is the corpus object with the
+// most disagreements while the strict parse still dropped damage silently.
+TEST(FuzzCampaignTest, CorpusObjectCampaignHasNoOracleDisagreements) {
+  std::vector<FuzzSeed> seeds;
+  for (const BpfObject& object : BuildProgramCorpus().objects) {
+    if (object.name == "biotop") {
+      seeds.push_back({"biotop.o", WriteBpfObject(object).TakeValue()});
+    }
+  }
+  ASSERT_EQ(seeds.size(), 1u);
+  auto result = RunFuzzCampaign(std::move(seeds), FastOptions(64, 2025));
+  ASSERT_TRUE(result.ok()) << result.error().ToString();
+  EXPECT_EQ(result->mode, SeedMode::kObject);
+  for (const FuzzOracleDisagreement& d : result->disagreements) {
+    ADD_FAILURE() << "round " << d.round << " " << d.kind << ": " << d.violation;
+  }
+}
+
+TEST(FuzzCampaignTest, MixedImageAndObjectSeedsAreAnError) {
+  std::vector<FuzzSeed> seeds;
+  seeds.push_back({"img", SmallImage()});
+  seeds.push_back({"probe.o", SmallObject()});
+  auto result = RunFuzzCampaign(std::move(seeds), FastOptions(8, 1));
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.error().message().find("seed 'probe.o' is an object"), std::string::npos)
+      << result.error().message();
+}
+
 TEST(FuzzCampaignTest, MinimizedCorpusCoversAllCoverage) {
   FuzzCampaignResult result = RunImageCampaign(48, 17);
   std::set<std::string> covered;

@@ -206,4 +206,79 @@ check_flag_error --scale gen --version=5.4 --out=imgx --scale=abc
 check_flag_error --seed study build --scale=0.02 --out=dsx --seed=-1
 check_flag_error --oneshot serve --against=ds1
 
+# ---- one flag table: every command rejects a flag it does not declare, a
+# value on a bare flag, a valued flag without "=", and a surplus argument,
+# each naming what it rejected (all of these used to run, ignoring it).
+check_flag_error --arhc gen --version=5.4 --scale=0.02 --out=imgx --arhc=arm64
+check_flag_error --fnc surface img54 --fnc=vfs_read
+check_flag_error --jsno stats img54 --jsno
+check_flag_error --swep doctor img54 --swep=4
+check_flag_error --round fuzz img54 --round=1
+check_flag_error --verbsoe diff img54 img62 --verbsoe
+check_flag_error --jsno check biotop.o --dataset=ds1 --jsno
+check_flag_error --verbose dataset build img54 --out=dsy --verbose
+check_flag_error --verbose dataset info ds1 --verbose
+check_flag_error --job serve --against=ds1 --oneshot --job=4 < /dev/null
+check_flag_error --outt report flame reps1/report_agg.json --outt=f.folded
+check_flag_error --jsno profile reps1/report_agg.json --jsno
+check_flag_error --stirct study build --versions=5.4 --scale=0.02 --out=dsx --stirct
+check_flag_error --jsno progs --jsno
+check_flag_error --outt emit biotop --out=x.o --outt=y.o
+check_flag_error --against analyze biotop.o --against ds1
+check_flag_error --json analyze biotop.o --json=1
+check_flag_error extra.o analyze biotop.o extra.o
+check_flag_error --poison study build --versions=5.4 --scale=0.02 --out=dsx \
+  --poison=nosuchlabel
+
+# Every table entry, given the arguments it needs, rejects the same four
+# inputs: an undeclared flag, a value on a bare flag, a valued flag without
+# "=", and, where its arguments are bounded, one argument too many.
+while IFS='|' read -r words bounded; do
+  # shellcheck disable=SC2086
+  {
+    check_flag_error --zzz $words --zzz
+    check_flag_error --trace $words --trace=1
+    check_flag_error --metrics-out $words --metrics-out m.json
+    [ "$bounded" = n ] || check_flag_error extra.arg $words extra.arg
+  } < /dev/null
+done <<'ENTRIES'
+gen|y
+surface img54|y
+stats img54|y
+diff img54 img62|y
+check biotop.o img54|n
+analyze biotop.o|y
+fix biotop.o|y
+dataset build img54|n
+dataset info ds1|y
+serve --against=ds1 --oneshot|y
+progs|y
+emit biotop|y
+doctor img54|y
+fuzz img54|n
+metrics lint gen.json|y
+metrics canon gen.json|y
+report merge m.json gen.json|n
+report flame reps1/report_agg.json|y
+perf compare a.json b.json|y
+profile reps1/report_agg.json|y
+study build|y
+ENTRIES
+
+# ---- the usage is generated from the same table: one line per command
+# and subcommand, on stderr with exit 1.
+set +e
+"$DEPSURF" > usage.out 2> usage.txt
+usage_code=$?
+set -e
+[ "$usage_code" -eq 1 ] || fail "depsurf with no command exited $usage_code, want 1"
+[ -s usage.out ] && fail "usage went to stdout"
+for entry in gen surface stats diff check analyze fix "dataset build" "dataset info" \
+    serve progs emit doctor fuzz "metrics lint" "metrics canon" "report merge" \
+    "report flame" "perf compare" profile "study build"; do
+  grep -q "^  $entry\( \|\$\)" usage.txt || fail "usage has no line for '$entry'"
+done
+[ "$(grep -c '^  [a-z]' usage.txt)" -eq 21 ] \
+  || fail "usage has $(grep -c '^  [a-z]' usage.txt) command lines, want 21"
+
 echo "obs_smoke: PASS"

@@ -4,7 +4,7 @@
 # Drives `depsurf doctor` over a clean image, a hand-poisoned one, and a
 # seeded fault-injection sweep, runs a short coverage-guided fuzz campaign
 # (deterministic across reruns, lintable fuzz_campaign.v1 document), then
-# walks the quarantine path of `study build` end to end: --keep-going must
+# walks the quarantine path of `study build` end to end: by default it must
 # finish with the poisoned image quarantined and listed in the aggregate
 # report; --strict must fail.
 set -eu
@@ -77,7 +77,7 @@ done
 "$DEPSURF" metrics lint corpus1/campaign.json --kind=fuzz || fail "corpus campaign.json invalid"
 ls corpus1/fuzz_0000_seed.bin > /dev/null || fail "corpus is missing the seed entry"
 
-# ---- study build --keep-going with one poisoned image: completes, the
+# ---- study build with one poisoned image: by default it completes, the
 # poisoned image is quarantined, and the aggregate lists its fatal entry.
 mkdir -p reps
 "$DEPSURF" study build --versions=5.4,5.8 --scale=0.02 \

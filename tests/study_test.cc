@@ -64,6 +64,19 @@ TEST(StudyOptionsTest, DefaultsAndBadValues) {
   EXPECT_EQ(parsed->seed, 99u);
 }
 
+// The benches and examples own no other flags, so a misspelled or
+// unknown argument is an error naming it, never a run at the default scale.
+TEST(StudyOptionsTest, UnknownArgumentsAreErrors) {
+  for (const char* bad : {"--scael=0.02", "--scale", "--seed", "--jobs=4", "extra"}) {
+    const char* argv[] = {"bench", "--scale=0.25", bad};
+    Result<StudyOptions> parsed = StudyOptions::Parse(3, const_cast<char**>(argv), 0.5);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.error().code(), ErrorCode::kInvalidArgument) << bad;
+    EXPECT_NE(parsed.error().message().find(bad), std::string::npos)
+        << bad << ": " << parsed.error().message();
+  }
+}
+
 TEST(StudyTest, EndToEndSmallCorpus) {
   Study study(StudyOptions{2025, 0.005});
   std::vector<BuildSpec> corpus = {MakeBuild(KernelVersion(5, 4)),
