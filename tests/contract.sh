@@ -7,6 +7,9 @@
 #     bench_fig{4,5,6});
 #   - the `study build --out` dataset at --jobs=1, which must also be
 #     byte-identical to the same build at --jobs=4;
+#   - the masked (`metrics canon`) per-image run reports and report_agg.json
+#     of those builds' `--report-dir`, concatenated in file-name order; the
+#     --jobs=4 concatenation must equal the --jobs=1 one;
 #   - `dataset info` of that dataset;
 #   - `serve --oneshot` responses and the `--report-out` serve_report for
 #     one batch against that dataset at --jobs=1. The responses must also
@@ -97,15 +100,24 @@ for seed in $SEEDS; do
     HASHED="$HASHED $dir/$bench.txt"
   done
   for jobs in 1 4; do
+    mkdir -p "$dir/reports_jobs$jobs"
     "$DEPSURF" study build --scale=$SCALE --seed="$seed" --jobs=$jobs \
-        --out="$dir/dataset_jobs$jobs.dds" > "$dir/study_jobs$jobs.log" 2>&1 \
+        --out="$dir/dataset_jobs$jobs.dds" --report-dir="$dir/reports_jobs$jobs" \
+        > "$dir/study_jobs$jobs.log" 2>&1 \
       || fail "study build --seed=$seed --jobs=$jobs exited $?"
+    : > "$dir/run_reports_jobs$jobs.txt"
+    for report in $(ls "$dir/reports_jobs$jobs" | LC_ALL=C sort); do
+      "$DEPSURF" metrics canon "$dir/reports_jobs$jobs/$report" \
+          >> "$dir/run_reports_jobs$jobs.txt" || fail "metrics canon $report exited $?"
+    done
   done
   cmp -s "$dir/dataset_jobs1.dds" "$dir/dataset_jobs4.dds" \
     || fail "$dir: study build --out differs between --jobs=1 and --jobs=4"
+  cmp -s "$dir/run_reports_jobs1.txt" "$dir/run_reports_jobs4.txt" \
+    || fail "$dir: masked run reports differ between --jobs=1 and --jobs=4"
   (cd "$dir" && "$DEPSURF" dataset info dataset_jobs1.dds) > "$dir/dataset_info.txt" \
     || fail "dataset info ($dir) exited $?"
-  HASHED="$HASHED $dir/dataset_jobs1.dds $dir/dataset_info.txt"
+  HASHED="$HASHED $dir/dataset_jobs1.dds $dir/run_reports_jobs1.txt $dir/dataset_info.txt"
 
   # Serve from inside the seed dir, so every path in a request or a
   # response is relative.
