@@ -123,7 +123,15 @@ Result<BpfObject> ParseBpfObject(std::vector<uint8_t> bytes, DiagnosticLedger* l
   }
   DEPSURF_ASSIGN_OR_RETURN(reader, ElfReader::Parse(std::move(bytes)));
   BpfObject object;
-  // Program sections -> hooks; the section's FUNC symbol names the program.
+  // Program sections -> hooks; the section's first FUNC symbol names the
+  // program. One pass over the symbols finds each section's.
+  std::vector<const ElfSymbol*> first_func(reader.sections().size(), nullptr);
+  for (const ElfSymbol& sym : reader.symbols()) {
+    if (sym.type == SymType::kFunc && sym.shndx < first_func.size() &&
+        first_func[sym.shndx] == nullptr) {
+      first_func[sym.shndx] = &sym;
+    }
+  }
   for (size_t i = 0; i < reader.sections().size(); ++i) {
     const ElfSectionView& section = reader.sections()[i];
     std::optional<Hook> hook = ParseHookSection(section.name);
@@ -132,11 +140,8 @@ Result<BpfObject> ParseBpfObject(std::vector<uint8_t> bytes, DiagnosticLedger* l
     }
     BpfProgram program;
     program.hook = *hook;
-    for (const ElfSymbol& sym : reader.symbols()) {
-      if (sym.shndx == i && sym.type == SymType::kFunc) {
-        program.name = sym.name;
-        break;
-      }
+    if (first_func[i] != nullptr) {
+      program.name = first_func[i]->name;
     }
     // Decode the instruction stream. A garbage stream degrades this one
     // program (keeping its decoded prefix) rather than failing the object.

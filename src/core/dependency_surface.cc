@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "src/btf/btf_codec.h"
-#include "src/dwarf/dwarf_codec.h"
 #include "src/elf/elf_reader.h"
 #include "src/obs/diagnostics.h"
 #include "src/obs/context.h"
@@ -267,11 +266,7 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
     auto decode_dwarf = [&]() -> Status {
       DEPSURF_ASSIGN_OR_RETURN(abbrev_reader, reader.SectionDataByName(kDwarfAbbrevSection));
       DEPSURF_ASSIGN_OR_RETURN(info_reader, reader.SectionDataByName(kDwarfInfoSection));
-      DEPSURF_ASSIGN_OR_RETURN(abbrev_bytes, abbrev_reader.ReadBytes(abbrev_reader.size()));
-      DEPSURF_ASSIGN_OR_RETURN(info_bytes, info_reader.ReadBytes(info_reader.size()));
-      DEPSURF_ASSIGN_OR_RETURN(document,
-                               DecodeDwarf(abbrev_bytes, info_bytes, reader.endian()));
-      DEPSURF_ASSIGN_OR_RETURN(collected, CollectFunctionInstances(document));
+      DEPSURF_ASSIGN_OR_RETURN(collected, ReadFunctionInstances(abbrev_reader, info_reader));
       instances = std::move(collected);
       return Status::Ok();
     };
@@ -315,24 +310,41 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
     dwarf_span.AddAttr("health", DegradationStateName(health.dwarf));
   }
 
-  // Symbol indexes over FUNC symbols: by base name (strips transformation
-  // suffixes) and by address (for tracepoint/syscall reverse lookup). Both
-  // point into the reader; the first symbol at an address wins.
-  std::unordered_map<std::string_view, std::vector<const ElfSymbol*>> symbols_by_base;
-  std::unordered_map<uint64_t, const ElfSymbol*> func_sym_at;
+  // Symbol indexes over FUNC symbols, sorted arrays built once: by base name
+  // (strips transformation suffixes) and by address (for tracepoint/syscall
+  // reverse lookup). Both point into the reader and break ties by pointer,
+  // which is symbol-table order: a name's symbols stay in table order, and
+  // the first symbol at an address wins.
+  std::vector<std::pair<std::string_view, const ElfSymbol*>> symbols_by_base;
+  std::vector<std::pair<uint64_t, const ElfSymbol*>> symbols_by_addr;
+  auto func_sym_at = [&symbols_by_addr](uint64_t addr) -> const ElfSymbol* {
+    auto it = std::lower_bound(symbols_by_addr.begin(), symbols_by_addr.end(), addr,
+                               [](const auto& entry, uint64_t key) { return entry.first < key; });
+    return it != symbols_by_addr.end() && it->first == addr ? it->second : nullptr;
+  };
   {
   obs::ScopedSpan classify_span("surface.classify_functions");
   classify_span.AddAttr("instances", static_cast<uint64_t>(instances.size()));
+  size_t num_funcs = std::count_if(reader.symbols().begin(), reader.symbols().end(),
+                                   [](const ElfSymbol& sym) { return sym.type == SymType::kFunc; });
+  symbols_by_base.reserve(num_funcs);
+  symbols_by_addr.reserve(num_funcs);
   for (const ElfSymbol& sym : reader.symbols()) {
-    if (sym.type != SymType::kFunc) {
-      continue;
+    if (sym.type == SymType::kFunc) {
+      symbols_by_base.emplace_back(BaseName(sym.name), &sym);
+      symbols_by_addr.emplace_back(sym.value, &sym);
     }
-    symbols_by_base[BaseName(sym.name)].push_back(&sym);
-    func_sym_at.emplace(sym.value, &sym);
   }
+  std::sort(symbols_by_base.begin(), symbols_by_base.end(), [](const auto& a, const auto& b) {
+    int c = a.first.compare(b.first);
+    return c != 0 ? c < 0 : a.second < b.second;
+  });
+  std::sort(symbols_by_addr.begin(), symbols_by_addr.end());
 
   // Each name moves out of `instances` into its entry's key, in ascending
-  // order, so every insertion lands at the end of functions_.
+  // order, so every insertion lands at the end of functions_; the base-name
+  // cursor advances in the same order.
+  auto base_it = symbols_by_base.begin();
   while (!instances.empty()) {
     auto node = instances.extract(instances.begin());
     const std::string& name = node.key();
@@ -351,12 +363,16 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
     if (bit != btf_funcs.end()) {
       entry.btf_id = bit->second;
     }
-    auto sit = symbols_by_base.find(name);
-    if (sit != symbols_by_base.end()) {
-      entry.symbols.reserve(sit->second.size());
-      for (const ElfSymbol* sym : sit->second) {
-        entry.symbols.push_back(*sym);
-      }
+    while (base_it != symbols_by_base.end() && base_it->first < name) {
+      ++base_it;
+    }
+    auto base_end = base_it;
+    while (base_end != symbols_by_base.end() && base_end->first == name) {
+      ++base_end;
+    }
+    entry.symbols.reserve(base_end - base_it);
+    for (; base_it != base_end; ++base_it) {
+      entry.symbols.push_back(*base_it->second);
     }
 
     FunctionStatus& status = entry.status;
@@ -442,8 +458,8 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
         DEPSURF_ASSIGN_OR_RETURN(fmt_reader, reader.ReadAtAddress(fmt_addr));
         DEPSURF_ASSIGN_OR_RETURN(fmt, fmt_reader.ReadCString());
         tp.fmt = std::move(fmt);
-        if (auto it = func_sym_at.find(func_addr); it != func_sym_at.end()) {
-          tp.func_name = it->second->name;
+        if (const ElfSymbol* func = func_sym_at(func_addr)) {
+          tp.func_name = func->name;
         }
         if (auto it = btf_structs.find(tp.struct_name); it != btf_structs.end()) {
           tp.struct_btf_id = it->second;
@@ -499,14 +515,14 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
         if (addr == ni_addr || addr == 0) {
           continue;
         }
-        auto it = func_sym_at.find(addr);
-        if (it == func_sym_at.end()) {
+        const ElfSymbol* func = func_sym_at(addr);
+        if (func == nullptr) {
           continue;
         }
         for (const char* prefix : kSyscallPrefixes) {
-          if (StartsWith(it->second->name, prefix)) {
+          if (StartsWith(func->name, prefix)) {
             SyscallEntry entry;
-            entry.name = it->second->name.substr(strlen(prefix));
+            entry.name = func->name.substr(strlen(prefix));
             entry.nr = static_cast<int>(nr);
             surface.syscalls_.emplace(entry.name, std::move(entry));
             break;

@@ -6,6 +6,10 @@
 // shape) combinations, and an info stream of ULEB-coded abbrev references
 // plus attribute values, with children terminated by a zero entry.
 //
+// DwarfDocument is the writer's model: kernelgen builds one and EncodeDwarf
+// (dwarf_codec.h) serializes it. Extraction never rebuilds the tree; it
+// streams the encoded sections (ReadFunctionInstances, function_view.h).
+//
 // The subset implemented covers what kernel-image analysis needs: compile
 // units, subprograms (with inline attributes and parameters), inlined call
 // sites (DW_TAG_inlined_subroutine + abstract origin), and call-site records

@@ -2,11 +2,7 @@
 
 #include <map>
 
-#include "src/obs/context.h"
-#include "src/obs/metrics.h"
-#include "src/obs/span.h"
 #include "src/util/leb128.h"
-#include "src/util/str_util.h"
 
 namespace depsurf {
 
@@ -103,8 +99,10 @@ DwarfSections EncodeDwarf(const DwarfDocument& document, Endian endian) {
     const Die& die = document.die(index);
     WriteUleb128(info, abbrev_codes[ShapeOf(die)]);
     for (const DwarfAttrValue& v : die.attrs) {
+      // A reference past the last DIE is written as is, so a hostile
+      // document encodes to the bytes it describes.
       uint64_t remapped = v.num;
-      if (FormOf(v.attr) == DwForm::kRef && v.num != 0) {
+      if (FormOf(v.attr) == DwForm::kRef && v.num != 0 && v.num < arena_to_preorder.size()) {
         remapped = arena_to_preorder[v.num];
       }
       WriteAttrValue(info, v, remapped);
@@ -121,135 +119,6 @@ DwarfSections EncodeDwarf(const DwarfDocument& document, Endian endian) {
   }
 
   return DwarfSections{abbrev.TakeBytes(), info.TakeBytes()};
-}
-
-Result<DwarfDocument> DecodeDwarf(const std::vector<uint8_t>& abbrev,
-                                  const std::vector<uint8_t>& info, Endian endian) {
-  obs::ScopedSpan span("dwarf.decode");
-  span.AddAttr("abbrev_bytes", static_cast<uint64_t>(abbrev.size()));
-  span.AddAttr("info_bytes", static_cast<uint64_t>(info.size()));
-  struct AbbrevEntry {
-    uint16_t tag = 0;
-    bool has_children = false;
-    std::vector<std::pair<DwAttr, DwForm>> attrs;
-  };
-
-  // Parse the abbreviation table.
-  std::vector<AbbrevEntry> entries;  // index = code - 1
-  {
-    ByteReader r(abbrev, endian);
-    while (true) {
-      DEPSURF_ASSIGN_OR_RETURN(code, ReadUleb128(r));
-      if (code == 0) {
-        break;
-      }
-      if (code != entries.size() + 1) {
-        return Error(ErrorCode::kMalformedData, "abbrev codes not sequential")
-            .WithOffset(r.offset());
-      }
-      AbbrevEntry entry;
-      DEPSURF_ASSIGN_OR_RETURN(tag, ReadUleb128(r));
-      entry.tag = static_cast<uint16_t>(tag);
-      DEPSURF_ASSIGN_OR_RETURN(has_children, r.ReadU8());
-      entry.has_children = has_children != 0;
-      while (true) {
-        DEPSURF_ASSIGN_OR_RETURN(attr, ReadUleb128(r));
-        DEPSURF_ASSIGN_OR_RETURN(form, ReadUleb128(r));
-        if (attr == 0 && form == 0) {
-          break;
-        }
-        DwForm parsed_form = static_cast<DwForm>(form);
-        DwAttr parsed_attr = static_cast<DwAttr>(attr);
-        if (parsed_form != FormOf(parsed_attr)) {
-          return Error(ErrorCode::kMalformedData,
-                       StrFormat("attr 0x%x has unexpected form %u", (unsigned)attr,
-                                 (unsigned)form))
-              .WithOffset(r.offset());
-        }
-        entry.attrs.emplace_back(parsed_attr, parsed_form);
-      }
-      entries.push_back(std::move(entry));
-    }
-  }
-
-  // Parse the info stream.
-  DwarfDocument document;
-  ByteReader r(info, endian);
-  std::vector<uint32_t> stack;  // parent DIE indices
-
-  while (!r.AtEnd()) {
-    DEPSURF_ASSIGN_OR_RETURN(code, ReadUleb128(r));
-    if (code == 0) {
-      if (stack.empty()) {
-        return Error(ErrorCode::kMalformedData, "end-of-children with empty stack")
-            .WithOffset(r.offset());
-      }
-      stack.pop_back();
-      continue;
-    }
-    if (code > entries.size()) {
-      return Error(ErrorCode::kMalformedData, "abbrev code out of range")
-          .WithOffset(r.offset());
-    }
-    const AbbrevEntry& entry = entries[code - 1];
-    uint32_t parent = stack.empty() ? 0 : stack.back();
-    uint32_t die_index = document.AddDie(static_cast<DwTag>(entry.tag), parent);
-    for (const auto& [attr, form] : entry.attrs) {
-      switch (form) {
-        case DwForm::kString: {
-          DEPSURF_ASSIGN_OR_RETURN(s, r.ReadCString());
-          document.SetString(die_index, attr, std::move(s));
-          break;
-        }
-        case DwForm::kUdata:
-        case DwForm::kRef: {
-          DEPSURF_ASSIGN_OR_RETURN(n, ReadUleb128(r));
-          document.SetNumber(die_index, attr, n);
-          break;
-        }
-        case DwForm::kFlag: {
-          DEPSURF_RETURN_IF_ERROR(r.Skip(1));
-          document.SetFlag(die_index, attr);
-          break;
-        }
-        case DwForm::kAddr: {
-          DEPSURF_ASSIGN_OR_RETURN(n, r.ReadU64());
-          document.SetNumber(die_index, attr, n);
-          break;
-        }
-      }
-    }
-    if (entry.has_children) {
-      stack.push_back(die_index);
-    }
-  }
-  if (!stack.empty()) {
-    return Error(ErrorCode::kMalformedData, "unterminated children list")
-        .WithOffset(r.offset());
-  }
-  // Validate references point at real DIEs.
-  Status ref_status = Status::Ok();
-  document.WalkAll([&](uint32_t, const Die& die) {
-    for (const DwarfAttrValue& v : die.attrs) {
-      if (FormOf(v.attr) == DwForm::kRef && v.num > document.num_dies()) {
-        ref_status = Status(ErrorCode::kMalformedData, "DIE reference out of range");
-      }
-    }
-  });
-  DEPSURF_RETURN_IF_ERROR(ref_status);
-  span.AddAttr("abbrevs", static_cast<uint64_t>(entries.size()));
-  span.AddAttr("dies", static_cast<uint64_t>(document.num_dies()));
-  // No static counter caching: the current context differs per image in
-  // report-mode builds, so pointers must be re-resolved each decode.
-  obs::MetricsRegistry& metrics = obs::Context::Current().metrics();
-  metrics.Counter("dwarf.documents_decoded")->fetch_add(1, std::memory_order_relaxed);
-  metrics.Counter("dwarf.abbrevs_decoded")
-      ->fetch_add(entries.size(), std::memory_order_relaxed);
-  metrics.Counter("dwarf.dies_decoded")
-      ->fetch_add(document.num_dies(), std::memory_order_relaxed);
-  metrics.Counter("dwarf.bytes_decoded")
-      ->fetch_add(abbrev.size() + info.size(), std::memory_order_relaxed);
-  return document;
 }
 
 }  // namespace depsurf

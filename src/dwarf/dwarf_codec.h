@@ -1,4 +1,5 @@
-// Binary encoder/decoder for DWARF-lite documents.
+// Binary encoder for DWARF-lite documents (ReadFunctionInstances in
+// function_view.h reads the sections back).
 //
 // Two sections are produced, mirroring .debug_abbrev/.debug_info:
 //   - abbrev: distinct (tag, has_children, attribute/form list) shapes,
@@ -14,7 +15,6 @@
 
 #include "src/dwarf/dwarf.h"
 #include "src/util/byte_buffer.h"
-#include "src/util/error.h"
 
 namespace depsurf {
 
@@ -26,11 +26,6 @@ struct DwarfSections {
 // Serializes the document. DIE indices are renumbered to pre-order; all
 // reference attributes are remapped accordingly.
 DwarfSections EncodeDwarf(const DwarfDocument& document, Endian endian = Endian::kLittle);
-
-// Parses the two sections back into a document (indices in pre-order).
-Result<DwarfDocument> DecodeDwarf(const std::vector<uint8_t>& abbrev,
-                                  const std::vector<uint8_t>& info,
-                                  Endian endian = Endian::kLittle);
 
 }  // namespace depsurf
 

@@ -1,7 +1,7 @@
-// Extraction of function instances and call-site relations from a DWARF-lite
-// document. Produces the data behind the paper's function-status records
-// (Appendix A.2.4): per-instance name/location/inline attribute, plus the
-// lists of callers that inlined the function and callers that call it
+// Extraction of function instances and call-site relations from the encoded
+// DWARF-lite sections. Produces the data behind the paper's function-status
+// records (Appendix A.2.4): per-instance name/location/inline attribute, plus
+// the lists of callers that inlined the function and callers that call it
 // out of line.
 #ifndef DEPSURF_SRC_DWARF_FUNCTION_VIEW_H_
 #define DEPSURF_SRC_DWARF_FUNCTION_VIEW_H_
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/dwarf/dwarf.h"
+#include "src/util/byte_buffer.h"
 #include "src/util/error.h"
 
 namespace depsurf {
@@ -36,11 +37,21 @@ struct FunctionInstance {
   bool HasCode() const { return low_pc.has_value(); }
 };
 
-// All instances in a document, grouped by function name, in DIE order.
-// Fails on structurally invalid documents (e.g., an inlined_subroutine
-// whose origin is not a subprogram).
-Result<std::map<std::string, std::vector<FunctionInstance>>> CollectFunctionInstances(
-    const DwarfDocument& document);
+// Every instance in the `abbrev` and `info` sections (the readers' endianness
+// applies), grouped by function name, in DIE order. An instance is a named
+// subprogram whose parent is a top-level compile unit; its sites are the
+// inlined_subroutine and call_site DIEs at any depth below it, attributed to
+// their origin instance in DIE order. When an attribute repeats, the first
+// one counts.
+//
+// The sections are streamed once in place: no DIE tree is built, strings are
+// read as views, nesting is a depth count and site origins are resolved after
+// the pass, so neither deep nesting nor forward references recurse. Fails on
+// malformed bytes and on invalid structure (a top-level DIE that is not a
+// compile unit, an unnamed subprogram, a reference past the last DIE, a site
+// whose origin is not an instance).
+Result<std::map<std::string, std::vector<FunctionInstance>>> ReadFunctionInstances(
+    ByteReader abbrev, ByteReader info);
 
 }  // namespace depsurf
 

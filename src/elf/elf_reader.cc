@@ -174,7 +174,7 @@ Status ElfReader::ParseSections() {
       continue;
     }
     DEPSURF_ASSIGN_OR_RETURN(nm, names.ReadCStringAt(off));
-    sections_[i].name = nm;
+    sections_[i].name = std::move(nm);
   }
 
   for (const ElfSectionView& s : sections_) {
@@ -245,7 +245,7 @@ Status ElfReader::ParseSymbols() {
     }
     if (name_off != 0) {
       DEPSURF_ASSIGN_OR_RETURN(nm, names.ReadCStringAt(name_off));
-      sym.name = nm;
+      sym.name = std::move(nm);
     }
     symbols_.push_back(std::move(sym));
   }

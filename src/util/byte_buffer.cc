@@ -122,16 +122,19 @@ Result<std::vector<uint8_t>> ByteReader::ReadBytes(size_t len) {
 }
 
 Result<std::string> ByteReader::ReadCString() {
+  DEPSURF_ASSIGN_OR_RETURN(view, ReadCStringView());
+  return std::string(view);
+}
+
+Result<std::string_view> ByteReader::ReadCStringView() {
   // Scan without touching the cursor so a failed read leaves the reader
   // where it was (callers may salvage by skipping the bad record).
-  size_t end = offset_;
-  while (end < size_ && data_[end] != 0) {
-    ++end;
-  }
-  if (end >= size_) {
+  const void* nul = offset_ < size_ ? memchr(data_ + offset_, 0, size_ - offset_) : nullptr;
+  if (nul == nullptr) {
     return Error(ErrorCode::kMalformedData, "unterminated string").WithOffset(offset_);
   }
-  std::string out(reinterpret_cast<const char*>(data_ + offset_), end - offset_);
+  size_t end = static_cast<size_t>(static_cast<const uint8_t*>(nul) - data_);
+  std::string_view out(reinterpret_cast<const char*>(data_ + offset_), end - offset_);
   offset_ = end + 1;  // consume NUL
   return out;
 }

@@ -91,6 +91,9 @@ class ByteReader {
   Result<std::vector<uint8_t>> ReadBytes(size_t len);
   // Reads until NUL (consuming it).
   Result<std::string> ReadCString();
+  // ReadCString without the copy: a view into the buffer, valid while the
+  // buffer lives.
+  Result<std::string_view> ReadCStringView();
   // Reads a NUL-terminated string at an absolute offset without moving the
   // cursor (string-table access pattern).
   Result<std::string> ReadCStringAt(size_t offset) const;

@@ -3,9 +3,22 @@
 #include "src/dwarf/dwarf.h"
 #include "src/dwarf/dwarf_codec.h"
 #include "src/dwarf/function_view.h"
+#include "tests/dwarf_reference.h"
 
 namespace depsurf {
 namespace {
+
+// What extraction reads from `doc` once kernelgen has written it.
+Result<InstanceMap> ReadInstances(const DwarfDocument& doc) {
+  DwarfSections sections = EncodeDwarf(doc);
+  return ReadFunctionInstances(ByteReader(sections.abbrev), ByteReader(sections.info));
+}
+
+// The reader's error message for `doc`, or "ok".
+std::string ReadError(const DwarfDocument& doc) {
+  auto result = ReadInstances(doc);
+  return result.ok() ? "ok" : result.error().message();
+}
 
 // Builds the paper's vfs_fsync example: defined in fs/sync.c, inlined into
 // the fsync/fdatasync syscalls in the same TU, called out of line from
@@ -113,13 +126,17 @@ TEST(DwarfCodecTest, RejectsTruncatedInfo) {
                                  sections.info.begin() + sections.info.size() - 4);
   // Either a parse error or (rarely) a clean prefix; must not crash. The
   // cut below lands mid-DIE, so it must error.
+  EXPECT_FALSE(
+      ReadFunctionInstances(ByteReader(sections.abbrev), ByteReader(truncated)).ok());
   EXPECT_FALSE(DecodeDwarf(sections.abbrev, truncated).ok());
 }
 
 TEST(DwarfCodecTest, RejectsBadAbbrevCode) {
   DwarfSections sections = EncodeDwarf(MakeVfsFsyncDocument());
   std::vector<uint8_t> info = {0x7f};  // abbrev code 127: out of range
-  EXPECT_FALSE(DecodeDwarf(sections.abbrev, info).ok());
+  auto read = ReadFunctionInstances(ByteReader(sections.abbrev), ByteReader(info));
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.error().ToString(), DecodeDwarf(sections.abbrev, info).error().ToString());
 }
 
 TEST(DwarfCodecTest, EmptyDocumentRoundTrips) {
@@ -128,11 +145,14 @@ TEST(DwarfCodecTest, EmptyDocumentRoundTrips) {
   auto decoded = DecodeDwarf(sections.abbrev, sections.info);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->num_dies(), 0u);
+  auto read = ReadInstances(doc);
+  ASSERT_TRUE(read.ok()) << read.error().ToString();
+  EXPECT_TRUE(read->empty());
 }
 
 TEST(FunctionViewTest, PaperExampleShape) {
   DwarfDocument doc = MakeVfsFsyncDocument();
-  auto result = CollectFunctionInstances(doc);
+  auto result = ReadInstances(doc);
   ASSERT_TRUE(result.ok()) << result.error().ToString();
   const auto& instances = *result;
   ASSERT_EQ(instances.count("vfs_fsync"), 1u);
@@ -149,12 +169,14 @@ TEST(FunctionViewTest, PaperExampleShape) {
 }
 
 TEST(FunctionViewTest, SurvivesCodecRoundTrip) {
-  DwarfSections sections = EncodeDwarf(MakeVfsFsyncDocument());
-  auto decoded = DecodeDwarf(sections.abbrev, sections.info);
-  ASSERT_TRUE(decoded.ok());
-  auto result = CollectFunctionInstances(*decoded);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->at("vfs_fsync")[0].caller_func[0], "fs/aio.c:aio_fsync_work");
+  for (Endian endian : {Endian::kLittle, Endian::kBig}) {
+    DwarfSections sections = EncodeDwarf(MakeVfsFsyncDocument(), endian);
+    auto result = ReadFunctionInstances(ByteReader(sections.abbrev, endian),
+                                        ByteReader(sections.info, endian));
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->at("vfs_fsync")[0].caller_func[0], "fs/aio.c:aio_fsync_work");
+    EXPECT_EQ(result->at("vfs_fsync")[0].low_pc, 0xffffffff81234000ull);
+  }
 }
 
 TEST(FunctionViewTest, FullyInlinedInstanceHasNoCode) {
@@ -170,7 +192,7 @@ TEST(FunctionViewTest, FullyInlinedInstanceHasNoCode) {
   uint32_t site = doc.AddDie(DwTag::kInlinedSubroutine, caller);
   doc.SetNumber(site, DwAttr::kAbstractOrigin, target);
 
-  auto result = CollectFunctionInstances(doc);
+  auto result = ReadInstances(doc);
   ASSERT_TRUE(result.ok());
   const FunctionInstance& inst = result->at("blk_account_io_start")[0];
   EXPECT_FALSE(inst.HasCode());
@@ -189,7 +211,7 @@ TEST(FunctionViewTest, DuplicatedStaticYieldsMultipleInstances) {
     doc.SetString(sub, DwAttr::kDeclFile, "include/asm-generic/getorder.h");
     doc.SetNumber(sub, DwAttr::kLowPc, 0x1000);
   }
-  auto result = CollectFunctionInstances(doc);
+  auto result = ReadInstances(doc);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->at("get_order").size(), 2u);
   EXPECT_EQ(result->at("get_order")[0].decl_file, "include/asm-generic/getorder.h");
@@ -203,7 +225,7 @@ TEST(FunctionViewTest, RejectsOriginPointingAtNonSubprogram) {
   doc.SetString(sub, DwAttr::kName, "f");
   uint32_t site = doc.AddDie(DwTag::kInlinedSubroutine, sub);
   doc.SetNumber(site, DwAttr::kAbstractOrigin, cu);  // bogus: CU, not subprogram
-  EXPECT_FALSE(CollectFunctionInstances(doc).ok());
+  EXPECT_EQ(ReadError(doc), "call origin is not a subprogram");
 }
 
 TEST(FunctionViewTest, RejectsOriginBeyondTheDocument) {
@@ -214,7 +236,7 @@ TEST(FunctionViewTest, RejectsOriginBeyondTheDocument) {
   doc.SetString(sub, DwAttr::kName, "f");
   uint32_t site = doc.AddDie(DwTag::kCallSite, sub);
   doc.SetNumber(site, DwAttr::kCallOrigin, doc.num_dies() + 1);
-  EXPECT_FALSE(CollectFunctionInstances(doc).ok());
+  EXPECT_EQ(ReadError(doc), "DIE reference out of range");
 }
 
 TEST(FunctionViewTest, RejectsOriginWithHighBitsSet) {
@@ -229,7 +251,47 @@ TEST(FunctionViewTest, RejectsOriginWithHighBitsSet) {
   doc.SetString(caller, DwAttr::kName, "caller");
   uint32_t site = doc.AddDie(DwTag::kInlinedSubroutine, caller);
   doc.SetNumber(site, DwAttr::kAbstractOrigin, (1ull << 32) | target);
-  EXPECT_FALSE(CollectFunctionInstances(doc).ok());
+  EXPECT_EQ(ReadError(doc), "DIE reference out of range");
+}
+
+TEST(FunctionViewTest, OriginLaterInTheStreamResolves) {
+  DwarfDocument doc;
+  uint32_t cu = doc.AddDie(DwTag::kCompileUnit, 0);
+  doc.SetString(cu, DwAttr::kName, "a.c");
+  uint32_t caller = doc.AddDie(DwTag::kSubprogram, cu);
+  doc.SetString(caller, DwAttr::kName, "caller");
+  uint32_t inl = doc.AddDie(DwTag::kInlinedSubroutine, caller);
+  uint32_t call = doc.AddDie(DwTag::kCallSite, caller);
+  uint32_t target = doc.AddDie(DwTag::kSubprogram, cu);
+  doc.SetString(target, DwAttr::kName, "target");
+  doc.SetNumber(inl, DwAttr::kAbstractOrigin, target);
+  doc.SetNumber(call, DwAttr::kCallOrigin, target);
+  auto result = ReadInstances(doc);
+  ASSERT_TRUE(result.ok()) << result.error().ToString();
+  const FunctionInstance& inst = result->at("target")[0];
+  EXPECT_EQ(inst.caller_inline, std::vector<std::string>{"a.c:caller"});
+  EXPECT_EQ(inst.caller_func, std::vector<std::string>{"a.c:caller"});
+}
+
+TEST(FunctionViewTest, FirstOfARepeatedAttributeCounts) {
+  DwarfDocument doc;
+  uint32_t cu = doc.AddDie(DwTag::kCompileUnit, 0);
+  doc.SetString(cu, DwAttr::kName, "a.c");
+  doc.SetString(cu, DwAttr::kName, "b.c");
+  uint32_t sub = doc.AddDie(DwTag::kSubprogram, cu);
+  doc.SetString(sub, DwAttr::kName, "first");
+  doc.SetString(sub, DwAttr::kName, "second");
+  doc.SetNumber(sub, DwAttr::kDeclLine, 7);
+  doc.SetNumber(sub, DwAttr::kDeclLine, 9);
+  doc.SetNumber(sub, DwAttr::kLowPc, 0x10);
+  doc.SetNumber(sub, DwAttr::kLowPc, 0x20);
+  auto result = ReadInstances(doc);
+  ASSERT_TRUE(result.ok()) << result.error().ToString();
+  ASSERT_EQ(result->size(), 1u);
+  const FunctionInstance& inst = result->at("first")[0];
+  EXPECT_EQ(inst.decl_file, "a.c");
+  EXPECT_EQ(inst.decl_line, 7u);
+  EXPECT_EQ(inst.low_pc, 0x10u);
 }
 
 TEST(FunctionViewTest, RejectsAnonymousSubprogram) {
@@ -237,7 +299,7 @@ TEST(FunctionViewTest, RejectsAnonymousSubprogram) {
   uint32_t cu = doc.AddDie(DwTag::kCompileUnit, 0);
   doc.SetString(cu, DwAttr::kName, "a.c");
   doc.AddDie(DwTag::kSubprogram, cu);
-  EXPECT_FALSE(CollectFunctionInstances(doc).ok());
+  EXPECT_EQ(ReadError(doc), "subprogram without a name");
 }
 
 }  // namespace

@@ -5,13 +5,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 
 #include "src/analyzer/analyzer.h"
 #include "src/analyzer/remediation.h"
 #include "src/bpf/bpf_builder.h"
 #include "src/bpf/bpf_rewriter.h"
+#include "src/btf/btf_codec.h"
 #include "src/core/depsurf.h"
 #include "src/elf/elf_reader.h"
+#include "src/elf/elf_writer.h"
 #include "src/faultgen/fault_injector.h"
 #include "src/kernelgen/compiler.h"
 #include "src/kernelgen/configurator.h"
@@ -276,6 +279,123 @@ TEST(SalvageTest, CorruptBtfDegradesOnlyBtf) {
   EXPECT_GE(surface->health().ledger.CountSubsystem(DiagSubsystem::kBtf), 1u);
   EXPECT_FALSE(surface->tracepoints().empty());
   EXPECT_FALSE(surface->syscalls().empty());
+}
+
+// `bytes` with the bodies of the named sections replaced. Sections keep
+// their indexes, so the symbol table carries over unchanged.
+std::vector<uint8_t> WithSectionBodies(
+    const std::vector<uint8_t>& bytes,
+    const std::map<std::string, std::vector<uint8_t>>& bodies) {
+  auto full = ElfReader::Parse(bytes);
+  EXPECT_TRUE(full.ok());
+  ElfWriter rewritten(full->ident());
+  for (const ElfSectionView& section : full->sections()) {
+    if (section.type == SectionType::kNull || section.name == ".shstrtab" ||
+        section.name == ".symtab" || section.name == ".strtab") {
+      continue;
+    }
+    auto it = bodies.find(section.name);
+    std::vector<uint8_t> body = it != bodies.end()
+                                    ? it->second
+                                    : full->SectionData(section)->ReadBytes(section.size).TakeValue();
+    rewritten.AddSection(section.name, section.type, std::move(body), section.addr,
+                         section.flags, section.entsize);
+  }
+  for (const ElfSymbol& sym : full->symbols()) {
+    rewritten.AddSymbol(sym);
+  }
+  return rewritten.Finish().TakeValue();
+}
+
+// DWARF nesting is data, not call depth: 200,000 nested compile units, and
+// a subprogram whose inlined_subroutine chain is 200,000 deep, both in the
+// seed-2025 v4.4 image, extract cleanly. The bytes are written by hand
+// because EncodeDwarf recurses too.
+TEST(HostileDwarfTest, DeepNestingExtractsWithoutRecursion) {
+  constexpr size_t kDepth = 200000;
+  KernelModel model(2025, 0.02, BuildCuratedCatalog());
+  auto kernel = model.Configure(MakeBuild(KernelVersion(4, 4)));
+  ASSERT_TRUE(kernel.ok());
+  auto image = BuildKernelImage(CompileKernel(2025, kernel.TakeValue()));
+  ASSERT_TRUE(image.ok());
+
+  // {code 1: compile_unit, has children, no attributes}
+  std::vector<uint8_t> cu_abbrev = {1, 0x11, 1, 0, 0, 0};
+  std::vector<uint8_t> nested_cus(kDepth, 0x01);
+  nested_cus.insert(nested_cus.end(), kDepth, 0x00);
+  auto surface = DependencySurface::Extract(WithSectionBodies(
+      *image, {{".sdwarf_abbrev", cu_abbrev}, {".sdwarf_info", nested_cus}}));
+  ASSERT_TRUE(surface.ok()) << surface.error().ToString();
+  EXPECT_EQ(surface->health().dwarf, DegradationState::kClean);
+  EXPECT_TRUE(surface->functions().empty());
+  EXPECT_FALSE(surface->tracepoints().empty());
+
+  // {1: compile_unit + name}, {2: subprogram + name}, {3: inlined_subroutine
+  // + abstract_origin}, each with children. DIE 2 is the subprogram "f".
+  std::vector<uint8_t> chain_abbrev = {1, 0x11, 1, 0x03, 1, 0, 0,     //
+                                       2, 0x2e, 1, 0x03, 1, 0, 0,     //
+                                       3, 0x1d, 1, 0x31, 5, 0, 0, 0};
+  std::vector<uint8_t> chain = {1, 'a', '.', 'c', 0, 2, 'f', 0};
+  for (size_t i = 0; i < kDepth; ++i) {
+    chain.insert(chain.end(), {3, 2});
+  }
+  chain.insert(chain.end(), kDepth + 2, 0x00);
+  surface = DependencySurface::Extract(WithSectionBodies(
+      *image, {{".sdwarf_abbrev", chain_abbrev}, {".sdwarf_info", chain}}));
+  ASSERT_TRUE(surface.ok()) << surface.error().ToString();
+  EXPECT_EQ(surface->health().dwarf, DegradationState::kClean);
+  const FunctionEntry* f = surface->FindFunction("f");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(f->instances.size(), 1u);
+  EXPECT_EQ(f->instances[0].caller_inline.size(), kDepth);
+  EXPECT_EQ(f->instances[0].caller_inline.front(), "a.c:f");
+}
+
+// ParseBpfObject names each program in one pass over the symbols: 60,000
+// program sections (a 7 MB object) parse well inside a second, and each
+// program takes its section's first FUNC symbol, past an OBJECT symbol
+// before it and a second FUNC symbol after it.
+TEST(HostileObjectTest, ManyProgramSectionsParseInLinearTime) {
+  constexpr size_t kPrograms = 60000;
+  ElfWriter writer(ElfIdent{ElfClass::k64, Endian::kLittle, ElfMachine::kX86_64});
+  const std::vector<uint8_t> exit_only = EncodeInsns({ExitInsn()});
+  for (size_t p = 0; p < kPrograms; ++p) {
+    uint32_t section = writer.AddSection(StrFormat("kprobe/fn%zu", p), SectionType::kProgbits,
+                                         exit_only, 0, kShfAlloc | kShfExecinstr);
+    ElfSymbol sym;
+    sym.bind = SymBind::kGlobal;
+    sym.shndx = static_cast<uint16_t>(section);
+    sym.type = SymType::kObject;
+    sym.name = StrFormat("data%zu", p);
+    writer.AddSymbol(sym);
+    sym.type = SymType::kFunc;
+    sym.name = StrFormat("prog%zu", p);
+    writer.AddSymbol(sym);
+    sym.name = StrFormat("alias%zu", p);
+    writer.AddSymbol(sym);
+  }
+  writer.AddSection(kBtfSection, SectionType::kProgbits, EncodeBtf(TypeGraph()));
+  ByteWriter no_relocs;
+  no_relocs.WriteU32(kBtfExtMagic);
+  no_relocs.WriteU32(0);  // records
+  no_relocs.WriteU32(1);  // string bytes: the empty string
+  no_relocs.WriteU8(0);
+  writer.AddSection(kBtfExtSection, SectionType::kProgbits, no_relocs.TakeBytes());
+  auto bytes = writer.Finish();
+  ASSERT_TRUE(bytes.ok()) << bytes.error().ToString();
+
+  auto start = std::chrono::steady_clock::now();
+  auto parsed = ParseBpfObject(bytes.TakeValue());
+  double ms = std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+                  .count();
+  ASSERT_TRUE(parsed.ok()) << parsed.error().ToString();
+  ASSERT_EQ(parsed->programs.size(), kPrograms);
+  size_t misnamed = 0;
+  for (size_t p = 0; p < kPrograms; ++p) {
+    misnamed += parsed->programs[p].name != StrFormat("prog%zu", p) ? 1 : 0;
+  }
+  EXPECT_EQ(misnamed, 0u);
+  EXPECT_LT(ms, 1000.0);
 }
 
 TEST(RobustnessTest, RelocAgainstForeignBtfIsRejectedNotCrashed) {

@@ -94,6 +94,17 @@ TEST(ByteReaderTest, UnterminatedString) {
   std::vector<uint8_t> bytes = {'a', 'b', 'c'};
   ByteReader r(bytes);
   EXPECT_FALSE(r.ReadCString().ok());
+  EXPECT_FALSE(r.ReadCStringView().ok());
+  ByteReader empty(nullptr, 0);
+  EXPECT_FALSE(empty.ReadCStringView().ok());
+  // A view points into the buffer itself.
+  std::vector<uint8_t> terminated = {'a', 'b', 0};
+  ByteReader t(terminated);
+  auto view = t.ReadCStringView();
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ(*view, "ab");
+  EXPECT_EQ(static_cast<const void*>(view->data()), terminated.data());
+  EXPECT_TRUE(t.AtEnd());
 }
 
 TEST(ByteReaderTest, CStringAtDoesNotMoveCursor) {
