@@ -14,6 +14,7 @@
 #include "src/analyzer/analyzer.h"
 #include "src/analyzer/remediation.h"
 #include "src/bpf/bpf_rewriter.h"
+#include "src/bpf/core_reloc_engine.h"
 #include "src/bpfgen/program_corpus.h"
 #include "src/core/dataset_io.h"
 #include "src/obs/bench_report.h"
@@ -256,6 +257,39 @@ void BM_FixCorpus(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FixCorpus)->Unit(benchmark::kMillisecond);
+
+// The CO-RE load replay of `check OBJ IMG`: every relocation of the
+// 53-program corpus, each object re-read from its written bytes, resolved
+// against the v5.4 image's BTF. The engine finds root types and
+// re-resolves forward declarations by linear scans of the kernel graph, so
+// a pass costs O(relocations x types).
+void BM_CoreRelocReplay(benchmark::State& state) {
+  static const std::vector<BpfObject> objects = [] {
+    std::vector<BpfObject> out;
+    for (const BpfObject& object : BuildProgramCorpus().objects) {
+      auto bytes = WriteBpfObject(object);
+      if (!bytes.ok()) {
+        continue;
+      }
+      auto parsed = ParseBpfObject(*bytes);
+      if (parsed.ok()) {
+        out.push_back(parsed.TakeValue());
+      }
+    }
+    return out;
+  }();
+  static const auto kernel = DependencySurface::Extract(ImageBytes(KernelVersion(5, 4)));
+  size_t resolved = 0;
+  for (auto _ : state) {
+    for (const BpfObject& object : objects) {
+      for (const RelocResult& result : SimulateLoad(object, kernel->btf()).relocs) {
+        resolved += result.outcome == RelocOutcome::kResolved ? 1 : 0;
+      }
+    }
+    benchmark::DoNotOptimize(resolved);
+  }
+}
+BENCHMARK(BM_CoreRelocReplay)->Unit(benchmark::kMillisecond);
 
 // ---- dataset-as-a-service: cached-hit answering vs cold mmap open vs one
 // full parse per query. The gate asserts the cached engine is at least 10x

@@ -59,6 +59,11 @@ grep -q 'BM_AnalyzeCorpus' base/BENCH_analyzer.json \
 grep -q 'BM_FixCorpus' base/BENCH_analyzer.json \
   || fail "BENCH_analyzer.json is missing the BM_FixCorpus stage"
 
+# ---- the CO-RE relocation replay of `check OBJ IMG` (the 53-program
+# corpus against the v5.4 image) is gated as well.
+grep -q 'BM_CoreRelocReplay' base/BENCH_perf.json \
+  || fail "BENCH_perf.json is missing the BM_CoreRelocReplay stage"
+
 # ---- the serve benchmarks are part of the gated suite too, and are
 # mirrored into BENCH_serve.json for the ratio check below.
 grep -q 'BM_ServeQueries' base/BENCH_perf.json \

@@ -79,19 +79,23 @@ std::string TypeStringDepth(const TypeGraph& graph, BtfTypeId id, int depth, int
   return "?";
 }
 
-// The one FUNC formatter; `type_string(id)` renders a top-level type.
+// The one FUNC formatter, writing over `out`; `type_string(id)` renders a
+// top-level type.
 template <typename TypeStringFn>
-std::string FormatFuncDecl(const TypeGraph& graph, BtfTypeId func_id,
-                           TypeStringFn&& type_string) {
+void FormatFuncDecl(const TypeGraph& graph, BtfTypeId func_id, TypeStringFn&& type_string,
+                    std::string& out) {
   const BtfType* func = graph.Get(func_id);
   if (func == nullptr || func->kind != BtfKind::kFunc) {
-    return "<not a function>";
+    out = "<not a function>";
+    return;
   }
   const BtfType* proto = graph.Get(func->ref_type_id);
   if (proto == nullptr || proto->kind != BtfKind::kFuncProto) {
-    return func->name + "()";
+    out = func->name;
+    out += "()";
+    return;
   }
-  std::string out = type_string(proto->ref_type_id);
+  out = type_string(proto->ref_type_id);
   out += ' ';
   out += func->name;
   out += '(';
@@ -109,7 +113,6 @@ std::string FormatFuncDecl(const TypeGraph& graph, BtfTypeId func_id,
     }
   }
   out += ")";
-  return out;
 }
 
 }  // namespace
@@ -136,12 +139,16 @@ const std::string& TypeStringMemo::Get(BtfTypeId id) {
 }
 
 std::string FuncDeclString(const TypeGraph& graph, BtfTypeId func_id) {
-  return FormatFuncDecl(graph, func_id, [&graph](BtfTypeId id) { return TypeString(graph, id); });
+  std::string out;
+  FormatFuncDecl(
+      graph, func_id, [&graph](BtfTypeId id) { return TypeString(graph, id); }, out);
+  return out;
 }
 
-std::string FuncDeclString(TypeStringMemo& types, BtfTypeId func_id) {
-  return FormatFuncDecl(types.graph(), func_id,
-                        [&types](BtfTypeId id) -> const std::string& { return types.Get(id); });
+void FuncDeclString(TypeStringMemo& types, BtfTypeId func_id, std::string& out) {
+  FormatFuncDecl(
+      types.graph(), func_id,
+      [&types](BtfTypeId id) -> const std::string& { return types.Get(id); }, out);
 }
 
 }  // namespace depsurf

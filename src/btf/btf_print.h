@@ -36,8 +36,9 @@ class TypeStringMemo {
 // Full declaration of a FUNC node:
 //   "int vfs_fsync(struct file *file, int datasync)"
 std::string FuncDeclString(const TypeGraph& graph, BtfTypeId func_id);
-// The same, with the return and parameter types taken from `types`.
-std::string FuncDeclString(TypeStringMemo& types, BtfTypeId func_id);
+// The same, with the return and parameter types taken from `types`,
+// written over `out` so one buffer serves many declarations.
+void FuncDeclString(TypeStringMemo& types, BtfTypeId func_id, std::string& out);
 
 }  // namespace depsurf
 

@@ -1,6 +1,7 @@
 #include "src/core/dataset.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "src/btf/btf_print.h"
 #include "src/obs/context.h"
@@ -65,17 +66,54 @@ const StrId* StructRecord::FindField(StrId name) const {
   return &it->second;
 }
 
-StrId Dataset::Intern(const std::string& s) {
-  auto it = pool_index_.find(s);
-  if (it != pool_index_.end()) {
+namespace {
+
+uint32_t PoolTag(std::string_view s) {
+  return static_cast<uint32_t>(std::hash<std::string_view>{}(s));
+}
+
+}  // namespace
+
+size_t Dataset::FindSlot(std::string_view s, uint32_t tag) const {
+  const size_t mask = index_.size() - 1;
+  for (size_t i = tag & mask;; i = (i + 1) & mask) {
+    const PoolSlot& slot = index_[i];
+    if (slot.id == kNoStr || (slot.tag == tag && pool_[slot.id] == s)) {
+      return i;
+    }
+  }
+}
+
+void Dataset::GrowIndex() {
+  std::vector<PoolSlot> old = std::move(index_);
+  index_.assign(std::max<size_t>(64, old.size() * 2), PoolSlot{});
+  const size_t mask = index_.size() - 1;
+  for (const PoolSlot& slot : old) {
+    if (slot.id == kNoStr) {
+      continue;
+    }
+    size_t i = slot.tag & mask;
+    while (index_[i].id != kNoStr) {
+      i = (i + 1) & mask;
+    }
+    index_[i] = slot;
+  }
+}
+
+StrId Dataset::Intern(std::string_view s) {
+  if ((pool_.size() + 1) * 2 > index_.size()) {
+    GrowIndex();
+  }
+  const uint32_t tag = PoolTag(s);
+  PoolSlot& slot = index_[FindSlot(s, tag)];
+  if (slot.id != kNoStr) {
     ++intern_hits_;
-    return it->second;
+    return slot.id;
   }
   ++intern_misses_;
-  StrId id = static_cast<StrId>(pool_.size());
-  pool_.push_back(s);
-  pool_index_.emplace(s, id);
-  return id;
+  pool_.emplace_back(s);
+  slot = {static_cast<StrId>(pool_.size() - 1), tag};
+  return slot.id;
 }
 
 void Dataset::FlushInternMetrics() {
@@ -90,9 +128,8 @@ void Dataset::FlushInternMetrics() {
   }
 }
 
-StrId Dataset::Lookup(const std::string& s) const {
-  auto it = pool_index_.find(s);
-  return it == pool_index_.end() ? kNoStr : it->second;
+StrId Dataset::Lookup(std::string_view s) const {
+  return index_.empty() ? kNoStr : index_[FindSlot(s, PoolTag(s))].id;
 }
 
 void Dataset::AddImage(const std::string& label, const DependencySurface& surface) {
@@ -104,8 +141,39 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
   record.health = surface.health();
   const TypeGraph& graph = surface.btf();
   // Each top-level type is rendered once per image and shared by the decl
-  // hash, the declaration and every field or parameter that uses it.
+  // hash, the declaration and every field or parameter that uses it. The
+  // memo also keeps, by type id, the render's HashString and pool id: a
+  // pool id it answers counts as the intern hit it replaces, so pool ids
+  // and counters are those of interning every occurrence.
   TypeStringMemo type_string(graph);
+  struct TypeMemo {
+    StrId id = kNoStr;
+    bool hashed = false;
+    uint64_t hash = 0;
+  };
+  // Ids past the graph have no node and all render as void: they share
+  // the last entry.
+  std::vector<TypeMemo> memo(static_cast<size_t>(graph.num_types()) + 2);
+  auto memo_at = [&memo](BtfTypeId id) -> TypeMemo& {
+    return memo[std::min<size_t>(id, memo.size() - 1)];
+  };
+  auto intern_type = [&](BtfTypeId id) -> StrId {
+    StrId& pool_id = memo_at(id).id;
+    if (pool_id == kNoStr) {
+      pool_id = Intern(type_string.Get(id));
+    } else {
+      ++intern_hits_;
+    }
+    return pool_id;
+  };
+  auto hash_type = [&](BtfTypeId id) -> uint64_t {
+    TypeMemo& m = memo_at(id);
+    if (!m.hashed) {
+      m.hash = HashString(type_string.Get(id));
+      m.hashed = true;
+    }
+    return m.hash;
+  };
 
   auto decl_hash = [&](BtfTypeId func_id) -> uint64_t {
     const BtfType* func = graph.Get(func_id);
@@ -113,19 +181,25 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
     if (proto == nullptr || proto->kind != BtfKind::kFuncProto) {
       return 0;
     }
-    uint64_t h = HashString(type_string.Get(proto->ref_type_id));
+    uint64_t h = hash_type(proto->ref_type_id);
     for (const BtfParam& p : proto->params) {
-      h = HashCombine({h, HashString(p.name), HashString(type_string.Get(p.type_id))});
+      h = HashCombine({h, HashString(p.name), hash_type(p.type_id)});
     }
     return h;
   };
 
+  // Pool ids are handed out in first-intern order, so the order of Intern
+  // calls is part of the .dds bytes. A (name, type) pair interns its type
+  // string first, in its own statement: as two arguments of one call the
+  // order would be the compiler's choice.
+  std::string decl;  // every declaration is rendered into this one buffer
   for (const auto& [name, entry] : surface.functions()) {
     FuncRecord fr;
     fr.status = entry.status;
     if (entry.btf_id != 0) {
       fr.decl_hash = decl_hash(entry.btf_id);
-      fr.decl = Intern(FuncDeclString(type_string, entry.btf_id));
+      FuncDeclString(type_string, entry.btf_id, decl);
+      fr.decl = Intern(decl);
     }
     record.funcs.emplace(Intern(name), std::move(fr));
   }
@@ -136,7 +210,8 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
     if (st != nullptr) {
       sr.fields.reserve(st->members.size());
       for (const BtfMember& m : st->members) {
-        sr.fields.emplace_back(Intern(m.name), Intern(type_string.Get(m.type_id)));
+        StrId type = intern_type(m.type_id);
+        sr.fields.emplace_back(Intern(m.name), type);
       }
       std::sort(sr.fields.begin(), sr.fields.end());
     }
@@ -150,7 +225,8 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
       const BtfType* proto = func != nullptr ? graph.Get(func->ref_type_id) : nullptr;
       if (proto != nullptr) {
         for (const BtfParam& p : proto->params) {
-          tr.func_params.emplace_back(Intern(p.name), Intern(type_string.Get(p.type_id)));
+          StrId type = intern_type(p.type_id);
+          tr.func_params.emplace_back(Intern(p.name), type);
         }
       }
     }
@@ -158,7 +234,8 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
       const BtfType* st = graph.Get(tp.struct_btf_id);
       if (st != nullptr) {
         for (const BtfMember& m : st->members) {
-          tr.event_fields.emplace_back(Intern(m.name), Intern(type_string.Get(m.type_id)));
+          StrId type = intern_type(m.type_id);
+          tr.event_fields.emplace_back(Intern(m.name), type);
         }
         std::sort(tr.event_fields.begin(), tr.event_fields.end());
       }

@@ -5,7 +5,8 @@
 //
 // Records are heavily interned: at paper scale an image contributes ~70k
 // functions and ~8k structs, and the corpus holds 25 images, so names and
-// type strings are stored once in a shared pool and referenced by id.
+// type strings are stored once in a shared pool and referenced by id; the
+// pool's index is a flat table of ids, not a second copy of the strings.
 // Function declarations are kept as fingerprints (hashes); benches that
 // need change *kinds* (Table 4) diff full surfaces pairwise instead.
 #ifndef DEPSURF_SRC_CORE_DATASET_H_
@@ -16,7 +17,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/dataset_view.h"
@@ -102,23 +102,38 @@ class Dataset : public DatasetView {
 
   // Interning accessors (exposed for benches and serialization).
   size_t pool_size() const { return pool_.size(); }
-  StrId Intern(const std::string& s);
+  StrId Intern(std::string_view s);
   // kNoStr if the string was never interned.
   static constexpr StrId kNoStr = 0xffffffff;
-  StrId Lookup(const std::string& s) const;
+  StrId Lookup(std::string_view s) const;
   const std::string& StringAt(StrId id) const { return pool_[id]; }
 
   // Publishes intern hit/miss counts accumulated since the last flush to the
   // current obs::Context. Intern() itself only bumps plain members — it is
   // the hot path of distillation, and resolving a registry counter per string
   // (or caching one across per-image contexts) would be wrong or slow.
+  // Counts are per string occurrence: a miss adds a string to the pool, and
+  // AddImage counts each type string its per-image memo answers as a hit.
   // AddImage flushes automatically; LoadDatasetV2 flushes after the pool read.
   void FlushInternMetrics();
 
  private:
+  // One slot of the index over pool_: a pool id (kNoStr when empty) and the
+  // low 32 bits of its string's hash, which also place the slot. Linear
+  // probing in a power-of-two table kept at most half full; growing moves
+  // slots by their tags, so no string is hashed twice.
+  struct PoolSlot {
+    StrId id = kNoStr;
+    uint32_t tag = 0;
+  };
+  // The slot holding `s`, or the empty slot where it belongs. The index
+  // must not be empty.
+  size_t FindSlot(std::string_view s, uint32_t tag) const;
+  void GrowIndex();
+
   std::vector<ImageRecord> images_;
   std::vector<std::string> pool_;
-  std::unordered_map<std::string, StrId> pool_index_;
+  std::vector<PoolSlot> index_;
   uint64_t intern_hits_ = 0;
   uint64_t intern_misses_ = 0;
   uint64_t intern_hits_flushed_ = 0;

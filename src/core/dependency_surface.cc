@@ -215,11 +215,18 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
   // the type graph (declarations, struct layouts) but not the symbol-table,
   // tracepoint, or syscall views.
   // Name indexes filled by the one pass over the graph below; the first id
-  // wins, as in TypeGraph::FindByKindAndName. btf_structs holds every
-  // STRUCT, trace_event_raw_* and anonymous ones included. Keys view names
-  // inside surface.btf_, which is not modified after this block.
-  std::unordered_map<std::string_view, BtfTypeId> btf_funcs;
+  // wins, as in TypeGraph::FindByKindAndName. btf_funcs is every FUNC as
+  // (name, id) sorted, so a name's first entry holds its first id
+  // (collisions share names). btf_structs holds every STRUCT,
+  // trace_event_raw_* and anonymous ones included. Names are views into
+  // surface.btf_, which is not modified after this block.
+  std::vector<std::pair<std::string_view, BtfTypeId>> btf_funcs;
   std::unordered_map<std::string_view, BtfTypeId> btf_structs;
+  // The first FUNC id named `name`; 0 when there is none.
+  auto find_btf_func = [&btf_funcs](std::string_view name) -> BtfTypeId {
+    auto it = std::lower_bound(btf_funcs.begin(), btf_funcs.end(), std::make_pair(name, 0u));
+    return it != btf_funcs.end() && it->first == name ? it->second : 0;
+  };
   {
     obs::ScopedSpan btf_span("surface.btf");
     auto decode_btf = [&]() -> Status {
@@ -247,11 +254,16 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
           surface.structs_.emplace(t->name, id);
         }
       } else if (t->kind == BtfKind::kFunc) {
-        btf_funcs.emplace(t->name, id);  // collisions share names
+        btf_funcs.emplace_back(t->name, id);
       }
     }
+    std::sort(btf_funcs.begin(), btf_funcs.end());
+    uint64_t distinct_funcs = 0;
+    for (size_t i = 0; i < btf_funcs.size(); ++i) {
+      distinct_funcs += i == 0 || btf_funcs[i].first != btf_funcs[i - 1].first ? 1 : 0;
+    }
     btf_span.AddAttr("structs", static_cast<uint64_t>(surface.structs_.size()));
-    btf_span.AddAttr("funcs", static_cast<uint64_t>(btf_funcs.size()));
+    btf_span.AddAttr("funcs", distinct_funcs);
   }
 
   // ---- DWARF: function instances and inline structure. Absent debug
@@ -343,8 +355,9 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
 
   // Each name moves out of `instances` into its entry's key, in ascending
   // order, so every insertion lands at the end of functions_; the base-name
-  // cursor advances in the same order.
+  // and FUNC cursors advance in the same order.
   auto base_it = symbols_by_base.begin();
+  auto func_it = btf_funcs.begin();
   while (!instances.empty()) {
     auto node = instances.extract(instances.begin());
     const std::string& name = node.key();
@@ -359,9 +372,11 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
     FunctionEntry entry;
     entry.name = name;
     entry.instances = std::move(node.mapped());
-    auto bit = btf_funcs.find(name);
-    if (bit != btf_funcs.end()) {
-      entry.btf_id = bit->second;
+    while (func_it != btf_funcs.end() && func_it->first < name) {
+      ++func_it;
+    }
+    if (func_it != btf_funcs.end() && func_it->first == name) {
+      entry.btf_id = func_it->second;
     }
     while (base_it != symbols_by_base.end() && base_it->first < name) {
       ++base_it;
@@ -464,9 +479,7 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
         if (auto it = btf_structs.find(tp.struct_name); it != btf_structs.end()) {
           tp.struct_btf_id = it->second;
         }
-        if (auto it = btf_funcs.find(tp.func_name); it != btf_funcs.end()) {
-          tp.func_btf_id = it->second;
-        }
+        tp.func_btf_id = find_btf_func(tp.func_name);
         surface.tracepoints_.emplace(tp.event_name, std::move(tp));
         return Status::Ok();
       };

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 
@@ -118,6 +119,17 @@ std::vector<std::string> SplitList(const std::string& text, char sep = ',') {
   std::vector<std::string> items = SplitString(text, sep);
   items.erase(std::remove(items.begin(), items.end(), ""), items.end());
   return items;
+}
+
+// The first of `flags` given on the command line, or nullptr: handlers
+// refuse a flag that the mode they were asked for would ignore.
+const char* FirstGiven(const Args& args, std::initializer_list<const char*> flags) {
+  for (const char* flag : flags) {
+    if (args.Has(flag)) {
+      return flag;
+    }
+  }
+  return nullptr;
 }
 
 // Loads every dataset --against names into `datasets` (sized up front, so
@@ -546,14 +558,21 @@ constexpr LintKind kLintKinds[] = {
 
 // Validates an observability JSON file as the document --kind names.
 int CmdMetricsLint(const Args& args) {
+  const LintKind& lint = kLintKinds[args.Num("kind")];
+  const std::string& kind = args.Str("kind");
+  const char* report_flag = FirstGiven(args, {"min-spans", "require"});
+  if (kind != "report" && report_flag != nullptr) {
+    return DiagError(StrFormat("metrics lint: --%s applies only to --kind=report", report_flag));
+  }
+  if (kind != "trace" && args.Has("report")) {
+    return DiagError("metrics lint: --report applies only to --kind=trace");
+  }
   const std::string& path = args.pos[0];
   auto bytes = ReadFile(path);
   if (!bytes.ok()) {
     return DiagError(bytes.error());
   }
   std::string text(bytes->begin(), bytes->end());
-  const LintKind& lint = kLintKinds[args.Num("kind")];
-  const std::string& kind = args.Str("kind");
   if (kind == "trace") {
     auto json = obs::ParseJson(text);
     if (!json.ok()) {
@@ -832,9 +851,18 @@ int CmdStudyBuild(const Args& args) {
 // --live instead runs a corpus build in-process and profiles the spans it
 // just recorded.
 int CmdProfile(const Args& args) {
+  const bool live = args.Has("live");
+  if (live && !args.pos.empty()) {
+    return DiagError("profile: give a report path or --live, not both");
+  }
+  const char* corpus_flag =
+      FirstGiven(args, {"versions", "arch", "flavor", "scale", "seed", "jobs"});
+  if (!live && corpus_flag != nullptr) {
+    return DiagError(StrFormat("profile: --%s applies only to --live", corpus_flag));
+  }
   obs::Profile profile;
   std::string folded;
-  if (args.Has("live")) {
+  if (live) {
     auto corpus = CorpusFromArgs(args);
     if (!corpus.ok()) {
       return DiagError("profile --live: " + corpus.error().message());
@@ -1224,6 +1252,9 @@ int CmdServe(const Args& args) {
   const bool oneshot = args.Has("oneshot");
   if (oneshot == !socket_path.empty()) {
     return DiagError("serve requires exactly one of --oneshot or --socket=PATH");
+  }
+  if (oneshot && args.Has("max-connections")) {
+    return DiagError("serve: --max-connections applies only to --socket");
   }
 
   auto engine = ServeEngine::Open(SplitList(args.Str("against")), options);

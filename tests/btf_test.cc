@@ -180,7 +180,9 @@ TEST(BtfPrintTest, FanOutRenderIsBounded) {
   // Each top-level render gets the whole budget, so the memo stays exact.
   TypeStringMemo memo(g);
   EXPECT_EQ(memo.Get(fan), rendered);
-  EXPECT_EQ(FuncDeclString(memo, func), FuncDeclString(g, func));
+  std::string decl = "stale";  // written over, not appended to
+  FuncDeclString(memo, func, decl);
+  EXPECT_EQ(decl, FuncDeclString(g, func));
   EXPECT_EQ(FuncDeclString(g, func), rendered + " fan_out(" + rendered + "a, " + rendered + "b)");
 }
 

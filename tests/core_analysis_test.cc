@@ -14,6 +14,7 @@
 #include "src/kernelgen/corpus.h"
 #include "src/kernelgen/image_builder.h"
 #include "src/kernelgen/scripted.h"
+#include "tests/distill_reference.h"
 
 namespace depsurf {
 namespace {
@@ -218,25 +219,10 @@ TEST_F(CorpusFixture, DatasetTracepointAndSyscallQueries) {
 // uncached printers do, even where rendering is cut off 32 levels down
 // (an inner type's text there depends on its depth) or loops.
 TEST(DatasetDistillTest, ExactOnHostileBtf) {
-  TypeGraph graph;
-  BtfTypeId int_id = graph.Int("int", 4);
-  std::vector<BtfTypeId> chain = {int_id};  // chain[k]: k pointers to int
-  for (int k = 1; k <= 40; ++k) {
-    chain.push_back(graph.Ptr(chain.back()));
-  }
-  BtfType ptr;
-  ptr.kind = BtfKind::kPtr;
-  ptr.ref_type_id = graph.num_types() + 2;
-  BtfTypeId loop_ptr = graph.Add(ptr);
-  BtfTypeId loop_const = graph.Const(loop_ptr);
-  ASSERT_EQ(loop_const, ptr.ref_type_id);
-  // The capped chain comes first, so its inner nodes are visited deep
-  // before the same nodes are rendered at the top of a later member.
-  graph.Struct("deep", 16, {{"capped", chain[40], 0}, {"inner", chain[30], 64}});
-  graph.Struct("looped", 8, {{"loop", loop_ptr, 0}, {"loop_const", loop_const, 32}});
-  BtfTypeId proto = graph.FuncProto(
-      int_id, {{"capped", chain[40]}, {"inner", chain[30]}, {"loop", loop_const}});
-  graph.Func("hostile_fn", proto);
+  HostileBtf hostile = BuildHostileBtf();
+  const TypeGraph& graph = hostile.graph;
+  const std::vector<BtfTypeId>& chain = hostile.chain;
+  ASSERT_EQ(graph.Get(hostile.loop_ptr)->ref_type_id, hostile.loop_const);
   ASSERT_TRUE(graph.Validate().ok());
 
   ElfWriter writer(ElfIdent{});

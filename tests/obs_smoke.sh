@@ -206,6 +206,17 @@ check_flag_error --scale gen --version=5.4 --out=imgx --scale=abc
 check_flag_error --seed study build --scale=0.02 --out=dsx --seed=-1
 check_flag_error --oneshot serve --against=ds1
 
+# ---- a flag declared for one mode of a command is refused in another,
+# where it would be ignored.
+check_flag_error --max-connections serve --against=ds1 --oneshot --max-connections=2 < /dev/null
+check_flag_error --min-spans metrics lint reps1/report_agg.json --kind=agg --min-spans=1
+check_flag_error --require metrics lint trace1.json --kind=trace --require=surface.extracted
+check_flag_error --report metrics lint check1.json --report=check1.json
+for flag in --versions=5.4 --arch=x86 --flavor=generic --scale=0.02 --seed=7 --jobs=2; do
+  check_flag_error "${flag%%=*}" profile reps1/report_agg.json "$flag"
+done
+check_flag_error --live profile reps1/report_agg.json --live
+
 # ---- one flag table: every command rejects a flag it does not declare, a
 # value on a bare flag, a valued flag without "=", and a surplus argument,
 # each naming what it rejected (all of these used to run, ignoring it).
