@@ -23,7 +23,11 @@
 #     and `analyze --json` of the fixed object, one file per command, and
 #     the fixed objects concatenated in `progs` order;
 #   - for a `gen --version=5.4` image: `doctor --json`, a 32-mutation
-#     `doctor --sweep` and a 32-round image-mode `fuzz --json` campaign.
+#     `doctor --sweep` and a 32-round image-mode `fuzz --json` campaign;
+#   - `dataset build` over image files: the five LTS images as `gen`
+#     writes them, its dataset and `dataset info`, and the exit code and
+#     stdout of that run and of one with a 16-byte truncated copy in the
+#     middle of the list, which must leave no dataset.
 # `study build`'s own stdout is not hashed: it prints per-image times.
 #
 #   contract.sh DEPSURF BENCH_DIR [--out DIR] [--regen]
@@ -157,9 +161,22 @@ for seed in $SEEDS; do
   record doctor.txt doctor img54 --json
   record doctor.txt doctor img54 --sweep=32 --seed=11
   record fuzz.txt fuzz img54 --rounds=32 --seed=2025 --json
+
+  for version in 4.4 4.15 5.15 6.8; do
+    "$DEPSURF" gen --version=$version --scale=$SCALE --seed="$seed" \
+        --out="img${version//./}" > /dev/null || fail "gen --version=$version exited $?"
+  done
+  head -c 16 img54 > img54_short
+  : > dataset_build.txt
+  record dataset_build.txt dataset build img44 img415 img54 img515 img68 --out=images.dds
+  record dataset_build.txt dataset build img44 img415 img54_short img515 img68 \
+    --out=images_short.dds
+  [ ! -e images_short.dds ] || fail "$dir: dataset build over a truncated image wrote a dataset"
+  "$DEPSURF" dataset info images.dds > images_info.txt || fail "dataset info ($dir) exited $?"
   cd "$WORKDIR"
   HASHED="$HASHED $dir/serve_jobs1.ndjson $dir/serve_report_jobs1.json"
-  for out in check.txt analyze.txt fix.txt fixed_objects.bin doctor.txt fuzz.txt; do
+  for out in check.txt analyze.txt fix.txt fixed_objects.bin doctor.txt fuzz.txt \
+      dataset_build.txt images.dds images_info.txt; do
     HASHED="$HASHED $dir/$out"
   done
 done
