@@ -187,12 +187,12 @@ void BM_BuildDatasetReports(benchmark::State& state) {
   for (KernelVersion version : kLtsVersions) {
     corpus.push_back(MakeBuild(version));
   }
+  const std::vector<ImageSource> images = SharedStudy().ImageSources(corpus);
   BuildPolicy policy;
   policy.jobs = static_cast<int>(state.range(0));
-  Study::DatasetReportFiles files;
+  DatasetReportFiles files;
   for (auto _ : state) {
-    auto dataset =
-        SharedStudy().BuildDatasetWithReports(corpus, report_dir, &files, {}, policy);
+    auto dataset = BuildDatasetFromImages(images, policy, {}, nullptr, report_dir, &files);
     benchmark::DoNotOptimize(dataset.ok());
   }
   WriteBuildProfile(files.aggregate, policy.jobs);

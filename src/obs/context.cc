@@ -35,11 +35,15 @@ Context& Context::Current() {
   return tls_current_context != nullptr ? *tls_current_context : Root();
 }
 
-ScopedContext::ScopedContext(Context& context) : previous_(tls_current_context) {
+ScopedContext::ScopedContext(Context& context)
+    : previous_(tls_current_context), previous_span_(ScopedSpan::ExchangeOpen(nullptr)) {
   tls_current_context = &context;
 }
 
-ScopedContext::~ScopedContext() { tls_current_context = previous_; }
+ScopedContext::~ScopedContext() {
+  tls_current_context = previous_;
+  ScopedSpan::ExchangeOpen(previous_span_);
+}
 
 }  // namespace obs
 }  // namespace depsurf

@@ -8,10 +8,10 @@
 // when the stack is empty it falls back to Context::Root(), which wraps the
 // Global() singletons. Code that never pushes a context therefore behaves
 // exactly as before — the globals remain the default root context — while
-// Study::BuildDatasetWithReports gives each in-flight image its own Context
-// and serializes that image's run report from it, which is what lets
-// report-mode corpus builds run in the same bounded concurrent window as
-// plain builds.
+// a report-mode BuildDatasetFromImages gives each in-flight image its own
+// Context and serializes that image's run report from it, which is what
+// lets report-mode corpus builds run in the same bounded concurrent window
+// as plain builds.
 //
 // Thread-locality rules (see docs/OBSERVABILITY.md):
 //   - The stack is per thread. Pushing a context on one thread does not
@@ -78,7 +78,9 @@ class Context {
 };
 
 // RAII push/pop of a context on the calling thread's stack. Scopes nest:
-// the previous top is restored on destruction.
+// the previous top is restored on destruction. The thread's open span is
+// saved on push and restored on pop, so spans recorded under the pushed
+// context are its roots, never children of a span opened under another.
 class ScopedContext {
  public:
   explicit ScopedContext(Context& context);
@@ -89,6 +91,7 @@ class ScopedContext {
 
  private:
   Context* previous_;
+  ScopedSpan* previous_span_;
 };
 
 }  // namespace obs

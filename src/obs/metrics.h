@@ -1,8 +1,8 @@
 // Process-wide metrics for the analysis pipeline: named counters, gauges,
 // and latency/size histograms with fixed log2 buckets. Everything is
 // thread-safe: registration takes a mutex, updates are lock-free atomics,
-// so decoders running on Study::BuildDataset worker threads can tally
-// concurrently with the main thread.
+// so decoders running on the dataset build's worker lanes
+// (BuildDatasetFromImages) can tally concurrently with the main thread.
 //
 // Naming convention: "<subsystem>.<what>" ("btf.types_decoded"). Names
 // ending in one of the timing suffixes (_ns, _us, _ms, _seconds) are

@@ -106,7 +106,7 @@ std::string RunReportJson(const SpanCollector& spans, const MetricsRegistry& met
   out += "\"spans\": [";
   std::vector<SpanNode> roots = spans.Snapshot();
   if (options.mask_timings) {
-    // Root finish order is racy when BuildDataset workers close their
+    // Root finish order is racy when dataset build lanes close their
     // surface.extract spans concurrently; the masked (deterministic) form
     // sorts it away. Unmasked reports keep real finish order.
     std::sort(roots.begin(), roots.end(), [](const SpanNode& a, const SpanNode& b) {

@@ -1,6 +1,7 @@
 #include "src/obs/span.h"
 
 #include <ctime>
+#include <utility>
 
 #include "src/obs/context.h"
 #include "src/obs/diag.h"
@@ -144,6 +145,10 @@ void ScopedSpan::AddAttr(std::string key, const char* value) {
 void ScopedSpan::AddAttr(std::string key, uint64_t value) {
   node_.attrs.emplace_back(std::move(key),
                            StrFormat("%llu", static_cast<unsigned long long>(value)));
+}
+
+ScopedSpan* ScopedSpan::ExchangeOpen(ScopedSpan* span) {
+  return std::exchange(tls_current_span, span);
 }
 
 int ScopedSpan::depth() const {

@@ -94,6 +94,12 @@ class ScopedSpan {
   int depth() const;
 
  private:
+  friend class ScopedContext;
+  // Replaces the calling thread's innermost open span, returning the old
+  // one. ScopedContext clears it on push and restores it on pop, so a span
+  // recorded under a pushed context is a root of that context.
+  static ScopedSpan* ExchangeOpen(ScopedSpan* span);
+
   SpanNode node_;
   ScopedSpan* parent_;
   std::chrono::steady_clock::time_point start_;

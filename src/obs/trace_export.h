@@ -10,8 +10,8 @@
 // the lane "worker-<tid>" so viewers group executor tracks by worker lane.
 // Timestamps are rebased so the earliest span starts at ts=0 and "X"
 // events are emitted in nondecreasing ts order; `tid` is the small
-// per-thread trace id spans record at open, so the worker threads of a
-// parallel Study::BuildDataset show up as separate timeline tracks.
+// per-thread trace id spans record at open, so the worker lanes of a
+// parallel BuildDatasetFromImages show up as separate timeline tracks.
 #ifndef DEPSURF_SRC_OBS_TRACE_EXPORT_H_
 #define DEPSURF_SRC_OBS_TRACE_EXPORT_H_
 

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -41,7 +42,7 @@ uint64_t ProcessCpuNs() {
          static_cast<uint64_t>(ts.tv_nsec);
 }
 
-// Width of the concurrent generate+extract window.
+// Width of the concurrent load+extract window.
 size_t EffectiveWindow(const BuildPolicy& policy) {
   if (policy.jobs > 0) {
     return static_cast<size_t>(policy.jobs);
@@ -50,57 +51,39 @@ size_t EffectiveWindow(const BuildPolicy& policy) {
   return std::min(window, size_t{8});  // surfaces are large; bound memory
 }
 
-// What a bounded-window worker hands back to the in-order consume stage:
-// the extracted surface plus the two timings only the worker can measure.
+// What a lane hands back to the in-order consume stage: the extracted
+// surface, whether the loader failed, and the two timings only the lane
+// can measure.
 struct WorkerResult {
   Result<DependencySurface> surface;
-  double seconds = 0;     // generate+extract wall time inside the worker
+  bool load_failed = false;
+  double seconds = 0;     // load+extract wall time inside the worker
   double queue_wait = 0;  // launch (enqueue) to the worker actually starting
 };
 
-// Telemetry for the bounded-window executor, accumulated locally while the
-// loop runs and published as metrics once the build completes. Report-mode
-// builds reset the root registry mid-flight and scope per-image contexts
-// around the workers, so recording as-you-go would either leak executor
-// noise into per-image reports (breaking their masked determinism
-// guarantee) or be wiped by the reset; batching sidesteps both.
-class ExecutorTelemetry {
- public:
-  explicit ExecutorTelemetry(size_t window) : lane_busy_seconds_(window, 0.0) {}
-
-  // `index` is the task's position in corpus order; launch and consume
-  // both walk the window round-robin, so index % window names the executor
-  // lane the task occupied.
-  void RecordTask(size_t index, double queue_wait_seconds, double busy_seconds) {
-    queue_wait_us_.push_back(static_cast<uint64_t>(queue_wait_seconds * 1e6));
-    inflight_us_.push_back(static_cast<uint64_t>(busy_seconds * 1e6));
-    lane_busy_seconds_[index % lane_busy_seconds_.size()] += busy_seconds;
-  }
-
-  void AddStall(uint64_t ns) { serialize_stall_ns_ += ns; }
-
-  void Publish(obs::MetricsRegistry& metrics) const {
-    obs::Histogram* queue_wait = metrics.GetHistogram("study.executor.queue_wait_us");
-    for (uint64_t v : queue_wait_us_) {
-      queue_wait->Record(v);
-    }
-    obs::Histogram* inflight = metrics.GetHistogram("study.executor.inflight_us");
-    for (uint64_t v : inflight_us_) {
-      inflight->Record(v);
-    }
-    metrics.Incr("study.executor.serialize_stall_us", serialize_stall_ns_ / 1000);
-    for (size_t lane = 0; lane < lane_busy_seconds_.size(); ++lane) {
-      metrics.Set(StrFormat("study.executor.worker%zu.busy_ms", lane),
-                  static_cast<int64_t>(lane_busy_seconds_[lane] * 1e3));
-    }
-  }
-
- private:
-  std::vector<uint64_t> queue_wait_us_;
-  std::vector<uint64_t> inflight_us_;
-  std::vector<double> lane_busy_seconds_;  // per executor lane
-  uint64_t serialize_stall_ns_ = 0;
+// One image in the window. `context` is the image's own obs::Context in
+// report mode, null otherwise.
+struct InFlight {
+  std::shared_ptr<obs::Context> context;
+  std::future<WorkerResult> future;
 };
+
+// The fatal ledger entry a quarantined image's report carries. The layer
+// closest to the fault tags the error (a poisoned DWARF section reads as a
+// dwarf failure); untagged errors — loader failures, unreadable containers
+// — default to the ELF layer.
+DiagnosticEntry FatalEntry(const Error& error) {
+  DiagnosticEntry fatal;
+  fatal.severity = DiagSeverity::kFatal;
+  fatal.subsystem = error.subsystem().value_or(DiagSubsystem::kElf);
+  fatal.code = error.code();
+  if (error.offset().has_value()) {
+    fatal.offset = *error.offset();
+    fatal.has_offset = true;
+  }
+  fatal.message = error.message();
+  return fatal;
+}
 
 // Wall time the in-order consume stage spends blocked on the window's
 // front future — zero when the front task already finished, i.e. nonzero
@@ -201,238 +184,168 @@ Result<DependencySurface> Study::ExtractSurface(const BuildSpec& build) const {
   return DependencySurface::Extract(std::move(bytes));
 }
 
+std::vector<ImageSource> Study::ImageSources(const std::vector<BuildSpec>& corpus) const {
+  std::vector<ImageSource> images;
+  images.reserve(corpus.size());
+  for (const BuildSpec& build : corpus) {
+    images.push_back(ImageSource{build.Label(), [this, build] { return BuildImage(build); }});
+  }
+  return images;
+}
+
 Result<Dataset> Study::BuildDataset(
     const std::vector<BuildSpec>& corpus,
     const std::function<void(const ImageProgress&)>& progress,
     const BuildPolicy& policy,
     std::vector<QuarantinedImage>* quarantined) const {
-  obs::ScopedSpan span("study.build_dataset");
-  span.AddAttr("images", static_cast<uint64_t>(corpus.size()));
-  const auto wall_start = std::chrono::steady_clock::now();
-  const uint64_t cpu_start_ns = ProcessCpuNs();
-
-  // Extraction is pure, so images run concurrently in a bounded window;
-  // distillation happens serially in corpus order (Dataset interning is
-  // order-sensitive and must stay deterministic).
-  const size_t window = EffectiveWindow(policy);
-  ExecutorTelemetry telemetry(window);
-  Dataset dataset;
-  WorkerPool pool(window);
-  std::deque<std::future<WorkerResult>> in_flight;
-  size_t next_launch = 0;
-  size_t next_consume = 0;
-  while (next_consume < corpus.size()) {
-    while (next_launch < corpus.size() && in_flight.size() < window) {
-      const BuildSpec& build = corpus[next_launch++];
-      const auto enqueue = std::chrono::steady_clock::now();
-      in_flight.push_back(pool.Submit([this, build, enqueue] {
-        const auto start = std::chrono::steady_clock::now();
-        const std::chrono::duration<double> queued = start - enqueue;
-        Result<DependencySurface> surface = ExtractSurface(build);
-        const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-        return WorkerResult{std::move(surface), elapsed.count(), queued.count()};
-      }));
-    }
-    telemetry.AddStall(ConsumeStallNs(in_flight.front()));
-    WorkerResult result = in_flight.front().get();
-    in_flight.pop_front();
-    telemetry.RecordTask(next_consume, result.queue_wait, result.seconds);
-    Result<DependencySurface>& surface = result.surface;
-    const double seconds = result.seconds;
-    const std::string label = corpus[next_consume].Label();
-    if (!surface.ok()) {
-      if (!policy.keep_going) {
-        for (auto& future : in_flight) {
-          future.wait();  // drain before propagating the error
-        }
-        return surface.TakeError().Wrap("image " + label);
-      }
-      // Quarantine: the image stays out of the dataset, the build goes on.
-      // Progress still fires — callers counting callbacks see every corpus
-      // slot exactly once, with the quarantine flagged.
-      obs::Context::Current().metrics().Incr("study.images_quarantined");
-      if (quarantined != nullptr) {
-        quarantined->push_back(QuarantinedImage{label, surface.TakeError()});
-      }
-      if (progress) {
-        ImageProgress report;
-        report.label = label;
-        report.seconds = seconds;
-        report.index = next_consume;
-        report.total = corpus.size();
-        report.quarantined = true;
-        progress(report);
-      }
-      ++next_consume;
-      continue;
-    }
-    obs::Context::Current().metrics().GetHistogram("study.image_extract_ms")
-        ->Record(static_cast<uint64_t>(seconds * 1e3));
-    if (progress) {
-      ImageProgress report;
-      report.label = label;
-      report.seconds = seconds;
-      report.index = next_consume;
-      report.total = corpus.size();
-      progress(report);
-    }
-    dataset.AddImage(label, *surface);
-    ++next_consume;
-  }
-
-  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall_start;
-  const uint64_t cpu_ns = ProcessCpuNs() - cpu_start_ns;
-  obs::MetricsRegistry& metrics = obs::Context::Current().metrics();
-  metrics.Incr("study.datasets_built");
-  metrics.Set("study.build_dataset.wall_ms", static_cast<uint64_t>(wall.count() * 1e3));
-  metrics.Set("study.build_dataset.cpu_total_ms", static_cast<int64_t>(cpu_ns / 1000000));
-  metrics.Set("study.build_dataset.window", static_cast<int64_t>(window));
-  telemetry.Publish(metrics);
-  span.AddAttr("window", static_cast<uint64_t>(window));
-  return dataset;
+  return BuildDatasetFromImages(ImageSources(corpus), policy, progress, quarantined);
 }
 
-Result<Dataset> Study::BuildDatasetWithReports(
-    const std::vector<BuildSpec>& corpus, const std::string& report_dir,
-    DatasetReportFiles* files,
+Result<Dataset> BuildDatasetFromImages(
+    const std::vector<ImageSource>& images, const BuildPolicy& policy,
     const std::function<void(const ImageProgress&)>& progress,
-    const BuildPolicy& policy,
-    std::vector<QuarantinedImage>* quarantined) const {
+    std::vector<QuarantinedImage>* quarantined, const std::string& report_dir,
+    DatasetReportFiles* files) {
+  const bool reporting = !report_dir.empty();
+  obs::Context& caller = obs::Context::Current();
+  if (reporting) {
+    // Stray collection from before the build would otherwise end up in a
+    // later --metrics-out report of this build.
+    caller.spans().Clear();
+    caller.metrics().Reset();
+    caller.diagnostics().Clear();
+  }
+  obs::ScopedSpan span("study.build_dataset");
+  span.AddAttr("images", static_cast<uint64_t>(images.size()));
   const auto wall_start = std::chrono::steady_clock::now();
   const uint64_t cpu_start_ns = ProcessCpuNs();
+
+  // Loading and extraction are pure, so images run concurrently in a
+  // bounded window; distillation happens serially in corpus order (Dataset
+  // interning is order-sensitive and must stay deterministic). In report
+  // mode each image owns a fresh context: its lane pushes it (the TLS stack
+  // does not cross threads), and the consume stage pushes it again to
+  // distill, so the image's report holds everything it recorded, exactly
+  // as in a serial build. An early return leaves the window to the pool's
+  // destructor, which runs every queued task and joins.
   const size_t window = EffectiveWindow(policy);
-
-  // Per-image isolation comes from obs::Context, not from clearing the
-  // globals: each in-flight image owns a fresh context, and the task pushes
-  // it on its pool thread (the TLS stack does not cross threads).
-  // Everything BuildImage + Extract collect — spans, metrics, the salvage
-  // ledger — lands in that context. The main thread consumes in
-  // corpus order, distills under the same context, and serializes it as the
-  // per-image report, so report contents match the old serial build while
-  // generate+extract overlap across the window.
-  struct InFlight {
-    std::shared_ptr<obs::Context> context;
-    std::future<WorkerResult> future;
-  };
-
-  ExecutorTelemetry telemetry(window);
+  // Executor facts depend on the window and on scheduling, so they go to
+  // the caller's context, never into a per-image report (whose masked form
+  // is the same at any width).
+  obs::MetricsRegistry& metrics = caller.metrics();
+  obs::Histogram* queue_wait_us = metrics.GetHistogram("study.executor.queue_wait_us");
+  obs::Histogram* inflight_us = metrics.GetHistogram("study.executor.inflight_us");
+  obs::Histogram* extract_ms = metrics.GetHistogram("study.image_extract_ms");
+  std::vector<double> lane_busy_seconds(window, 0.0);
+  uint64_t stall_ns = 0;
   Dataset dataset;
   std::vector<obs::LabeledReport> reports;
   WorkerPool pool(window);
   std::deque<InFlight> in_flight;
   size_t next_launch = 0;
-  size_t next_consume = 0;
-  while (next_consume < corpus.size()) {
-    while (next_launch < corpus.size() && in_flight.size() < window) {
-      const BuildSpec& build = corpus[next_launch++];
-      auto context = std::make_shared<obs::Context>();
+  for (size_t next = 0; next < images.size(); ++next) {
+    while (next_launch < images.size() && in_flight.size() < window) {
+      const ImageSource& source = images[next_launch++];
       InFlight entry;
-      entry.context = context;
+      if (reporting) {
+        entry.context = std::make_shared<obs::Context>();
+      }
       const auto enqueue = std::chrono::steady_clock::now();
-      entry.future = pool.Submit([this, build, context, enqueue] {
-        obs::ScopedContext scope(*context);
+      entry.future = pool.Submit([&source, context = entry.context, enqueue] {
+        std::optional<obs::ScopedContext> scope;
+        if (context != nullptr) {
+          scope.emplace(*context);
+        }
         const auto start = std::chrono::steady_clock::now();
+        Result<std::vector<uint8_t>> bytes = source.load();
+        const bool load_failed = !bytes.ok();
+        Result<DependencySurface> surface =
+            load_failed ? Result<DependencySurface>(bytes.TakeError())
+                        : DependencySurface::Extract(bytes.TakeValue());
+        const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
         const std::chrono::duration<double> queued = start - enqueue;
-        Result<DependencySurface> surface = ExtractSurface(build);
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        return WorkerResult{std::move(surface), elapsed.count(), queued.count()};
+        return WorkerResult{std::move(surface), load_failed, elapsed.count(), queued.count()};
       });
       in_flight.push_back(std::move(entry));
     }
     InFlight entry = std::move(in_flight.front());
     in_flight.pop_front();
-    // Stall + queue-wait are executor facts, not image facts: they are
-    // measured here on the main thread (or returned by the worker) and
-    // batched outside the per-image context so report contents stay
-    // byte-stable under masking regardless of --jobs.
-    telemetry.AddStall(ConsumeStallNs(entry.future));
+    stall_ns += ConsumeStallNs(entry.future);
     WorkerResult result = entry.future.get();
-    telemetry.RecordTask(next_consume, result.queue_wait, result.seconds);
-    Result<DependencySurface>& surface = result.surface;
-    const double seconds = result.seconds;
-    obs::Context& context = *entry.context;
-    const std::string label = corpus[next_consume].Label();
-    const bool image_ok = surface.ok();
-    if (!image_ok) {
-      if (!policy.keep_going) {
-        for (auto& pending : in_flight) {
-          pending.future.wait();  // drain before propagating the error
+    queue_wait_us->Record(static_cast<uint64_t>(result.queue_wait * 1e6));
+    inflight_us->Record(static_cast<uint64_t>(result.seconds * 1e6));
+    // Launch and consume both walk the window round-robin, so next % window
+    // names the executor lane the image occupied.
+    lane_busy_seconds[next % window] += result.seconds;
+    const std::string& label = images[next].label;
+    const bool image_ok = result.surface.ok();
+    {
+      std::optional<obs::ScopedContext> scope;
+      if (entry.context != nullptr) {
+        scope.emplace(*entry.context);
+      }
+      if (!image_ok) {
+        const Error& error = result.surface.error();
+        if (quarantined != nullptr) {
+          quarantined->push_back(QuarantinedImage{label, error, result.load_failed});
         }
-        return surface.TakeError().Wrap("image " + label);
+        if (!policy.keep_going) {
+          return error.Wrap("image " + label);
+        }
+        // Quarantine: the image stays out of the dataset, the build goes on.
+        obs::Context::Current().diagnostics().Add(FatalEntry(error));
+        obs::Context::Current().metrics().Incr("study.images_quarantined");
+      } else {
+        extract_ms->Record(static_cast<uint64_t>(result.seconds * 1e3));
+        dataset.AddImage(label, *result.surface);
       }
-      // Quarantined images still leave a trace in the report set: one
-      // fatal ledger entry explaining why extraction died, so the
-      // aggregate lists the image alongside the survivors.
-      Error error = surface.TakeError();
-      DiagnosticEntry fatal;
-      fatal.severity = DiagSeverity::kFatal;
-      // The layer closest to the fault tags the error (a poisoned DWARF
-      // section reads as a dwarf failure); untagged errors — generator
-      // failures, unreadable containers — default to the ELF layer.
-      fatal.subsystem = error.subsystem().value_or(DiagSubsystem::kElf);
-      fatal.code = error.code();
-      if (error.offset().has_value()) {
-        fatal.offset = *error.offset();
-        fatal.has_offset = true;
-      }
-      fatal.message = error.message();
-      context.diagnostics().Add(fatal);
-      context.metrics().Incr("study.images_quarantined");
-      if (quarantined != nullptr) {
-        quarantined->push_back(QuarantinedImage{label, std::move(error)});
-      }
-    } else {
-      // Distill under the image's context so dataset.distill spans and
-      // intern metrics land in its report, exactly as in the serial build.
-      obs::ScopedContext scope(context);
-      dataset.AddImage(label, *surface);
     }
-    std::string json = obs::ContextRunReportJson(context);
-    std::string path = report_dir + "/report_" + label + ".json";
-    DEPSURF_RETURN_IF_ERROR(WriteFileBytes(path, json));
-    reports.push_back(obs::LabeledReport{label, std::move(json)});
-    if (files != nullptr) {
-      files->per_image.push_back(path);
+    if (reporting) {
+      std::string json = obs::ContextRunReportJson(*entry.context);
+      std::string path = report_dir + "/report_" + label + ".json";
+      DEPSURF_RETURN_IF_ERROR(WriteFileBytes(path, json));
+      reports.push_back(obs::LabeledReport{label, std::move(json)});
+      if (files != nullptr) {
+        files->per_image.push_back(path);
+      }
     }
+    // Progress fires for quarantined images too: callers counting callbacks
+    // see every corpus slot exactly once, with the quarantine flagged.
     if (progress) {
       ImageProgress report;
       report.label = label;
-      report.seconds = seconds;
-      report.index = next_consume;
-      report.total = corpus.size();
+      report.seconds = result.seconds;
+      report.index = next;
+      report.total = images.size();
       report.quarantined = !image_ok;
       progress(report);
     }
-    ++next_consume;
   }
 
-  auto aggregate = obs::MergeRunReports(reports);
-  if (!aggregate.ok()) {
-    return aggregate.TakeError();
+  if (reporting) {
+    auto aggregate = obs::MergeRunReports(reports);
+    if (!aggregate.ok()) {
+      return aggregate.TakeError();
+    }
+    std::string agg_path = report_dir + "/report_agg.json";
+    DEPSURF_RETURN_IF_ERROR(WriteFileBytes(agg_path, *aggregate));
+    if (files != nullptr) {
+      files->aggregate = agg_path;
+    }
+    metrics.Incr("study.reports_written", images.size() + 1);
   }
-  std::string agg_path = report_dir + "/report_agg.json";
-  DEPSURF_RETURN_IF_ERROR(WriteFileBytes(agg_path, *aggregate));
-  if (files != nullptr) {
-    files->aggregate = agg_path;
-  }
-
-  // Leave the global state describing the whole build, not stray collection
-  // from before it: callers using --metrics-out after this still get a
-  // meaningful report.
-  obs::Context& root = obs::Context::Root();
-  root.spans().Clear();
-  root.metrics().Reset();
-  root.diagnostics().Clear();
   const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall_start;
   const uint64_t cpu_ns = ProcessCpuNs() - cpu_start_ns;
-  obs::MetricsRegistry& metrics = root.metrics();
   metrics.Incr("study.datasets_built");
-  metrics.Incr("study.reports_written", corpus.size() + 1);
   metrics.Set("study.build_dataset.wall_ms", static_cast<int64_t>(wall.count() * 1e3));
   metrics.Set("study.build_dataset.cpu_total_ms", static_cast<int64_t>(cpu_ns / 1000000));
   metrics.Set("study.build_dataset.window", static_cast<int64_t>(window));
-  telemetry.Publish(metrics);
+  metrics.Incr("study.executor.serialize_stall_us", stall_ns / 1000);
+  for (size_t lane = 0; lane < window; ++lane) {
+    metrics.Set(StrFormat("study.executor.worker%zu.busy_ms", lane),
+                static_cast<int64_t>(lane_busy_seconds[lane] * 1e3));
+  }
+  span.AddAttr("window", static_cast<uint64_t>(window));
   return dataset;
 }
 

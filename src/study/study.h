@@ -40,25 +40,84 @@ struct StudyOptions {
 // What a corpus build does when one image fails extraction outright.
 // Salvage-mode extraction already downgrades most damage to per-subsystem
 // degradation; this policy covers the residue (unreadable ELF container,
-// image generation failure).
+// an image that cannot be loaded or generated).
 struct BuildPolicy {
-  // true (the default; there is no flag for it): quarantine the failed
-  // image — record its label + error, keep it out of the dataset, and
-  // finish the rest of the corpus. false (`--strict`): abort the build with
-  // the failed image's error, wrapped with its label.
+  // true (the default): quarantine the failed image — record its label +
+  // error, keep it out of the dataset, and finish the rest of the corpus.
+  // false (`study build --strict`, and always for `dataset build`): abort
+  // the build with the failed image's error, wrapped with its label.
   bool keep_going = true;
-  // Width of the concurrent generate+extract window (`--jobs=N`). 0 (the
+  // Width of the concurrent load+extract window (`--jobs=N`). 0 (the
   // default) auto-sizes to min(hardware_concurrency, 8). Results are
   // byte-identical for any value: distillation and report serialization
   // stay serial in corpus order.
   int jobs = 0;
 };
 
-// One image the build gave up on under BuildPolicy{keep_going}.
+// One image a build could not distill: quarantined under the default
+// policy, or the image a strict build stopped at.
 struct QuarantinedImage {
   std::string label;
   Error error;
+  // The image's loader failed, and its error names the source itself
+  // ("cannot open PATH"); otherwise extraction rejected the bytes.
+  bool load_failed = false;
 };
+
+// One image a dataset build distills: the label its record (and report)
+// gets, and the loader for its bytes. Loaders run on the build's worker
+// lanes, several at once.
+struct ImageSource {
+  std::string label;
+  std::function<Result<std::vector<uint8_t>>()> load;
+};
+
+// Per-image progress report for a dataset build: which image was just
+// consumed, how long its load+extract round trip took, and where the build
+// stands in the corpus. `seconds` is wall time inside the worker, so with
+// parallel extraction the sum exceeds the dataset wall time. Every corpus
+// entry fires exactly once, in corpus order with contiguous indices —
+// quarantined images included, flagged so callers can render them
+// distinctly instead of silently skipping a slot. A strict build that stops
+// at an image fires only for the images before it.
+struct ImageProgress {
+  std::string label;
+  double seconds = 0.0;
+  size_t index = 0;  // 0-based position in the corpus
+  size_t total = 0;
+  bool quarantined = false;
+};
+
+// The run reports a report-mode build wrote.
+struct DatasetReportFiles {
+  std::vector<std::string> per_image;  // report_<label>.json, in corpus order
+  std::string aggregate;               // report_agg.json
+};
+
+// Builds a dataset over `images`, the one build loop behind `study build`,
+// `dataset build` and Study::BuildDataset. Loading and extraction run on
+// worker lanes in a bounded window (they are pure); distillation is serial
+// and in corpus order, so results are byte-identical for any
+// BuildPolicy::jobs. `progress` (optional) fires once per image as it is
+// consumed. Under the default policy a failed image is quarantined
+// (appended to `quarantined` when non-null) with one fatal diagnostic
+// saying why, and the build continues; under strict the build drains the
+// window and returns the image's error wrapped with "image LABEL",
+// appending the image to `quarantined` first.
+//
+// With a `report_dir`, the build also writes one depsurf.run_report.v1 per
+// image (report_<label>.json) and their merged depsurf.run_report_agg.v1
+// (report_agg.json), listed in `files` when non-null. Per-image isolation
+// comes from obs::Context: each image loads and extracts under its own
+// context on its lane, and distills under it on the consuming thread, so a
+// quarantined image's fatal diagnostic lands in its own report. Report
+// mode first clears the caller's context, so afterwards it describes this
+// build alone.
+Result<Dataset> BuildDatasetFromImages(
+    const std::vector<ImageSource>& images, const BuildPolicy& policy = {},
+    const std::function<void(const ImageProgress&)>& progress = {},
+    std::vector<QuarantinedImage>* quarantined = nullptr,
+    const std::string& report_dir = "", DatasetReportFiles* files = nullptr);
 
 class Study {
  public:
@@ -79,55 +138,17 @@ class Study {
   using ImageMutator = std::function<void(const BuildSpec&, std::vector<uint8_t>&)>;
   void SetImageMutator(ImageMutator mutator) { image_mutator_ = std::move(mutator); }
 
-  // Per-image progress report for BuildDataset: which image just finished,
-  // how long its generate+extract round trip took, and where the build
-  // stands in the corpus. `seconds` is wall time inside the worker, so with
-  // parallel extraction the sum exceeds the dataset wall time. Every corpus
-  // entry fires exactly once, in corpus order with contiguous indices —
-  // quarantined images included, flagged so callers can render them
-  // distinctly instead of silently skipping a slot.
-  struct ImageProgress {
-    std::string label;
-    double seconds = 0.0;
-    size_t index = 0;  // 0-based position in the corpus
-    size_t total = 0;
-    bool quarantined = false;
-  };
+  using ImageProgress = depsurf::ImageProgress;
 
-  // Builds a dataset over the given corpus. Image generation + extraction
-  // run in parallel (they are pure); distillation is serial and in corpus
-  // order, so results are deterministic. `progress` (optional) is called
-  // once per image as its surface is distilled. Under the default policy a
-  // failed image is quarantined (appended to `quarantined` when non-null)
-  // and the build continues; under strict the error aborts the build.
+  // The corpus as build sources: each spec labelled BuildSpec::Label(),
+  // loaded by BuildImage. The sources refer to this Study.
+  std::vector<ImageSource> ImageSources(const std::vector<BuildSpec>& corpus) const;
+
+  // BuildDatasetFromImages over ImageSources(corpus), without reports.
   Result<Dataset> BuildDataset(const std::vector<BuildSpec>& corpus,
                                const std::function<void(const ImageProgress&)>& progress = {},
                                const BuildPolicy& policy = {},
                                std::vector<QuarantinedImage>* quarantined = nullptr) const;
-
-  // Like BuildDataset, but additionally writes one depsurf.run_report.v1
-  // per image into `report_dir` (report_<label>.json) plus their merged
-  // depsurf.run_report_agg.v1 (report_agg.json). Per-image isolation comes
-  // from obs::Context: each in-flight image generates + extracts under its
-  // own context on a worker thread, so report mode runs in the same bounded
-  // concurrent window as BuildDataset. Distillation and report
-  // serialization stay serial in corpus order — the dataset, the per-image
-  // reports (modulo live timings), and the masked aggregate are
-  // byte-identical for any BuildPolicy::jobs. The paths written land in
-  // `files` when non-null.
-  struct DatasetReportFiles {
-    std::vector<std::string> per_image;
-    std::string aggregate;
-  };
-  // A quarantined image still gets a per-image report: its diagnostics
-  // block carries one fatal entry describing why extraction died, so the
-  // aggregate report lists the image alongside the survivors.
-  Result<Dataset> BuildDatasetWithReports(
-      const std::vector<BuildSpec>& corpus, const std::string& report_dir,
-      DatasetReportFiles* files = nullptr,
-      const std::function<void(const ImageProgress&)>& progress = {},
-      const BuildPolicy& policy = {},
-      std::vector<QuarantinedImage>* quarantined = nullptr) const;
 
   // Analyzes one program object (by Table 7 name) against a dataset.
   Result<ProgramReport> Analyze(const Dataset& dataset, const std::string& program) const;

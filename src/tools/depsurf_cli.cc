@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
@@ -634,31 +635,6 @@ int CmdMetricsCanon(const Args& args) {
   return 0;
 }
 
-// Folded stacks (`root;child;leaf self_ns` lines) from a run report or
-// aggregate, directly consumable by flamegraph.pl / speedscope.
-int CmdReportFlame(const Args& args) {
-  auto bytes = ReadFile(args.pos[0]);
-  if (!bytes.ok()) {
-    return DiagError(bytes.error());
-  }
-  auto folded = obs::FoldedStacksFromReportJson(std::string(bytes->begin(), bytes->end()));
-  if (!folded.ok()) {
-    return DiagError(args.pos[0], folded.error());
-  }
-  const std::string& out_path = args.Str("out");
-  if (out_path.empty()) {
-    printf("%s", folded->c_str());
-    return 0;
-  }
-  std::ofstream out(out_path, std::ios::binary);
-  out.write(folded->data(), static_cast<std::streamsize>(folded->size()));
-  if (!out) {
-    return DiagError("cannot write " + out_path);
-  }
-  printf("wrote %s (%zu bytes)\n", out_path.c_str(), folded->size());
-  return 0;
-}
-
 // Merges run reports (per-image documents from a study build, or prior
 // aggregates) into one depsurf.run_report_agg.v1 file.
 int CmdReportMerge(const Args& args) {
@@ -720,8 +696,8 @@ int CmdPerfCompare(const Args& args) {
   return comparison.gate_failed() ? 3 : 0;
 }
 
-// Shared by `study build` and `profile --live`: --versions/--arch/--flavor
-// into a build corpus (empty --versions means the bundled LTS set).
+// --versions/--arch/--flavor into a build corpus (empty --versions means
+// the bundled LTS set).
 Result<std::vector<BuildSpec>> CorpusFromArgs(const Args& args) {
   const Arch arch = kAllArches[args.Num("arch")];
   const Flavor flavor = kAllFlavors[args.Num("flavor")];
@@ -746,6 +722,21 @@ Result<std::vector<BuildSpec>> CorpusFromArgs(const Args& args) {
   return corpus;
 }
 
+// Refuses output locations a build could not write before any image work:
+// --out's directory must exist, and --report-dir must be a directory.
+Status CheckOutputLocations(const std::string& out, const std::string& report_dir) {
+  std::error_code ec;
+  const std::filesystem::path out_dir = std::filesystem::path(out).parent_path();
+  if (!out_dir.empty() && !std::filesystem::is_directory(out_dir, ec)) {
+    return Status(ErrorCode::kNotFound,
+                  "--out=" + out + ": " + out_dir.string() + " is not a directory");
+  }
+  if (!report_dir.empty() && !std::filesystem::is_directory(report_dir, ec)) {
+    return Status(ErrorCode::kNotFound, "--report-dir=" + report_dir + " is not a directory");
+  }
+  return Status::Ok();
+}
+
 // Corpus builds from the CLI: generate + extract + distill a whole version
 // corpus, optionally writing per-image run reports and their aggregate.
 int CmdStudyBuild(const Args& args) {
@@ -754,6 +745,12 @@ int CmdStudyBuild(const Args& args) {
     return DiagError("study build: " + corpus_or.error().message());
   }
   std::vector<BuildSpec> corpus = corpus_or.TakeValue();
+  const std::string& out = args.Str("out");
+  const std::string& report_dir = args.Str("report-dir");
+  Status writable = CheckOutputLocations(out, report_dir);
+  if (!writable.ok()) {
+    return DiagError(writable.error());
+  }
   Study study(StudyOptionsFrom(args));
   // Failure policy: by default an image whose extraction dies outright is
   // quarantined and the build goes on; --strict aborts the whole build.
@@ -783,20 +780,16 @@ int CmdStudyBuild(const Args& args) {
     printf("[%zu/%zu] %-28s %.2f s%s\n", p.index + 1, p.total, p.label.c_str(), p.seconds,
            p.quarantined ? "  (quarantined)" : "");
   };
-  const std::string& report_dir = args.Str("report-dir");
-  Study::DatasetReportFiles files;
+  DatasetReportFiles files;
   std::vector<QuarantinedImage> quarantined;
-  auto dataset = report_dir.empty()
-                     ? study.BuildDataset(corpus, progress, policy, &quarantined)
-                     : study.BuildDatasetWithReports(corpus, report_dir, &files, progress,
-                                                     policy, &quarantined);
+  auto dataset = BuildDatasetFromImages(study.ImageSources(corpus), policy, progress,
+                                        &quarantined, report_dir, &files);
   if (!dataset.ok()) {
     return DiagError(dataset.error());
   }
   for (const QuarantinedImage& image : quarantined) {
     printf("quarantined %s: %s\n", image.label.c_str(), image.error.ToString().c_str());
   }
-  const std::string& out = args.Str("out");
   if (!out.empty()) {
     std::vector<uint8_t> bytes = SaveDatasetV2(*dataset);
     Status written = WriteFile(out, bytes);
@@ -818,7 +811,7 @@ int CmdStudyBuild(const Args& args) {
   if (!profile_out.empty()) {
     obs::Profile profile;
     if (!report_dir.empty()) {
-      // Report mode resets the root collectors between images; the
+      // Report mode collects each image's spans in its own context; the
       // aggregate on disk is the authoritative span record.
       auto bytes = ReadFile(files.aggregate);
       if (!bytes.ok()) {
@@ -847,69 +840,37 @@ int CmdStudyBuild(const Args& args) {
 // Self-profile of a run: per-name self-time/CPU/alloc aggregates, the
 // critical path (the serial distill/serialize share of wall time), and
 // executor stats. Input is a run report or aggregate from `study build
-// --report-dir`, or a saved depsurf.profile.v1 document to re-render;
-// --live instead runs a corpus build in-process and profiles the spans it
-// just recorded.
+// --report-dir`, or a saved depsurf.profile.v1 document to re-render
+// (`study build --profile-out` saves one of the build it runs).
 int CmdProfile(const Args& args) {
-  const bool live = args.Has("live");
-  if (live && !args.pos.empty()) {
-    return DiagError("profile: give a report path or --live, not both");
+  const std::string& path = args.pos[0];
+  auto bytes = ReadFile(path);
+  if (!bytes.ok()) {
+    return DiagError(bytes.error());
   }
-  const char* corpus_flag =
-      FirstGiven(args, {"versions", "arch", "flavor", "scale", "seed", "jobs"});
-  if (!live && corpus_flag != nullptr) {
-    return DiagError(StrFormat("profile: --%s applies only to --live", corpus_flag));
+  std::string text(bytes->begin(), bytes->end());
+  auto doc = obs::ParseJson(text);
+  if (!doc.ok()) {
+    return DiagError(path, doc.error());
   }
-  obs::Profile profile;
+  const obs::JsonValue* schema = doc->Find("schema");
+  const bool saved = schema != nullptr && schema->string == obs::kProfileSchema;
+  // A saved profile keeps per-name aggregates, not the span forest.
+  if (saved && !args.Str("folded-out").empty()) {
+    return DiagError(StrFormat("--folded-out: %s has no span stacks (%s documents "
+                               "keep per-name totals only)",
+                               path.c_str(), obs::kProfileSchema));
+  }
+  auto parsed = saved ? obs::ParseProfileDoc(text) : obs::ProfileFromReportJson(text);
+  if (!parsed.ok()) {
+    return DiagError(path, parsed.error());
+  }
+  const obs::Profile profile = parsed.TakeValue();
   std::string folded;
-  if (live) {
-    auto corpus = CorpusFromArgs(args);
-    if (!corpus.ok()) {
-      return DiagError("profile --live: " + corpus.error().message());
-    }
-    Study study(StudyOptionsFrom(args));
-    BuildPolicy policy;
-    policy.jobs = static_cast<int>(args.Num("jobs"));
-    auto dataset = study.BuildDataset(*corpus, {}, policy, nullptr);
-    if (!dataset.ok()) {
-      return DiagError(dataset.error());
-    }
-    std::vector<obs::SpanNode> roots = obs::SpanCollector::Global().Snapshot();
-    profile = obs::BuildProfile(roots);
-    obs::FillExecutorStats(profile, obs::MetricsRegistry::Global());
-    folded = obs::FoldedStacks(roots);
-  } else {
-    if (args.pos.empty()) {
-      return DiagError("profile requires a RUN_REPORT.json or PROFILE.json path, or --live");
-    }
-    const std::string& path = args.pos[0];
-    auto bytes = ReadFile(path);
-    if (!bytes.ok()) {
-      return DiagError(bytes.error());
-    }
-    std::string text(bytes->begin(), bytes->end());
-    auto doc = obs::ParseJson(text);
-    if (!doc.ok()) {
-      return DiagError(path, doc.error());
-    }
-    const obs::JsonValue* schema = doc->Find("schema");
-    const bool saved = schema != nullptr && schema->string == obs::kProfileSchema;
-    // A saved profile keeps per-name aggregates, not the span forest.
-    if (saved && !args.Str("folded-out").empty()) {
-      return DiagError(StrFormat("--folded-out: %s has no span stacks (%s documents "
-                                 "keep per-name totals only)",
-                                 path.c_str(), obs::kProfileSchema));
-    }
-    auto parsed = saved ? obs::ParseProfileDoc(text) : obs::ProfileFromReportJson(text);
-    if (!parsed.ok()) {
-      return DiagError(path, parsed.error());
-    }
-    profile = parsed.TakeValue();
-    if (!saved) {
-      auto folded_or = obs::FoldedStacksFromReportJson(text);
-      if (folded_or.ok()) {
-        folded = folded_or.TakeValue();
-      }
+  if (!saved) {
+    auto folded_or = obs::FoldedStacksFromReportJson(text);
+    if (folded_or.ok()) {
+      folded = folded_or.TakeValue();
     }
   }
   const std::string& out_path = args.Str("out");
@@ -1185,30 +1146,43 @@ int CmdFix(const Args& args) {
   return after.findings.empty() ? 0 : 2;
 }
 
+// Distills image files into a dataset on the build window, in argument
+// order, labelled by path. The build is strict: the first file that cannot
+// be read or extracted stops it, and no dataset is written.
 int CmdDatasetBuild(const Args& args) {
   const std::string& out = args.Str("out");
   if (out.empty()) {
     return DiagError("dataset build requires IMAGE... and --out=FILE");
   }
-  Dataset dataset;
-  for (const std::string& path : args.pos) {
-    auto bytes = ReadFile(path);
-    if (!bytes.ok()) {
-      return DiagError(bytes.error().ToString());
-    }
-    auto surface = DependencySurface::Extract(bytes.TakeValue());
-    if (!surface.ok()) {
-      return DiagError(path + ": " + surface.error().ToString());
-    }
-    dataset.AddImage(path, *surface);
-    printf("distilled %s\n", path.c_str());
+  Status writable = CheckOutputLocations(out, "");
+  if (!writable.ok()) {
+    return DiagError(writable.error());
   }
-  std::vector<uint8_t> bytes = SaveDatasetV2(dataset);
+  std::vector<ImageSource> images;
+  for (const std::string& path : args.pos) {
+    images.push_back(ImageSource{path, [path] { return ReadFile(path); }});
+  }
+  BuildPolicy strict;
+  strict.keep_going = false;
+  std::vector<QuarantinedImage> failed;
+  auto dataset = BuildDatasetFromImages(
+      images, strict,
+      [](const ImageProgress& image) { printf("distilled %s\n", image.label.c_str()); },
+      &failed);
+  if (!dataset.ok()) {
+    // A read error names its file already; an extraction error gets the path.
+    if (failed.empty()) {
+      return DiagError(dataset.error());
+    }
+    const QuarantinedImage& image = failed.back();
+    return image.load_failed ? DiagError(image.error) : DiagError(image.label, image.error);
+  }
+  std::vector<uint8_t> bytes = SaveDatasetV2(*dataset);
   Status written = WriteFile(out, bytes);
   if (!written.ok()) {
     return DiagError(written.ToString());
   }
-  printf("wrote %s (%zu images, %zu bytes)\n", out.c_str(), dataset.num_images(), bytes.size());
+  printf("wrote %s (%zu images, %zu bytes)\n", out.c_str(), dataset->num_images(), bytes.size());
   return 0;
 }
 
@@ -1361,7 +1335,6 @@ const Flag kJson{"json"};
 const Flag kSeed{"seed", Kind::kU64, "2025"};
 const Flag kJobs{"jobs", Kind::kJobs};
 const Flag kAgainst{"against", Kind::kString, "", "DS[,DS...]"};
-const Flag kVersions{"versions", Kind::kString, "", "V[,V...]"};
 const Flag kArch{"arch", Kind::kEnum, "x86", "", &kArchNames};
 const Flag kFlavor{"flavor", Kind::kEnum, "generic", "", &kFlavorNames};
 
@@ -1430,18 +1403,17 @@ const Command kCommands[] = {
      CmdMetricsLint, "validate an observability document"},
     {"metrics canon", "FILE", {}, CmdMetricsCanon, "canonical JSON, timings masked"},
     {"report merge", "OUT IN...", {}, CmdReportMerge, "merge run reports into an aggregate"},
-    {"report flame", "REPORT.json", {{"out", Kind::kString, "", "FILE"}}, CmdReportFlame,
-     "folded stacks for flamegraph.pl"},
     {"perf compare", "BASE.json HEAD.json",
      {{"max-regress", Kind::kRatio, "15%"}, {"noise-floor", Kind::kSeconds, "0.005"}, kJson},
      CmdPerfCompare, "perf regression gate (exit 3 when a stage regressed beyond the threshold)"},
-    {"profile", "[REPORT.json|PROFILE.json]",
-     {{"live"}, kVersions, kArch, kFlavor, {"scale", Kind::kScale, "0.25"}, kSeed, kJobs, kJson,
-      {"out", Kind::kString, "", "PROFILE.json"}, {"folded-out", Kind::kString, "", "FILE"}},
-     CmdProfile, "self-profile of a run report, a saved profile, or a --live corpus build"},
+    {"profile", "REPORT.json|PROFILE.json",
+     {kJson, {"out", Kind::kString, "", "PROFILE.json"}, {"folded-out", Kind::kString, "", "FILE"}},
+     CmdProfile,
+     "self-profile of a run report or a saved profile; --folded-out writes folded stacks for "
+     "flamegraph.pl"},
     {"study build", "",
-     {kVersions, kArch, kFlavor, {"scale", Kind::kScale, "1.0"}, kSeed,
-      {"out", Kind::kString, "", "DATASET"}, {"report-dir", Kind::kString, "", "DIR"},
+     {{"versions", Kind::kString, "", "V[,V...]"}, kArch, kFlavor, {"scale", Kind::kScale, "1.0"},
+      kSeed, {"out", Kind::kString, "", "DATASET"}, {"report-dir", Kind::kString, "", "DIR"},
       {"profile-out", Kind::kString, "", "FILE"}, kJobs, {"strict"},
       {"poison", Kind::kString, "", "LABEL"}},
      CmdStudyBuild, "build a dataset corpus, with reports"},

@@ -103,8 +103,8 @@ cmp -s profile1.canon profile2.canon \
 # file byte for byte, the text form names its critical path, and a
 # tampered copy is refused. The document keeps no span stacks, so
 # --folded-out is an error that names the flag.
-"$DEPSURF" profile --live --scale=0.02 --out=p.json > /dev/null \
-  || fail "profile --live exited $?"
+"$DEPSURF" study build --scale=0.02 --profile-out=p.json > /dev/null \
+  || fail "study build --profile-out exited $?"
 "$DEPSURF" profile p.json --json > p_again.json || fail "profile p.json --json exited $?"
 cmp -s p.json p_again.json || fail "profile re-render is not byte-identical"
 "$DEPSURF" profile p.json > p.txt || fail "profile p.json exited $?"
@@ -123,8 +123,8 @@ grep -q -- "--folded-out" p_folded.txt || fail "--folded-out error does not name
 
 # ---- flamegraph export: folded stacks, one "name;child;... self_ns" line
 # per distinct stack — the format flamegraph.pl consumes directly.
-"$DEPSURF" report flame reps1/report_agg.json --out=flame.folded \
-  || fail "report flame exited $?"
+"$DEPSURF" profile reps1/report_agg.json --folded-out=flame.folded > /dev/null \
+  || fail "profile --folded-out exited $?"
 [ -s flame.folded ] || fail "flame.folded is empty"
 grep -q ';' flame.folded || fail "folded stacks have no nested frames"
 awk 'NF < 2 || $NF !~ /^[0-9]+$/ { exit 1 }' flame.folded \
@@ -195,7 +195,6 @@ check_flag_error() {
     || fail "error for 'depsurf $*' does not name $flag_name: $(cat flagerr.txt)"
 }
 check_flag_error --jobs study build --scale=0.02 --out=dsx --jobs=abc
-check_flag_error --jobs profile reps1/report_agg.json --live --jobs=abc
 check_flag_error --jobs serve --against=ds1 --oneshot --jobs=999
 check_flag_error --min-spans metrics lint gen.json --min-spans=abc
 check_flag_error --history perf compare a.json b.json --history=h.ndjson
@@ -230,7 +229,6 @@ check_flag_error --jsno check biotop.o --dataset=ds1 --jsno
 check_flag_error --verbose dataset build img54 --out=dsy --verbose
 check_flag_error --verbose dataset info ds1 --verbose
 check_flag_error --job serve --against=ds1 --oneshot --job=4 < /dev/null
-check_flag_error --outt report flame reps1/report_agg.json --outt=f.folded
 check_flag_error --jsno profile reps1/report_agg.json --jsno
 check_flag_error --stirct study build --versions=5.4 --scale=0.02 --out=dsx --stirct
 check_flag_error --jsno progs --jsno
@@ -270,7 +268,6 @@ fuzz img54|n
 metrics lint gen.json|y
 metrics canon gen.json|y
 report merge m.json gen.json|n
-report flame reps1/report_agg.json|y
 perf compare a.json b.json|y
 profile reps1/report_agg.json|y
 study build|y
@@ -286,10 +283,10 @@ set -e
 [ -s usage.out ] && fail "usage went to stdout"
 for entry in gen surface stats diff check analyze fix "dataset build" "dataset info" \
     serve progs emit doctor fuzz "metrics lint" "metrics canon" "report merge" \
-    "report flame" "perf compare" profile "study build"; do
+    "perf compare" profile "study build"; do
   grep -q "^  $entry\( \|\$\)" usage.txt || fail "usage has no line for '$entry'"
 done
-[ "$(grep -c '^  [a-z]' usage.txt)" -eq 21 ] \
-  || fail "usage has $(grep -c '^  [a-z]' usage.txt) command lines, want 21"
+[ "$(grep -c '^  [a-z]' usage.txt)" -eq 20 ] \
+  || fail "usage has $(grep -c '^  [a-z]' usage.txt) command lines, want 20"
 
 echo "obs_smoke: PASS"

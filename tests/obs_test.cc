@@ -548,6 +548,28 @@ TEST(ContextTest, ScopedContextIsolatesCollectionAndNestsRestoring) {
   // Nothing leaked into the globals.
   EXPECT_EQ(obs::MetricsRegistry::Global().Counter("ctx.test")->load(), 0u);
   EXPECT_TRUE(obs::SpanCollector::Global().Snapshot().empty());
+
+  // A span recorded under a pushed context is a root of that context, even
+  // while a span opened under another context is still open on the thread;
+  // popping the context restores that span as the parent of what follows.
+  obs::Context build_ctx;
+  obs::Context image_ctx;
+  {
+    obs::ScopedContext build_scope(build_ctx);
+    obs::ScopedSpan build("ctx.build");
+    {
+      obs::ScopedContext image_scope(image_ctx);
+      obs::ScopedSpan distill("ctx.distill");
+    }
+    obs::ScopedSpan after("ctx.after");
+  }
+  ASSERT_EQ(image_ctx.spans().Snapshot().size(), 1u);
+  EXPECT_EQ(image_ctx.spans().Snapshot()[0].name, "ctx.distill");
+  ASSERT_EQ(build_ctx.spans().Snapshot().size(), 1u);
+  const obs::SpanNode build_root = build_ctx.spans().Snapshot()[0];
+  EXPECT_EQ(build_root.name, "ctx.build");
+  ASSERT_EQ(build_root.children.size(), 1u);
+  EXPECT_EQ(build_root.children[0].name, "ctx.after");
 }
 
 TEST(ContextTest, WorkerThreadsDoNotInheritTheStack) {
@@ -566,7 +588,7 @@ TEST(ContextTest, WorkerThreadsDoNotInheritTheStack) {
   obs::SpanCollector::Global().Clear();
 
   // Pushing the context inside the worker routes collection into it — the
-  // pattern BuildDatasetWithReports workers use.
+  // pattern report-mode build lanes use.
   std::thread scoped_worker([&ctx] {
     obs::ScopedContext worker_scope(ctx);
     obs::ScopedSpan span("ctx.worker_scoped");

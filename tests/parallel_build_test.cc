@@ -1,15 +1,23 @@
-// Determinism of the parallel report-mode corpus build: BuildPolicy::jobs
-// changes only wall time, never output. jobs=1 and jobs=8 must produce a
-// byte-identical dataset, per-image run reports equal under timing masking,
-// and a byte-identical masked aggregate. Runs under the robustness label so
-// the TSAN configuration (DEPSURF_SANITIZE=thread) exercises the bounded
-// window and the per-image obs::Context handoff between threads.
+// Determinism of the windowed corpus build, BuildDatasetFromImages:
+// BuildPolicy::jobs changes only wall time, never output. In report mode
+// jobs=1 and jobs=8 must produce a byte-identical dataset, per-image run
+// reports equal under timing masking, and a byte-identical masked
+// aggregate; image files give the bytes of a serial loop at any width, and
+// a strict build stops cleanly at the first bad file. Runs under the
+// robustness label so the TSAN configuration (DEPSURF_SANITIZE=thread)
+// exercises the bounded window and the per-image obs::Context handoff
+// between threads.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/dataset_io.h"
@@ -21,11 +29,26 @@
 namespace depsurf {
 namespace {
 
+// A fresh directory under /tmp, removed with its contents when the test
+// binary exits.
 std::string MakeReportDir() {
+  static struct Cleanup {
+    std::vector<std::string> dirs;
+    ~Cleanup() {
+      for (const std::string& dir : dirs) {
+        std::error_code ec;  // best effort
+        std::filesystem::remove_all(dir, ec);
+      }
+    }
+  } cleanup;
   char tmpl[] = "/tmp/depsurf_parallel_test_XXXXXX";
   const char* dir = mkdtemp(tmpl);
   EXPECT_NE(dir, nullptr);
-  return std::string(dir != nullptr ? dir : ".");
+  if (dir == nullptr) {
+    return ".";
+  }
+  cleanup.dirs.push_back(dir);
+  return dir;
 }
 
 std::string ReadFileOrEmpty(const std::string& path) {
@@ -53,12 +76,12 @@ BuildOutputs RunBuild(Study& study, const std::vector<BuildSpec>& corpus, int jo
   BuildOutputs out;
   BuildPolicy policy;
   policy.jobs = jobs;
-  Study::DatasetReportFiles files;
+  DatasetReportFiles files;
   std::vector<QuarantinedImage> quarantined;
-  auto dataset = study.BuildDatasetWithReports(
-      corpus, MakeReportDir(), &files,
+  auto dataset = BuildDatasetFromImages(
+      study.ImageSources(corpus), policy,
       [&](const Study::ImageProgress& image) { out.progress.push_back(image); },
-      policy, &quarantined);
+      &quarantined, MakeReportDir(), &files);
   EXPECT_TRUE(dataset.ok()) << dataset.error().ToString();
   if (!dataset.ok()) {
     return out;
@@ -173,11 +196,10 @@ TEST(ParallelBuildTest, WideWindowQuarantineStaysIsolated) {
 
   BuildPolicy policy;
   policy.jobs = 8;
-  Study::DatasetReportFiles files;
+  DatasetReportFiles files;
   std::vector<QuarantinedImage> quarantined;
-  auto dataset =
-      study.BuildDatasetWithReports(corpus, MakeReportDir(), &files, {}, policy,
-                                    &quarantined);
+  auto dataset = BuildDatasetFromImages(study.ImageSources(corpus), policy, {},
+                                        &quarantined, MakeReportDir(), &files);
   ASSERT_TRUE(dataset.ok()) << dataset.error().ToString();
   EXPECT_EQ(dataset->num_images(), corpus.size() - 1);
   ASSERT_EQ(quarantined.size(), 1u);
@@ -190,6 +212,124 @@ TEST(ParallelBuildTest, WideWindowQuarantineStaysIsolated) {
     const bool has_fatal = report.find("\"severity\": \"fatal\"") != std::string::npos;
     EXPECT_EQ(has_fatal, corpus[i].Label() == victim) << files.per_image[i];
   }
+}
+
+// A source that reads an image file, the way `dataset build` does.
+ImageSource FileSource(const std::string& path) {
+  return ImageSource{path, [path]() -> Result<std::vector<uint8_t>> {
+                       std::ifstream in(path, std::ios::binary);
+                       if (!in) {
+                         return Error(ErrorCode::kIoError, "cannot open " + path);
+                       }
+                       return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                                                   std::istreambuf_iterator<char>());
+                     }};
+}
+
+// Writes the five LTS images into `dir` and returns their paths.
+std::vector<std::string> WriteLtsImages(const Study& study, const std::string& dir) {
+  std::vector<std::string> paths;
+  for (KernelVersion version : kLtsVersions) {
+    const BuildSpec build = MakeBuild(version);
+    auto bytes = study.BuildImage(build);
+    EXPECT_TRUE(bytes.ok()) << build.Label();
+    paths.push_back(dir + "/" + build.Label());
+    std::ofstream out(paths.back(), std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes->data()),
+              static_cast<std::streamsize>(bytes->size()));
+  }
+  return paths;
+}
+
+// Image files distilled through the window at jobs 1 and 4 give the bytes
+// of a serial loop that reads, extracts and distills one file at a time.
+TEST(ParallelBuildTest, FileSourcesMatchTheSerialLoopAtAnyWidth) {
+  Study study(StudyOptions{2025, 0.005});
+  const std::vector<std::string> paths = WriteLtsImages(study, MakeReportDir());
+  Dataset serial;
+  std::vector<ImageSource> images;
+  for (const std::string& path : paths) {
+    images.push_back(FileSource(path));
+    auto bytes = images.back().load();
+    ASSERT_TRUE(bytes.ok()) << path;
+    auto surface = DependencySurface::Extract(bytes.TakeValue());
+    ASSERT_TRUE(surface.ok()) << path;
+    serial.AddImage(path, *surface);
+  }
+  const std::vector<uint8_t> reference = SaveDatasetV2(serial);
+
+  for (int jobs : {1, 4}) {
+    BuildPolicy strict;
+    strict.keep_going = false;
+    strict.jobs = jobs;
+    auto dataset = BuildDatasetFromImages(images, strict);
+    ASSERT_TRUE(dataset.ok()) << dataset.error().ToString();
+    EXPECT_EQ(SaveDatasetV2(*dataset), reference) << "jobs=" << jobs;
+  }
+}
+
+// A strict build over files stops at the first one that fails: the error
+// names it, progress fired only for the files before it, and every load
+// already launched has finished by the time the build returns.
+TEST(ParallelBuildTest, StrictFileBuildStopsAtATruncatedFileWithTheWindowDrained) {
+  Study study(StudyOptions{2025, 0.005});
+  const std::string dir = MakeReportDir();
+  std::vector<std::string> paths = WriteLtsImages(study, dir);
+  const std::string truncated = dir + "/truncated";
+  {
+    std::ifstream in(paths[2], std::ios::binary);
+    std::vector<char> head(16);
+    in.read(head.data(), static_cast<std::streamsize>(head.size()));
+    std::ofstream(truncated, std::ios::binary).write(head.data(), 16);
+  }
+  const size_t bad = 2;
+  paths.insert(paths.begin() + bad, truncated);
+
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  std::vector<ImageSource> images;
+  for (size_t i = 0; i < paths.size(); ++i) {
+    images.push_back(ImageSource{
+        paths[i], [&started, &finished, load = FileSource(paths[i]).load, slow = i > bad] {
+          ++started;
+          if (slow) {
+            // Still loading when the build reaches the truncated file.
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+          }
+          auto bytes = load();
+          ++finished;
+          return bytes;
+        }});
+  }
+  BuildPolicy strict;
+  strict.keep_going = false;
+  strict.jobs = 4;
+  std::vector<std::string> seen;
+  std::vector<QuarantinedImage> failed;
+  auto dataset = BuildDatasetFromImages(
+      images, strict, [&seen](const ImageProgress& image) { seen.push_back(image.label); },
+      &failed);
+  ASSERT_FALSE(dataset.ok());
+  EXPECT_NE(dataset.error().message().find(truncated), std::string::npos)
+      << dataset.error().ToString();
+  EXPECT_EQ(seen, std::vector<std::string>(paths.begin(), paths.begin() + bad));
+  EXPECT_GT(started.load(), static_cast<int>(bad) + 1);
+  EXPECT_EQ(finished.load(), started.load());
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_EQ(failed[0].label, truncated);
+  EXPECT_FALSE(failed[0].load_failed);
+  EXPECT_EQ(failed[0].error.code(), ErrorCode::kMalformedData);
+
+  // A file that cannot be opened stops the build as a loader failure,
+  // whose error names the file itself.
+  failed.clear();
+  const std::string missing = dir + "/missing";
+  auto unreadable =
+      BuildDatasetFromImages({FileSource(paths[0]), FileSource(missing)}, strict, {}, &failed);
+  ASSERT_FALSE(unreadable.ok());
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_TRUE(failed[0].load_failed);
+  EXPECT_EQ(failed[0].error.ToString(), "io_error: cannot open " + missing);
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 # (deterministic across reruns, lintable fuzz_campaign.v1 document), then
 # walks the quarantine path of `study build` end to end: by default it must
 # finish with the poisoned image quarantined and listed in the aggregate
-# report; --strict must fail.
+# report; --strict must fail. Last, both build commands must refuse an
+# output location they could not write before doing any image work.
 set -eu
 
 DEPSURF=${1:?usage: robustness_smoke.sh /path/to/depsurf}
@@ -99,5 +100,26 @@ code=$?
 set -e
 [ "$code" -ne 0 ] || fail "strict build succeeded over a poisoned corpus"
 grep -q "v5.8-x86-generic-gcc10" strict.err || fail "strict error does not name the image"
+
+# ---- both build commands check where they will write before any image
+# work: exit 1, an error naming the flag and the path, and no progress.
+check_output_error() {
+  flag=$1 path=$2
+  shift 2
+  set +e
+  "$DEPSURF" "$@" > outloc.txt 2> outloc.err
+  code=$?
+  set -e
+  [ "$code" -eq 1 ] || fail "'depsurf $*' exited $code, want 1"
+  grep -q -- "$flag=$path" outloc.err \
+    || fail "error for 'depsurf $*' does not name $flag=$path: $(cat outloc.err)"
+  [ ! -s outloc.txt ] || fail "'depsurf $*' printed progress: $(cat outloc.txt)"
+}
+"$DEPSURF" gen --version=4.4 --scale=0.02 --out=img44 || fail "gen v4.4 exited $?"
+check_output_error --out nodir/x.dds dataset build img44 img --out=nodir/x.dds
+check_output_error --out nodir/x.dds study build --versions=5.4,5.8 --scale=0.02 \
+  --out=nodir/x.dds
+check_output_error --report-dir nodir/x study build --versions=5.4,5.8 --scale=0.02 \
+  --report-dir=nodir/x
 
 echo "robustness_smoke: PASS"

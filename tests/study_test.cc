@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/faultgen/fault_injector.h"
 #include "src/util/diagnostic_ledger.h"
@@ -12,11 +15,26 @@
 namespace depsurf {
 namespace {
 
+// A fresh directory under /tmp, removed with its contents when the test
+// binary exits.
 std::string MakeReportDir() {
+  static struct Cleanup {
+    std::vector<std::string> dirs;
+    ~Cleanup() {
+      for (const std::string& dir : dirs) {
+        std::error_code ec;  // best effort
+        std::filesystem::remove_all(dir, ec);
+      }
+    }
+  } cleanup;
   char tmpl[] = "/tmp/depsurf_study_test_XXXXXX";
   const char* dir = mkdtemp(tmpl);
   EXPECT_NE(dir, nullptr);
-  return std::string(dir != nullptr ? dir : ".");
+  if (dir == nullptr) {
+    return ".";
+  }
+  cleanup.dirs.push_back(dir);
+  return dir;
 }
 
 std::string ReadFileOrEmpty(const std::string& path) {
@@ -159,14 +177,13 @@ TEST(StudyTest, QuarantinedImagesFireProgressWithContiguousIndices) {
   });
 
   for (bool with_reports : {false, true}) {
-    SCOPED_TRACE(with_reports ? "BuildDatasetWithReports" : "BuildDataset");
+    SCOPED_TRACE(with_reports ? "with reports" : "without reports");
     std::vector<Study::ImageProgress> seen;
     auto progress = [&](const Study::ImageProgress& image) { seen.push_back(image); };
     std::vector<QuarantinedImage> quarantined;
     Result<Dataset> dataset =
-        with_reports ? study.BuildDatasetWithReports(corpus, MakeReportDir(), nullptr,
-                                                     progress, {}, &quarantined)
-                     : study.BuildDataset(corpus, progress, {}, &quarantined);
+        BuildDatasetFromImages(study.ImageSources(corpus), {}, progress, &quarantined,
+                               with_reports ? MakeReportDir() : "");
     ASSERT_TRUE(dataset.ok()) << dataset.error().ToString();
     EXPECT_EQ(dataset->num_images(), 2u);
     ASSERT_EQ(quarantined.size(), 1u);
@@ -193,10 +210,10 @@ TEST(StudyTest, QuarantineAttributesFatalToOwningSubsystem) {
   });
 
   const std::string report_dir = MakeReportDir();
-  Study::DatasetReportFiles files;
+  DatasetReportFiles files;
   std::vector<QuarantinedImage> quarantined;
-  auto dataset =
-      study.BuildDatasetWithReports(corpus, report_dir, &files, {}, {}, &quarantined);
+  auto dataset = BuildDatasetFromImages(study.ImageSources(corpus), {}, {}, &quarantined,
+                                        report_dir, &files);
   ASSERT_TRUE(dataset.ok()) << dataset.error().ToString();
   EXPECT_EQ(dataset->num_images(), 0u);
   ASSERT_EQ(quarantined.size(), 1u);
