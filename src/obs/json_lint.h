@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +36,89 @@ struct JsonValue {
 };
 
 Result<JsonValue> ParseJson(std::string_view text);
+
+// ---- Schema checks -------------------------------------------------------
+//
+// Every validator below is written in this vocabulary. A schema is its
+// marker, one {key, want} list per object shape, and the invariants between
+// members that no list can state. A member failure reads
+//   <path>: want <what>, got <what the document holds>
+// with the path from the document root, for example
+//   remediations[2].finding.insn_off: want count, got string "x"
+// and "got nothing" when the member is absent.
+
+struct JsonMember;
+using JsonShape = std::span<const JsonMember>;
+
+// What one value must be.
+struct JsonWant {
+  enum class Is : uint8_t {
+    kString,
+    kNonEmptyString,
+    kNumber,
+    kCount,  // a finite number >= 0
+    kBool,
+    kArray,
+    kNonEmptyArray,
+    kObject,
+    kNullOrObject,
+    kOneOf,    // a string listed in `one_of`
+    kPresent,  // any value
+  };
+  Is is;
+  std::string_view one_of = {};  // kOneOf: the allowed strings, '|'-separated
+  // Object wants: the members the object must hold. Array wants: the
+  // members each element must hold.
+  const JsonMember* shape = nullptr;
+  size_t shape_size = 0;
+};
+
+struct JsonMember {
+  std::string_view key;
+  JsonWant want;
+};
+
+namespace want {
+inline constexpr JsonWant kString{JsonWant::Is::kString};
+inline constexpr JsonWant kNonEmptyString{JsonWant::Is::kNonEmptyString};
+inline constexpr JsonWant kNumber{JsonWant::Is::kNumber};
+inline constexpr JsonWant kCount{JsonWant::Is::kCount};
+inline constexpr JsonWant kBool{JsonWant::Is::kBool};
+inline constexpr JsonWant kArray{JsonWant::Is::kArray};
+inline constexpr JsonWant kNonEmptyArray{JsonWant::Is::kNonEmptyArray};
+inline constexpr JsonWant kObject{JsonWant::Is::kObject};
+inline constexpr JsonWant kPresent{JsonWant::Is::kPresent};
+constexpr JsonWant OneOf(std::string_view values) { return {JsonWant::Is::kOneOf, values}; }
+template <size_t N>
+constexpr JsonWant Object(const JsonMember (&shape)[N]) {
+  return {JsonWant::Is::kObject, {}, shape, N};
+}
+template <size_t N>
+constexpr JsonWant NullOr(const JsonMember (&shape)[N]) {
+  return {JsonWant::Is::kNullOrObject, {}, shape, N};
+}
+template <size_t N>
+constexpr JsonWant ArrayOf(const JsonMember (&shape)[N]) {
+  return {JsonWant::Is::kArray, {}, shape, N};
+}
+template <size_t N>
+constexpr JsonWant NonEmptyArrayOf(const JsonMember (&shape)[N]) {
+  return {JsonWant::Is::kNonEmptyArray, {}, shape, N};
+}
+}  // namespace want
+
+// Checks one value (nullptr when absent) against `want`, then any shape
+// the want carries.
+Status CheckValue(const JsonValue* value, std::string_view path, const JsonWant& want);
+// Checks that `object` is an object holding every member of `shape`.
+Status CheckMembers(const JsonValue& object, std::string_view path, JsonShape shape);
+// Checks that `array` is an array whose elements each hold `shape`.
+Status CheckEach(const JsonValue& array, std::string_view path, JsonShape shape);
+// Parses a document, checks its "schema" marker, then its top-level shape.
+Result<JsonValue> ParseSchemaDoc(std::string_view json, std::string_view marker,
+                                 JsonShape shape);
+// The failure of an invariant between members.
+Status Invalid(std::string message);
 
 // Validates a depsurf.run_report.v1 document:
 //   - parses as JSON, has the schema marker and the five sections

@@ -1,6 +1,5 @@
 #include "src/obs/perf_gate.h"
 
-#include <cmath>
 #include <map>
 
 #include "src/obs/bench_report.h"
@@ -199,84 +198,26 @@ std::string PerfComparisonJson(const PerfComparison& comparison,
 }
 
 Status ValidateBenchReport(std::string_view json) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) {
-    return parsed.TakeError();
-  }
-  const JsonValue& doc = *parsed;
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      schema->string != kBenchReportSchema) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("missing or wrong schema marker (want %s)", kBenchReportSchema));
-  }
-  const JsonValue* bench = doc.Find("bench");
-  if (bench == nullptr || bench->kind != JsonValue::Kind::kString || bench->string.empty()) {
-    return Status(ErrorCode::kMalformedData, "missing bench name");
-  }
-  const JsonValue* stages = doc.Find("stages");
-  if (stages == nullptr || stages->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "missing stages array");
-  }
-  for (size_t i = 0; i < stages->array.size(); ++i) {
-    const JsonValue& stage = stages->array[i];
-    const JsonValue* name = stage.Find("name");
-    if (name == nullptr || name->kind != JsonValue::Kind::kString || name->string.empty()) {
-      return Status(ErrorCode::kMalformedData, StrFormat("stage %zu: missing name", i));
-    }
-    for (const char* field : {"seconds", "items", "items_per_sec", "bytes", "bytes_per_sec"}) {
-      const JsonValue* member = stage.Find(field);
-      if (member == nullptr || member->kind != JsonValue::Kind::kNumber ||
-          !std::isfinite(member->number) || member->number < 0) {
-        return Status(ErrorCode::kMalformedData,
-                      StrFormat("stage %zu (%s): %s must be a nonnegative number", i,
-                                name->string.c_str(), field));
-      }
-    }
-  }
+  using namespace want;
+  static constexpr JsonMember kStage[] = {
+      {"name", kNonEmptyString}, {"seconds", kCount},       {"items", kCount},
+      {"items_per_sec", kCount}, {"bytes", kCount},         {"bytes_per_sec", kCount}};
+  static constexpr JsonMember kDoc[] = {{"bench", kNonEmptyString},
+                                        {"stages", ArrayOf(kStage)}};
+  DEPSURF_ASSIGN_OR_RETURN(doc, ParseSchemaDoc(json, kBenchReportSchema, kDoc));
   return Status::Ok();
 }
 
 Status ValidatePerfCompare(std::string_view json) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) {
-    return parsed.TakeError();
-  }
-  const JsonValue& doc = *parsed;
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      schema->string != kPerfCompareSchema) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("missing or wrong schema marker (want %s)", kPerfCompareSchema));
-  }
-  for (const char* field : {"max_regress", "improved", "flat", "regressed", "added",
-                            "removed"}) {
-    const JsonValue* member = doc.Find(field);
-    if (member == nullptr || member->kind != JsonValue::Kind::kNumber) {
-      return Status(ErrorCode::kMalformedData, StrFormat("missing numeric %s", field));
-    }
-  }
-  const JsonValue* stages = doc.Find("stages");
-  if (stages == nullptr || stages->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "missing stages array");
-  }
-  for (size_t i = 0; i < stages->array.size(); ++i) {
-    const JsonValue& stage = stages->array[i];
-    const JsonValue* name = stage.Find("name");
-    const JsonValue* cls = stage.Find("class");
-    if (name == nullptr || name->kind != JsonValue::Kind::kString || name->string.empty()) {
-      return Status(ErrorCode::kMalformedData, StrFormat("stage %zu: missing name", i));
-    }
-    bool known = false;
-    for (StageClass c : {StageClass::kImproved, StageClass::kFlat, StageClass::kRegressed,
-                         StageClass::kAdded, StageClass::kRemoved}) {
-      known = known || (cls != nullptr && cls->string == StageClassName(c));
-    }
-    if (!known) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("stage %zu (%s): unknown class", i, name->string.c_str()));
-    }
-  }
+  using namespace want;
+  // The names StageClassName gives.
+  static constexpr JsonMember kStage[] = {
+      {"name", kNonEmptyString}, {"class", OneOf("improved|flat|regressed|added|removed")}};
+  static constexpr JsonMember kDoc[] = {
+      {"max_regress", kNumber}, {"improved", kNumber}, {"flat", kNumber},
+      {"regressed", kNumber},   {"added", kNumber},    {"removed", kNumber},
+      {"stages", ArrayOf(kStage)}};
+  DEPSURF_ASSIGN_OR_RETURN(doc, ParseSchemaDoc(json, kPerfCompareSchema, kDoc));
   return Status::Ok();
 }
 

@@ -182,18 +182,6 @@ void FillExecutorFromDoc(Profile& profile, const JsonValue& doc) {
   std::sort(executor.worker_busy_ms.begin(), executor.worker_busy_ms.end());
 }
 
-Status NumberMember(const JsonValue& object, const char* key, double* out) {
-  const JsonValue* value = object.Find(key);
-  if (value == nullptr || value->kind != JsonValue::Kind::kNumber || value->number < 0) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("missing or negative number \"%s\"", key));
-  }
-  if (out != nullptr) {
-    *out = value->number;
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 double SerialSharePct(const Profile& profile) {
@@ -441,105 +429,44 @@ Result<std::string> FoldedStacksFromReportJson(std::string_view json) {
 }
 
 Status ValidateProfileDoc(std::string_view json) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) {
-    return parsed.TakeError();
-  }
-  const JsonValue& doc = *parsed;
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      schema->string != kProfileSchema) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("missing or wrong schema marker (want %s)", kProfileSchema));
-  }
-  if (Status s = NumberMember(doc, "span_nodes", nullptr); !s.ok()) {
-    return s;
-  }
-  const JsonValue* names = doc.Find("names");
-  if (names == nullptr || names->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "missing \"names\" array");
-  }
-  for (const JsonValue& row : names->array) {
-    const JsonValue* name = row.Find("name");
-    if (name == nullptr || name->kind != JsonValue::Kind::kString || name->string.empty()) {
-      return Status(ErrorCode::kMalformedData, "names entry without a \"name\" string");
-    }
-    double dur = 0;
-    double self = 0;
-    for (const char* key : {"count", "cpu_ns", "alloc_count", "alloc_bytes"}) {
-      if (Status s = NumberMember(row, key, nullptr); !s.ok()) {
-        return Status(ErrorCode::kMalformedData, name->string + ": " + s.error().message());
-      }
-    }
-    if (Status s = NumberMember(row, "dur_ns", &dur); !s.ok()) {
-      return Status(ErrorCode::kMalformedData, name->string + ": " + s.error().message());
-    }
-    if (Status s = NumberMember(row, "self_ns", &self); !s.ok()) {
-      return Status(ErrorCode::kMalformedData, name->string + ": " + s.error().message());
-    }
-    if (self > dur) {
-      return Status(ErrorCode::kMalformedData,
-                    name->string + ": self_ns exceeds dur_ns");
+  using namespace want;
+  static constexpr JsonMember kName[] = {
+      {"name", kNonEmptyString}, {"count", kCount},       {"dur_ns", kCount},
+      {"self_ns", kCount},       {"cpu_ns", kCount},      {"alloc_count", kCount},
+      {"alloc_bytes", kCount}};
+  static constexpr JsonMember kStep[] = {
+      {"name", kNonEmptyString}, {"dur_ns", kCount}, {"self_ns", kCount}};
+  static constexpr JsonMember kCriticalPath[] = {{"wall_ns", kCount},
+                                                 {"serial_self_ns", kCount},
+                                                 {"serial_share_pct", kCount},
+                                                 {"steps", ArrayOf(kStep)}};
+  static constexpr JsonMember kWorker[] = {{"lane", kCount}, {"busy_ms", kCount}};
+  static constexpr JsonMember kExecutor[] = {{"window", kCount},
+                                             {"wall_ms", kCount},
+                                             {"serialize_stall_us", kCount},
+                                             {"queue_waits", kCount},
+                                             {"workers", ArrayOf(kWorker)}};
+  static constexpr JsonMember kDoc[] = {{"span_nodes", kCount},
+                                        {"names", ArrayOf(kName)},
+                                        {"critical_path", Object(kCriticalPath)},
+                                        {"executor", Object(kExecutor)}};
+  DEPSURF_ASSIGN_OR_RETURN(doc, ParseSchemaDoc(json, kProfileSchema, kDoc));
+  auto exceeds = [](const JsonValue& object, const char* part, const char* whole) {
+    return object.Find(part)->number > object.Find(whole)->number;
+  };
+  for (const JsonValue& row : doc.Find("names")->array) {
+    if (exceeds(row, "self_ns", "dur_ns")) {
+      return Invalid(row.Find("name")->string + ": self_ns exceeds dur_ns");
     }
   }
-  const JsonValue* critical = doc.Find("critical_path");
-  if (critical == nullptr || critical->kind != JsonValue::Kind::kObject) {
-    return Status(ErrorCode::kMalformedData, "missing \"critical_path\" object");
+  const JsonValue& critical = *doc.Find("critical_path");
+  if (exceeds(critical, "serial_self_ns", "wall_ns")) {
+    return Invalid("serial_self_ns exceeds wall_ns");
   }
-  double wall = 0;
-  double serial_self = 0;
-  if (Status s = NumberMember(*critical, "wall_ns", &wall); !s.ok()) {
-    return s;
-  }
-  if (Status s = NumberMember(*critical, "serial_self_ns", &serial_self); !s.ok()) {
-    return s;
-  }
-  if (Status s = NumberMember(*critical, "serial_share_pct", nullptr); !s.ok()) {
-    return s;
-  }
-  if (serial_self > wall) {
-    return Status(ErrorCode::kMalformedData, "serial_self_ns exceeds wall_ns");
-  }
-  const JsonValue* steps = critical->Find("steps");
-  if (steps == nullptr || steps->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "critical_path without a \"steps\" array");
-  }
-  for (const JsonValue& step : steps->array) {
-    const JsonValue* name = step.Find("name");
-    if (name == nullptr || name->kind != JsonValue::Kind::kString || name->string.empty()) {
-      return Status(ErrorCode::kMalformedData, "critical_path step without a \"name\"");
-    }
-    double dur = 0;
-    double self = 0;
-    if (Status s = NumberMember(step, "dur_ns", &dur); !s.ok()) {
-      return s;
-    }
-    if (Status s = NumberMember(step, "self_ns", &self); !s.ok()) {
-      return s;
-    }
-    if (self > dur) {
-      return Status(ErrorCode::kMalformedData,
-                    "critical_path step " + name->string + ": self_ns exceeds dur_ns");
-    }
-  }
-  const JsonValue* executor = doc.Find("executor");
-  if (executor == nullptr || executor->kind != JsonValue::Kind::kObject) {
-    return Status(ErrorCode::kMalformedData, "missing \"executor\" object");
-  }
-  for (const char* key : {"window", "wall_ms", "serialize_stall_us", "queue_waits"}) {
-    if (Status s = NumberMember(*executor, key, nullptr); !s.ok()) {
-      return s;
-    }
-  }
-  const JsonValue* workers = executor->Find("workers");
-  if (workers == nullptr || workers->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "executor without a \"workers\" array");
-  }
-  for (const JsonValue& worker : workers->array) {
-    for (const char* key : {"lane", "busy_ms"}) {
-      if (Status s = NumberMember(worker, key, nullptr); !s.ok()) {
-        return s;
-      }
+  for (const JsonValue& step : critical.Find("steps")->array) {
+    if (exceeds(step, "self_ns", "dur_ns")) {
+      return Invalid("critical_path step " + step.Find("name")->string +
+                     ": self_ns exceeds dur_ns");
     }
   }
   return Status::Ok();

@@ -273,30 +273,14 @@ Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports) {
 }
 
 Status ValidateAggReport(std::string_view json) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) {
-    return parsed.TakeError();
-  }
-  const JsonValue& doc = *parsed;
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      schema->string != kRunReportAggSchema) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("missing or wrong schema marker (want %s)", kRunReportAggSchema));
-  }
-  const JsonValue* reports = doc.Find("reports");
-  if (reports == nullptr || reports->kind != JsonValue::Kind::kNumber ||
-      reports->number < 1) {
-    return Status(ErrorCode::kMalformedData, "missing or empty \"reports\" count");
-  }
-  const JsonValue* sources = doc.Find("sources");
-  if (sources == nullptr || sources->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "missing \"sources\" array");
-  }
-  for (const char* section : {"spans", "counters", "gauges", "histograms", "diagnostics"}) {
-    if (doc.Find(section) == nullptr) {
-      return Status(ErrorCode::kMalformedData, StrFormat("missing section %s", section));
-    }
+  using namespace want;
+  static constexpr JsonMember kDoc[] = {
+      {"reports", kNumber}, {"sources", kArray},    {"spans", kPresent},
+      {"counters", kPresent}, {"gauges", kPresent}, {"histograms", kPresent},
+      {"diagnostics", kArray}};
+  DEPSURF_ASSIGN_OR_RETURN(doc, ParseSchemaDoc(json, kRunReportAggSchema, kDoc));
+  if (doc.Find("reports")->number < 1) {
+    return Invalid("\"reports\" is below 1: the aggregate folds in no report");
   }
   return ValidateDiagnosticsArray(*doc.Find("diagnostics"), /*labeled=*/true);
 }

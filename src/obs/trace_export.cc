@@ -1,7 +1,6 @@
 #include "src/obs/trace_export.h"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <limits>
 #include <set>
@@ -131,68 +130,37 @@ Status WriteGlobalTrace(const std::string& path) {
 }
 
 Status ValidateTrace(const JsonValue& trace, int64_t expect_events) {
-  const JsonValue* events = trace.Find("traceEvents");
-  if (events == nullptr || events->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "missing traceEvents array");
-  }
+  using namespace want;
+  static constexpr JsonMember kEvent[] = {
+      {"name", kNonEmptyString}, {"ph", OneOf("X|M")}, {"pid", kCount}, {"tid", kCount}};
+  static constexpr JsonMember kTrace[] = {{"traceEvents", ArrayOf(kEvent)}};
+  // Metadata (thread_name) events carry no timeline position, only an
+  // identity: pid/tid plus an args.name naming the lane.
+  static constexpr JsonMember kArgs[] = {{"name", kPresent}};
+  static constexpr JsonMember kMetadata[] = {{"args", Object(kArgs)}};
+  static constexpr JsonMember kComplete[] = {{"ts", kCount}, {"dur", kCount}};
+  DEPSURF_RETURN_IF_ERROR(CheckMembers(trace, "", kTrace));
+  const std::vector<JsonValue>& events = trace.Find("traceEvents")->array;
   double prev_ts = -1;
   int64_t complete_events = 0;
-  for (size_t i = 0; i < events->array.size(); ++i) {
-    const JsonValue& event = events->array[i];
-    const JsonValue* name = event.Find("name");
-    const JsonValue* ph = event.Find("ph");
-    const JsonValue* ts = event.Find("ts");
-    const JsonValue* dur = event.Find("dur");
-    const JsonValue* pid = event.Find("pid");
-    const JsonValue* tid = event.Find("tid");
-    if (name == nullptr || name->kind != JsonValue::Kind::kString || name->string.empty()) {
-      return Status(ErrorCode::kMalformedData, StrFormat("event %zu: missing name", i));
-    }
-    if (ph == nullptr || ph->kind != JsonValue::Kind::kString ||
-        (ph->string != "X" && ph->string != "M")) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("event %zu: phase must be \"X\" or \"M\"", i));
-    }
-    if (ph->string == "M") {
-      // Metadata (thread_name) events carry no timeline position, only an
-      // identity: pid/tid plus an args.name naming the lane.
-      const std::pair<const char*, const JsonValue*> metadata_fields[] = {{"pid", pid},
-                                                                          {"tid", tid}};
-      for (const auto& [field, member] : metadata_fields) {
-        if (member == nullptr || member->kind != JsonValue::Kind::kNumber ||
-            !std::isfinite(member->number) || member->number < 0) {
-          return Status(ErrorCode::kMalformedData,
-                        StrFormat("event %zu: %s must be a nonnegative number", i, field));
-        }
-      }
-      const JsonValue* args = event.Find("args");
-      if (args == nullptr || args->Find("name") == nullptr) {
-        return Status(ErrorCode::kMalformedData,
-                      StrFormat("event %zu: metadata event without args.name", i));
-      }
+  for (size_t i = 0; i < events.size(); ++i) {
+    const bool metadata = events[i].Find("ph")->string == "M";
+    DEPSURF_RETURN_IF_ERROR(CheckMembers(events[i], StrFormat("traceEvents[%zu]", i),
+                                         metadata ? JsonShape(kMetadata) : JsonShape(kComplete)));
+    if (metadata) {
       continue;
     }
     ++complete_events;
-    const std::pair<const char*, const JsonValue*> numeric_fields[] = {
-        {"ts", ts}, {"dur", dur}, {"pid", pid}, {"tid", tid}};
-    for (const auto& [field, member] : numeric_fields) {
-      if (member == nullptr || member->kind != JsonValue::Kind::kNumber ||
-          !std::isfinite(member->number) || member->number < 0) {
-        return Status(ErrorCode::kMalformedData,
-                      StrFormat("event %zu: %s must be a nonnegative number", i, field));
-      }
+    const double ts = events[i].Find("ts")->number;
+    if (ts < prev_ts) {
+      return Invalid(
+          StrFormat("event %zu: ts not monotonic (%.3f after %.3f)", i, ts, prev_ts));
     }
-    if (ts->number < prev_ts) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("event %zu: ts not monotonic (%.3f after %.3f)", i, ts->number,
-                              prev_ts));
-    }
-    prev_ts = ts->number;
+    prev_ts = ts;
   }
   if (expect_events >= 0 && complete_events != expect_events) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("trace has %lld complete events, span tree has %lld nodes",
-                            (long long)complete_events, (long long)expect_events));
+    return Invalid(StrFormat("trace has %lld complete events, span tree has %lld nodes",
+                             (long long)complete_events, (long long)expect_events));
   }
   return Status::Ok();
 }

@@ -363,16 +363,19 @@ const std::vector<LintDoc>& Docs() {
   return docs;
 }
 
-// A mutable location: its path as validators print it, and the index taken
-// at each level (into `object` or `array`, whichever the parent holds).
+// A mutable location: its path as validators print it, the index taken at
+// each level (into `object` or `array`, whichever the parent holds), whether
+// it is an object member, and the kind of the value it holds.
 struct Site {
   std::string path;
   std::vector<size_t> steps;
+  bool member = false;
+  JsonValue::Kind kind = JsonValue::Kind::kNull;
 };
 
 void CollectSites(const JsonValue& value, const Site& at, std::vector<Site>& out) {
   auto visit = [&](size_t index, std::string path, const JsonValue& child) {
-    Site site{std::move(path), at.steps};
+    Site site{std::move(path), at.steps, value.kind == JsonValue::Kind::kObject, child.kind};
     site.steps.push_back(index);
     out.push_back(site);
     CollectSites(child, site, out);
@@ -476,6 +479,26 @@ TEST(LintMutationTest, AnswersMatchTheGolden) {
     }
     ADD_FAILURE() << "answers differ from tests/golden/lint_mutations.txt; the computed "
                   << "table is in " << out;
+  }
+}
+
+// A rejection caused by deleting a member, or by changing the JSON kind of
+// a value, names the path of what was changed.
+TEST(LintMutationTest, RejectionsNameTheMember) {
+  std::vector<JsonValue::Kind> kinds;
+  for (const char* text : kReplacements) {
+    kinds.push_back(obs::ParseJson(text)->kind);
+  }
+  for (const LintDoc& doc : Docs()) {
+    ForEachMutation(doc, [&](const Site& site, size_t column, const std::string& mutated) {
+      const bool deleted_member = column == 0 && site.member;
+      const bool retyped = column != 0 && kinds[column - 1] != site.kind;
+      Status valid = doc.validate(mutated);
+      if ((deleted_member || retyped) && !valid.ok()) {
+        EXPECT_NE(valid.error().message().find(site.path), std::string::npos)
+            << doc.name << " mutation " << column << ": " << valid.error().message();
+      }
+    });
   }
 }
 
