@@ -524,8 +524,6 @@ bool Holds(const JsonValue* value, const JsonWant& want) {
       return value->kind == Kind::kNull || value->kind == Kind::kObject;
     case JsonWant::Is::kOneOf:
       return value->kind == Kind::kString && InList(value->string, want.one_of);
-    case JsonWant::Is::kPresent:
-      return true;
   }
   return false;
 }
@@ -554,8 +552,6 @@ std::string WantText(const JsonWant& want) {
       return want.one_of.find('|') == std::string_view::npos
                  ? "\"" + std::string(want.one_of) + "\""
                  : "one of " + std::string(want.one_of);
-    case JsonWant::Is::kPresent:
-      return "a value";
   }
   return "";
 }
@@ -588,7 +584,7 @@ std::string MemberPath(std::string_view path, std::string_view key) {
   return path.empty() ? std::string(key) : std::string(path) + "." + std::string(key);
 }
 
-constexpr JsonMember kAgainst[] = {{"images", kNumber}};
+constexpr JsonMember kAgainst[] = {{"images", kCount}};
 
 constexpr JsonMember kDiagEntry[] = {
     {"severity", OneOf("warning|degraded|fatal")},
@@ -644,10 +640,10 @@ Result<JsonValue> ParseSchemaDoc(std::string_view json, std::string_view marker,
 
 Status ValidateRunReport(std::string_view json, size_t min_distinct_spans,
                          const std::vector<std::string>& required_counters) {
-  static constexpr JsonMember kReport[] = {{"spans", kPresent},
-                                           {"counters", kPresent},
-                                           {"gauges", kPresent},
-                                           {"histograms", kPresent},
+  static constexpr JsonMember kReport[] = {{"spans", kArray},
+                                           {"counters", kObject},
+                                           {"gauges", kObject},
+                                           {"histograms", kObject},
                                            {"diagnostics", ArrayOf(kDiagEntry)}};
   DEPSURF_ASSIGN_OR_RETURN(report, ParseSchemaDoc(json, kRunReportSchema, kReport));
   std::set<std::string> names = CollectSpanNames(report);
@@ -684,21 +680,21 @@ Status ValidateDiagnosticsDoc(std::string_view json) {
 
 Status ValidateAnalysisDoc(std::string_view json) {
   static constexpr JsonMember kProgram[] = {
-      {"name", kString},   {"section", kString},         {"insns", kNumber},
-      {"blocks", kNumber}, {"reachable_insns", kNumber}, {"helper_calls", kNumber}};
+      {"name", kString},  {"section", kString},        {"insns", kCount},
+      {"blocks", kCount}, {"reachable_insns", kCount}, {"helper_calls", kCount}};
   static constexpr JsonMember kReloc[] = {
-      {"index", kNumber}, {"kind", kString}, {"reachable", kBool}, {"unguarded", kBool}};
+      {"index", kCount}, {"kind", kString}, {"reachable", kBool}, {"unguarded", kBool}};
   static constexpr JsonMember kFinding[] = {
       {"kind", OneOf("raw-offset-deref|unguarded-reloc|unknown-helper|unreachable-reloc")},
       {"program", kString},
-      {"insn_off", kNumber},
+      {"insn_off", kCount},
       {"detail", kString},
       {"remediation", kString}};
-  static constexpr JsonMember kSummary[] = {{"findings", kNumber},
-                                            {"raw_offset_deref", kNumber},
-                                            {"unguarded_reloc", kNumber},
-                                            {"unknown_helper", kNumber},
-                                            {"unreachable_reloc", kNumber}};
+  static constexpr JsonMember kSummary[] = {{"findings", kCount},
+                                            {"raw_offset_deref", kCount},
+                                            {"unguarded_reloc", kCount},
+                                            {"unknown_helper", kCount},
+                                            {"unreachable_reloc", kCount}};
   static constexpr JsonMember kDoc[] = {
       {"object", kString},         {"against", NullOr(kAgainst)},
       {"programs", ArrayOf(kProgram)}, {"relocs", ArrayOf(kReloc)},
@@ -730,17 +726,17 @@ Status ValidateAnalysisDoc(std::string_view json) {
 
 Status ValidateRemediationDoc(std::string_view json) {
   static constexpr JsonMember kFinding[] = {
-      {"kind", kString}, {"program", kString}, {"detail", kString}, {"insn_off", kNumber}};
+      {"kind", kString}, {"program", kString}, {"detail", kString}, {"insn_off", kCount}};
   static constexpr JsonMember kItem[] = {{"finding", Object(kFinding)}, {"fixable", kBool}};
-  static constexpr JsonMember kGuard[] = {{"insn_off", kNumber}, {"scratch_reg", kNumber},
+  static constexpr JsonMember kGuard[] = {{"insn_off", kCount},  {"scratch_reg", kNumber},
                                           {"struct", kString},   {"field", kString},
                                           {"guard", kString}};
   static constexpr JsonMember kRefusal[] = {{"reason", kString}};
   static constexpr JsonMember kVerification[] = {
-      {"findings_before", kNumber},    {"targeted", kNumber},     {"findings_after", kNumber},
-      {"targeted_remaining", kNumber}, {"new_findings", kNumber}, {"ok", kBool}};
+      {"findings_before", kCount},    {"targeted", kCount},     {"findings_after", kCount},
+      {"targeted_remaining", kCount}, {"new_findings", kCount}, {"ok", kBool}};
   static constexpr JsonMember kSummary[] = {
-      {"findings", kNumber}, {"fixable", kNumber}, {"unfixable", kNumber}};
+      {"findings", kCount}, {"fixable", kCount}, {"unfixable", kCount}};
   static constexpr JsonMember kDoc[] = {{"object", kString},
                                         {"against", NullOr(kAgainst)},
                                         {"remediations", ArrayOf(kItem)},
@@ -774,25 +770,25 @@ Status ValidateRemediationDoc(std::string_view json) {
 }
 
 Status ValidateFuzzCampaignDoc(std::string_view json) {
-  static constexpr JsonMember kConfig[] = {{"rounds", kNumber},
-                                           {"seed", kNumber},
-                                           {"time_budget_ms", kNumber},
-                                           {"max_ledger_entries", kNumber}};
-  static constexpr JsonMember kCoverage[] = {{"tuples", kNumber}, {"keys", kArray}};
-  static constexpr JsonMember kGrowth[] = {{"round", kNumber}, {"tuples", kNumber}};
+  static constexpr JsonMember kConfig[] = {{"rounds", kCount},
+                                           {"seed", kCount},
+                                           {"time_budget_ms", kCount},
+                                           {"max_ledger_entries", kCount}};
+  static constexpr JsonMember kCoverage[] = {{"tuples", kCount}, {"keys", kArray}};
+  static constexpr JsonMember kGrowth[] = {{"round", kCount}, {"tuples", kCount}};
   static constexpr JsonMember kKind[] = {
-      {"kind", kString}, {"attempts", kNumber}, {"novel", kNumber}};
+      {"kind", kString}, {"attempts", kCount}, {"novel", kCount}};
   static constexpr JsonMember kEntry[] = {
-      {"index", kNumber},  {"round", kNumber},       {"fault_seed", kNumber},
-      {"parent", kNumber}, {"size", kNumber},        {"tuple_count", kNumber},
-      {"name", kString},   {"kind", kString},        {"description", kString},
-      {"seed", kBool},     {"new_tuples", kArray}};
+      {"index", kCount},  {"round", kCount},  {"fault_seed", kCount},
+      {"parent", kCount}, {"size", kCount},   {"tuple_count", kCount},
+      {"name", kString},  {"kind", kString},  {"description", kString},
+      {"seed", kBool},    {"new_tuples", kArray}};
   static constexpr JsonMember kDisagreement[] = {{"violation", kString},
-                                                 {"fault_seed", kNumber}};
+                                                 {"fault_seed", kCount}};
   static constexpr JsonMember kOracle[] = {{"disagreements", ArrayOf(kDisagreement)}};
   static constexpr JsonMember kDoc[] = {
       {"mode", OneOf("image|object")},  {"config", Object(kConfig)},
-      {"seeds", kNonEmptyArray},        {"candidates", kNumber},
+      {"seeds", kNonEmptyArray},        {"candidates", kCount},
       {"coverage", Object(kCoverage)},  {"growth", NonEmptyArrayOf(kGrowth)},
       {"kinds", ArrayOf(kKind)},        {"corpus", NonEmptyArrayOf(kEntry)},
       {"minimized", kArray},            {"oracle", Object(kOracle)},
@@ -843,8 +839,9 @@ Status ValidateFuzzCampaignDoc(std::string_view json) {
   const std::vector<JsonValue>& minimized = doc.Find("minimized")->array;
   for (size_t i = 0; i < minimized.size(); ++i) {
     DEPSURF_RETURN_IF_ERROR(
-        CheckValue(&minimized[i], StrFormat("minimized[%zu]", i), kNumber));
-    if (minimized[i].number >= static_cast<double>(corpus.size())) {
+        CheckValue(&minimized[i], StrFormat("minimized[%zu]", i), kCount));
+    const double index = minimized[i].number;
+    if (index != std::floor(index) || index >= static_cast<double>(corpus.size())) {
       return Invalid(StrFormat("minimized[%zu] is not a corpus index", i));
     }
   }

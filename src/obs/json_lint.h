@@ -62,8 +62,7 @@ struct JsonWant {
     kNonEmptyArray,
     kObject,
     kNullOrObject,
-    kOneOf,    // a string listed in `one_of`
-    kPresent,  // any value
+    kOneOf,  // a string listed in `one_of`
   };
   Is is;
   std::string_view one_of = {};  // kOneOf: the allowed strings, '|'-separated
@@ -87,7 +86,6 @@ inline constexpr JsonWant kBool{JsonWant::Is::kBool};
 inline constexpr JsonWant kArray{JsonWant::Is::kArray};
 inline constexpr JsonWant kNonEmptyArray{JsonWant::Is::kNonEmptyArray};
 inline constexpr JsonWant kObject{JsonWant::Is::kObject};
-inline constexpr JsonWant kPresent{JsonWant::Is::kPresent};
 constexpr JsonWant OneOf(std::string_view values) { return {JsonWant::Is::kOneOf, values}; }
 template <size_t N>
 constexpr JsonWant Object(const JsonMember (&shape)[N]) {
@@ -121,9 +119,9 @@ Result<JsonValue> ParseSchemaDoc(std::string_view json, std::string_view marker,
 Status Invalid(std::string message);
 
 // Validates a depsurf.run_report.v1 document:
-//   - parses as JSON, has the schema marker and the five sections
-//     (spans/counters/gauges/histograms/diagnostics)
-//   - the diagnostics section is a well-formed entry array
+//   - parses as JSON, has the schema marker and the five sections: the
+//     spans array, the counters/gauges/histograms objects, and a
+//     well-formed diagnostics entry array
 //   - at least `min_distinct_spans` distinct span names (tree-wide)
 //   - every name in `required_counters` is present under "counters"
 // Returns Ok or a message naming the first violation.
@@ -161,12 +159,12 @@ Status ValidateAnalysisDoc(std::string_view json);
 Status ValidateRemediationDoc(std::string_view json);
 
 // Validates a depsurf.fuzz_campaign.v1 document (`depsurf fuzz --json`):
-// schema marker, mode ("image"/"object"), numeric config block, non-empty
-// seeds array, a coverage block whose key list matches its count, a growth
+// schema marker, mode ("image"/"object"), a config block of counts, a
+// non-empty seeds array, a coverage block whose key list matches its count, a growth
 // curve with non-decreasing rounds and tuple totals ending at the coverage
 // total, per-kind stats with novel <= attempts, a corpus whose entries
 // carry their replay keys (kind, fault_seed, round, parent), minimized
-// indices inside the corpus, oracle/hang arrays, and an exit_code in
+// entries that are integer corpus indices, oracle/hang arrays, and an exit_code in
 // {0,1,2} consistent with those arrays (hangs -> 1, disagreements -> 2).
 // The schema is defined by the fuzz layer; structure only is checked here.
 Status ValidateFuzzCampaignDoc(std::string_view json);

@@ -214,8 +214,8 @@ Status ValidatePerfCompare(std::string_view json) {
   static constexpr JsonMember kStage[] = {
       {"name", kNonEmptyString}, {"class", OneOf("improved|flat|regressed|added|removed")}};
   static constexpr JsonMember kDoc[] = {
-      {"max_regress", kNumber}, {"improved", kNumber}, {"flat", kNumber},
-      {"regressed", kNumber},   {"added", kNumber},    {"removed", kNumber},
+      {"max_regress", kNumber}, {"improved", kCount}, {"flat", kCount},
+      {"regressed", kCount},    {"added", kCount},    {"removed", kCount},
       {"stages", ArrayOf(kStage)}};
   DEPSURF_ASSIGN_OR_RETURN(doc, ParseSchemaDoc(json, kPerfCompareSchema, kDoc));
   return Status::Ok();

@@ -275,8 +275,8 @@ Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports) {
 Status ValidateAggReport(std::string_view json) {
   using namespace want;
   static constexpr JsonMember kDoc[] = {
-      {"reports", kNumber}, {"sources", kArray},    {"spans", kPresent},
-      {"counters", kPresent}, {"gauges", kPresent}, {"histograms", kPresent},
+      {"reports", kCount},  {"sources", kArray}, {"spans", kArray},
+      {"counters", kObject}, {"gauges", kObject}, {"histograms", kObject},
       {"diagnostics", kArray}};
   DEPSURF_ASSIGN_OR_RETURN(doc, ParseSchemaDoc(json, kRunReportAggSchema, kDoc));
   if (doc.Find("reports")->number < 1) {

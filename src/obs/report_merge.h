@@ -41,8 +41,9 @@ struct LabeledReport {
 Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports);
 
 // Validates a depsurf.run_report_agg.v1 document: schema marker, a
-// "reports" count, the "sources" provenance array, and the four merged
-// sections.
+// "reports" count of at least 1, the "sources" provenance array, the
+// merged spans array and counters/gauges/histograms objects, and labeled
+// diagnostics.
 Status ValidateAggReport(std::string_view json);
 
 }  // namespace obs

@@ -136,7 +136,7 @@ Status ValidateTrace(const JsonValue& trace, int64_t expect_events) {
   static constexpr JsonMember kTrace[] = {{"traceEvents", ArrayOf(kEvent)}};
   // Metadata (thread_name) events carry no timeline position, only an
   // identity: pid/tid plus an args.name naming the lane.
-  static constexpr JsonMember kArgs[] = {{"name", kPresent}};
+  static constexpr JsonMember kArgs[] = {{"name", kString}};
   static constexpr JsonMember kMetadata[] = {{"args", Object(kArgs)}};
   static constexpr JsonMember kComplete[] = {{"ts", kCount}, {"dur", kCount}};
   DEPSURF_RETURN_IF_ERROR(CheckMembers(trace, "", kTrace));
