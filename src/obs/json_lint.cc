@@ -434,31 +434,6 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
 
 Result<JsonValue> ParseJson(std::string_view text) { return Parser(text).Parse(); }
 
-std::vector<std::string> RunReportLintNotes(const JsonValue& report) {
-  // Gauges renamed across schema revisions: old documents still lint clean,
-  // but readers should know which name current builds emit.
-  static constexpr struct {
-    const char* name;
-    const char* replacement;
-    const char* why;
-  } kDeprecatedGauges[] = {
-      {"study.build_dataset.cpu_ms", "study.build_dataset.cpu_total_ms",
-       "process CPU is summed across worker threads"},
-  };
-  std::vector<std::string> notes;
-  const JsonValue* gauges = report.Find("gauges");
-  if (gauges == nullptr || gauges->kind != JsonValue::Kind::kObject) {
-    return notes;
-  }
-  for (const auto& gauge : kDeprecatedGauges) {
-    if (gauges->Find(gauge.name) != nullptr) {
-      notes.push_back(StrFormat("deprecated gauge %s: %s; current builds emit %s",
-                                gauge.name, gauge.why, gauge.replacement));
-    }
-  }
-  return notes;
-}
-
 std::set<std::string> CollectSpanNames(const JsonValue& report) {
   std::set<std::string> names;
   const JsonValue* spans = report.Find("spans");

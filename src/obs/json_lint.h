@@ -177,12 +177,6 @@ Status ValidateFuzzCampaignDoc(std::string_view json);
 // is defined by the serve layer; structure only is checked here.
 Status ValidateServeReportDoc(std::string_view json);
 
-// Non-fatal lint notes for a parsed run report or aggregate. Currently
-// flags deprecated gauge names (renamed in later schema revisions but
-// still valid in old documents) with their modern replacement. Returns
-// one human-readable note per hit; empty means nothing to report.
-std::vector<std::string> RunReportLintNotes(const JsonValue& report);
-
 // Distinct span names in a parsed report (empty if not a report).
 std::set<std::string> CollectSpanNames(const JsonValue& report);
 

@@ -31,8 +31,7 @@ namespace {
 // reports the same quantity but overflows 32-bit clock_t in under an hour
 // at CLOCKS_PER_SEC=1e6; CLOCK_PROCESS_CPUTIME_ID has nanosecond range.
 // Published as `cpu_total_ms` — with a parallel window this legitimately
-// exceeds wall_ms, which is why the old `cpu_ms` name was retired (see
-// docs/OBSERVABILITY.md).
+// exceeds wall_ms (see docs/OBSERVABILITY.md).
 uint64_t ProcessCpuNs() {
   timespec ts{};
   if (clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) != 0) {

@@ -607,14 +607,9 @@ int CmdMetricsLint(const Args& args) {
     return DiagError(path, valid.error());
   }
   std::string detail;
-  if (kind == "report" || kind == "agg") {
-    auto json = obs::ParseJson(text);
-    for (const std::string& note : obs::RunReportLintNotes(*json)) {
-      printf("note: %s: %s\n", path.c_str(), note.c_str());
-    }
-    if (kind == "report") {
-      detail = StrFormat(" (%zu distinct spans)", obs::CollectSpanNames(*json).size());
-    }
+  if (kind == "report") {
+    detail = StrFormat(" (%zu distinct spans)",
+                       obs::CollectSpanNames(*obs::ParseJson(text)).size());
   }
   printf("%s: valid %s%s\n", path.c_str(), lint.schema, detail.c_str());
   return 0;

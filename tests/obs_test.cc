@@ -908,18 +908,5 @@ TEST(ProfileTest, LiveSpansKeepCpuWithinWallAndSelfTelescopes) {
   obs::SpanCollector::Global().Clear();
 }
 
-TEST(JsonLintTest, RunReportLintNotesFlagDeprecatedGauges) {
-  auto stale = obs::ParseJson("{\"gauges\": {\"study.build_dataset.cpu_ms\": 5}}");
-  ASSERT_TRUE(stale.ok());
-  auto notes = obs::RunReportLintNotes(*stale);
-  ASSERT_EQ(notes.size(), 1u);
-  EXPECT_NE(notes[0].find("study.build_dataset.cpu_ms"), std::string::npos);
-  EXPECT_NE(notes[0].find("study.build_dataset.cpu_total_ms"), std::string::npos);
-
-  auto current = obs::ParseJson("{\"gauges\": {\"study.build_dataset.cpu_total_ms\": 5}}");
-  ASSERT_TRUE(current.ok());
-  EXPECT_TRUE(obs::RunReportLintNotes(*current).empty());
-}
-
 }  // namespace
 }  // namespace depsurf
