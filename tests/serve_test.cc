@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <string>
@@ -47,6 +48,18 @@ const ServeFixture& Fixture() {
     const char* dir = mkdtemp(tmpl);
     EXPECT_NE(dir, nullptr);
     out.dir = dir != nullptr ? dir : ".";
+    // The directory and everything the tests write into it go when the
+    // test binary exits.
+    static struct Cleanup {
+      std::string dir;
+      ~Cleanup() {
+        std::error_code ec;  // best effort
+        std::filesystem::remove_all(dir, ec);
+      }
+    } cleanup;
+    if (dir != nullptr) {
+      cleanup.dir = dir;
+    }
 
     Dataset dataset;
     KernelModel model(2025, 0.01, BuildCuratedCatalog());
