@@ -163,6 +163,21 @@ grep -q '"ok": false' responses1.ndjson || fail "malformed request not answered 
 cmp -s responses1.ndjson responses8.ndjson \
   || fail "serve responses differ between --jobs=1 and --jobs=8"
 
+# ---- analyze and fix against the study dataset write documents that lint
+# as their kinds (exit 2 reports findings). With these two, tier-1 runs
+# every metrics lint kind through the CLI.
+set +e
+"$DEPSURF" analyze biotop.o --against=ds1 --json > analysis.json
+analyze_code=$?
+"$DEPSURF" fix biotop.o --against=ds1 --json --out=biotop_fixed.o > remediation.json
+fix_code=$?
+set -e
+[ "$analyze_code" -eq 0 ] || [ "$analyze_code" -eq 2 ] || fail "analyze exited $analyze_code"
+[ "$fix_code" -eq 0 ] || [ "$fix_code" -eq 2 ] || fail "fix exited $fix_code"
+"$DEPSURF" metrics lint analysis.json --kind=analysis || fail "analysis document invalid"
+"$DEPSURF" metrics lint remediation.json --kind=remediation \
+  || fail "remediation document invalid"
+
 # ---- a dataset in the retired v1 layout is refused by name, never misread:
 # every reader exits 1 with the one-line rebuild hint.
 printf 'DDS1\0\0\0\0' > old.dds
