@@ -544,9 +544,8 @@ std::string Describe(const JsonValue* value) {
     case JsonValue::Kind::kNumber:
       return StrFormat("number %g", value->number);
     case JsonValue::Kind::kString:
-      return value->string.size() <= 32 ? "string \"" + JsonEscape(value->string) + "\""
-                                        : "string \"" + JsonEscape(value->string.substr(0, 32)) +
-                                              "...\"";
+      return "string \"" + JsonEscape(value->string.substr(0, 32)) +
+             (value->string.size() > 32 ? "...\"" : "\"");
     case JsonValue::Kind::kArray:
       return value->array.empty() ? "empty array" : "array";
     case JsonValue::Kind::kObject:
@@ -649,8 +648,8 @@ Status ValidateDiagnosticsDoc(std::string_view json) {
                                         {"health", Object(kHealth)},
                                         {"fatal", kBool},
                                         {"entries", ArrayOf(kDiagEntry)}};
-  DEPSURF_ASSIGN_OR_RETURN(doc, ParseSchemaDoc(json, kDiagnosticsSchema, kDoc));
-  return Status::Ok();
+  auto doc = ParseSchemaDoc(json, kDiagnosticsSchema, kDoc);
+  return doc.ok() ? Status::Ok() : Status(doc.TakeError());
 }
 
 Status ValidateAnalysisDoc(std::string_view json) {

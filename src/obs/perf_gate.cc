@@ -204,8 +204,8 @@ Status ValidateBenchReport(std::string_view json) {
       {"items_per_sec", kCount}, {"bytes", kCount},         {"bytes_per_sec", kCount}};
   static constexpr JsonMember kDoc[] = {{"bench", kNonEmptyString},
                                         {"stages", ArrayOf(kStage)}};
-  DEPSURF_ASSIGN_OR_RETURN(doc, ParseSchemaDoc(json, kBenchReportSchema, kDoc));
-  return Status::Ok();
+  auto doc = ParseSchemaDoc(json, kBenchReportSchema, kDoc);
+  return doc.ok() ? Status::Ok() : Status(doc.TakeError());
 }
 
 Status ValidatePerfCompare(std::string_view json) {
@@ -217,8 +217,8 @@ Status ValidatePerfCompare(std::string_view json) {
       {"max_regress", kNumber}, {"improved", kCount}, {"flat", kCount},
       {"regressed", kCount},    {"added", kCount},    {"removed", kCount},
       {"stages", ArrayOf(kStage)}};
-  DEPSURF_ASSIGN_OR_RETURN(doc, ParseSchemaDoc(json, kPerfCompareSchema, kDoc));
-  return Status::Ok();
+  auto doc = ParseSchemaDoc(json, kPerfCompareSchema, kDoc);
+  return doc.ok() ? Status::Ok() : Status(doc.TakeError());
 }
 
 }  // namespace obs
