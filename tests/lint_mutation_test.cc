@@ -441,16 +441,15 @@ std::string AnswerTable() {
       "# document and path, one answer per mutation, a = accepted, r = rejected:\n"
       "# delete, then null false 0 -1 0.5 \"\" \"x\" [] {}\n";
   for (const LintDoc& doc : Docs()) {
-    std::string line;
     ForEachMutation(doc, [&](const Site& site, size_t column, const std::string& mutated) {
       if (column == 0) {
-        table += line;
-        line = doc.name + " " + site.path + " ";
+        table += doc.name + " " + site.path + " ";
       }
-      line += doc.validate(mutated).ok() ? 'a' : 'r';
-      line += column == std::size(kReplacements) ? "\n" : "";
+      table += doc.validate(mutated).ok() ? 'a' : 'r';
+      if (column == std::size(kReplacements)) {
+        table += '\n';
+      }
     });
-    table += line;
   }
   return table;
 }
