@@ -68,7 +68,7 @@ struct TempDir {
   }
 };
 
-const std::string& ScratchDir() {
+const std::string& TestDir() {
   static const TempDir dir;
   return dir.path;
 }
@@ -234,7 +234,7 @@ std::string RunReportDoc() {
 }
 
 std::string BenchDoc() {
-  setenv("DEPSURF_BENCH_DIR", ScratchDir().c_str(), 1);
+  setenv("DEPSURF_BENCH_DIR", TestDir().c_str(), 1);
   obs::BenchReporter reporter("lint");
   reporter.AddNote("scale", "0.01");
   reporter.AddStage(obs::BenchStage{"extract", 1.5, 10, 4096});
@@ -301,7 +301,7 @@ std::string FuzzDoc() {
 }
 
 std::string ServeDoc() {
-  const std::string path = ScratchDir() + "/mixed.dds";
+  const std::string path = TestDir() + "/mixed.dds";
   std::vector<uint8_t> bytes = SaveDatasetV2(MixedDataset());
   std::ofstream(path, std::ios::binary)
       .write(reinterpret_cast<const char*>(bytes.data()),
