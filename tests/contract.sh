@@ -13,9 +13,10 @@
 #   - `dataset info` of that dataset;
 #   - `serve --oneshot` responses and the `--report-out` serve_report for
 #     one batch against that dataset at --jobs=1. The responses must also
-#     be byte-identical at --jobs=4 (the reports differ in "jobs"). The
-#     batch is every program `progs` lists as an object line, the same
-#     lines again (in-batch hits), then tests/golden/serve_requests.ndjson,
+#     be byte-identical at --jobs=2 (the caller and one pool thread) and
+#     --jobs=4 (the reports differ in "jobs"). The batch is every program
+#     `progs` lists as an object line, the same lines again (in-batch
+#     hits), then tests/golden/serve_requests.ndjson,
 #     hand-written lines covering every key, repeated members, escapes, id
 #     kinds, expectation shapes and each error message.
 #   - for each of those programs, the exit code and stdout of `check
@@ -135,14 +136,16 @@ for seed in $SEEDS; do
   done < progs.txt
   cat serve_objects.ndjson serve_objects.ndjson "$GOLDEN/serve_requests.ndjson" \
     > serve_batch.ndjson
-  for jobs in 1 4; do
+  for jobs in 1 2 4; do
     "$DEPSURF" serve --against=dataset_jobs1.dds --oneshot --jobs=$jobs \
         --report-out="serve_report_jobs$jobs.json" < serve_batch.ndjson \
         > "serve_jobs$jobs.ndjson" 2> "serve_jobs$jobs.log" \
       || fail "serve --seed=$seed --jobs=$jobs exited $?"
   done
-  cmp -s serve_jobs1.ndjson serve_jobs4.ndjson \
-    || fail "$dir: serve responses differ between --jobs=1 and --jobs=4"
+  for jobs in 2 4; do
+    cmp -s serve_jobs1.ndjson "serve_jobs$jobs.ndjson" \
+      || fail "$dir: serve responses differ between --jobs=1 and --jobs=$jobs"
+  done
 
   mkdir -p fixed
   : > check.txt; : > analyze.txt; : > fix.txt; : > fixed_objects.bin
