@@ -276,8 +276,8 @@ std::vector<std::string> Dataset::labels() const {
   return out;
 }
 
-std::vector<std::set<MismatchKind>> Dataset::CheckFunc(const std::string& name) const {
-  std::vector<std::set<MismatchKind>> out(images_.size());
+std::vector<MismatchSet> Dataset::CheckFunc(const std::string& name) const {
+  std::vector<MismatchSet> out(images_.size());
   StrId id = Lookup(name);
   const FuncRecord* baseline = nullptr;
   for (size_t i = 0; i < images_.size(); ++i) {
@@ -316,8 +316,8 @@ std::vector<std::set<MismatchKind>> Dataset::CheckFunc(const std::string& name) 
   return out;
 }
 
-std::vector<std::set<MismatchKind>> Dataset::CheckStruct(const std::string& name) const {
-  std::vector<std::set<MismatchKind>> out(images_.size());
+std::vector<MismatchSet> Dataset::CheckStruct(const std::string& name) const {
+  std::vector<MismatchSet> out(images_.size());
   StrId id = Lookup(name);
   const StructRecord* baseline = nullptr;
   for (size_t i = 0; i < images_.size(); ++i) {
@@ -341,11 +341,11 @@ std::vector<std::set<MismatchKind>> Dataset::CheckStruct(const std::string& name
   return out;
 }
 
-std::vector<std::set<MismatchKind>> Dataset::CheckField(const std::string& struct_name,
-                                                        const std::string& field_name,
-                                                        const std::string& expected_type,
-                                                        bool guarded) const {
-  std::vector<std::set<MismatchKind>> out(images_.size());
+std::vector<MismatchSet> Dataset::CheckField(const std::string& struct_name,
+                                             const std::string& field_name,
+                                             const std::string& expected_type,
+                                             bool guarded) const {
+  std::vector<MismatchSet> out(images_.size());
   StrId sid = Lookup(struct_name);
   StrId fid = Lookup(field_name);
   StrId expected = expected_type.empty() ? kNoStr : Lookup(expected_type);
@@ -373,8 +373,8 @@ std::vector<std::set<MismatchKind>> Dataset::CheckField(const std::string& struc
   return out;
 }
 
-std::vector<std::set<MismatchKind>> Dataset::CheckTracepoint(const std::string& event) const {
-  std::vector<std::set<MismatchKind>> out(images_.size());
+std::vector<MismatchSet> Dataset::CheckTracepoint(const std::string& event) const {
+  std::vector<MismatchSet> out(images_.size());
   StrId id = Lookup(event);
   const TracepointRecord* baseline = nullptr;
   for (size_t i = 0; i < images_.size(); ++i) {
@@ -399,8 +399,8 @@ std::vector<std::set<MismatchKind>> Dataset::CheckTracepoint(const std::string& 
   return out;
 }
 
-std::vector<std::set<MismatchKind>> Dataset::CheckSyscall(const std::string& name) const {
-  std::vector<std::set<MismatchKind>> out(images_.size());
+std::vector<MismatchSet> Dataset::CheckSyscall(const std::string& name) const {
+  std::vector<MismatchSet> out(images_.size());
   StrId id = Lookup(name);
   for (size_t i = 0; i < images_.size(); ++i) {
     if (id == kNoStr || images_[i].syscalls.count(id) == 0) {
@@ -462,8 +462,8 @@ bool Dataset::AnyDegradedAt(size_t image_index) const {
   return image_index < images_.size() && images_[image_index].AnyDegraded();
 }
 
-std::vector<std::set<MismatchKind>> Dataset::CheckRegisters() const {
-  std::vector<std::set<MismatchKind>> out(images_.size());
+std::vector<MismatchSet> Dataset::CheckRegisters() const {
+  std::vector<MismatchSet> out(images_.size());
   for (size_t i = 1; i < images_.size(); ++i) {
     if (images_[i].pt_regs_hash != images_[0].pt_regs_hash) {
       out[i].insert(MismatchKind::kChanged);

@@ -75,18 +75,18 @@ class Dataset : public DatasetView {
   // All queries return one mismatch set per image, in insertion order.
   // Baselines (for Changed) are the construct's definition on the earliest
   // image where it is present.
-  std::vector<std::set<MismatchKind>> CheckFunc(const std::string& name) const override;
-  std::vector<std::set<MismatchKind>> CheckStruct(const std::string& name) const override;
+  std::vector<MismatchSet> CheckFunc(const std::string& name) const override;
+  std::vector<MismatchSet> CheckStruct(const std::string& name) const override;
   // `expected_type` is the program-side expectation (empty: fall back to
   // the baseline image's type). Guarded accesses never report kAbsent.
-  std::vector<std::set<MismatchKind>> CheckField(const std::string& struct_name,
-                                                 const std::string& field_name,
-                                                 const std::string& expected_type,
-                                                 bool guarded) const override;
-  std::vector<std::set<MismatchKind>> CheckTracepoint(const std::string& event) const override;
-  std::vector<std::set<MismatchKind>> CheckSyscall(const std::string& name) const override;
+  std::vector<MismatchSet> CheckField(const std::string& struct_name,
+                                      const std::string& field_name,
+                                      const std::string& expected_type,
+                                      bool guarded) const override;
+  std::vector<MismatchSet> CheckTracepoint(const std::string& event) const override;
+  std::vector<MismatchSet> CheckSyscall(const std::string& name) const override;
   // Register-layout mismatch vs the first image (Table 5's "Register Δ").
-  std::vector<std::set<MismatchKind>> CheckRegisters() const override;
+  std::vector<MismatchSet> CheckRegisters() const override;
 
   // Rendered function declaration on one image; nullopt when absent there.
   std::optional<std::string_view> FuncDeclAt(const std::string& name,

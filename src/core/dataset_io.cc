@@ -573,8 +573,8 @@ bool MmapDataset::AnyDegradedAt(size_t image_index) const {
   return HealthFromHeader(ImageHeader(image_index)).AnyDegraded();
 }
 
-std::vector<std::set<MismatchKind>> MmapDataset::CheckFunc(const std::string& name) const {
-  std::vector<std::set<MismatchKind>> out(image_count_);
+std::vector<MismatchSet> MmapDataset::CheckFunc(const std::string& name) const {
+  std::vector<MismatchSet> out(image_count_);
   StrId id = LookupId(name);
   const Section& sec = sections_[kSecFuncs];
   const uint8_t* base = data_ + sec.offset;
@@ -619,8 +619,8 @@ std::vector<std::set<MismatchKind>> MmapDataset::CheckFunc(const std::string& na
   return out;
 }
 
-std::vector<std::set<MismatchKind>> MmapDataset::CheckStruct(const std::string& name) const {
-  std::vector<std::set<MismatchKind>> out(image_count_);
+std::vector<MismatchSet> MmapDataset::CheckStruct(const std::string& name) const {
+  std::vector<MismatchSet> out(image_count_);
   StrId id = LookupId(name);
   const Section& sec = sections_[kSecStructs];
   const Section& pairs = sections_[kSecPairs];
@@ -660,11 +660,11 @@ std::vector<std::set<MismatchKind>> MmapDataset::CheckStruct(const std::string& 
   return out;
 }
 
-std::vector<std::set<MismatchKind>> MmapDataset::CheckField(const std::string& struct_name,
-                                                            const std::string& field_name,
-                                                            const std::string& expected_type,
-                                                            bool guarded) const {
-  std::vector<std::set<MismatchKind>> out(image_count_);
+std::vector<MismatchSet> MmapDataset::CheckField(const std::string& struct_name,
+                                                 const std::string& field_name,
+                                                 const std::string& expected_type,
+                                                 bool guarded) const {
+  std::vector<MismatchSet> out(image_count_);
   StrId sid = LookupId(struct_name);
   StrId fid = LookupId(field_name);
   StrId expected = expected_type.empty() ? Dataset::kNoStr : LookupId(expected_type);
@@ -707,8 +707,8 @@ std::vector<std::set<MismatchKind>> MmapDataset::CheckField(const std::string& s
   return out;
 }
 
-std::vector<std::set<MismatchKind>> MmapDataset::CheckTracepoint(const std::string& event) const {
-  std::vector<std::set<MismatchKind>> out(image_count_);
+std::vector<MismatchSet> MmapDataset::CheckTracepoint(const std::string& event) const {
+  std::vector<MismatchSet> out(image_count_);
   StrId id = LookupId(event);
   const Section& sec = sections_[kSecTracepoints];
   const Section& pairs = sections_[kSecPairs];
@@ -763,8 +763,8 @@ std::vector<std::set<MismatchKind>> MmapDataset::CheckTracepoint(const std::stri
   return out;
 }
 
-std::vector<std::set<MismatchKind>> MmapDataset::CheckSyscall(const std::string& name) const {
-  std::vector<std::set<MismatchKind>> out(image_count_);
+std::vector<MismatchSet> MmapDataset::CheckSyscall(const std::string& name) const {
+  std::vector<MismatchSet> out(image_count_);
   StrId id = LookupId(name);
   const Section& sec = sections_[kSecSyscalls];
   const uint8_t* base = data_ + sec.offset;
@@ -784,8 +784,8 @@ std::vector<std::set<MismatchKind>> MmapDataset::CheckSyscall(const std::string&
   return out;
 }
 
-std::vector<std::set<MismatchKind>> MmapDataset::CheckRegisters() const {
-  std::vector<std::set<MismatchKind>> out(image_count_);
+std::vector<MismatchSet> MmapDataset::CheckRegisters() const {
+  std::vector<MismatchSet> out(image_count_);
   if (image_count_ == 0) {
     return out;
   }

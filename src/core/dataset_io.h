@@ -62,15 +62,15 @@ class MmapDataset : public DatasetView {
   std::string HealthSummaryAt(size_t image_index) const override;
   bool AnyDegradedAt(size_t image_index) const override;
 
-  std::vector<std::set<MismatchKind>> CheckFunc(const std::string& name) const override;
-  std::vector<std::set<MismatchKind>> CheckStruct(const std::string& name) const override;
-  std::vector<std::set<MismatchKind>> CheckField(const std::string& struct_name,
-                                                 const std::string& field_name,
-                                                 const std::string& expected_type,
-                                                 bool guarded) const override;
-  std::vector<std::set<MismatchKind>> CheckTracepoint(const std::string& event) const override;
-  std::vector<std::set<MismatchKind>> CheckSyscall(const std::string& name) const override;
-  std::vector<std::set<MismatchKind>> CheckRegisters() const override;
+  std::vector<MismatchSet> CheckFunc(const std::string& name) const override;
+  std::vector<MismatchSet> CheckStruct(const std::string& name) const override;
+  std::vector<MismatchSet> CheckField(const std::string& struct_name,
+                                      const std::string& field_name,
+                                      const std::string& expected_type,
+                                      bool guarded) const override;
+  std::vector<MismatchSet> CheckTracepoint(const std::string& event) const override;
+  std::vector<MismatchSet> CheckSyscall(const std::string& name) const override;
+  std::vector<MismatchSet> CheckRegisters() const override;
 
   std::optional<std::string_view> FuncDeclAt(const std::string& name,
                                              size_t image_index) const override;

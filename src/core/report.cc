@@ -180,7 +180,7 @@ void Tally(CategoryCounts& counts, const ReportRow& row) {
 
 }  // namespace
 
-std::string MismatchCellString(const std::set<MismatchKind>& cell) {
+std::string MismatchCellString(MismatchSet cell) {
   if (cell.empty()) {
     return ".";
   }

@@ -65,7 +65,7 @@ struct CategoryCounts {
 struct ReportRow {
   DepKind kind;
   std::string name;  // "blk_account_io_start" or "request::rq_disk"
-  std::vector<std::set<MismatchKind>> cells;  // one per image
+  std::vector<MismatchSet> cells;  // one per image
 
   bool AnyMismatch() const;
 };
@@ -96,7 +96,7 @@ struct ProgramReport {
 
 // Compact cell code used in report matrices and serve responses: "." for a
 // clean cell, "-" when absence dominates, else concatenated mismatch codes.
-std::string MismatchCellString(const std::set<MismatchKind>& cell);
+std::string MismatchCellString(MismatchSet cell);
 
 // Analysis runs against the read-side view so both a fully parsed `Dataset`
 // and a zero-copy `MmapDataset` can serve as the corpus.

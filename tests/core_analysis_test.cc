@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "src/bpf/bpf_builder.h"
 #include "src/btf/btf_codec.h"
@@ -333,6 +336,67 @@ TEST_F(CorpusFixture, CleanProgramHasNoMismatch) {
   ProgramReport report = AnalyzeProgram(x86_only, *deps);
   EXPECT_FALSE(report.AnyMismatch());
   EXPECT_EQ(report.WorstImplication(), Implication::kNone);
+}
+
+// MismatchSet against the std::set<MismatchKind> it replaced, on all 256
+// masks: every operation callers use, and the cell rendering.
+TEST(MismatchSetTest, MatchesStdSetOnEveryMask) {
+  constexpr MismatchKind kKinds[] = {
+      MismatchKind::kAbsent,          MismatchKind::kChanged,     MismatchKind::kFullInline,
+      MismatchKind::kSelectiveInline, MismatchKind::kTransformed, MismatchKind::kDuplicated,
+      MismatchKind::kCollision,       MismatchKind::kNotTraceable};
+  // The rendering MismatchCellString gave std::set cells.
+  auto set_cell_string = [](const std::set<MismatchKind>& cell) -> std::string {
+    if (cell.empty()) {
+      return ".";
+    }
+    if (cell.count(MismatchKind::kAbsent) != 0) {
+      return "-";
+    }
+    std::string out;
+    for (MismatchKind kind : cell) {
+      out += MismatchKindCode(kind);
+    }
+    return out;
+  };
+  using Kinds = std::vector<MismatchKind>;
+  std::vector<MismatchSet> masks(256);
+  std::vector<std::set<MismatchKind>> references(256);
+  for (unsigned mask = 0; mask < 256; ++mask) {
+    MismatchSet& cell = masks[mask];
+    std::set<MismatchKind>& reference = references[mask];
+    // Kinds go in from the highest, and twice, so order and repeats are
+    // the set's business.
+    for (int round = 0; round < 2; ++round) {
+      for (unsigned k = 8; k-- > 0;) {
+        if ((mask & (1u << k)) != 0) {
+          cell.insert(kKinds[k]);
+          reference.insert(kKinds[k]);
+        }
+      }
+    }
+    EXPECT_EQ(cell.size(), reference.size()) << mask;
+    EXPECT_EQ(cell.empty(), reference.empty()) << mask;
+    EXPECT_EQ(Kinds(cell.begin(), cell.end()), Kinds(reference.begin(), reference.end())) << mask;
+    EXPECT_EQ(MismatchCellString(cell), set_cell_string(reference)) << mask;
+    for (MismatchKind kind : kKinds) {
+      EXPECT_EQ(cell.count(kind), reference.count(kind)) << mask;
+      MismatchSet erased = cell;
+      std::set<MismatchKind> erased_reference = reference;
+      EXPECT_EQ(erased.erase(kind), erased_reference.erase(kind)) << mask;
+      EXPECT_EQ(Kinds(erased.begin(), erased.end()),
+                Kinds(erased_reference.begin(), erased_reference.end()))
+          << mask;
+    }
+  }
+  size_t disagreements = 0;
+  for (unsigned a = 0; a < 256; ++a) {
+    for (unsigned b = 0; b < 256; ++b) {
+      disagreements += (masks[a] == masks[b]) != (references[a] == references[b]) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(disagreements, 0u);
+  EXPECT_TRUE(MismatchSet().empty());
 }
 
 TEST_F(CorpusFixture, ConsequenceAndImplicationMapping) {
