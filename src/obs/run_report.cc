@@ -64,10 +64,16 @@ void AppendSpanText(std::string& out, const SpanNode& span, int depth) {
 
 }  // namespace
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
+void AppendJsonEscaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  size_t copied = 0;  // s[copied, i) needs no escape and is not yet in `out`
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(s.data() + copied, i - copied);
+    copied = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -85,13 +91,18 @@ std::string JsonEscape(const std::string& s) {
         out += "\\r";
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xf];
     }
   }
+  out.append(s.data() + copied, s.size() - copied);
+}
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  AppendJsonEscaped(out, s);
   return out;
 }
 

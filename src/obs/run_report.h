@@ -26,6 +26,7 @@
 #define DEPSURF_SRC_OBS_RUN_REPORT_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -66,7 +67,12 @@ std::string GlobalRunReportJson(const RunReportOptions& options = {});
 std::string GlobalRunReportText();
 Status WriteGlobalRunReport(const std::string& path, const RunReportOptions& options = {});
 
-// Escapes a string for embedding in a JSON document (no surrounding quotes).
+// Appends `s` to `out`, escaped for embedding in a JSON document (no
+// surrounding quotes): '"', '\\', \n, \t and \r get their short escapes,
+// other bytes below 0x20 a \u00xx escape, and every other byte is copied.
+void AppendJsonEscaped(std::string& out, std::string_view s);
+
+// AppendJsonEscaped into a fresh string.
 std::string JsonEscape(const std::string& s);
 
 }  // namespace obs

@@ -23,14 +23,7 @@ uint64_t HashCombine(std::initializer_list<uint64_t> values) {
   return h;
 }
 
-uint64_t HashString(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return Mix64(h);
-}
+uint64_t HashString(std::string_view s) { return StringHasher().Add(s).Finish(); }
 
 Prng Prng::Fork(std::initializer_list<uint64_t> key) const {
   uint64_t k = HashCombine(key);

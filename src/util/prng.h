@@ -25,6 +25,24 @@ uint64_t HashCombine(std::initializer_list<uint64_t> values);
 // FNV-1a over a string, for keying decisions on construct names.
 uint64_t HashString(std::string_view s);
 
+// HashString fed in pieces: Finish() after any sequence of Add() calls
+// equals HashString of the pieces concatenated, without building that
+// string.
+class StringHasher {
+ public:
+  StringHasher& Add(std::string_view s) {
+    for (unsigned char c : s) {
+      h_ ^= c;
+      h_ *= 0x100000001b3ull;
+    }
+    return *this;
+  }
+  uint64_t Finish() const { return Mix64(h_); }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
 // A small deterministic PRNG with convenience distributions.
 class Prng {
  public:

@@ -15,6 +15,8 @@
 #include "src/obs/span.h"
 #include "src/obs/trace_export.h"
 #include "src/study/study.h"
+#include "src/util/prng.h"
+#include "src/util/str_util.h"
 
 namespace depsurf {
 namespace {
@@ -724,6 +726,61 @@ const obs::ProfileNameRow* FindRow(const obs::Profile& profile, const std::strin
     }
   }
   return nullptr;
+}
+
+// The per-character escaper JsonEscape was before AppendJsonEscaped.
+std::string ReferenceJsonEscape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += StrFormat("\\u%04x", c);
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+TEST(JsonEscapeTest, AppendMatchesTheReferenceOnEveryByteAndSeededStrings) {
+  for (int byte = 0; byte < 256; ++byte) {
+    const std::string one(1, static_cast<char>(byte));
+    std::string appended = "{\"k\": \"";
+    obs::AppendJsonEscaped(appended, one);
+    EXPECT_EQ(appended, "{\"k\": \"" + ReferenceJsonEscape(one)) << byte;
+    EXPECT_EQ(obs::JsonEscape(one), ReferenceJsonEscape(one)) << byte;
+  }
+  // Runs of plain bytes between escapes, at both ends and back to back.
+  Prng rng(2025);
+  const std::string specials = "\"\\\n\t\r\x01\x1f\x7f\x80\xff ";
+  for (int round = 0; round < 2000; ++round) {
+    std::string s(rng.NextBelow(40), '\0');
+    for (char& c : s) {
+      c = rng.NextBool(0.3) ? specials[rng.NextBelow(specials.size())]
+                            : static_cast<char>(rng.NextBelow(256));
+    }
+    std::string appended = "x";
+    obs::AppendJsonEscaped(appended, s);
+    EXPECT_EQ(appended, "x" + ReferenceJsonEscape(s)) << round;
+    EXPECT_EQ(obs::JsonEscape(s), ReferenceJsonEscape(s)) << round;
+  }
 }
 
 TEST(ProfileTest, AggregatesSelfTimeAndCriticalPath) {

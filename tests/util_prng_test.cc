@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 namespace depsurf {
 namespace {
@@ -86,6 +87,29 @@ TEST(HashTest, StringHashStable) {
   EXPECT_EQ(HashString("do_unlinkat"), HashString("do_unlinkat"));
   EXPECT_NE(HashString("do_unlinkat"), HashString("do_unlinkat2"));
   EXPECT_NE(HashString(""), HashString("a"));
+}
+
+// Cache keys and kernelgen decisions are derived from these values, so the
+// bits are pinned, and the streamed form must reproduce them piece by piece.
+TEST(HashTest, StreamedPiecesEqualTheConcatenation) {
+  EXPECT_EQ(HashString("do_unlinkat"), 0x42636b5bdc829713ull);
+  EXPECT_EQ(StringHasher().Add("do_").Add("").Add("unlink").Add("at").Finish(),
+            HashString("do_unlinkat"));
+  EXPECT_EQ(StringHasher().Finish(), HashString(""));
+  Prng rng(7);
+  for (int round = 0; round < 200; ++round) {
+    std::string whole;
+    StringHasher streamed;
+    for (uint64_t piece = rng.NextBelow(6); piece > 0; --piece) {
+      std::string bytes(rng.NextBelow(12), '\0');
+      for (char& c : bytes) {
+        c = static_cast<char>(rng.NextBelow(256));
+      }
+      streamed.Add(bytes);
+      whole += bytes;
+    }
+    EXPECT_EQ(streamed.Finish(), HashString(whole)) << round;
+  }
 }
 
 TEST(HashTest, CombineOrderSensitive) {
