@@ -8,8 +8,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
-#include <deque>
 #include <thread>
 #include <utility>
 
@@ -70,37 +70,37 @@ bool ReadObjectFile(const std::string& path, std::vector<uint8_t>* bytes) {
 
 // Canonical form for the content hash: every container is sorted
 // (std::set/std::map), so equal dependency sets hash equal regardless of
-// the JSON spelling that produced them.
+// the JSON spelling that produced them. The form is streamed into the hash,
+// never built as a string.
 uint64_t DependencySetKey(const DependencySet& deps) {
-  std::string canonical = "p\x01" + deps.program;
+  StringHasher canonical;
+  canonical.Add("p\x01").Add(deps.program);
   for (const std::string& name : deps.funcs) {
-    canonical += "\x02f";
-    canonical += name;
+    canonical.Add("\x02f").Add(name);
   }
   for (const std::string& name : deps.lsm_hooks) {
-    canonical += "\x02l";
-    canonical += name;
+    canonical.Add("\x02l").Add(name);
   }
   for (const std::string& name : deps.tracepoints) {
-    canonical += "\x02t";
-    canonical += name;
+    canonical.Add("\x02t").Add(name);
   }
   for (const std::string& name : deps.syscalls) {
-    canonical += "\x02s";
-    canonical += name;
+    canonical.Add("\x02s").Add(name);
   }
   for (const auto& [struct_name, field_map] : deps.fields) {
-    canonical += "\x02S";
-    canonical += struct_name;
+    canonical.Add("\x02S").Add(struct_name);
     for (const auto& [field_name, dep] : field_map) {
-      canonical += "\x03";
-      canonical += field_name;
-      canonical += "\x01";
-      canonical += dep.expected_type;
-      canonical += dep.guarded ? "\x01g" : "\x01u";
+      canonical.Add("\x03").Add(field_name).Add("\x01").Add(dep.expected_type);
+      canonical.Add(dep.guarded ? "\x01g" : "\x01u");
     }
   }
-  return HashCombine({HashString("serve.deps"), HashString(canonical)});
+  return HashCombine({HashString("serve.deps"), canonical.Finish()});
+}
+
+void AppendDecimal(std::string& out, uint64_t value) {
+  char digits[20];
+  const char* end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  out.append(digits, static_cast<size_t>(end - digits));
 }
 
 struct ParsedRequest {
@@ -171,18 +171,21 @@ Result<ServeEngine> ServeEngine::Open(const std::vector<std::string>& dataset_pa
     }
     engine.datasets_.push_back(DatasetEntry{path, opened.TakeValue()});
   }
-  engine.pool_ = std::make_unique<WorkerPool>(EffectiveWindow(options.jobs));
+  // The calling thread answers misses too, so the pool holds the rest of
+  // the window: none at --jobs=1.
+  engine.pool_ = std::make_unique<WorkerPool>(EffectiveWindow(options.jobs) - 1);
   return engine;
 }
 
 ServeEngine::RequestOutcome ServeEngine::Answer(const DependencySet& deps) const {
   // Each request runs under a fresh isolated context: its spans/metrics
   // stay per-request instead of flooding the server's own collectors, and
-  // worker threads never race on the global registries.
+  // helper threads never race on the global registries.
   obs::Context context;
   obs::ScopedContext scoped(context);
   RequestOutcome outcome;
-  std::string results;
+  std::string& body = outcome.body;
+  body += "\"ok\": true, \"results\": [";
   {
     obs::ScopedSpan span("serve.request");
     span.AddAttr("program", deps.program);
@@ -190,144 +193,147 @@ ServeEngine::RequestOutcome ServeEngine::Answer(const DependencySet& deps) const
     for (size_t d = 0; d < datasets_.size(); ++d) {
       const DatasetEntry& entry = datasets_[d];
       ProgramReport report = AnalyzeProgram(entry.view, deps);
-      if (d != 0) {
-        results += ",";
+      size_t estimate = entry.path.size() + 160;
+      for (const ReportRow& row : report.rows) {
+        estimate += row.name.size() + 48 + 4 * row.cells.size();
       }
-      results += "{\"dataset\": \"" + obs::JsonEscape(entry.path) + "\"";
-      results += StrFormat(", \"format\": \"v2\", \"images\": %zu, \"any_mismatch\": %s",
-                           entry.view.num_images(), report.AnyMismatch() ? "true" : "false");
-      results += ", \"worst_implication\": \"";
-      results += obs::JsonEscape(ImplicationName(report.WorstImplication()));
-      results += "\", \"rows\": [";
+      body.reserve(body.size() + estimate);
+      if (d != 0) {
+        body += ',';
+      }
+      body += "{\"dataset\": \"";
+      obs::AppendJsonEscaped(body, entry.path);
+      body += "\", \"format\": \"v2\", \"images\": ";
+      AppendDecimal(body, entry.view.num_images());
+      body += ", \"any_mismatch\": ";
+      body += report.AnyMismatch() ? "true" : "false";
+      body += ", \"worst_implication\": \"";
+      obs::AppendJsonEscaped(body, ImplicationName(report.WorstImplication()));
+      body += "\", \"rows\": [";
       for (size_t r = 0; r < report.rows.size(); ++r) {
         const ReportRow& row = report.rows[r];
         if (r != 0) {
-          results += ",";
+          body += ',';
         }
-        results += "{\"kind\": \"";
-        results += DepKindName(row.kind);
-        results += "\", \"name\": \"" + obs::JsonEscape(row.name) + "\", \"cells\": [";
+        body += "{\"kind\": \"";
+        body += DepKindName(row.kind);
+        body += "\", \"name\": \"";
+        obs::AppendJsonEscaped(body, row.name);
+        body += "\", \"cells\": [";
         for (size_t c = 0; c < row.cells.size(); ++c) {
           if (c != 0) {
-            results += ",";
+            body += ',';
           }
-          results += "\"" + MismatchCellString(row.cells[c]) + "\"";
+          body += '"';
+          body += MismatchCellString(row.cells[c]);
+          body += '"';
         }
-        results += "]}";
+        body += "]}";
         outcome.rows += 1;
         outcome.mismatch_rows += row.AnyMismatch() ? 1 : 0;
       }
-      results += "]}";
+      body += "]}";
     }
     span.AddAttr("rows", outcome.rows);
     span.AddAttr("rows_mismatching", outcome.mismatch_rows);
   }
-  outcome.body = "\"ok\": true, \"results\": [" + results + "]";
+  body += ']';
   return outcome;
 }
 
 std::vector<std::string> ServeEngine::HandleBatch(const std::vector<std::string>& lines) {
   obs::ScopedSpan batch_span("serve.batch");
   batch_span.AddAttr("requests", static_cast<uint64_t>(lines.size()));
-  const size_t window = EffectiveWindow(options_.jobs);
-  std::vector<std::string> responses(lines.size());
 
-  using OutcomeFuture = std::shared_future<std::shared_ptr<RequestOutcome>>;
-  struct Pending {
-    size_t index = 0;
-    bool error = false;
-    bool hit = false;
-    bool owner = false;  // first dispatch of this key: admits into the cache
+  // Pass 1, in request order: each line is an error, a hit in the result
+  // cache, a duplicate of an earlier miss in this batch, or the first miss
+  // of its key. Deciding this before anything is answered keeps markers and
+  // counters independent of how the misses are scheduled.
+  enum class Class : uint8_t { kError, kCached, kDuplicate, kMiss };
+  struct Classified {
+    Class is = Class::kError;
     std::string id_json;
-    std::string error_text;
-    std::string cached_body;  // set when served from the persistent cache
+    std::string error;
     uint64_t key = 0;
-    OutcomeFuture future;
+    const std::string* cached = nullptr;  // kCached: the body, read in place
+    size_t miss = 0;                      // kDuplicate, kMiss: index into misses
   };
-  std::deque<Pending> in_flight;
-  // Dedup is decided at *dispatch* time (in request order), never at
-  // completion time, so hit/miss markers and counters are identical no
-  // matter how the window schedules the workers.
-  std::unordered_map<uint64_t, OutcomeFuture> batch_futures;
+  std::vector<Classified> classified(lines.size());
+  std::vector<DependencySet> miss_deps;
+  std::unordered_map<uint64_t, size_t> miss_by_key;
+  auto known = [&](uint64_t key) {
+    return cache_.count(key) != 0 || miss_by_key.count(key) != 0;
+  };
+  for (size_t i = 0; i < lines.size(); ++i) {
+    ParsedRequest parsed = ParseRequest(lines[i], known);
+    Classified& line = classified[i];
+    line.id_json = std::move(parsed.id_json);
+    line.key = parsed.key;
+    if (!parsed.error.empty()) {
+      line.error = std::move(parsed.error);
+    } else if (auto cached = cache_.find(parsed.key); cached != cache_.end()) {
+      line.is = Class::kCached;
+      line.cached = &cached->second;
+    } else if (auto [entry, first] = miss_by_key.emplace(parsed.key, miss_deps.size()); !first) {
+      line.is = Class::kDuplicate;
+      line.miss = entry->second;
+    } else {
+      line.is = Class::kMiss;
+      line.miss = miss_deps.size();
+      miss_deps.push_back(std::move(parsed.deps));
+    }
+  }
+
+  // Pass 2: answer each distinct miss once, on this thread and the pool's.
+  std::vector<RequestOutcome> outcomes(miss_deps.size());
+  pool_->ForEachIndex(miss_deps.size(), [&](size_t m) { outcomes[m] = Answer(miss_deps[m]); });
+
+  // Pass 3, in request order: responses, counters and cache admissions.
+  // Admitting cannot move a cached body `cached` points at: unordered_map
+  // keeps its elements in place when it rehashes.
+  std::vector<std::string> responses(lines.size());
   uint64_t batch_hits = 0;
   uint64_t batch_misses = 0;
   uint64_t batch_errors = 0;
   uint64_t batch_rows = 0;
-
-  obs::MetricsRegistry& metrics = obs::Context::Current().metrics();
-  auto consume = [&]() {
-    Pending pending = std::move(in_flight.front());
-    in_flight.pop_front();
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const Classified& line = classified[i];
+    std::string& response = responses[i];
     ++requests_;
-    if (pending.error) {
+    if (line.is == Class::kError) {
       ++errors_;
       ++batch_errors;
-      responses[pending.index] = "{\"id\": " + pending.id_json +
-                                 ", \"ok\": false, \"error\": \"" +
-                                 obs::JsonEscape(pending.error_text) + "\"}";
-      return;
+      response.reserve(line.id_json.size() + line.error.size() + 40);
+      response += "{\"id\": ";
+      response += line.id_json;
+      response += ", \"ok\": false, \"error\": \"";
+      obs::AppendJsonEscaped(response, line.error);
+      response += "\"}";
+      continue;
     }
-    std::string body;
-    if (!pending.cached_body.empty()) {
-      body = std::move(pending.cached_body);
-    } else {
-      std::shared_ptr<RequestOutcome> outcome = pending.future.get();
-      body = outcome->body;
-      batch_rows += outcome->rows;
-    }
-    if (pending.hit) {
+    const bool hit = line.is != Class::kMiss;
+    const std::string& body = line.is == Class::kCached ? *line.cached : outcomes[line.miss].body;
+    if (hit) {
       ++hits_;
       ++batch_hits;
     } else {
       ++misses_;
       ++batch_misses;
-      if (pending.owner && cache_.size() < options_.cache_capacity) {
-        cache_.emplace(pending.key, body);
+      batch_rows += outcomes[line.miss].rows;
+      if (cache_.size() < options_.cache_capacity) {
+        cache_.emplace(line.key, body);
       }
     }
     ++ok_;
-    responses[pending.index] = "{\"id\": " + pending.id_json + ", \"cache\": \"" +
-                               (pending.hit ? "hit" : "miss") + "\", " + body + "}";
-  };
-
-  auto known = [&](uint64_t key) {
-    return cache_.count(key) != 0 || batch_futures.count(key) != 0;
-  };
-  for (size_t i = 0; i < lines.size(); ++i) {
-    ParsedRequest parsed = ParseRequest(lines[i], known);
-    Pending pending;
-    pending.index = i;
-    pending.id_json = std::move(parsed.id_json);
-    pending.key = parsed.key;
-    if (!parsed.error.empty()) {
-      pending.error = true;
-      pending.error_text = std::move(parsed.error);
-    } else if (auto cached = cache_.find(parsed.key); cached != cache_.end()) {
-      pending.hit = true;
-      pending.cached_body = cached->second;
-    } else if (auto shared = batch_futures.find(parsed.key); shared != batch_futures.end()) {
-      // Same content dispatched earlier in this batch: share its result.
-      pending.hit = true;
-      pending.future = shared->second;
-    } else {
-      while (in_flight.size() >= window) {
-        consume();
-      }
-      pending.owner = true;
-      OutcomeFuture future = pool_
-                                 ->Submit([this, deps = std::move(parsed.deps)]() {
-                                   return std::make_shared<RequestOutcome>(Answer(deps));
-                                 })
-                                 .share();
-      pending.future = future;
-      batch_futures.emplace(parsed.key, std::move(future));
-    }
-    in_flight.push_back(std::move(pending));
-  }
-  while (!in_flight.empty()) {
-    consume();
+    response.reserve(line.id_json.size() + body.size() + 32);
+    response += "{\"id\": ";
+    response += line.id_json;
+    response += hit ? ", \"cache\": \"hit\", " : ", \"cache\": \"miss\", ";
+    response += body;
+    response += '}';
   }
 
+  obs::MetricsRegistry& metrics = obs::Context::Current().metrics();
   metrics.Incr("serve.requests", lines.size());
   metrics.Incr("serve.cache_hits", batch_hits);
   metrics.Incr("serve.cache_misses", batch_misses);

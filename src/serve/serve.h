@@ -1,12 +1,16 @@
 // Dataset-as-a-service: a long-lived query engine over N opened datasets.
 //
 // `depsurf serve` is the shape the ROADMAP north star asks for: datasets are
-// opened once through a zero-copy mmap and batched dependency-set queries
-// stream through a bounded window over one persistent worker pool, made
-// when the engine opens. Dispatch and dedup run in request order and
-// answers are consumed in request order, the same pattern the parallel
-// report builds use, so responses are byte-identical at any --jobs value.
-// A content-hash admission/result cache answers repeated queries without
+// opened once through a zero-copy mmap, and each batch of dependency-set
+// queries is answered in three passes. The first reads every line in
+// request order and classifies it as an error, a hit in the result cache,
+// a duplicate of an earlier miss in the batch, or a new miss. The second
+// answers each distinct miss once: the calling thread and up to jobs - 1
+// threads of a persistent pool, made when the engine opens, claim misses
+// from one shared counter. The third assembles the responses and admits
+// answers to the cache, again in request order. Since every decision is
+// taken in request order, responses are byte-identical at any --jobs value.
+// The content-hash result cache answers repeated queries without
 // re-analysis; an object line whose bytes hash to a known key is answered
 // without parsing the object again.
 //
@@ -42,10 +46,11 @@ namespace depsurf {
 inline constexpr char kServeReportSchema[] = "depsurf.serve_report.v1";
 
 struct ServeOptions {
-  // Width of the concurrent request window, and the number of threads in
-  // the engine's worker pool, which persist from Open until the engine is
-  // destroyed. 0 auto-sizes like study builds: min(hardware_concurrency, 8).
-  // Responses and cache counters are byte-identical for any value.
+  // How many threads answer a batch's misses: the calling thread plus
+  // jobs - 1 pool threads, which persist from Open until the engine is
+  // destroyed (none at 1). 0 auto-sizes like study builds:
+  // min(hardware_concurrency, 8). Responses, counters and cache entries are
+  // byte-identical for any value.
   int jobs = 0;
   // Result-cache admission bound: once this many distinct results are
   // cached, later misses are computed but not admitted.
@@ -64,10 +69,13 @@ class ServeEngine {
   ServeEngine& operator=(const ServeEngine&) = delete;
 
   // Answers one batch of request lines. The returned vector is parallel to
-  // `lines`. Misses run on the pool under per-request obs::Contexts;
-  // request reading, object parsing, summary counters and one "serve.batch"
-  // root span stay on the calling thread, in its context. Not re-entrant:
-  // call from one thread at a time.
+  // `lines`. Misses are answered under per-request obs::Contexts, on the
+  // calling thread and the pool's; request reading, object parsing,
+  // summary counters and one "serve.batch" root span stay on the calling
+  // thread, in its context. If answering a miss throws, the exception
+  // reaches the caller once every pool thread has stopped, and the batch
+  // changes no counter and no cache entry. Not re-entrant: call from one
+  // thread at a time.
   std::vector<std::string> HandleBatch(const std::vector<std::string>& lines);
 
   // Deterministic depsurf.serve_report.v1 summary of everything served so
@@ -98,8 +106,9 @@ class ServeEngine {
 
   ServeOptions options_;
   std::vector<DatasetEntry> datasets_;
-  // Declared after datasets_ so the threads join before the views their
-  // tasks read are unmapped; a pointer so the engine stays movable.
+  // jobs - 1 helper threads. Declared after datasets_ so the threads join
+  // before the views their tasks read are unmapped; a pointer so the engine
+  // stays movable.
   std::unique_ptr<WorkerPool> pool_;
   std::unordered_map<uint64_t, std::string> cache_;
   uint64_t requests_ = 0;

@@ -1,11 +1,12 @@
 #include "src/util/worker_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 
 namespace depsurf {
 
 WorkerPool::WorkerPool(size_t threads) {
-  threads = std::max<size_t>(threads, 1);
   threads_.reserve(threads);
   try {
     for (size_t i = 0; i < threads; ++i) {
@@ -30,12 +31,22 @@ void WorkerPool::StopAndJoin() {
   }
 }
 
-void WorkerPool::Enqueue(std::function<void()> task) {
+void WorkerPool::Enqueue(const std::function<void()>& task, size_t copies) {
+  if (threads_.empty()) {
+    for (size_t i = 0; i < copies; ++i) {
+      task();
+    }
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
+    queue_.insert(queue_.end(), copies, task);
   }
-  ready_.notify_one();
+  if (copies == 1) {
+    ready_.notify_one();
+  } else {
+    ready_.notify_all();
+  }
 }
 
 void WorkerPool::Run() {
@@ -51,6 +62,58 @@ void WorkerPool::Run() {
       queue_.pop_front();
     }
     task();
+  }
+}
+
+void WorkerPool::ForEachIndex(size_t count, const std::function<void(size_t)>& body) {
+  const size_t help = count > 1 ? std::min(count - 1, threads_.size()) : 0;
+  if (help == 0) {
+    for (size_t i = 0; i < count; ++i) {
+      body(i);
+    }
+    return;
+  }
+  // Everything the helpers touch lives on this frame, which outlives them:
+  // the caller leaves only once `running` is back to zero.
+  std::atomic<size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex mu;  // guards running, first_error
+  std::condition_variable stopped;
+  size_t running = help;
+  std::exception_ptr first_error;
+  auto claim = [&] {
+    try {
+      while (!failed) {
+        const size_t i = next++;
+        if (i >= count) {
+          break;
+        }
+        body(i);
+      }
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu);
+      if (first_error == nullptr) {
+        first_error = std::current_exception();
+      }
+      failed = true;
+    }
+  };
+  Enqueue(
+      [&] {
+        claim();
+        std::lock_guard<std::mutex> lock(mu);
+        // Notify under the lock: once `running` reads zero the caller may
+        // return and destroy `stopped`.
+        if (--running == 0) {
+          stopped.notify_one();
+        }
+      },
+      help);
+  claim();
+  std::unique_lock<std::mutex> lock(mu);
+  stopped.wait(lock, [&] { return running == 0; });
+  if (first_error != nullptr) {
+    std::rethrow_exception(first_error);
   }
 }
 

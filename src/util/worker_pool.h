@@ -2,10 +2,17 @@
 //
 // `Submit(f)` queues `f` and returns a std::future that carries its result
 // or the exception it threw. Tasks start in submission order; with one
-// thread they also finish in that order. The destructor runs every task
+// thread they also finish in that order. A pool of zero threads runs each
+// task inside Submit, on the calling thread. The destructor runs every task
 // still queued, then joins the threads. There is no resizing, priority or
-// work stealing: callers that want a bounded window (serve batches, study
-// builds) keep it themselves and consume the futures in order.
+// work stealing: callers that want a bounded window (study builds) keep it
+// themselves and consume the futures in order.
+//
+// `ForEachIndex(count, body)` is the other way in, for a batch of
+// independent items (serve's cache misses): the calling thread and the
+// pool's threads claim indices from one shared counter, so each helper is
+// woken once per batch rather than once per item, and the caller works
+// instead of waiting.
 //
 // Reusing the threads is the point. Starting and joining one thread per
 // task costs tens of microseconds, as much as a cached serve answer.
@@ -27,7 +34,7 @@ namespace depsurf {
 
 class WorkerPool {
  public:
-  // Starts `threads` workers (at least one).
+  // Starts `threads` workers; zero is allowed (see Submit).
   explicit WorkerPool(size_t threads);
   ~WorkerPool();
 
@@ -39,12 +46,21 @@ class WorkerPool {
     // std::function needs a copyable target; the shared task is one.
     auto task = std::make_shared<std::packaged_task<std::invoke_result_t<F&>()>>(std::move(f));
     auto future = task->get_future();
-    Enqueue([task] { (*task)(); });
+    Enqueue([task] { (*task)(); }, 1);
     return future;
   }
 
+  // Runs body(i) once for every i in [0, count). The calling thread claims
+  // indices from a shared counter, helped by min(threads(), count - 1) pool
+  // threads; with none (a zero-thread pool, or one index) the indices run
+  // inline, in order. Returns once every helper has stopped; if a body
+  // threw, no further index is claimed and the first exception is rethrown
+  // then. Call it from outside the pool: a task that calls it can wait
+  // forever for helpers queued behind itself.
+  void ForEachIndex(size_t count, const std::function<void(size_t)>& body);
+
  private:
-  void Enqueue(std::function<void()> task);
+  void Enqueue(const std::function<void()>& task, size_t copies);
   void Run();
   void StopAndJoin();
 

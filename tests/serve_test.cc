@@ -10,12 +10,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "src/kernelgen/configurator.h"
 #include "src/kernelgen/corpus.h"
 #include "src/kernelgen/image_builder.h"
+#include "src/obs/context.h"
 #include "src/obs/json_lint.h"
 #include "src/obs/run_report.h"
 #include "src/util/prng.h"
@@ -174,6 +177,143 @@ TEST(ServeTest, ResponsesAreByteIdenticalAcrossJobs) {
   }
   EXPECT_EQ(all_responses[0], all_responses[1]);
   EXPECT_EQ(all_reports[0], all_reports[1]);
+}
+
+void RenderSpanTree(const obs::SpanNode& span, std::string& out) {
+  out += span.name + "{";
+  for (const auto& [key, value] : span.attrs) {
+    out += key + "=" + value + ";";
+  }
+  for (const obs::SpanNode& child : span.children) {
+    RenderSpanTree(child, out);
+  }
+  out += "}";
+}
+
+// Everything a batch decides is decided in request order, so which thread
+// answered which miss cannot show. The batch has more distinct misses than
+// any window, inline and object duplicates, lines the cache already holds,
+// error lines, and fewer cache slots than distinct misses.
+TEST(ServeTest, DispatchIsIndependentOfJobs) {
+  const std::string second_object = Fixture().dir + "/dispatch_second.o";
+  {
+    auto bytes = WriteBpfObject(BuildGuardedProbe());
+    ASSERT_TRUE(bytes.ok());
+    std::ofstream file(second_object, std::ios::binary);
+    file.write(reinterpret_cast<const char*>(bytes->data()),
+               static_cast<std::streamsize>(bytes->size()));
+  }
+  auto object_line = [](const std::string& id, const std::string& path) {
+    return "{\"id\": \"" + id + "\", \"object\": \"" + path + "\"}";
+  };
+  auto inline_line = [](const std::string& id, int k, bool reversed) {
+    const std::string name = "\"dispatch_fn_" + std::to_string(k) + "\"";
+    const std::string funcs = reversed ? "\"vfs_read\", " + name : name + ", \"vfs_read\"";
+    return "{\"id\": \"" + id + "\", \"program\": \"p\", \"funcs\": [" + funcs +
+           "], \"syscalls\": [\"openat\"]}";
+  };
+  const std::vector<std::string> warm = {object_line("w0", Fixture().object_path),
+                                         inline_line("w1", 100, false)};
+  std::vector<std::string> batch;
+  for (int k = 0; k < 12; ++k) {
+    batch.push_back(inline_line("m" + std::to_string(k), k, false));
+    if (k == 2) {
+      batch.push_back(object_line("cached-object", Fixture().object_path));
+      batch.push_back(object_line("new-object", second_object));
+      batch.push_back("{\"id\": \"bad-json\", not json");
+    }
+    if (k == 5) {
+      batch.push_back(inline_line("dup-3-respelled", 3, true));
+      batch.push_back(object_line("dup-object", second_object));
+      batch.push_back(inline_line("cached-inline", 100, true));
+    }
+    if (k == 9) {
+      batch.push_back(inline_line("dup-0", 0, false));
+      batch.push_back(object_line("missing", Fixture().dir + "/missing.o"));
+      batch.push_back("[1, 2]");
+      batch.push_back(object_line("cached-object-again", Fixture().object_path));
+    }
+  }
+
+  struct Run {
+    std::vector<std::string> responses;
+    std::vector<std::string> replay;
+    std::vector<uint64_t> counters;
+    std::string report;
+    std::vector<std::pair<std::string, uint64_t>> metrics;
+    std::string spans;
+  };
+  std::vector<Run> runs;
+  for (int jobs : {1, 2, 3, 8}) {
+    ServeOptions options;
+    options.jobs = jobs;
+    options.cache_capacity = 6;  // 2 from the warm batch, then 4 of 13 misses
+    auto engine = ServeEngine::Open({Fixture().v2_path}, options);
+    ASSERT_TRUE(engine.ok()) << engine.error().ToString();
+    engine->HandleBatch(warm);
+    Run run;
+    obs::Context context;
+    {
+      obs::ScopedContext scoped(context);
+      run.responses = engine->HandleBatch(batch);
+    }
+    run.counters = {engine->requests(),     engine->ok_responses(), engine->error_responses(),
+                    engine->cache_hits(),   engine->cache_misses(),
+                    engine->cache_entries()};
+    run.metrics = context.metrics().CounterSnapshot();
+    for (const obs::SpanNode& root : context.spans().Snapshot()) {
+      RenderSpanTree(root, run.spans);
+    }
+    run.replay = engine->HandleBatch(batch);
+    run.report = engine->ReportJson();
+    run.report.erase(run.report.find("\"jobs\": "), std::string_view("\"jobs\": 1").size());
+    runs.push_back(std::move(run));
+  }
+
+  // The counts the rules give: 13 distinct misses (12 inline sets and one
+  // object), 4 hits on what the warm batch cached, 2 in-batch duplicates,
+  // 3 errors; 4 of the misses fill the cache.
+  const Run& first = runs[0];
+  ASSERT_EQ(first.responses.size(), batch.size());
+  EXPECT_EQ(first.counters,
+            (std::vector<uint64_t>{2 + batch.size(), 2 + 19, 3, 4 + 2, 2 + 13, 6}));
+  auto marker = [](const std::string& response) {
+    return response.find("\"cache\": \"hit\"") != std::string::npos    ? "hit"
+           : response.find("\"cache\": \"miss\"") != std::string::npos ? "miss"
+                                                                         : "error";
+  };
+  std::string markers;
+  std::string replay_markers;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    markers += std::string(marker(first.responses[i])) + " ";
+    replay_markers += std::string(marker(first.replay[i])) + " ";
+  }
+  EXPECT_EQ(markers,
+            "miss miss miss hit miss error miss miss miss hit hit hit miss miss miss miss "
+            "hit error error hit miss miss ");
+  // The four misses admitted first, in request order, hit on replay.
+  EXPECT_EQ(replay_markers,
+            "hit hit hit hit hit error miss miss miss hit hit hit miss miss miss miss "
+            "hit error error hit miss miss ");
+  EXPECT_NE(first.spans.find("serve.batch{requests=22;cache_hits=6;cache_misses=13;errors=3;"),
+            std::string::npos)
+      << first.spans;
+  // Rows of the 13 misses only, 3 for each: a repeat of a miss is a hit.
+  // This once read 42 at --jobs=1 to 3 and 45 at --jobs=8, since a repeat
+  // counted its rows whenever its first occurrence was not yet cached.
+  const auto rows = std::find_if(first.metrics.begin(), first.metrics.end(),
+                                 [](const auto& m) { return m.first == "serve.rows_checked"; });
+  ASSERT_NE(rows, first.metrics.end());
+  EXPECT_EQ(rows->second, 13u * 3);
+
+  for (size_t r = 1; r < runs.size(); ++r) {
+    EXPECT_EQ(runs[r].responses, first.responses) << "run " << r;
+    EXPECT_EQ(runs[r].replay, first.replay) << "run " << r;
+    EXPECT_EQ(runs[r].counters, first.counters) << "run " << r;
+    EXPECT_EQ(runs[r].report, first.report) << "run " << r;
+    EXPECT_EQ(runs[r].metrics, first.metrics) << "run " << r;
+    EXPECT_EQ(runs[r].spans, first.spans) << "run " << r;
+  }
 }
 
 TEST(ServeTest, ReportJsonIsValidAndAccountsForEverything) {

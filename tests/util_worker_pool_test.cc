@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace depsurf {
@@ -85,6 +86,81 @@ TEST(WorkerPoolTest, WidthOneRunsInSubmissionOrder) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(order[static_cast<size_t>(i)], i);
   }
+}
+
+TEST(WorkerPoolTest, ForEachIndexRunsEveryIndexExactlyOnce) {
+  for (size_t threads : {size_t{1}, size_t{3}, size_t{8}}) {
+    WorkerPool pool(threads);
+    for (size_t count : {size_t{0}, size_t{1}, size_t{2}, size_t{37}, size_t{5000}}) {
+      std::vector<std::atomic<int>> runs(count);
+      pool.ForEachIndex(count, [&runs](size_t i) { runs[i].fetch_add(1); });
+      for (size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(runs[i].load(), 1) << "index " << i << " of " << count << ", " << threads
+                                     << " threads";
+      }
+    }
+  }
+  // Back-to-back batches reuse the same helpers.
+  WorkerPool pool(3);
+  std::atomic<size_t> total{0};
+  for (int batch = 0; batch < 300; ++batch) {
+    pool.ForEachIndex(11, [&total](size_t) { total.fetch_add(1); });
+  }
+  EXPECT_EQ(total.load(), 3300u);
+}
+
+// Width 1 (the caller alone) is a pool without threads, or a single index.
+TEST(WorkerPoolTest, ForEachIndexAtWidthOneRunsInlineInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  WorkerPool empty(0);
+  WorkerPool wide(4);
+  for (auto [pool, count] : {std::pair<WorkerPool*, size_t>{&empty, 200}, {&wide, 1}}) {
+    std::vector<size_t> order;
+    bool elsewhere = false;
+    pool->ForEachIndex(count, [&](size_t i) {
+      order.push_back(i);
+      elsewhere = elsewhere || std::this_thread::get_id() != caller;
+    });
+    ASSERT_EQ(order.size(), count);
+    for (size_t i = 0; i < order.size(); ++i) {
+      EXPECT_EQ(order[i], i);
+    }
+    EXPECT_FALSE(elsewhere);
+  }
+  // A pool without threads runs a submitted task before Submit returns.
+  std::future<int> ran = empty.Submit([] { return 7; });
+  EXPECT_EQ(ran.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_EQ(ran.get(), 7);
+}
+
+TEST(WorkerPoolTest, ForEachIndexRethrowsOnlyAfterEveryHelperStopped) {
+  WorkerPool pool(3);
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> active{0};
+    std::atomic<int> ran{0};
+    int active_at_catch = -1;
+    try {
+      pool.ForEachIndex(400, [&](size_t i) {
+        active.fetch_add(1);
+        ran.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        active.fetch_sub(1);
+        if (i == 9) {
+          throw std::runtime_error("index 9 failed");
+        }
+      });
+      ADD_FAILURE() << "the body's exception did not reach the caller";
+    } catch (const std::runtime_error& error) {
+      active_at_catch = active.load();
+      EXPECT_STREQ(error.what(), "index 9 failed");
+    }
+    EXPECT_EQ(active_at_catch, 0) << "a helper was still inside the body, round " << round;
+    EXPECT_LT(ran.load(), 400) << "claiming went on after the failure, round " << round;
+  }
+  // The helpers survive a failed batch.
+  std::atomic<int> after{0};
+  pool.ForEachIndex(50, [&after](size_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 50);
 }
 
 }  // namespace
