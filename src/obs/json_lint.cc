@@ -573,6 +573,14 @@ Status Invalid(std::string message) {
   return Status(ErrorCode::kMalformedData, std::move(message));
 }
 
+uint64_t CountValue(const JsonValue* value) {
+  if (value == nullptr || value->kind != JsonValue::Kind::kNumber || !(value->number > 0)) {
+    return 0;
+  }
+  return value->number < 18446744073709551616.0 ? static_cast<uint64_t>(value->number)
+                                                 : UINT64_MAX;
+}
+
 Status CheckValue(const JsonValue* value, std::string_view path, const JsonWant& want) {
   if (!Holds(value, want)) {
     return Invalid((path.empty() ? std::string("document") : std::string(path)) + ": want " +

@@ -118,6 +118,13 @@ Result<JsonValue> ParseSchemaDoc(std::string_view json, std::string_view marker,
 // The failure of an invariant between members.
 Status Invalid(std::string message);
 
+// Reads a number a document gives as a count, saturating where a cast
+// would be undefined: 0 for a missing, non-number, non-positive or NaN
+// value, UINT64_MAX at or past 2^64, else the value truncated toward zero.
+// Readers that tolerate a bad member use this; readers that refuse one
+// check it against want::kCount first.
+uint64_t CountValue(const JsonValue* value);
+
 // Validates a depsurf.run_report.v1 document:
 //   - parses as JSON, has the schema marker and the five sections: the
 //     spans array, the counters/gauges/histograms objects, and a

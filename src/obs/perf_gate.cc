@@ -72,9 +72,7 @@ Result<std::vector<StageTiming>> LoadStageTimings(const JsonValue& doc) {
           seconds == nullptr || seconds->kind != JsonValue::Kind::kNumber) {
         return Error(ErrorCode::kMalformedData, "stage missing name or seconds");
       }
-      out.push_back(StageTiming{
-          name->string, seconds->number,
-          items != nullptr ? static_cast<uint64_t>(items->number) : uint64_t{0}});
+      out.push_back(StageTiming{name->string, seconds->number, CountValue(items)});
     }
     return out;
   }

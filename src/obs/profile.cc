@@ -71,15 +71,16 @@ void FoldNode(const SpanNode& span, std::string& stack,
   stack.resize(prefix);
 }
 
+// Documents are outside input: every number becomes an integer through the
+// saturating CountValue, never a bare cast.
 uint64_t MemberU64(const JsonValue& object, const char* key) {
-  const JsonValue* value = object.Find(key);
-  if (value == nullptr || value->kind != JsonValue::Kind::kNumber || !(value->number > 0)) {
-    return 0;
-  }
-  // Documents are outside input, and casting a double at or past 2^64 to
-  // uint64_t is undefined: saturate instead.
-  return value->number < 18446744073709551616.0 ? static_cast<uint64_t>(value->number)
-                                                 : UINT64_MAX;
+  return CountValue(object.Find(key));
+}
+
+// Executor gauges are int64_t: the same count, capped where the cast would
+// wrap.
+int64_t GaugeValue(const JsonValue* value) {
+  return static_cast<int64_t>(std::min<uint64_t>(CountValue(value), INT64_MAX));
 }
 
 // Rebuilds a SpanNode subtree from a parsed run-report span object.
@@ -152,12 +153,12 @@ void FillExecutorFromDoc(Profile& profile, const JsonValue& doc) {
   if (gauges != nullptr && gauges->kind == JsonValue::Kind::kObject) {
     for (const auto& [name, value] : gauges->object) {
       if (name == "study.build_dataset.window") {
-        executor.window = static_cast<int64_t>(value.number);
+        executor.window = GaugeValue(&value);
         executor.present = true;
       } else if (name == "study.build_dataset.wall_ms") {
-        executor.wall_ms = static_cast<int64_t>(value.number);
+        executor.wall_ms = GaugeValue(&value);
       } else if (int64_t lane = WorkerLane(name); lane >= 0) {
-        executor.worker_busy_ms.emplace_back(lane, static_cast<int64_t>(value.number));
+        executor.worker_busy_ms.emplace_back(lane, GaugeValue(&value));
         executor.present = true;
       }
     }
@@ -166,7 +167,7 @@ void FillExecutorFromDoc(Profile& profile, const JsonValue& doc) {
   if (counters != nullptr) {
     const JsonValue* stall = counters->Find("study.executor.serialize_stall_us");
     if (stall != nullptr) {
-      executor.serialize_stall_us = static_cast<uint64_t>(stall->number);
+      executor.serialize_stall_us = CountValue(stall);
       executor.present = true;
     }
   }
@@ -174,8 +175,7 @@ void FillExecutorFromDoc(Profile& profile, const JsonValue& doc) {
   if (histograms != nullptr) {
     const JsonValue* queue_wait = histograms->Find("study.executor.queue_wait_us");
     if (queue_wait != nullptr) {
-      const JsonValue* count = queue_wait->Find("count");
-      executor.queue_waits = count != nullptr ? static_cast<uint64_t>(count->number) : 0;
+      executor.queue_waits = CountValue(queue_wait->Find("count"));
       executor.present = true;
     }
   }
@@ -345,13 +345,13 @@ Result<Profile> ParseProfileDoc(std::string_view json) {
   }
   const JsonValue& executor = *doc.Find("executor");
   ExecutorStats& stats = profile.executor;
-  stats.window = static_cast<int64_t>(MemberU64(executor, "window"));
-  stats.wall_ms = static_cast<int64_t>(MemberU64(executor, "wall_ms"));
+  stats.window = GaugeValue(executor.Find("window"));
+  stats.wall_ms = GaugeValue(executor.Find("wall_ms"));
   stats.serialize_stall_us = MemberU64(executor, "serialize_stall_us");
   stats.queue_waits = MemberU64(executor, "queue_waits");
   for (const JsonValue& worker : executor.Find("workers")->array) {
-    stats.worker_busy_ms.emplace_back(static_cast<int64_t>(MemberU64(worker, "lane")),
-                                      static_cast<int64_t>(MemberU64(worker, "busy_ms")));
+    stats.worker_busy_ms.emplace_back(GaugeValue(worker.Find("lane")),
+                                      GaugeValue(worker.Find("busy_ms")));
   }
   stats.present = stats.window != 0 || !stats.worker_busy_ms.empty() ||
                   stats.serialize_stall_us != 0 || stats.queue_waits != 0;

@@ -1,6 +1,7 @@
 #include "src/obs/report_merge.h"
 
 #include <algorithm>
+#include <climits>
 #include <map>
 
 #include "src/obs/json_lint.h"
@@ -12,9 +13,90 @@ namespace obs {
 
 namespace {
 
-std::string U64(double v) { return StrFormat("%llu", (unsigned long long)(v + 0.5)); }
+// `v` is a count or a sum of counts (CheckFoldedCounts ran on every input);
+// a sum past 2^64 saturates rather than wrapping.
+std::string U64(double v) {
+  v += 0.5;
+  return StrFormat("%llu", v < 18446744073709551616.0 ? (unsigned long long)v : ULLONG_MAX);
+}
+// Gauges and diagnostic offsets may be negative and are not checked: clamp
+// where a cast would be undefined.
 std::string I64(double v) {
-  return StrFormat("%lld", (long long)(v < 0 ? v - 0.5 : v + 0.5));
+  v = v < 0 ? v - 0.5 : v + 0.5;
+  return StrFormat("%lld", v <= -9223372036854775808.0 ? LLONG_MIN
+                           : v >= 9223372036854775808.0 ? LLONG_MAX
+                                                        : (long long)v);
+}
+
+Status CheckOptionalCount(const JsonValue* value, const std::string& path) {
+  return value == nullptr ? Status::Ok() : CheckValue(value, path, want::kCount);
+}
+
+Status CheckSpanCounts(const JsonValue& span, const std::string& path) {
+  for (const char* key : {"dur_ns", "cpu_ns", "alloc_count", "alloc_bytes"}) {
+    DEPSURF_RETURN_IF_ERROR(CheckOptionalCount(span.Find(key), path + "." + key));
+  }
+  const JsonValue* children = span.Find("children");
+  if (children != nullptr && children->kind == JsonValue::Kind::kArray) {
+    for (size_t i = 0; i < children->array.size(); ++i) {
+      DEPSURF_RETURN_IF_ERROR(
+          CheckSpanCounts(children->array[i], path + StrFormat(".children[%zu]", i)));
+    }
+  }
+  return Status::Ok();
+}
+
+// Every member the merge writes back as an unsigned integer must be a count
+// where the document gives it (an aggregate's "reports" always), so a
+// failure reads as `metrics lint` would put it: "reports: want count, got
+// number -3".
+Status CheckFoldedCounts(const JsonValue& doc, bool is_agg) {
+  using Kind = JsonValue::Kind;
+  if (is_agg) {
+    DEPSURF_RETURN_IF_ERROR(CheckValue(doc.Find("reports"), "reports", want::kCount));
+    const JsonValue* sources = doc.Find("sources");
+    if (sources != nullptr && sources->kind == Kind::kArray) {
+      for (size_t i = 0; i < sources->array.size(); ++i) {
+        for (const char* key : {"spans", "counters", "diags"}) {
+          DEPSURF_RETURN_IF_ERROR(CheckOptionalCount(sources->array[i].Find(key),
+                                                     StrFormat("sources[%zu].%s", i, key)));
+        }
+      }
+    }
+  }
+  const JsonValue* spans = doc.Find("spans");
+  if (spans != nullptr && spans->kind == Kind::kArray) {
+    for (size_t i = 0; i < spans->array.size(); ++i) {
+      DEPSURF_RETURN_IF_ERROR(CheckSpanCounts(spans->array[i], StrFormat("spans[%zu]", i)));
+    }
+  }
+  const JsonValue* counters = doc.Find("counters");
+  if (counters != nullptr) {
+    for (const auto& [name, value] : counters->object) {
+      DEPSURF_RETURN_IF_ERROR(CheckValue(&value, "counters." + name, want::kCount));
+    }
+  }
+  const JsonValue* histograms = doc.Find("histograms");
+  if (histograms != nullptr) {
+    for (const auto& [name, histogram] : histograms->object) {
+      const std::string path = "histograms." + name;
+      DEPSURF_RETURN_IF_ERROR(CheckOptionalCount(histogram.Find("count"), path + ".count"));
+      DEPSURF_RETURN_IF_ERROR(CheckOptionalCount(histogram.Find("sum"), path + ".sum"));
+      const JsonValue* buckets = histogram.Find("buckets");
+      if (buckets == nullptr || buckets->kind != Kind::kArray) {
+        continue;
+      }
+      for (size_t b = 0; b < buckets->array.size(); ++b) {
+        const JsonValue& bucket = buckets->array[b];
+        for (size_t k = 0; bucket.array.size() == 2 && k < 2; ++k) {
+          DEPSURF_RETURN_IF_ERROR(CheckValue(&bucket.array[k],
+                                             path + StrFormat(".buckets[%zu][%zu]", b, k),
+                                             want::kCount));
+        }
+      }
+    }
+  }
+  return Status::Ok();
 }
 
 struct HistogramAcc {
@@ -87,7 +169,7 @@ Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports) {
   if (reports.empty()) {
     return Error(ErrorCode::kInvalidArgument, "nothing to merge");
   }
-  uint64_t total_reports = 0;
+  double total_reports = 0;               // summed like counters
   std::vector<std::string> sources;       // pre-serialized provenance entries
   std::vector<std::string> diagnostics;   // pre-serialized labeled entries
   std::vector<JsonValue> spans;           // all root spans across inputs
@@ -109,14 +191,17 @@ Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports) {
                    report.label + ": not a run report or aggregate");
     }
 
+    if (Status counts = CheckFoldedCounts(doc, is_agg); !counts.ok()) {
+      return Error(counts.error().code(), report.label + ": " + counts.error().message());
+    }
+
     const JsonValue* doc_diags = doc.Find("diagnostics");
     size_t doc_diag_count =
         doc_diags != nullptr && doc_diags->kind == JsonValue::Kind::kArray
             ? doc_diags->array.size()
             : 0;
     if (is_agg) {
-      const JsonValue* nested = doc.Find("reports");
-      total_reports += nested != nullptr ? static_cast<uint64_t>(nested->number) : 0;
+      total_reports += doc.Find("reports")->number;
       const JsonValue* nested_sources = doc.Find("sources");
       if (nested_sources != nullptr && nested_sources->kind == JsonValue::Kind::kArray) {
         for (const JsonValue& source : nested_sources->array) {
@@ -185,8 +270,7 @@ Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports) {
         if (buckets != nullptr && buckets->kind == JsonValue::Kind::kArray) {
           for (const JsonValue& bucket : buckets->array) {
             if (bucket.array.size() == 2) {
-              acc.buckets[static_cast<uint64_t>(bucket.array[0].number)] +=
-                  bucket.array[1].number;
+              acc.buckets[CountValue(&bucket.array[0])] += bucket.array[1].number;
             }
           }
         }
@@ -205,7 +289,7 @@ Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports) {
   std::string out = "{\n\"schema\": \"";
   out += kRunReportAggSchema;
   out += "\",\n";
-  out += StrFormat("\"reports\": %llu,\n", (unsigned long long)total_reports);
+  out += "\"reports\": " + U64(total_reports) + ",\n";
   out += "\"sources\": [";
   for (size_t i = 0; i < sources.size(); ++i) {
     if (i != 0) {

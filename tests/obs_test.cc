@@ -881,6 +881,37 @@ TEST(ProfileTest, RoundTripsThroughRunReportWithExecutorStats) {
   }
 }
 
+// A report's executor gauges and counters are read with the saturating
+// CountValue, the rule a saved profile's members already follow.
+TEST(ProfileTest, ExecutorMembersOfAReportSaturate) {
+  obs::SpanCollector collector;
+  obs::MetricsRegistry registry;
+  for (const obs::SpanNode& root : ProfileFixtureForest()) {
+    collector.AddRoot(root);
+  }
+  registry.Set("study.build_dataset.window", -4);
+  registry.Set("study.executor.worker0.busy_ms", -1);
+  registry.Incr("study.executor.serialize_stall_us", 5000);
+  registry.Set("study.build_dataset.wall_ms", 120);
+  std::string report = RunReportJson(collector, registry);
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {"\"study.executor.serialize_stall_us\": 5000",
+            "\"study.executor.serialize_stall_us\": 1e30"},
+           {"\"study.build_dataset.wall_ms\": 120", "\"study.build_dataset.wall_ms\": 1e300"}}) {
+    const size_t at = report.find(from);
+    ASSERT_NE(at, std::string::npos) << from << "\n" << report;
+    report.replace(at, from.size(), to);
+  }
+  auto parsed = obs::ProfileFromReportJson(report);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().ToString();
+  ASSERT_TRUE(parsed->executor.present);
+  EXPECT_EQ(parsed->executor.window, 0);
+  EXPECT_EQ(parsed->executor.wall_ms, INT64_MAX);
+  EXPECT_EQ(parsed->executor.serialize_stall_us, UINT64_MAX);
+  ASSERT_EQ(parsed->executor.worker_busy_ms.size(), 1u);
+  EXPECT_EQ(parsed->executor.worker_busy_ms[0].second, 0);
+}
+
 TEST(ProfileTest, ParseProfileDocInvertsProfileJson) {
   obs::Profile profile = obs::BuildProfile(ProfileFixtureForest());
   obs::MetricsRegistry registry;

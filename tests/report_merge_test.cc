@@ -4,6 +4,11 @@
 // stage classification with the noise floor.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "src/obs/json_lint.h"
 #include "src/obs/metrics.h"
 #include "src/obs/perf_gate.h"
@@ -139,6 +144,53 @@ TEST(ReportMergeTest, RejectsGarbage) {
   EXPECT_FALSE(obs::MergeRunReports({{"x", "{\"schema\": \"other.v1\"}"}}).ok());
 }
 
+// Merge refuses a count it would otherwise cast to an integer unchecked
+// (-3 used to come out as 18446744073709551613), naming the member as
+// `metrics lint` does.
+TEST(ReportMergeTest, RefusesANegativeReportCount) {
+  auto agg = obs::MergeRunReports({{"a", MakeReport("r", 1, 5)}});
+  ASSERT_TRUE(agg.ok()) << agg.error().ToString();
+  std::string tampered = *agg;
+  const size_t at = tampered.find("\"reports\": 1,");
+  ASSERT_NE(at, std::string::npos);
+  tampered.replace(at, 13, "\"reports\": -3,");
+  Status lint = obs::ValidateAggReport(tampered);
+  ASSERT_FALSE(lint.ok());
+  EXPECT_EQ(lint.error().message(), "reports: want count, got number -3");
+  auto merged = obs::MergeRunReports({{"agg.json", tampered}});
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.error().message(), "agg.json: reports: want count, got number -3");
+}
+
+TEST(ReportMergeTest, RefusesANegativeSourceCount) {
+  auto agg = obs::MergeRunReports({{"a", MakeReport("r", 1, 5)}});
+  ASSERT_TRUE(agg.ok()) << agg.error().ToString();
+  std::string tampered = *agg;
+  const std::string source = "{\"label\": \"a\", \"spans\": 1,";
+  const size_t at = tampered.find(source);
+  ASSERT_NE(at, std::string::npos) << tampered;
+  tampered.replace(at, source.size(), "{\"label\": \"a\", \"spans\": -2,");
+  auto merged = obs::MergeRunReports({{"agg.json", tampered}, {"b", MakeReport("r", 1, 5)}});
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.error().message(), "agg.json: sources[0].spans: want count, got number -2");
+
+  // Counters, span timings and histogram buckets are held to the same rule.
+  for (const auto& [from, to, message] :
+       std::vector<std::tuple<std::string, std::string, std::string>>{
+           {"\"m.count\": 1", "\"m.count\": -1", "counters.m.count: want count, got number -1"},
+           {"\"dur_ns\": 4242", "\"dur_ns\": -5", "spans[0].dur_ns: want count, got number -5"},
+           {"\"buckets\": [[4, 1]]", "\"buckets\": [[-4, 1]]",
+            "histograms.m.hist.buckets[0][0]: want count, got number -4"}}) {
+    std::string report = MakeReport("r", 1, 5);
+    const size_t pos = report.find(from);
+    ASSERT_NE(pos, std::string::npos) << from << "\n" << report;
+    report.replace(pos, from.size(), to);
+    auto refused = obs::MergeRunReports({{"x", report}});
+    ASSERT_FALSE(refused.ok()) << to;
+    EXPECT_EQ(refused.error().message(), "x: " + message);
+  }
+}
+
 TEST(PerfGateTest, ClassifiesStagesAgainstThresholdAndFloor) {
   std::vector<obs::StageTiming> base = {{"extract", 1.0, 5},
                                         {"distill", 0.50, 5},
@@ -203,6 +255,25 @@ TEST(PerfGateTest, LoadsTimingsFromRunReports) {
   EXPECT_DOUBLE_EQ((*timings)[0].seconds, 0.004);
 
   EXPECT_FALSE(obs::LoadStageTimings(*obs::ParseJson("{\"x\": 1}")).ok());
+}
+
+// Stage item counts go through the saturating CountValue: a negative or
+// enormous count is not a cast with undefined behaviour.
+TEST(PerfGateTest, StageItemsSaturateInsteadOfWrapping) {
+  auto parsed = obs::ParseJson(
+      "{\"schema\": \"depsurf.bench_report.v1\", \"stages\": ["
+      "{\"name\": \"a\", \"seconds\": 1, \"items\": -5},"
+      "{\"name\": \"b\", \"seconds\": 1, \"items\": 1e30},"
+      "{\"name\": \"c\", \"seconds\": 1, \"items\": 7.9},"
+      "{\"name\": \"d\", \"seconds\": 1}]}");
+  ASSERT_TRUE(parsed.ok());
+  auto timings = obs::LoadStageTimings(*parsed);
+  ASSERT_TRUE(timings.ok()) << timings.error().ToString();
+  ASSERT_EQ(timings->size(), 4u);
+  EXPECT_EQ((*timings)[0].items, 0u);
+  EXPECT_EQ((*timings)[1].items, UINT64_MAX);
+  EXPECT_EQ((*timings)[2].items, 7u);
+  EXPECT_EQ((*timings)[3].items, 0u);
 }
 
 }  // namespace
