@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <thread>
 #include <utility>
@@ -95,12 +94,6 @@ uint64_t DependencySetKey(const DependencySet& deps) {
     }
   }
   return HashCombine({HashString("serve.deps"), canonical.Finish()});
-}
-
-void AppendDecimal(std::string& out, uint64_t value) {
-  char digits[20];
-  const char* end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
-  out.append(digits, static_cast<size_t>(end - digits));
 }
 
 struct ParsedRequest {
@@ -204,7 +197,7 @@ ServeEngine::RequestOutcome ServeEngine::Answer(const DependencySet& deps) const
       body += "{\"dataset\": \"";
       obs::AppendJsonEscaped(body, entry.path);
       body += "\", \"format\": \"v2\", \"images\": ";
-      AppendDecimal(body, entry.view.num_images());
+      body += std::to_string(entry.view.num_images());
       body += ", \"any_mismatch\": ";
       body += report.AnyMismatch() ? "true" : "false";
       body += ", \"worst_implication\": \"";
