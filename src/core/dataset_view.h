@@ -68,8 +68,6 @@ class MismatchSet {
     uint8_t rest_ = 0;  // the kinds not yet visited
   };
   using iterator = const_iterator;
-  using value_type = MismatchKind;
-  using size_type = size_t;
 
   void insert(MismatchKind kind) { bits_ |= Bit(kind); }
   // Returns how many kinds it removed (0 or 1), like std::set::erase.
