@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
       stage.add_items();
       size_t total = surface->functions().size();
       size_t attachable = 0, full = 0, selective = 0;
-      for (const auto& [name, entry] : surface->functions()) {
-        (void)name;
+      for (const FunctionEntry& entry : surface->functions()) {
         attachable += entry.status.has_exact_symbol ? 1 : 0;
         full += entry.status.fully_inlined ? 1 : 0;
         selective += entry.status.selectively_inlined ? 1 : 0;

@@ -19,8 +19,7 @@ void MeasureRow(TextTable& table, const std::string& label,
   size_t total = surface.functions().size();
   size_t full = 0;
   size_t selective = 0;
-  for (const auto& [name, entry] : surface.functions()) {
-    (void)name;
+  for (const FunctionEntry& entry : surface.functions()) {
     if (entry.status.fully_inlined) {
       ++full;
     } else if (entry.status.selectively_inlined) {

@@ -20,8 +20,7 @@ void MeasureRow(TextTable& table, const std::string& label, int gcc,
   size_t constprop = 0;
   size_t part = 0;
   size_t cold = 0;
-  for (const auto& [name, entry] : surface.functions()) {
-    (void)name;
+  for (const FunctionEntry& entry : surface.functions()) {
     if (entry.symbols.empty()) {
       continue;
     }

@@ -17,8 +17,7 @@ namespace {
 
 size_t AttachableFuncs(const DependencySurface& surface) {
   size_t n = 0;
-  for (const auto& [name, entry] : surface.functions()) {
-    (void)name;
+  for (const FunctionEntry& entry : surface.functions()) {
     n += entry.status.has_exact_symbol ? 1 : 0;
   }
   return n;
@@ -107,8 +106,7 @@ int main(int argc, char** argv) {
   // ---- Compilation effects at v5.4.
   size_t total = baseline->functions().size();
   size_t full = 0, selective = 0, transformed = 0, duplicated = 0, collided = 0;
-  for (const auto& [name, entry] : baseline->functions()) {
-    (void)name;
+  for (const FunctionEntry& entry : baseline->functions()) {
     full += entry.status.fully_inlined ? 1 : 0;
     selective += entry.status.selectively_inlined ? 1 : 0;
     transformed += entry.status.transformed ? 1 : 0;

@@ -28,8 +28,7 @@ struct Row {
 
 size_t AttachableFuncs(const DependencySurface& surface) {
   size_t n = 0;
-  for (const auto& [name, entry] : surface.functions()) {
-    (void)name;
+  for (const FunctionEntry& entry : surface.functions()) {
     if (entry.status.has_exact_symbol) {
       ++n;
     }
@@ -125,9 +124,8 @@ int main(int argc, char** argv) {
     }
     special_stage.add_items();
     size_t lsm = 0;
-    for (const auto& [name, entry] : surface->functions()) {
-      (void)entry;
-      lsm += DependencySurface::IsLsmHook(name) ? 1 : 0;
+    for (const FunctionEntry& entry : surface->functions()) {
+      lsm += DependencySurface::IsLsmHook(entry.name) ? 1 : 0;
     }
     special.AddRow({version.Tag(), std::to_string(lsm),
                     std::to_string(surface->kfuncs().size())});

@@ -15,8 +15,7 @@ namespace {
 
 size_t AttachableFuncs(const DependencySurface& surface) {
   size_t n = 0;
-  for (const auto& [name, entry] : surface.functions()) {
-    (void)name;
+  for (const FunctionEntry& entry : surface.functions()) {
     if (entry.status.has_exact_symbol) {
       ++n;
     }

@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
     }
     stage.add_items();
     size_t counts[5] = {0, 0, 0, 0, 0};
-    for (const auto& [name, entry] : surface->functions()) {
-      (void)name;
+    for (const FunctionEntry& entry : surface->functions()) {
       std::string klass = entry.status.CollisionClass();
       for (int i = 0; i < 5; ++i) {
         if (klass == kClasses[i]) {

@@ -193,7 +193,7 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
   // string first, in its own statement: as two arguments of one call the
   // order would be the compiler's choice.
   std::string decl;  // every declaration is rendered into this one buffer
-  for (const auto& [name, entry] : surface.functions()) {
+  for (const FunctionEntry& entry : surface.functions()) {
     FuncRecord fr;
     fr.status = entry.status;
     if (entry.btf_id != 0) {
@@ -201,7 +201,7 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
       FuncDeclString(type_string, entry.btf_id, decl);
       fr.decl = Intern(decl);
     }
-    record.funcs.emplace(Intern(name), std::move(fr));
+    record.funcs.emplace(Intern(entry.name), std::move(fr));
   }
 
   for (const auto& [name, id] : surface.structs()) {

@@ -132,29 +132,32 @@ std::string FunctionStatus::CollisionClass() const {
 }
 
 std::string FunctionEntry::StatusJson() const {
-  std::string inline_type = status.fully_inlined          ? "Fully inlined"
+  const char* inline_type = status.fully_inlined          ? "Fully inlined"
                             : status.selectively_inlined  ? "Partially inlined"
                                                           : "Not inlined";
-  std::string out = "{\"name\": \"" + name + "\"";
+  auto quoted_list = [](std::string& out, std::span<const std::string_view> items) {
+    for (size_t k = 0; k < items.size(); ++k) {
+      out.append(k != 0 ? ", \"" : "\"").append(items[k]).append("\"");
+    }
+  };
+  std::string out = "{\"name\": \"";
+  out.append(name).append("\"");
   out += ", \"collision_type\": \"" + status.CollisionClass() + "\"";
-  out += ", \"inline_type\": \"" + inline_type + "\"";
+  out.append(", \"inline_type\": \"").append(inline_type).append("\"");
   out += ", \"funcs\": [";
   for (size_t i = 0; i < instances.size(); ++i) {
     const FunctionInstance& inst = instances[i];
     if (i != 0) {
       out += ", ";
     }
-    out += StrFormat("{\"name\": \"%s\", \"external\": %s, \"loc\": \"%s:%u\"",
-                     inst.name.c_str(), inst.external ? "true" : "false",
-                     inst.decl_file.c_str(), inst.decl_line);
+    out += StrFormat("{\"name\": \"%.*s\", \"external\": %s, \"loc\": \"%.*s:%u\"",
+                     static_cast<int>(inst.name.size()), inst.name.data(),
+                     inst.external ? "true" : "false", static_cast<int>(inst.decl_file.size()),
+                     inst.decl_file.data(), inst.decl_line);
     out += ", \"caller_inline\": [";
-    for (size_t k = 0; k < inst.caller_inline.size(); ++k) {
-      out += (k != 0 ? ", \"" : "\"") + inst.caller_inline[k] + "\"";
-    }
+    quoted_list(out, inst.caller_inline);
     out += "], \"caller_func\": [";
-    for (size_t k = 0; k < inst.caller_func.size(); ++k) {
-      out += (k != 0 ? ", \"" : "\"") + inst.caller_func[k] + "\"";
-    }
+    quoted_list(out, inst.caller_func);
     out += "]}";
   }
   out += "], \"symbols\": [";
@@ -163,20 +166,37 @@ std::string FunctionEntry::StatusJson() const {
       out += ", ";
     }
     out += StrFormat("{\"name\": \"%s\", \"addr\": %llu, \"bind\": \"%s\", \"size\": %llu}",
-                     symbols[i].name.c_str(), (unsigned long long)symbols[i].value,
-                     symbols[i].bind == SymBind::kGlobal ? "STB_GLOBAL" : "STB_LOCAL",
-                     (unsigned long long)symbols[i].size);
+                     symbols[i]->name.c_str(), (unsigned long long)symbols[i]->value,
+                     symbols[i]->bind == SymBind::kGlobal ? "STB_GLOBAL" : "STB_LOCAL",
+                     (unsigned long long)symbols[i]->size);
   }
   out += "]}";
   return out;
 }
+
+// The image and what the function entries view. Built by Extract, then
+// shared read-only by every copy of the surface.
+struct DependencySurface::Kept {
+  explicit Kept(ElfReader reader) : elf(std::move(reader)) {}
+
+  ElfReader elf;  // the image bytes and the symbol table
+  TypeGraph btf;
+  FunctionInstances instances;  // views elf's DWARF section
+  // FUNC symbols by base name, ties in symbol-table order: each entry's
+  // symbols are one run of it.
+  std::vector<const ElfSymbol*> func_symbols;
+  std::vector<FunctionEntry> functions;  // by name
+};
 
 Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_bytes) {
   obs::ScopedSpan span("surface.extract");
   span.AddAttr("image_bytes", static_cast<uint64_t>(image_bytes.size()));
   // The ELF container is the one hard requirement: without sections and
   // symbols there is nothing to salvage from.
-  DEPSURF_ASSIGN_OR_RETURN(reader, ElfReader::Parse(std::move(image_bytes)));
+  DEPSURF_ASSIGN_OR_RETURN(parsed, ElfReader::Parse(std::move(image_bytes)));
+  auto kept = std::make_shared<Kept>(std::move(parsed));
+  const ElfReader& reader = kept->elf;
+  TypeGraph& btf = kept->btf;
   DependencySurface surface;
   SurfaceHealth& health = surface.health_;
   DiagnosticLedger& ledger = health.ledger;
@@ -219,7 +239,7 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
   // (name, id) sorted, so a name's first entry holds its first id
   // (collisions share names). btf_structs holds every STRUCT,
   // trace_event_raw_* and anonymous ones included. Names are views into
-  // surface.btf_, which is not modified after this block.
+  // `btf`, which is not modified after this block.
   std::vector<std::pair<std::string_view, BtfTypeId>> btf_funcs;
   std::unordered_map<std::string_view, BtfTypeId> btf_structs;
   // The first FUNC id named `name`; 0 when there is none.
@@ -232,7 +252,7 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
     auto decode_btf = [&]() -> Status {
       DEPSURF_ASSIGN_OR_RETURN(btf_data, reader.SectionDataByName(kBtfSection));
       DEPSURF_ASSIGN_OR_RETURN(graph, DecodeBtf(btf_data));
-      surface.btf_ = std::move(graph);
+      btf = std::move(graph);
       return Status::Ok();
     };
     if (Status st = decode_btf(); !st.ok()) {
@@ -244,10 +264,10 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
         ledger.AddError(DiagSeverity::kDegraded, DiagSubsystem::kBtf,
                         st.error().Wrap(".BTF decode failed"));
       }
-      surface.btf_ = TypeGraph();  // queries see an empty, valid graph
+      btf = TypeGraph();  // queries see an empty, valid graph
     }
-    for (BtfTypeId id = 1; id <= surface.btf_.num_types(); ++id) {
-      const BtfType* t = surface.btf_.Get(id);
+    for (BtfTypeId id = 1; id <= btf.num_types(); ++id) {
+      const BtfType* t = btf.Get(id);
       if (t->kind == BtfKind::kStruct) {
         btf_structs.emplace(t->name, id);
         if (!t->name.empty() && !StartsWith(t->name, kTraceStructPrefix)) {
@@ -269,7 +289,10 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
   // ---- DWARF: function instances and inline structure. Absent debug
   // sections degrade to a BTF+symtab-only surface (distro kernels without
   // dbgsym packages): declarations remain, compilation status is unknown.
-  std::map<std::string, std::vector<FunctionInstance>> instances;
+  // The names to classify are then `fallback_names`, sorted and distinct.
+  FunctionInstances& instances = kept->instances;
+  std::vector<std::string_view> fallback_names;
+  uint64_t num_names = 0;  // distinct names read, whichever the source
   surface.meta_.has_debug_info = reader.SectionByName(kDwarfInfoSection) != nullptr &&
                                  reader.SectionByName(kDwarfAbbrevSection) != nullptr;
   {
@@ -294,17 +317,22 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
       ledger.AddError(DiagSeverity::kDegraded, DiagSubsystem::kDwarf,
                       st.error().Wrap("DWARF decode failed"));
       surface.meta_.has_debug_info = false;
-      instances.clear();
     }
-    if (!surface.meta_.has_debug_info) {
-      // Seed the function table from BTF FUNC declarations; instances stay
+    if (surface.meta_.has_debug_info) {
+      const std::vector<FunctionInstance>& all = instances.instances;
+      for (size_t i = 0; i < all.size(); ++i) {
+        num_names += i == 0 || all[i].name != all[i - 1].name ? 1 : 0;
+      }
+    } else {
+      // Name the functions after BTF FUNC declarations; instances stay
       // empty and the status classifier sees only the symbol table.
       for (const auto& [name, id] : btf_funcs) {
-        if (!StartsWith(name, kTraceFuncPrefix)) {
-          instances.try_emplace(std::string(name));
+        if (!StartsWith(name, kTraceFuncPrefix) &&
+            (fallback_names.empty() || fallback_names.back() != name)) {
+          fallback_names.push_back(name);
         }
       }
-      if (instances.empty()) {
+      if (fallback_names.empty()) {
         // Both DWARF and BTF are gone; the symbol table alone still names
         // the attachable functions.
         for (const ElfSymbol& sym : reader.symbols()) {
@@ -313,12 +341,16 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
           }
           std::string_view base = BaseName(sym.name);
           if (!base.empty() && !StartsWith(base, kTraceFuncPrefix)) {
-            instances.try_emplace(std::string(base));
+            fallback_names.push_back(base);
           }
         }
+        std::sort(fallback_names.begin(), fallback_names.end());
+        fallback_names.erase(std::unique(fallback_names.begin(), fallback_names.end()),
+                             fallback_names.end());
       }
+      num_names = fallback_names.size();
     }
-    dwarf_span.AddAttr("function_instances", static_cast<uint64_t>(instances.size()));
+    dwarf_span.AddAttr("function_instances", num_names);
     dwarf_span.AddAttr("health", DegradationStateName(health.dwarf));
   }
 
@@ -326,7 +358,8 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
   // (strips transformation suffixes) and by address (for tracepoint/syscall
   // reverse lookup). Both point into the reader and break ties by pointer,
   // which is symbol-table order: a name's symbols stay in table order, and
-  // the first symbol at an address wins.
+  // the first symbol at an address wins. The base-name order is kept as
+  // kept->func_symbols, which the entries' symbol spans view.
   std::vector<std::pair<std::string_view, const ElfSymbol*>> symbols_by_base;
   std::vector<std::pair<uint64_t, const ElfSymbol*>> symbols_by_addr;
   auto func_sym_at = [&symbols_by_addr](uint64_t addr) -> const ElfSymbol* {
@@ -336,7 +369,7 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
   };
   {
   obs::ScopedSpan classify_span("surface.classify_functions");
-  classify_span.AddAttr("instances", static_cast<uint64_t>(instances.size()));
+  classify_span.AddAttr("instances", num_names);
   size_t num_funcs = std::count_if(reader.symbols().begin(), reader.symbols().end(),
                                    [](const ElfSymbol& sym) { return sym.type == SymType::kFunc; });
   symbols_by_base.reserve(num_funcs);
@@ -352,43 +385,45 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
     return c != 0 ? c < 0 : a.second < b.second;
   });
   std::sort(symbols_by_addr.begin(), symbols_by_addr.end());
+  kept->func_symbols.reserve(num_funcs);
+  for (const auto& [base, sym] : symbols_by_base) {
+    kept->func_symbols.push_back(sym);
+  }
+  const std::span<const ElfSymbol* const> func_symbols = kept->func_symbols;
 
-  // Each name moves out of `instances` into its entry's key, in ascending
-  // order, so every insertion lands at the end of functions_; the base-name
-  // and FUNC cursors advance in the same order.
-  auto base_it = symbols_by_base.begin();
+  // Names come in ascending order, so the entries land in name order and the
+  // base-name and FUNC cursors advance in the same order.
+  size_t base_at = 0;
   auto func_it = btf_funcs.begin();
-  while (!instances.empty()) {
-    auto node = instances.extract(instances.begin());
-    const std::string& name = node.key();
+  std::vector<FunctionEntry>& functions = kept->functions;
+  functions.reserve(num_names);
+  auto classify = [&](std::string_view name, std::span<const FunctionInstance> runs) {
     // Functions that are really tracepoint machinery must not pollute the
     // function surface (they are reachable through their own table below).
     // Our DWARF only covers source functions, but scripted syscall
     // implementations like __x64_sys_fsync legitimately appear in both
     // tables; keep them.
     if (StartsWith(name, kTraceFuncPrefix)) {
-      continue;
+      return;
     }
-    FunctionEntry entry;
+    FunctionEntry& entry = functions.emplace_back();
     entry.name = name;
-    entry.instances = std::move(node.mapped());
+    entry.instances = runs;
     while (func_it != btf_funcs.end() && func_it->first < name) {
       ++func_it;
     }
     if (func_it != btf_funcs.end() && func_it->first == name) {
       entry.btf_id = func_it->second;
     }
-    while (base_it != symbols_by_base.end() && base_it->first < name) {
-      ++base_it;
+    while (base_at < symbols_by_base.size() && symbols_by_base[base_at].first < name) {
+      ++base_at;
     }
-    auto base_end = base_it;
-    while (base_end != symbols_by_base.end() && base_end->first == name) {
+    size_t base_end = base_at;
+    while (base_end < symbols_by_base.size() && symbols_by_base[base_end].first == name) {
       ++base_end;
     }
-    entry.symbols.reserve(base_end - base_it);
-    for (; base_it != base_end; ++base_it) {
-      entry.symbols.push_back(*base_it->second);
-    }
+    entry.symbols = func_symbols.subspan(base_at, base_end - base_at);
+    base_at = base_end;
 
     FunctionStatus& status = entry.status;
     bool any_code = false;
@@ -404,11 +439,11 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
       one_decl_site &= inst.decl_line == first.decl_line && inst.decl_file == first.decl_file;
     }
     // Every symbol here has base name `name`; the rest is its suffix.
-    for (const ElfSymbol& sym : entry.symbols) {
-      if (sym.name == name) {
+    for (const ElfSymbol* sym : entry.symbols) {
+      if (sym->name == name) {
         status.has_exact_symbol = true;
       } else {
-        status.transform_suffix = sym.name.substr(name.size());
+        status.transform_suffix = sym->name.substr(name.size());
       }
     }
     status.transformed = !status.has_exact_symbol && !status.transform_suffix.empty();
@@ -425,10 +460,24 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
       // duplication, and collisions are undetectable.
       status.fully_inlined = !status.has_exact_symbol && !status.transformed;
       status.external = !entry.symbols.empty() &&
-                        entry.symbols.front().bind == SymBind::kGlobal;
+                        entry.symbols.front()->bind == SymBind::kGlobal;
     }
-    surface.functions_.emplace_hint(surface.functions_.end(), std::move(node.key()),
-                                    std::move(entry));
+  };
+  if (surface.meta_.has_debug_info) {
+    // Each name's instances are one run of the name-sorted instances.
+    const std::span<const FunctionInstance> all = instances.instances;
+    for (size_t begin = 0; begin < all.size();) {
+      size_t end = begin + 1;
+      while (end < all.size() && all[end].name == all[begin].name) {
+        ++end;
+      }
+      classify(all[begin].name, all.subspan(begin, end - begin));
+      begin = end;
+    }
+  } else {
+    for (std::string_view name : fallback_names) {
+      classify(name, {});
+    }
   }
   }
 
@@ -563,7 +612,7 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
       DEPSURF_ASSIGN_OR_RETURN(ids, reader.SectionData(*ids_section));
       while (ids.remaining() >= 4) {
         DEPSURF_ASSIGN_OR_RETURN(id, ids.ReadU32());
-        const BtfType* t = surface.btf_.Get(id);
+        const BtfType* t = btf.Get(id);
         if (t == nullptr || t->kind != BtfKind::kFunc) {
           if (health.btf == DegradationState::kClean) {
             health.btf = DegradationState::kDegraded;
@@ -612,8 +661,7 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
   uint64_t transformed = 0;
   uint64_t duplicated = 0;
   uint64_t collided = 0;
-  for (const auto& [name, entry] : surface.functions_) {
-    (void)name;
+  for (const FunctionEntry& entry : kept->functions) {
     fully_inlined += entry.status.fully_inlined ? 1 : 0;
     selectively_inlined += entry.status.selectively_inlined ? 1 : 0;
     transformed += entry.status.transformed ? 1 : 0;
@@ -628,7 +676,7 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
   if (!ledger.empty()) {
     metrics.Incr("surface.diagnostics", ledger.size());
   }
-  metrics.Incr("surface.functions", surface.functions_.size());
+  metrics.Incr("surface.functions", kept->functions.size());
   metrics.Incr("surface.structs", surface.structs_.size());
   metrics.Incr("surface.tracepoints", surface.tracepoints_.size());
   metrics.Incr("surface.syscalls", surface.syscalls_.size());
@@ -639,7 +687,7 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
   metrics.Incr("surface.funcs_transformed", transformed);
   metrics.Incr("surface.funcs_duplicated", duplicated);
   metrics.Incr("surface.funcs_collided", collided);
-  span.AddAttr("functions", static_cast<uint64_t>(surface.functions_.size()));
+  span.AddAttr("functions", static_cast<uint64_t>(kept->functions.size()));
   span.AddAttr("structs", static_cast<uint64_t>(surface.structs_.size()));
   span.AddAttr("tracepoints", static_cast<uint64_t>(surface.tracepoints_.size()));
   span.AddAttr("syscalls", static_cast<uint64_t>(surface.syscalls_.size()));
@@ -648,16 +696,30 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
   if (!ledger.empty()) {
     obs::Context::Current().diagnostics().AddAll(ledger);
   }
+  surface.kept_ = std::move(kept);
   return surface;
 }
 
-bool DependencySurface::IsLsmHook(const std::string& name) {
+bool DependencySurface::IsLsmHook(std::string_view name) {
   return StartsWith(name, "security_");
 }
 
-const FunctionEntry* DependencySurface::FindFunction(const std::string& name) const {
-  auto it = functions_.find(name);
-  return it == functions_.end() ? nullptr : &it->second;
+const TypeGraph& DependencySurface::btf() const {
+  static const TypeGraph kEmpty;
+  return kept_ != nullptr ? kept_->btf : kEmpty;
+}
+
+std::span<const FunctionEntry> DependencySurface::functions() const {
+  return kept_ != nullptr ? std::span<const FunctionEntry>(kept_->functions)
+                          : std::span<const FunctionEntry>();
+}
+
+const FunctionEntry* DependencySurface::FindFunction(std::string_view name) const {
+  const std::span<const FunctionEntry> functions = this->functions();
+  auto it = std::lower_bound(
+      functions.begin(), functions.end(), name,
+      [](const FunctionEntry& entry, std::string_view key) { return entry.name < key; });
+  return it != functions.end() && it->name == name ? &*it : nullptr;
 }
 
 std::optional<BtfTypeId> DependencySurface::FindStruct(const std::string& name) const {

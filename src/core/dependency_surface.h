@@ -6,9 +6,12 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/btf/btf.h"
@@ -62,11 +65,16 @@ struct FunctionStatus {
   std::string CollisionClass() const;
 };
 
+// One function of a surface. The name, the instances and the symbols view
+// data the surface keeps (see DependencySurface), so an entry is valid while
+// the surface it came from, or a copy of it, lives.
 struct FunctionEntry {
-  std::string name;
+  std::string_view name;
   BtfTypeId btf_id = 0;  // FUNC node in the surface's type graph (0: none)
-  std::vector<FunctionInstance> instances;
-  std::vector<ElfSymbol> symbols;  // exact and suffixed
+  // Its DWARF instances in DIE order; empty without debug info.
+  std::span<const FunctionInstance> instances;
+  // Its FUNC symbols, exact and suffixed, in symbol-table order.
+  std::span<const ElfSymbol* const> symbols;
   FunctionStatus status;
 
   // Dataset-style JSON (paper Appendix A.2.4 "Function Status").
@@ -106,22 +114,31 @@ struct SurfaceMeta {
 
 class DependencySurface {
  public:
+  // An empty surface, as is a moved-from one: no functions, an empty graph.
+  DependencySurface() = default;
+
   // Salvage-mode extraction from image bytes. Only an unreadable ELF
   // container is fatal; any malformed subsystem (BTF, DWARF, tracepoint
   // registry, syscall table) is skipped at section/record granularity,
   // marked in health(), and explained in health().ledger — a kernel with
   // broken DWARF still yields symbols, tracepoints, and syscalls. Callers
   // wanting strict semantics check health().AnyDegraded() themselves.
-  // The bytes are released afterwards; only the surface data is retained.
+  //
+  // The surface keeps the image bytes, the ELF symbol table and the type
+  // graph: function names and instances view the DWARF section, symbols are
+  // the symbol table's own, and fallback names view the graph or the
+  // symbols. That block is immutable and shared by copies, so every view a
+  // surface hands out stays valid while the surface or any copy of it lives,
+  // including after the original is destroyed.
   static Result<DependencySurface> Extract(std::vector<uint8_t> image_bytes);
 
   const SurfaceMeta& meta() const { return meta_; }
-  const TypeGraph& btf() const { return btf_; }
+  const TypeGraph& btf() const;
   const SurfaceHealth& health() const { return health_; }
 
-  // Functions keyed by source name; excludes tracepoint machinery and
-  // syscall entry stubs.
-  const std::map<std::string, FunctionEntry>& functions() const { return functions_; }
+  // Functions in name order; excludes tracepoint machinery and syscall
+  // entry stubs.
+  std::span<const FunctionEntry> functions() const;
   // Named struct name -> BTF id; excludes trace_event_raw_* machinery.
   const std::map<std::string, BtfTypeId>& structs() const { return structs_; }
   const std::map<std::string, TracepointEntry>& tracepoints() const { return tracepoints_; }
@@ -133,18 +150,20 @@ class DependencySurface {
   // kernelgen embeds). Empty on images without the section.
   const std::set<uint32_t>& helpers() const { return helpers_; }
   // LSM hooks are identified by the security_ prefix, as in the paper.
-  static bool IsLsmHook(const std::string& name);
+  static bool IsLsmHook(std::string_view name);
 
-  const FunctionEntry* FindFunction(const std::string& name) const;
+  const FunctionEntry* FindFunction(std::string_view name) const;
   std::optional<BtfTypeId> FindStruct(const std::string& name) const;
   const TracepointEntry* FindTracepoint(const std::string& event) const;
   bool HasSyscall(const std::string& name) const;
 
  private:
+  // What the function entries view, built once by Extract.
+  struct Kept;
+
+  std::shared_ptr<const Kept> kept_;
   SurfaceMeta meta_;
   SurfaceHealth health_;
-  TypeGraph btf_;
-  std::map<std::string, FunctionEntry> functions_;
   std::map<std::string, BtfTypeId> structs_;
   std::map<std::string, TracepointEntry> tracepoints_;
   std::map<std::string, SyscallEntry> syscalls_;

@@ -173,26 +173,26 @@ SurfaceDiff DiffSurfaces(const DependencySurface& older, const DependencySurface
   // ---- Functions. The population compared is the *attachable* surface
   // (functions with a symbol), matching Table 3's counting.
   auto attachable = [](const FunctionEntry& entry) { return entry.status.has_exact_symbol; };
-  for (const auto& [name, entry] : older.functions()) {
+  for (const FunctionEntry& entry : older.functions()) {
     if (!attachable(entry)) {
       continue;
     }
-    const FunctionEntry* other = newer.FindFunction(name);
+    const FunctionEntry* other = newer.FindFunction(entry.name);
     if (other == nullptr || !attachable(*other)) {
-      diff.funcs.removed.push_back(name);
+      diff.funcs.removed.emplace_back(entry.name);
       continue;
     }
     if (entry.btf_id != 0 && other->btf_id != 0) {
       auto kinds = CompareFuncDecls(older.btf(), entry.btf_id, newer.btf(), other->btf_id);
       if (!kinds.empty()) {
-        diff.funcs.changed.emplace(name, std::move(kinds));
+        diff.funcs.changed.emplace(entry.name, std::move(kinds));
       }
     }
   }
-  for (const auto& [name, entry] : newer.functions()) {
-    if (attachable(entry) &&
-        (older.FindFunction(name) == nullptr || !attachable(*older.FindFunction(name)))) {
-      diff.funcs.added.push_back(name);
+  for (const FunctionEntry& entry : newer.functions()) {
+    const FunctionEntry* other = older.FindFunction(entry.name);
+    if (attachable(entry) && (other == nullptr || !attachable(*other))) {
+      diff.funcs.added.emplace_back(entry.name);
     }
   }
 

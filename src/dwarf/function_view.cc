@@ -127,15 +127,23 @@ struct InstanceRecord {
   uint64_t inline_attr;
   std::optional<uint64_t> low_pc;
   bool external;
-  size_t inline_sites = 0;  // sites resolved to this instance, by kind
+  // Sites resolved to this instance, by kind; once the instances are in
+  // name order, the next free slot of each kind in the caller views.
+  size_t inline_sites = 0;
   size_t call_sites = 0;
+};
+
+// The "file:caller" string of an instance with sites, as its two parts.
+struct Caller {
+  std::string_view file;
+  std::string_view sub;
 };
 
 // An inlined_subroutine or call_site below an instance, resolved after the
 // pass because its origin may come later in the stream.
 struct Site {
   uint64_t origin;
-  size_t caller;  // index into the caller strings
+  size_t caller;  // index into the callers
   bool is_inline;
   size_t target = 0;  // index of the origin's InstanceRecord, once resolved
 };
@@ -144,8 +152,7 @@ constexpr size_t kNone = static_cast<size_t>(-1);
 
 }  // namespace
 
-Result<std::map<std::string, std::vector<FunctionInstance>>> ReadFunctionInstances(
-    ByteReader abbrev, ByteReader info) {
+Result<FunctionInstances> ReadFunctionInstances(ByteReader abbrev, ByteReader info) {
   obs::ScopedSpan span("dwarf.decode");
   span.AddAttr("abbrev_bytes", static_cast<uint64_t>(abbrev.size()));
   span.AddAttr("info_bytes", static_cast<uint64_t>(info.size()));
@@ -153,7 +160,7 @@ Result<std::map<std::string, std::vector<FunctionInstance>>> ReadFunctionInstanc
 
   std::vector<InstanceRecord> found;  // in DIE order
   std::vector<Site> sites;
-  std::vector<std::string> callers;
+  std::vector<Caller> callers;
   // The first shape error, reported only once the bytes, the nesting and
   // the references have checked out.
   std::optional<Error> shape_error;
@@ -164,7 +171,7 @@ Result<std::map<std::string, std::vector<FunctionInstance>>> ReadFunctionInstanc
   bool root_is_cu = false;
   std::string_view cu_name;       // first name of the current top-level DIE
   size_t owner = kNone;           // instance whose subtree is being read
-  size_t owner_caller = kNone;    // its "file:caller" string, once built
+  size_t owner_caller = kNone;    // its caller, once it has a site
   DieFields die;                  // reset per DIE: `seen` guards every read
   ByteReader& r = info;
   while (!r.AtEnd()) {
@@ -253,11 +260,8 @@ Result<std::map<std::string, std::vector<FunctionInstance>>> ReadFunctionInstanc
     } else if (owner != kNone &&
                (tag == DwTag::kInlinedSubroutine || tag == DwTag::kCallSite)) {
       if (owner_caller == kNone) {
-        std::string_view sub = found[owner].name;
-        std::string& caller = callers.emplace_back();
-        caller.reserve(cu_name.size() + 1 + sub.size());
-        caller.append(cu_name).append(":").append(sub);
-        owner_caller = callers.size() - 1;
+        owner_caller = callers.size();
+        callers.push_back(Caller{cu_name, found[owner].name});
       }
       bool is_inline = tag == DwTag::kInlinedSubroutine;
       sites.push_back(
@@ -286,7 +290,8 @@ Result<std::map<std::string, std::vector<FunctionInstance>>> ReadFunctionInstanc
     return *std::move(shape_error);
   }
 
-  // Resolve every origin first, so each caller list is allocated once.
+  // Resolve every origin first, so each instance's caller runs can be
+  // sized before they are filled.
   for (Site& site : sites) {
     auto it = std::lower_bound(
         found.begin(), found.end(), site.origin,
@@ -298,8 +303,26 @@ Result<std::map<std::string, std::vector<FunctionInstance>>> ReadFunctionInstanc
     ++(site.is_inline ? it->inline_sites : it->call_sites);
   }
 
-  // Group by name, keeping DIE order within a name; each group lands at the
-  // end of the map.
+  FunctionInstances out;
+  // Each "file:caller" string once, back to back in one block.
+  size_t caller_size = 0;
+  for (const Caller& caller : callers) {
+    caller_size += caller.file.size() + 1 + caller.sub.size();
+  }
+  out.caller_bytes = std::make_unique_for_overwrite<char[]>(caller_size);
+  std::vector<std::string_view> caller_views;
+  caller_views.reserve(callers.size());
+  char* cursor = out.caller_bytes.get();
+  for (const Caller& caller : callers) {
+    char* begin = cursor;
+    cursor = std::copy(caller.file.begin(), caller.file.end(), cursor);
+    *cursor++ = ':';
+    cursor = std::copy(caller.sub.begin(), caller.sub.end(), cursor);
+    caller_views.emplace_back(begin, static_cast<size_t>(cursor - begin));
+  }
+
+  // Order by name, keeping DIE order within a name, and give each instance
+  // its two runs of caller slots.
   std::vector<std::pair<std::string_view, size_t>> by_name;
   by_name.reserve(found.size());
   for (size_t i = 0; i < found.size(); ++i) {
@@ -309,37 +332,32 @@ Result<std::map<std::string, std::vector<FunctionInstance>>> ReadFunctionInstanc
     int c = a.first.compare(b.first);
     return c != 0 ? c < 0 : a.second < b.second;
   });
-  std::map<std::string, std::vector<FunctionInstance>> instances;
-  std::vector<FunctionInstance*> built(found.size());
-  for (size_t begin = 0; begin < by_name.size();) {
-    std::string_view name = by_name[begin].first;
-    size_t end = begin + 1;
-    while (end < by_name.size() && by_name[end].first == name) {
-      ++end;
-    }
-    std::vector<FunctionInstance>& list =
-        instances.emplace_hint(instances.end(), name, std::vector<FunctionInstance>())->second;
-    list.reserve(end - begin);
-    for (; begin < end; ++begin) {
-      const InstanceRecord& record = found[by_name[begin].second];
-      FunctionInstance& inst = list.emplace_back();
-      inst.name = name;
-      inst.decl_file = record.decl_file;
-      inst.decl_line = static_cast<uint32_t>(record.decl_line);
-      inst.external = record.external;
-      inst.inline_attr = static_cast<DwInl>(record.inline_attr);
-      inst.low_pc = record.low_pc;
-      inst.caller_inline.reserve(record.inline_sites);
-      inst.caller_func.reserve(record.call_sites);
-      built[by_name[begin].second] = &inst;
-    }
+  out.callers.resize(sites.size());
+  out.instances.reserve(found.size());
+  size_t slot = 0;
+  for (const auto& [name, index] : by_name) {
+    InstanceRecord& record = found[index];
+    FunctionInstance& inst = out.instances.emplace_back();
+    inst.name = name;
+    inst.decl_file = record.decl_file;
+    inst.decl_line = static_cast<uint32_t>(record.decl_line);
+    inst.external = record.external;
+    inst.inline_attr = static_cast<DwInl>(record.inline_attr);
+    inst.low_pc = record.low_pc;
+    inst.caller_inline = std::span(out.callers).subspan(slot, record.inline_sites);
+    record.inline_sites = slot;
+    slot += inst.caller_inline.size();
+    inst.caller_func = std::span(out.callers).subspan(slot, record.call_sites);
+    record.call_sites = slot;
+    slot += inst.caller_func.size();
   }
-  // Sites in stream order, so each caller list keeps DIE order.
+  // Sites in stream order, so each caller run keeps DIE order.
   for (const Site& site : sites) {
-    FunctionInstance& target = *built[site.target];
-    (site.is_inline ? target.caller_inline : target.caller_func).push_back(callers[site.caller]);
+    InstanceRecord& target = found[site.target];
+    out.callers[site.is_inline ? target.inline_sites++ : target.call_sites++] =
+        caller_views[site.caller];
   }
-  return instances;
+  return out;
 }
 
 }  // namespace depsurf

@@ -7,9 +7,10 @@
 #define DEPSURF_SRC_DWARF_FUNCTION_VIEW_H_
 
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
-#include <string>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "src/dwarf/dwarf.h"
@@ -20,29 +21,46 @@ namespace depsurf {
 
 // One DW_TAG_subprogram instance (a source function compiled into one
 // translation unit; a header-defined static appears once per including TU).
+// `name` and `decl_file` view the info section the instance was read from;
+// the caller spans view the FunctionInstances that holds the instance.
 struct FunctionInstance {
-  std::string name;
-  std::string decl_file;
+  std::string_view name;
+  std::string_view decl_file;
   uint32_t decl_line = 0;
   bool external = false;
   DwInl inline_attr = DwInl::kNotInlined;
   // Set when the instance has an out-of-line copy.
   std::optional<uint64_t> low_pc;
   // "file:caller" for each caller that inlined this instance.
-  std::vector<std::string> caller_inline;
+  std::span<const std::string_view> caller_inline;
   // "file:caller" for each caller with an out-of-line call.
-  std::vector<std::string> caller_func;
+  std::span<const std::string_view> caller_func;
 
   // An instance is "out of line" iff it has code of its own.
   bool HasCode() const { return low_pc.has_value(); }
 };
 
+// Every instance of a document in (name, DIE index) order, so the instances
+// of one name form one run in DIE order, plus the caller strings they view.
+//
+// Lifetime: names and declaration files view the info section, so they are
+// valid while its bytes live. The caller spans and the strings they hold are
+// owned here, and a move keeps them where they are. A copy would still point
+// into the original, so the type is move-only.
+struct FunctionInstances {
+  std::vector<FunctionInstance> instances;
+  // What the caller spans cover: per instance, its inlining callers, then
+  // its calling callers.
+  std::vector<std::string_view> callers;
+  // What those views cover: each "file:caller" string once.
+  std::unique_ptr<char[]> caller_bytes;
+};
+
 // Every instance in the `abbrev` and `info` sections (the readers' endianness
-// applies), grouped by function name, in DIE order. An instance is a named
-// subprogram whose parent is a top-level compile unit; its sites are the
-// inlined_subroutine and call_site DIEs at any depth below it, attributed to
-// their origin instance in DIE order. When an attribute repeats, the first
-// one counts.
+// applies). An instance is a named subprogram whose parent is a top-level
+// compile unit; its sites are the inlined_subroutine and call_site DIEs at
+// any depth below it, attributed to their origin instance in DIE order. When
+// an attribute repeats, the first one counts.
 //
 // The sections are streamed once in place: no DIE tree is built, strings are
 // read as views, nesting is a depth count and site origins are resolved after
@@ -50,8 +68,7 @@ struct FunctionInstance {
 // malformed bytes and on invalid structure (a top-level DIE that is not a
 // compile unit, an unnamed subprogram, a reference past the last DIE, a site
 // whose origin is not an instance).
-Result<std::map<std::string, std::vector<FunctionInstance>>> ReadFunctionInstances(
-    ByteReader abbrev, ByteReader info);
+Result<FunctionInstances> ReadFunctionInstances(ByteReader abbrev, ByteReader info);
 
 }  // namespace depsurf
 

@@ -276,8 +276,7 @@ int CmdSurface(const Args& args) {
   size_t full = 0;
   size_t selective = 0;
   size_t transformed = 0;
-  for (const auto& [name, entry] : surface->functions()) {
-    (void)name;
+  for (const FunctionEntry& entry : surface->functions()) {
     attachable += entry.status.has_exact_symbol ? 1 : 0;
     full += entry.status.fully_inlined ? 1 : 0;
     selective += entry.status.selectively_inlined ? 1 : 0;
@@ -311,13 +310,13 @@ int CmdSurface(const Args& args) {
                  : "",
              entry->status.selectively_inlined ? " (selectively inlined)" : "");
       for (const FunctionInstance& inst : entry->instances) {
-        printf("  instance at %s:%u (%s)\n", inst.decl_file.c_str(), inst.decl_line,
-               inst.HasCode() ? "has code" : "no code");
-        for (const std::string& caller : inst.caller_inline) {
-          printf("    inlined into %s\n", caller.c_str());
+        printf("  instance at %.*s:%u (%s)\n", static_cast<int>(inst.decl_file.size()),
+               inst.decl_file.data(), inst.decl_line, inst.HasCode() ? "has code" : "no code");
+        for (std::string_view caller : inst.caller_inline) {
+          printf("    inlined into %.*s\n", static_cast<int>(caller.size()), caller.data());
         }
-        for (const std::string& caller : inst.caller_func) {
-          printf("    called from  %s\n", caller.c_str());
+        for (std::string_view caller : inst.caller_func) {
+          printf("    called from  %.*s\n", static_cast<int>(caller.size()), caller.data());
         }
       }
     }

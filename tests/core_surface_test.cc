@@ -2,6 +2,9 @@
 // content, extract through the full binary path, verify classifications.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "src/btf/btf_codec.h"
 #include "src/btf/btf_print.h"
 #include "src/core/dependency_surface.h"
@@ -13,6 +16,7 @@
 #include "src/kernelgen/image_builder.h"
 #include "src/kernelgen/rates.h"
 #include "src/kernelgen/scripted.h"
+#include "src/util/str_util.h"
 
 namespace depsurf {
 namespace {
@@ -262,9 +266,8 @@ TEST(SurfaceExtractTest, SpecialFunctionsLsmAndKfuncs) {
   DependencySurface v68 = ExtractFor(KernelVersion(6, 8));
   auto count_lsm = [](const DependencySurface& s) {
     size_t n = 0;
-    for (const auto& [name, entry] : s.functions()) {
-      (void)entry;
-      n += DependencySurface::IsLsmHook(name) ? 1 : 0;
+    for (const FunctionEntry& entry : s.functions()) {
+      n += DependencySurface::IsLsmHook(entry.name) ? 1 : 0;
     }
     return n;
   };
@@ -329,11 +332,58 @@ TEST(SurfaceExtractTest, DegradesGracefullyWithoutDebugInfo) {
   EXPECT_TRUE(surface->HasSyscall("openat"));
   // A fully-inlined BTF function with no symbol is still flagged.
   int inlined = 0;
-  for (const auto& [name, entry] : surface->functions()) {
-    (void)name;
+  for (const FunctionEntry& entry : surface->functions()) {
     inlined += entry.status.fully_inlined ? 1 : 0;
   }
   EXPECT_GT(inlined, 0);
+}
+
+// Every view a surface hands out: each function's name, BTF id, status,
+// instances with their callers, and symbols, plus a lookup of each name.
+std::string RenderFunctions(const DependencySurface& surface) {
+  std::string out;
+  for (const FunctionEntry& entry : surface.functions()) {
+    out += StrFormat("%u %d ", entry.btf_id, surface.FindFunction(entry.name) == &entry);
+    out += entry.StatusJson();
+    out += '\n';
+  }
+  return out;
+}
+
+// The entries view what Extract kept. A copy shares it and a move takes it
+// over, so both read the same after the original is destroyed, on a DWARF
+// surface and on a BTF-only one, whose names view the type graph.
+TEST(SurfaceExtractTest, CopiesAndMovesOutliveTheOriginal) {
+  KernelModel model(kSeed, kScale, BuildCuratedCatalog());
+  auto kernel = model.Configure(MakeBuild(KernelVersion(5, 4)));
+  ASSERT_TRUE(kernel.ok());
+  auto dwarf_image = BuildKernelImage(CompileKernel(kSeed, kernel.TakeValue()));
+  ASSERT_TRUE(dwarf_image.ok());
+  TypeGraph graph;
+  graph.Func("btf_only_b", graph.FuncProto(graph.Int("int", 4), {}));
+  graph.Func("btf_only_a", graph.FuncProto(0, {}));
+  ElfWriter writer(ElfIdent{});
+  writer.AddSection(".BTF", SectionType::kProgbits, EncodeBtf(graph));
+  auto btf_image = writer.Finish();
+  ASSERT_TRUE(btf_image.ok());
+
+  for (std::vector<uint8_t>* bytes : {&*dwarf_image, &*btf_image}) {
+    auto original = std::make_unique<DependencySurface>(
+        DependencySurface::Extract(std::move(*bytes)).TakeValue());
+    const std::string expected = RenderFunctions(*original);
+    ASSERT_GE(original->functions().size(), 2u);
+    DependencySurface copy = *original;
+    DependencySurface moved = std::move(*original);
+    EXPECT_TRUE(original->functions().empty());
+    EXPECT_EQ(original->FindFunction(moved.functions().front().name), nullptr);
+    original.reset();
+    EXPECT_EQ(RenderFunctions(copy), expected);
+    EXPECT_EQ(RenderFunctions(moved), expected);
+    DependencySurface assigned;
+    assigned = copy;
+    copy = DependencySurface();
+    EXPECT_EQ(RenderFunctions(assigned), expected);
+  }
 }
 
 TEST(SurfaceExtractTest, RejectsGarbageImages) {

@@ -46,14 +46,14 @@ void ReferenceDistill::AddImage(const std::string& label, const DependencySurfac
     return std::make_pair(name_id, type);
   };
 
-  for (const auto& [name, entry] : surface.functions()) {
+  for (const FunctionEntry& entry : surface.functions()) {
     FuncRecord fr;
     fr.status = entry.status;
     if (entry.btf_id != 0) {
       fr.decl_hash = decl_hash(entry.btf_id);
       fr.decl = Intern(FuncDeclString(graph, entry.btf_id));
     }
-    StrId name_id = Intern(name);
+    StrId name_id = Intern(std::string(entry.name));
     record.funcs.emplace(name_id, std::move(fr));
   }
   for (const auto& [name, id] : surface.structs()) {

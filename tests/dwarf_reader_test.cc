@@ -49,7 +49,7 @@ std::string ReaderVsReference(const std::vector<uint8_t>& abbrev,
                               Endian endian = Endian::kLittle,
                               Result<InstanceMap>* read_out = nullptr) {
   Result<InstanceMap> read =
-      ReadFunctionInstances(ByteReader(abbrev, endian), ByteReader(info, endian));
+      ToInstanceMap(ReadFunctionInstances(ByteReader(abbrev, endian), ByteReader(info, endian)));
   std::string diff =
       InstanceMapDifference(read, ReferenceFunctionInstances(abbrev, info, endian));
   if (read_out != nullptr) {

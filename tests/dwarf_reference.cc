@@ -119,16 +119,15 @@ Result<DwarfDocument> DecodeDwarf(const std::vector<uint8_t>& abbrev,
   return document;
 }
 
-Result<std::map<std::string, std::vector<FunctionInstance>>> CollectFunctionInstances(
-    const DwarfDocument& document) {
+Result<InstanceMap> CollectFunctionInstances(const DwarfDocument& document) {
   // Pass 1: record every subprogram in the result, and its slot in a table
   // indexed by DIE index. The slot points at the result map's vector, which
   // stays put as the map grows (map nodes are stable).
   struct Slot {
-    std::vector<FunctionInstance>* list = nullptr;
+    std::vector<OwnedInstance>* list = nullptr;
     size_t index = 0;
   };
-  std::map<std::string, std::vector<FunctionInstance>> instances;
+  InstanceMap instances;
   std::vector<Slot> slots(static_cast<size_t>(document.num_dies()) + 1);
   static const std::string kNoName;
 
@@ -150,11 +149,11 @@ Result<std::map<std::string, std::vector<FunctionInstance>>> CollectFunctionInst
       }
       auto it = instances.lower_bound(name->str);
       if (it == instances.end() || it->first != name->str) {
-        it = instances.emplace_hint(it, name->str, std::vector<FunctionInstance>());
+        it = instances.emplace_hint(it, name->str, std::vector<OwnedInstance>());
       }
-      std::vector<FunctionInstance>& list = it->second;
+      std::vector<OwnedInstance>& list = it->second;
       slots[child] = Slot{&list, list.size()};
-      FunctionInstance& inst = list.emplace_back();
+      OwnedInstance& inst = list.emplace_back();
       inst.name = it->first;
       const DwarfAttrValue* decl_file = die.Find(DwAttr::kDeclFile);
       inst.decl_file = decl_file != nullptr ? decl_file->str : cu_file;
@@ -203,7 +202,7 @@ Result<std::map<std::string, std::vector<FunctionInstance>>> CollectFunctionInst
           return;
         }
         const Slot& slot = slots[origin];
-        FunctionInstance& target = (*slot.list)[slot.index];
+        OwnedInstance& target = (*slot.list)[slot.index];
         if (is_inline_site) {
           target.caller_inline.push_back(caller);
         } else {
@@ -214,6 +213,30 @@ Result<std::map<std::string, std::vector<FunctionInstance>>> CollectFunctionInst
   }
   DEPSURF_RETURN_IF_ERROR(bad);
   return instances;
+}
+
+Result<InstanceMap> ToInstanceMap(const Result<FunctionInstances>& flat) {
+  if (!flat.ok()) {
+    return flat.error();
+  }
+  InstanceMap out;
+  std::string_view previous;
+  for (const FunctionInstance& inst : flat->instances) {
+    if (inst.name < previous) {
+      return Error(ErrorCode::kInternal, "instances out of name order at " + std::string(inst.name));
+    }
+    previous = inst.name;
+    OwnedInstance& owned = out[std::string(inst.name)].emplace_back();
+    owned.name = inst.name;
+    owned.decl_file = inst.decl_file;
+    owned.decl_line = inst.decl_line;
+    owned.external = inst.external;
+    owned.inline_attr = inst.inline_attr;
+    owned.low_pc = inst.low_pc;
+    owned.caller_inline.assign(inst.caller_inline.begin(), inst.caller_inline.end());
+    owned.caller_func.assign(inst.caller_func.begin(), inst.caller_func.end());
+  }
+  return out;
 }
 
 Result<InstanceMap> ReferenceFunctionInstances(const std::vector<uint8_t>& abbrev,
@@ -244,8 +267,8 @@ std::string InstanceMapDifference(const Result<InstanceMap>& a, const Result<Ins
                        ib->second.size());
     }
     for (size_t i = 0; i < ia->second.size(); ++i) {
-      const FunctionInstance& x = ia->second[i];
-      const FunctionInstance& y = ib->second[i];
+      const OwnedInstance& x = ia->second[i];
+      const OwnedInstance& y = ib->second[i];
       if (x.name != y.name || x.decl_file != y.decl_file || x.decl_line != y.decl_line ||
           x.external != y.external || x.inline_attr != y.inline_attr || x.low_pc != y.low_pc ||
           x.caller_inline != y.caller_inline || x.caller_func != y.caller_func) {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,13 +26,33 @@ Result<DwarfDocument> DecodeDwarf(const std::vector<uint8_t>& abbrev,
                                   const std::vector<uint8_t>& info,
                                   Endian endian = Endian::kLittle);
 
+// A FunctionInstance that owns its strings, so it outlives the bytes it
+// was read from.
+struct OwnedInstance {
+  std::string name;
+  std::string decl_file;
+  uint32_t decl_line = 0;
+  bool external = false;
+  DwInl inline_attr = DwInl::kNotInlined;
+  std::optional<uint64_t> low_pc;
+  std::vector<std::string> caller_inline;
+  std::vector<std::string> caller_func;
+
+  bool HasCode() const { return low_pc.has_value(); }
+};
+
+// Instances grouped by function name, in DIE order within a name.
+using InstanceMap = std::map<std::string, std::vector<OwnedInstance>>;
+
 // All instances in a document, grouped by function name, in DIE order.
 // Fails on structurally invalid documents (e.g., an inlined_subroutine
 // whose origin is not a subprogram).
-Result<std::map<std::string, std::vector<FunctionInstance>>> CollectFunctionInstances(
-    const DwarfDocument& document);
+Result<InstanceMap> CollectFunctionInstances(const DwarfDocument& document);
 
-using InstanceMap = std::map<std::string, std::vector<FunctionInstance>>;
+// The reader's flat result as a map, call while the bytes it views live.
+// Instances keep their order within a name; a result whose instances are
+// not in name order fails, so the conversion hides no ordering fault.
+Result<InstanceMap> ToInstanceMap(const Result<FunctionInstances>& flat);
 
 // DecodeDwarf, then CollectFunctionInstances: what ReadFunctionInstances
 // must answer for the same bytes, error text included.

@@ -8,10 +8,12 @@
 namespace depsurf {
 namespace {
 
-// What extraction reads from `doc` once kernelgen has written it.
+// What extraction reads from `doc` once kernelgen has written it, copied
+// out of the encoded sections before they go.
 Result<InstanceMap> ReadInstances(const DwarfDocument& doc) {
   DwarfSections sections = EncodeDwarf(doc);
-  return ReadFunctionInstances(ByteReader(sections.abbrev), ByteReader(sections.info));
+  return ToInstanceMap(
+      ReadFunctionInstances(ByteReader(sections.abbrev), ByteReader(sections.info)));
 }
 
 // The reader's error message for `doc`, or "ok".
@@ -156,7 +158,7 @@ TEST(FunctionViewTest, PaperExampleShape) {
   ASSERT_TRUE(result.ok()) << result.error().ToString();
   const auto& instances = *result;
   ASSERT_EQ(instances.count("vfs_fsync"), 1u);
-  const FunctionInstance& inst = instances.at("vfs_fsync")[0];
+  const OwnedInstance& inst = instances.at("vfs_fsync")[0];
   EXPECT_EQ(inst.decl_file, "fs/sync.c");
   EXPECT_EQ(inst.decl_line, 213u);
   EXPECT_TRUE(inst.external);
@@ -171,8 +173,8 @@ TEST(FunctionViewTest, PaperExampleShape) {
 TEST(FunctionViewTest, SurvivesCodecRoundTrip) {
   for (Endian endian : {Endian::kLittle, Endian::kBig}) {
     DwarfSections sections = EncodeDwarf(MakeVfsFsyncDocument(), endian);
-    auto result = ReadFunctionInstances(ByteReader(sections.abbrev, endian),
-                                        ByteReader(sections.info, endian));
+    auto result = ToInstanceMap(ReadFunctionInstances(ByteReader(sections.abbrev, endian),
+                                                      ByteReader(sections.info, endian)));
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->at("vfs_fsync")[0].caller_func[0], "fs/aio.c:aio_fsync_work");
     EXPECT_EQ(result->at("vfs_fsync")[0].low_pc, 0xffffffff81234000ull);
@@ -194,7 +196,7 @@ TEST(FunctionViewTest, FullyInlinedInstanceHasNoCode) {
 
   auto result = ReadInstances(doc);
   ASSERT_TRUE(result.ok());
-  const FunctionInstance& inst = result->at("blk_account_io_start")[0];
+  const OwnedInstance& inst = result->at("blk_account_io_start")[0];
   EXPECT_FALSE(inst.HasCode());
   EXPECT_EQ(inst.inline_attr, DwInl::kDeclaredInlined);
   EXPECT_EQ(inst.caller_inline.size(), 1u);
@@ -268,7 +270,7 @@ TEST(FunctionViewTest, OriginLaterInTheStreamResolves) {
   doc.SetNumber(call, DwAttr::kCallOrigin, target);
   auto result = ReadInstances(doc);
   ASSERT_TRUE(result.ok()) << result.error().ToString();
-  const FunctionInstance& inst = result->at("target")[0];
+  const OwnedInstance& inst = result->at("target")[0];
   EXPECT_EQ(inst.caller_inline, std::vector<std::string>{"a.c:caller"});
   EXPECT_EQ(inst.caller_func, std::vector<std::string>{"a.c:caller"});
 }
@@ -288,7 +290,7 @@ TEST(FunctionViewTest, FirstOfARepeatedAttributeCounts) {
   auto result = ReadInstances(doc);
   ASSERT_TRUE(result.ok()) << result.error().ToString();
   ASSERT_EQ(result->size(), 1u);
-  const FunctionInstance& inst = result->at("first")[0];
+  const OwnedInstance& inst = result->at("first")[0];
   EXPECT_EQ(inst.decl_file, "a.c");
   EXPECT_EQ(inst.decl_line, 7u);
   EXPECT_EQ(inst.low_pc, 0x10u);

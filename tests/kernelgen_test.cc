@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "src/btf/btf_codec.h"
@@ -348,8 +349,10 @@ TEST(ImageBuilderTest, EmitsParsableImage) {
   ASSERT_TRUE(info.ok());
   auto instances = ReadFunctionInstances(*abbrev, *info);
   ASSERT_TRUE(instances.ok()) << instances.error().ToString();
-  ASSERT_TRUE(instances->count("vfs_fsync"));
-  const FunctionInstance& fsync = instances->at("vfs_fsync")[0];
+  auto found = std::find_if(instances->instances.begin(), instances->instances.end(),
+                            [](const FunctionInstance& inst) { return inst.name == "vfs_fsync"; });
+  ASSERT_NE(found, instances->instances.end());
+  const FunctionInstance& fsync = *found;
   EXPECT_TRUE(fsync.HasCode());
   EXPECT_FALSE(fsync.caller_inline.empty());
   EXPECT_FALSE(fsync.caller_func.empty());

@@ -108,8 +108,8 @@ TEST_P(SeededTest, DwarfRoundTripRandomForests) {
     // The instance view must survive too (references intact): extraction's
     // reader on the bytes sees what the document model says.
     auto original = CollectFunctionInstances(doc);
-    auto roundtrip = ReadFunctionInstances(ByteReader(sections.abbrev, endian),
-                                           ByteReader(sections.info, endian));
+    auto roundtrip = ToInstanceMap(ReadFunctionInstances(ByteReader(sections.abbrev, endian),
+                                                         ByteReader(sections.info, endian)));
     ASSERT_TRUE(original.ok());
     ASSERT_TRUE(roundtrip.ok()) << roundtrip.error().ToString();
     EXPECT_EQ(InstanceMapDifference(original, roundtrip), "");

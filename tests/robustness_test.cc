@@ -94,8 +94,12 @@ TEST_P(CorruptionTest, BitFlippedImageNeverCrashes) {
   if (result.ok()) {
     // Corruption in padding or unused regions can legitimately parse; the
     // surface must still be internally consistent.
-    for (const auto& [name, entry] : result->functions()) {
-      EXPECT_EQ(name, entry.name);
+    std::span<const FunctionEntry> functions = result->functions();
+    for (size_t i = 0; i < functions.size(); ++i) {
+      if (i != 0) {
+        EXPECT_LT(functions[i - 1].name, functions[i].name);
+      }
+      EXPECT_EQ(result->FindFunction(functions[i].name), &functions[i]);
     }
   }
 }
