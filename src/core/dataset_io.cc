@@ -94,6 +94,22 @@ uint64_t LoadU64(const uint8_t* p) {
   return static_cast<uint64_t>(LoadU32(p)) | static_cast<uint64_t>(LoadU32(p + 4)) << 32;
 }
 
+void StoreU16(uint8_t* p, uint16_t v) {
+  p[0] = static_cast<uint8_t>(v);
+  p[1] = static_cast<uint8_t>(v >> 8);
+}
+
+void StoreU32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    p[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+void StoreU64(uint8_t* p, uint64_t v) {
+  StoreU32(p, static_cast<uint32_t>(v));
+  StoreU32(p + 4, static_cast<uint32_t>(v >> 32));
+}
+
 DegradationState ClampState(uint8_t raw) {
   return raw > static_cast<uint8_t>(DegradationState::kMissing)
              ? DegradationState::kClean
@@ -134,178 +150,214 @@ std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset) {
     return it->second;
   };
 
-  ByteWriter images_w(Endian::kLittle);
-  ByteWriter funcs_w(Endian::kLittle);
-  ByteWriter structs_w(Endian::kLittle);
-  ByteWriter tps_w(Endian::kLittle);
-  ByteWriter sys_w(Endian::kLittle);
-  ByteWriter pairs_w(Endian::kLittle);
-  ByteWriter diags_w(Endian::kLittle);
+  // Sizing pass: append the strings in the order the records first use
+  // them, and count the records, so every section is sized before any is
+  // written.
+  size_t num_funcs = 0;
+  size_t num_structs = 0;
+  size_t num_tps = 0;
+  size_t num_syscalls = 0;
+  size_t num_pairs = 0;
+  size_t num_diags = 0;
+  for (const ImageRecord& image : dataset.images()) {
+    for (const auto& [name, record] : image.funcs) {
+      if (!record.status.transform_suffix.empty()) {
+        intern(record.status.transform_suffix);
+      }
+    }
+    for (const DiagnosticEntry& entry : image.health.ledger.entries()) {
+      intern(entry.message);
+    }
+    intern(image.label);
+    intern(image.meta.flavor);
+    intern(image.meta.arch);
+    num_funcs += image.funcs.size();
+    num_structs += image.structs.size();
+    num_tps += image.tracepoints.size();
+    num_syscalls += image.syscalls.size();
+    num_diags += image.health.ledger.entries().size();
+    for (const auto& [name, record] : image.structs) {
+      num_pairs += record.fields.size();
+    }
+    for (const auto& [name, record] : image.tracepoints) {
+      num_pairs += record.func_params.size() + record.event_fields.size();
+    }
+  }
+  const size_t num_strings = pool_size + appended.size();
+  size_t blob_size = 0;
+  for (uint32_t i = 0; i < pool_size; ++i) {
+    blob_size += dataset.StringAt(i).size() + 1;
+  }
+  for (std::string_view s : appended) {
+    blob_size += s.size() + 1;
+  }
+
+  // Sections in kind order, each at the next page boundary.
+  const uint64_t sizes[kV2SectionCount] = {
+      8 * (num_strings + 1),             blob_size,
+      4 * num_strings,                   kV2ImageHeaderSize * dataset.num_images(),
+      kV2FuncEntrySize * num_funcs,      kV2StructEntrySize * num_structs,
+      kV2TracepointEntrySize * num_tps,  4 * num_syscalls,
+      kV2PairSize * num_pairs,           kV2DiagEntrySize * num_diags,
+  };
+  uint64_t offsets[kV2SectionCount];
+  uint64_t file_size = kV2HeaderSize + kV2SectionCount * kV2SectionEntrySize;
+  for (uint32_t i = 0; i < kV2SectionCount; ++i) {
+    offsets[i] = (file_size + kDatasetV2PageSize - 1) / kDatasetV2PageSize * kDatasetV2PageSize;
+    file_size = offsets[i] + sizes[i];
+  }
+
+  // Every byte not stored below (padding, reserved fields) stays zero.
+  std::vector<uint8_t> out(file_size);
+  uint8_t* const base = out.data();
+  StoreU32(base, kDatasetMagicV2);
+  StoreU32(base + 4, 2);  // version
+  StoreU32(base + 8, kDatasetV2PageSize);
+  StoreU32(base + 12, kV2SectionCount);
+  StoreU64(base + 16, file_size);
+  StoreU32(base + 24, static_cast<uint32_t>(dataset.num_images()));
+  StoreU32(base + 28, static_cast<uint32_t>(num_strings));
+  for (uint32_t i = 0; i < kV2SectionCount; ++i) {
+    uint8_t* entry = base + kV2HeaderSize + i * kV2SectionEntrySize;
+    StoreU32(entry, kSecStringOffsets + i);
+    StoreU64(entry + 8, offsets[i]);
+    StoreU64(entry + 16, sizes[i]);
+  }
+  auto section = [&](uint32_t kind) { return base + offsets[kind - kSecStringOffsets]; };
+
+  // String table: cumulative offsets + NUL-terminated blob + sorted index.
+  // The index sorts views into the blob just written; pool strings are
+  // distinct, so the order is the same as sorting the pool itself.
+  uint8_t* str_offsets = section(kSecStringOffsets);
+  char* const blob = reinterpret_cast<char*>(section(kSecStringBlob));
+  std::vector<std::pair<std::string_view, uint32_t>> sorted;
+  sorted.reserve(num_strings);
+  uint64_t blob_cursor = 0;
+  auto put_string = [&](std::string_view s) {
+    StoreU64(str_offsets + 8 * sorted.size(), blob_cursor);
+    std::copy(s.begin(), s.end(), blob + blob_cursor);
+    sorted.emplace_back(std::string_view(blob + blob_cursor, s.size()),
+                        static_cast<uint32_t>(sorted.size()));
+    blob_cursor += s.size() + 1;
+  };
+  for (uint32_t i = 0; i < pool_size; ++i) {
+    put_string(dataset.StringAt(i));
+  }
+  for (std::string_view s : appended) {
+    put_string(s);
+  }
+  StoreU64(str_offsets + 8 * num_strings, blob_cursor);
+  std::sort(sorted.begin(), sorted.end());
+  uint8_t* str_sorted = section(kSecStringSorted);
+  for (const auto& [s, id] : sorted) {
+    StoreU32(str_sorted, id);
+    str_sorted += 4;
+  }
+
+  // Records, each section filled front to back.
+  uint8_t* img = section(kSecImages);
+  uint8_t* func = section(kSecFuncs);
+  uint8_t* st = section(kSecStructs);
+  uint8_t* tp = section(kSecTracepoints);
+  uint8_t* sys = section(kSecSyscalls);
+  uint8_t* pair = section(kSecPairs);
+  uint8_t* diag = section(kSecDiags);
   uint32_t func_cursor = 0;
   uint32_t struct_cursor = 0;
   uint32_t tp_cursor = 0;
   uint32_t sys_cursor = 0;
   uint32_t pair_cursor = 0;
   uint32_t diag_cursor = 0;
-  auto write_pairs = [&pairs_w, &pair_cursor](const std::vector<std::pair<StrId, StrId>>& pairs) {
+  auto write_pairs = [&pair, &pair_cursor](const std::vector<std::pair<StrId, StrId>>& pairs) {
     uint32_t begin = pair_cursor;
     for (const auto& [a, b] : pairs) {
-      pairs_w.WriteU32(a);
-      pairs_w.WriteU32(b);
+      StoreU32(pair, a);
+      StoreU32(pair + 4, b);
+      pair += kV2PairSize;
     }
     pair_cursor += static_cast<uint32_t>(pairs.size());
     return begin;
   };
-
   for (const ImageRecord& image : dataset.images()) {
     uint32_t func_begin = func_cursor;
     // std::map iteration is ascending by name id: exactly the order the
     // mmap-side binary search requires.
     for (const auto& [name, record] : image.funcs) {
-      funcs_w.WriteU32(name);
-      funcs_w.WriteU32(record.decl);  // Dataset::kNoStr doubles as "no decl"
-      funcs_w.WriteU64(record.decl_hash);
-      funcs_w.WriteU32(record.status.transform_suffix.empty()
-                           ? Dataset::kNoStr
-                           : intern(record.status.transform_suffix));
-      funcs_w.WriteU8(PackStatus(record.status));
-      funcs_w.WriteZeros(3);
+      StoreU32(func, name);
+      StoreU32(func + 4, record.decl);  // Dataset::kNoStr doubles as "no decl"
+      StoreU64(func + 8, record.decl_hash);
+      StoreU32(func + 16, record.status.transform_suffix.empty()
+                              ? Dataset::kNoStr
+                              : intern(record.status.transform_suffix));
+      func[20] = PackStatus(record.status);
+      func += kV2FuncEntrySize;
       ++func_cursor;
     }
     uint32_t struct_begin = struct_cursor;
     for (const auto& [name, record] : image.structs) {
-      structs_w.WriteU32(name);
-      structs_w.WriteU32(write_pairs(record.fields));
-      structs_w.WriteU32(static_cast<uint32_t>(record.fields.size()));
+      StoreU32(st, name);
+      StoreU32(st + 4, write_pairs(record.fields));
+      StoreU32(st + 8, static_cast<uint32_t>(record.fields.size()));
+      st += kV2StructEntrySize;
       ++struct_cursor;
     }
     uint32_t tp_begin = tp_cursor;
     for (const auto& [name, record] : image.tracepoints) {
-      tps_w.WriteU32(name);
-      tps_w.WriteU32(write_pairs(record.func_params));
-      tps_w.WriteU32(static_cast<uint32_t>(record.func_params.size()));
-      tps_w.WriteU32(write_pairs(record.event_fields));
-      tps_w.WriteU32(static_cast<uint32_t>(record.event_fields.size()));
+      StoreU32(tp, name);
+      StoreU32(tp + 4, write_pairs(record.func_params));
+      StoreU32(tp + 8, static_cast<uint32_t>(record.func_params.size()));
+      StoreU32(tp + 12, write_pairs(record.event_fields));
+      StoreU32(tp + 16, static_cast<uint32_t>(record.event_fields.size()));
+      tp += kV2TracepointEntrySize;
       ++tp_cursor;
     }
     uint32_t sys_begin = sys_cursor;
     for (StrId id : image.syscalls) {
-      sys_w.WriteU32(id);
+      StoreU32(sys, id);
+      sys += 4;
       ++sys_cursor;
     }
     uint32_t diag_begin = diag_cursor;
     for (const DiagnosticEntry& entry : image.health.ledger.entries()) {
-      diags_w.WriteU32(intern(entry.message));
-      diags_w.WriteU8(static_cast<uint8_t>(entry.severity));
-      diags_w.WriteU8(static_cast<uint8_t>(entry.subsystem));
-      diags_w.WriteU8(static_cast<uint8_t>(entry.code));
-      diags_w.WriteU8(entry.has_offset ? 1 : 0);
-      diags_w.WriteU64(entry.offset);
+      StoreU32(diag, intern(entry.message));
+      diag[4] = static_cast<uint8_t>(entry.severity);
+      diag[5] = static_cast<uint8_t>(entry.subsystem);
+      diag[6] = static_cast<uint8_t>(entry.code);
+      diag[7] = entry.has_offset ? 1 : 0;
+      StoreU64(diag + 8, entry.offset);
+      diag += kV2DiagEntrySize;
       ++diag_cursor;
     }
 
-    images_w.WriteU32(intern(image.label));
-    images_w.WriteU32(intern(image.meta.flavor));
-    images_w.WriteU32(intern(image.meta.arch));
-    images_w.WriteU16(static_cast<uint16_t>(image.meta.version_major));
-    images_w.WriteU16(static_cast<uint16_t>(image.meta.version_minor));
-    images_w.WriteU8(static_cast<uint8_t>(image.meta.gcc_major));
-    images_w.WriteU8(static_cast<uint8_t>(image.meta.pointer_size));
-    images_w.WriteU8(image.meta.endian == Endian::kBig ? 1 : 0);
-    images_w.WriteU8(image.meta.compat_syscalls_traceable ? 1 : 0);
-    images_w.WriteU32(image.meta.config_options);
-    images_w.WriteU64(image.pt_regs_hash);
-    images_w.WriteU8(static_cast<uint8_t>(image.health.elf));
-    images_w.WriteU8(static_cast<uint8_t>(image.health.dwarf));
-    images_w.WriteU8(static_cast<uint8_t>(image.health.btf));
-    images_w.WriteU8(static_cast<uint8_t>(image.health.tracepoint));
-    images_w.WriteU8(static_cast<uint8_t>(image.health.syscall));
-    images_w.WriteZeros(3);
-    images_w.WriteU32(func_begin);
-    images_w.WriteU32(func_cursor - func_begin);
-    images_w.WriteU32(struct_begin);
-    images_w.WriteU32(struct_cursor - struct_begin);
-    images_w.WriteU32(tp_begin);
-    images_w.WriteU32(tp_cursor - tp_begin);
-    images_w.WriteU32(sys_begin);
-    images_w.WriteU32(sys_cursor - sys_begin);
-    images_w.WriteU32(diag_begin);
-    images_w.WriteU32(diag_cursor - diag_begin);
-    images_w.WriteU64(0);  // reserved
+    StoreU32(img, intern(image.label));
+    StoreU32(img + 4, intern(image.meta.flavor));
+    StoreU32(img + 8, intern(image.meta.arch));
+    StoreU16(img + 12, static_cast<uint16_t>(image.meta.version_major));
+    StoreU16(img + 14, static_cast<uint16_t>(image.meta.version_minor));
+    img[16] = static_cast<uint8_t>(image.meta.gcc_major);
+    img[17] = static_cast<uint8_t>(image.meta.pointer_size);
+    img[18] = image.meta.endian == Endian::kBig ? 1 : 0;
+    img[19] = image.meta.compat_syscalls_traceable ? 1 : 0;
+    StoreU32(img + 20, image.meta.config_options);
+    StoreU64(img + 24, image.pt_regs_hash);
+    img[32] = static_cast<uint8_t>(image.health.elf);
+    img[33] = static_cast<uint8_t>(image.health.dwarf);
+    img[34] = static_cast<uint8_t>(image.health.btf);
+    img[35] = static_cast<uint8_t>(image.health.tracepoint);
+    img[36] = static_cast<uint8_t>(image.health.syscall);
+    StoreU32(img + kImgFuncRange, func_begin);
+    StoreU32(img + kImgFuncRange + 4, func_cursor - func_begin);
+    StoreU32(img + kImgStructRange, struct_begin);
+    StoreU32(img + kImgStructRange + 4, struct_cursor - struct_begin);
+    StoreU32(img + kImgTracepointRange, tp_begin);
+    StoreU32(img + kImgTracepointRange + 4, tp_cursor - tp_begin);
+    StoreU32(img + kImgSyscallRange, sys_begin);
+    StoreU32(img + kImgSyscallRange + 4, sys_cursor - sys_begin);
+    StoreU32(img + kImgDiagRange, diag_begin);
+    StoreU32(img + kImgDiagRange + 4, diag_cursor - diag_begin);
+    img += kV2ImageHeaderSize;
   }
-
-  // String table: cumulative offsets + NUL-terminated blob + sorted index.
-  std::vector<std::string_view> pool;
-  pool.reserve(pool_size + appended.size());
-  for (uint32_t i = 0; i < pool_size; ++i) {
-    pool.push_back(dataset.StringAt(i));
-  }
-  pool.insert(pool.end(), appended.begin(), appended.end());
-  ByteWriter str_offsets_w(Endian::kLittle);
-  ByteWriter str_blob_w(Endian::kLittle);
-  ByteWriter str_sorted_w(Endian::kLittle);
-  uint64_t blob_cursor = 0;
-  for (std::string_view s : pool) {
-    str_offsets_w.WriteU64(blob_cursor);
-    str_blob_w.WriteCString(s);
-    blob_cursor += s.size() + 1;
-  }
-  str_offsets_w.WriteU64(blob_cursor);
-  std::vector<uint32_t> sorted_ids(pool.size());
-  for (uint32_t i = 0; i < sorted_ids.size(); ++i) {
-    sorted_ids[i] = i;
-  }
-  std::sort(sorted_ids.begin(), sorted_ids.end(),
-            [&pool](uint32_t a, uint32_t b) { return pool[a] < pool[b]; });
-  for (uint32_t id : sorted_ids) {
-    str_sorted_w.WriteU32(id);
-  }
-
-  struct SectionPayload {
-    uint32_t kind;
-    std::vector<uint8_t> bytes;
-    uint64_t offset = 0;
-  };
-  SectionPayload payloads[kV2SectionCount] = {
-      {kSecStringOffsets, str_offsets_w.TakeBytes()},
-      {kSecStringBlob, str_blob_w.TakeBytes()},
-      {kSecStringSorted, str_sorted_w.TakeBytes()},
-      {kSecImages, images_w.TakeBytes()},
-      {kSecFuncs, funcs_w.TakeBytes()},
-      {kSecStructs, structs_w.TakeBytes()},
-      {kSecTracepoints, tps_w.TakeBytes()},
-      {kSecSyscalls, sys_w.TakeBytes()},
-      {kSecPairs, pairs_w.TakeBytes()},
-      {kSecDiags, diags_w.TakeBytes()},
-  };
-  uint64_t cursor = kV2HeaderSize + kV2SectionCount * kV2SectionEntrySize;
-  for (SectionPayload& payload : payloads) {
-    cursor = (cursor + kDatasetV2PageSize - 1) / kDatasetV2PageSize * kDatasetV2PageSize;
-    payload.offset = cursor;
-    cursor += payload.bytes.size();
-  }
-  uint64_t file_size = cursor;
-
-  ByteWriter out(Endian::kLittle);
-  out.WriteU32(kDatasetMagicV2);
-  out.WriteU32(2);  // version
-  out.WriteU32(kDatasetV2PageSize);
-  out.WriteU32(kV2SectionCount);
-  out.WriteU64(file_size);
-  out.WriteU32(static_cast<uint32_t>(dataset.num_images()));
-  out.WriteU32(static_cast<uint32_t>(pool.size()));
-  out.WriteU64(0);  // reserved
-  for (const SectionPayload& payload : payloads) {
-    out.WriteU32(payload.kind);
-    out.WriteU32(0);  // reserved
-    out.WriteU64(payload.offset);
-    out.WriteU64(payload.bytes.size());
-  }
-  for (const SectionPayload& payload : payloads) {
-    out.WriteZeros(payload.offset - out.size());
-    out.WriteBytes(payload.bytes.data(), payload.bytes.size());
-  }
-  return out.TakeBytes();
+  return out;
 }
 
 // ---------------------------------------------------------------------------
