@@ -5,15 +5,12 @@
 namespace depsurf {
 
 void ByteWriter::WriteUint(uint64_t v, int width) {
-  if (endian_ == Endian::kLittle) {
-    for (int i = 0; i < width; ++i) {
-      bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  } else {
-    for (int i = width - 1; i >= 0; --i) {
-      bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
+  uint8_t bytes[8];
+  for (int i = 0; i < width; ++i) {
+    int shift = endian_ == Endian::kLittle ? i : width - 1 - i;
+    bytes[i] = static_cast<uint8_t>(v >> (8 * shift));
   }
+  bytes_.insert(bytes_.end(), bytes, bytes + width);
 }
 
 void ByteWriter::WriteBytes(const void* data, size_t len) {
@@ -143,13 +140,11 @@ Result<std::string> ByteReader::ReadCStringAt(size_t offset) const {
   if (offset >= size_) {
     return Error(ErrorCode::kOutOfRange, "string offset beyond buffer").WithOffset(offset);
   }
-  size_t end = offset;
-  while (end < size_ && data_[end] != 0) {
-    ++end;
-  }
-  if (end >= size_) {
+  const void* nul = memchr(data_ + offset, 0, size_ - offset);
+  if (nul == nullptr) {
     return Error(ErrorCode::kMalformedData, "unterminated string").WithOffset(offset);
   }
+  size_t end = static_cast<size_t>(static_cast<const uint8_t*>(nul) - data_);
   return std::string(reinterpret_cast<const char*>(data_ + offset), end - offset);
 }
 

@@ -28,6 +28,34 @@ TEST(ByteWriterTest, BigEndianLayout) {
   EXPECT_EQ(b[3], 0x04);
 }
 
+// Each width's bytes, computed apart from the writer, and read back.
+TEST(ByteWriterTest, EveryWidthAtBothEndians) {
+  const uint64_t v = 0x0102030405060708ull;
+  for (Endian e : {Endian::kLittle, Endian::kBig}) {
+    ByteWriter w(e);
+    w.WriteU16(static_cast<uint16_t>(v));
+    w.WriteU32(static_cast<uint32_t>(v));
+    w.WriteU64(v);
+    w.WriteAddr(static_cast<uint32_t>(v), 4);
+    w.WriteAddr(v, 8);
+    std::vector<uint8_t> expected;
+    for (int width : {2, 4, 8, 4, 8}) {
+      for (int i = 0; i < width; ++i) {
+        int shift = e == Endian::kLittle ? i : width - 1 - i;
+        expected.push_back(static_cast<uint8_t>(v >> (8 * shift)));
+      }
+    }
+    EXPECT_EQ(w.bytes(), expected);
+    ByteReader r(w.bytes(), e);
+    EXPECT_EQ(r.ReadU16().value(), 0x0708u);
+    EXPECT_EQ(r.ReadU32().value(), 0x05060708u);
+    EXPECT_EQ(r.ReadU64().value(), v);
+    EXPECT_EQ(r.ReadAddr(4).value(), 0x05060708u);
+    EXPECT_EQ(r.ReadAddr(8).value(), v);
+    EXPECT_TRUE(r.AtEnd());
+  }
+}
+
 TEST(ByteWriterTest, AlignTo) {
   ByteWriter w;
   w.WriteU8(1);
@@ -95,6 +123,7 @@ TEST(ByteReaderTest, UnterminatedString) {
   ByteReader r(bytes);
   EXPECT_FALSE(r.ReadCString().ok());
   EXPECT_FALSE(r.ReadCStringView().ok());
+  EXPECT_FALSE(r.ReadCStringAt(1).ok());
   ByteReader empty(nullptr, 0);
   EXPECT_FALSE(empty.ReadCStringView().ok());
   // A view points into the buffer itself.
