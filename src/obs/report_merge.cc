@@ -358,8 +358,10 @@ Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports) {
 
 Status ValidateAggReport(std::string_view json) {
   using namespace want;
+  static constexpr JsonMember kSource[] = {
+      {"label", kString}, {"spans", kCount}, {"counters", kCount}, {"diags", kCount}};
   static constexpr JsonMember kDoc[] = {
-      {"reports", kCount},  {"sources", kArray}, {"spans", kArray},
+      {"reports", kCount},  {"sources", ArrayOf(kSource)}, {"spans", kArray},
       {"counters", kObject}, {"gauges", kObject}, {"histograms", kObject},
       {"diagnostics", kArray}};
   DEPSURF_ASSIGN_OR_RETURN(doc, ParseSchemaDoc(json, kRunReportAggSchema, kDoc));
