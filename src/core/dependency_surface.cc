@@ -289,10 +289,10 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
   // ---- DWARF: function instances and inline structure. Absent debug
   // sections degrade to a BTF+symtab-only surface (distro kernels without
   // dbgsym packages): declarations remain, compilation status is unknown.
-  // The names to classify are then `fallback_names`, sorted and distinct.
+  // `named` is every name read, in order and distinct, with its run of
+  // instances (empty without debug info).
   FunctionInstances& instances = kept->instances;
-  std::vector<std::string_view> fallback_names;
-  uint64_t num_names = 0;  // distinct names read, whichever the source
+  std::vector<std::pair<std::string_view, std::span<const FunctionInstance>>> named;
   surface.meta_.has_debug_info = reader.SectionByName(kDwarfInfoSection) != nullptr &&
                                  reader.SectionByName(kDwarfAbbrevSection) != nullptr;
   {
@@ -319,20 +319,21 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
       surface.meta_.has_debug_info = false;
     }
     if (surface.meta_.has_debug_info) {
-      const std::vector<FunctionInstance>& all = instances.instances;
-      for (size_t i = 0; i < all.size(); ++i) {
-        num_names += i == 0 || all[i].name != all[i - 1].name ? 1 : 0;
+      const std::span<const FunctionInstance> all = instances.instances;
+      for (size_t begin = 0, end = 0; begin < all.size(); begin = end) {
+        for (end = begin + 1; end < all.size() && all[end].name == all[begin].name; ++end) {
+        }
+        named.emplace_back(all[begin].name, all.subspan(begin, end - begin));
       }
     } else {
       // Name the functions after BTF FUNC declarations; instances stay
       // empty and the status classifier sees only the symbol table.
       for (const auto& [name, id] : btf_funcs) {
-        if (!StartsWith(name, kTraceFuncPrefix) &&
-            (fallback_names.empty() || fallback_names.back() != name)) {
-          fallback_names.push_back(name);
+        if (!StartsWith(name, kTraceFuncPrefix) && (named.empty() || named.back().first != name)) {
+          named.emplace_back(name, std::span<const FunctionInstance>());
         }
       }
-      if (fallback_names.empty()) {
+      if (named.empty()) {
         // Both DWARF and BTF are gone; the symbol table alone still names
         // the attachable functions.
         for (const ElfSymbol& sym : reader.symbols()) {
@@ -341,16 +342,16 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
           }
           std::string_view base = BaseName(sym.name);
           if (!base.empty() && !StartsWith(base, kTraceFuncPrefix)) {
-            fallback_names.push_back(base);
+            named.emplace_back(base, std::span<const FunctionInstance>());
           }
         }
-        std::sort(fallback_names.begin(), fallback_names.end());
-        fallback_names.erase(std::unique(fallback_names.begin(), fallback_names.end()),
-                             fallback_names.end());
+        auto by_name = [](const auto& a, const auto& b) { return a.first < b.first; };
+        auto same_name = [](const auto& a, const auto& b) { return a.first == b.first; };
+        std::sort(named.begin(), named.end(), by_name);
+        named.erase(std::unique(named.begin(), named.end(), same_name), named.end());
       }
-      num_names = fallback_names.size();
     }
-    dwarf_span.AddAttr("function_instances", num_names);
+    dwarf_span.AddAttr("function_instances", static_cast<uint64_t>(named.size()));
     dwarf_span.AddAttr("health", DegradationStateName(health.dwarf));
   }
 
@@ -369,7 +370,7 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
   };
   {
   obs::ScopedSpan classify_span("surface.classify_functions");
-  classify_span.AddAttr("instances", num_names);
+  classify_span.AddAttr("instances", static_cast<uint64_t>(named.size()));
   size_t num_funcs = std::count_if(reader.symbols().begin(), reader.symbols().end(),
                                    [](const ElfSymbol& sym) { return sym.type == SymType::kFunc; });
   symbols_by_base.reserve(num_funcs);
@@ -391,24 +392,24 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
   }
   const std::span<const ElfSymbol* const> func_symbols = kept->func_symbols;
 
-  // Names come in ascending order, so the entries land in name order and the
-  // base-name and FUNC cursors advance in the same order.
+  // `named` is in ascending order, so the entries land in name order and
+  // the base-name and FUNC cursors advance in the same order.
   size_t base_at = 0;
   auto func_it = btf_funcs.begin();
   std::vector<FunctionEntry>& functions = kept->functions;
-  functions.reserve(num_names);
-  auto classify = [&](std::string_view name, std::span<const FunctionInstance> runs) {
+  functions.reserve(named.size());
+  for (const auto& [name, run] : named) {
     // Functions that are really tracepoint machinery must not pollute the
     // function surface (they are reachable through their own table below).
     // Our DWARF only covers source functions, but scripted syscall
     // implementations like __x64_sys_fsync legitimately appear in both
     // tables; keep them.
     if (StartsWith(name, kTraceFuncPrefix)) {
-      return;
+      continue;
     }
     FunctionEntry& entry = functions.emplace_back();
     entry.name = name;
-    entry.instances = runs;
+    entry.instances = run;
     while (func_it != btf_funcs.end() && func_it->first < name) {
       ++func_it;
     }
@@ -461,22 +462,6 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
       status.fully_inlined = !status.has_exact_symbol && !status.transformed;
       status.external = !entry.symbols.empty() &&
                         entry.symbols.front()->bind == SymBind::kGlobal;
-    }
-  };
-  if (surface.meta_.has_debug_info) {
-    // Each name's instances are one run of the name-sorted instances.
-    const std::span<const FunctionInstance> all = instances.instances;
-    for (size_t begin = 0; begin < all.size();) {
-      size_t end = begin + 1;
-      while (end < all.size() && all[end].name == all[begin].name) {
-        ++end;
-      }
-      classify(all[begin].name, all.subspan(begin, end - begin));
-      begin = end;
-    }
-  } else {
-    for (std::string_view name : fallback_names) {
-      classify(name, {});
     }
   }
   }
