@@ -223,7 +223,8 @@ Result<InstanceMap> ToInstanceMap(const Result<FunctionInstances>& flat) {
   std::string_view previous;
   for (const FunctionInstance& inst : flat->instances) {
     if (inst.name < previous) {
-      return Error(ErrorCode::kInternal, "instances out of name order at " + std::string(inst.name));
+      return Error(ErrorCode::kInternal,
+                   "instances out of name order at " + std::string(inst.name));
     }
     previous = inst.name;
     OwnedInstance& owned = out[std::string(inst.name)].emplace_back();
