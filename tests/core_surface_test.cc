@@ -372,16 +372,17 @@ TEST(SurfaceExtractTest, CopiesAndMovesOutliveTheOriginal) {
         DependencySurface::Extract(std::move(*bytes)).TakeValue());
     const std::string expected = RenderFunctions(*original);
     ASSERT_GE(original->functions().size(), 2u);
+    // Each step leaves one surface as the only holder, then reads it.
     DependencySurface copy = *original;
-    DependencySurface moved = std::move(*original);
-    EXPECT_TRUE(original->functions().empty());
-    EXPECT_EQ(original->FindFunction(moved.functions().front().name), nullptr);
     original.reset();
     EXPECT_EQ(RenderFunctions(copy), expected);
+    DependencySurface moved = std::move(copy);
+    EXPECT_TRUE(copy.functions().empty());
+    EXPECT_EQ(copy.FindFunction(moved.functions().front().name), nullptr);
     EXPECT_EQ(RenderFunctions(moved), expected);
     DependencySurface assigned;
-    assigned = copy;
-    copy = DependencySurface();
+    assigned = moved;
+    moved = DependencySurface();
     EXPECT_EQ(RenderFunctions(assigned), expected);
   }
 }
