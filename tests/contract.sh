@@ -29,6 +29,10 @@
 #     writes them, its dataset and `dataset info`, and the exit code and
 #     stdout of that run and of one with a 16-byte truncated copy in the
 #     middle of the list, which must leave no dataset.
+#   - over those image files, the exit code and stdout of `check OBJ
+#     img44 img68` for every program (the CO-RE replay against each
+#     image's own BTF) and of `diff --verbose` for each consecutive LTS
+#     pair, one file per command.
 # `study build`'s own stdout is not hashed: it prints per-image times.
 #
 #   contract.sh DEPSURF BENCH_DIR [--out DIR] [--regen]
@@ -176,10 +180,18 @@ for seed in $SEEDS; do
     --out=images_short.dds
   [ ! -e images_short.dds ] || fail "$dir: dataset build over a truncated image wrote a dataset"
   "$DEPSURF" dataset info images.dds > images_info.txt || fail "dataset info ($dir) exited $?"
+  : > check_images.txt; : > diff.txt
+  while read -r prog; do
+    record check_images.txt check "obj/$prog.o" img44 img68
+  done < progs.txt
+  record diff.txt diff img44 img415 --verbose
+  record diff.txt diff img415 img54 --verbose
+  record diff.txt diff img54 img515 --verbose
+  record diff.txt diff img515 img68 --verbose
   cd "$WORKDIR"
   HASHED="$HASHED $dir/serve_jobs1.ndjson $dir/serve_report_jobs1.json"
   for out in check.txt analyze.txt fix.txt fixed_objects.bin doctor.txt fuzz.txt \
-      dataset_build.txt images.dds images_info.txt; do
+      dataset_build.txt images.dds images_info.txt check_images.txt diff.txt; do
     HASHED="$HASHED $dir/$out"
   done
 done
