@@ -261,8 +261,9 @@ BENCHMARK(BM_FixCorpus)->Unit(benchmark::kMillisecond);
 // The CO-RE load replay of `check OBJ IMG`: every relocation of the
 // 53-program corpus, each object re-read from its written bytes, resolved
 // against the v5.4 image's BTF. The engine finds root types and
-// re-resolves forward declarations by linear scans of the kernel graph, so
-// a pass costs O(relocations x types).
+// re-resolves forward declarations through the kernel graph's (kind, name)
+// index, built by the first lookup, so a pass costs
+// O(relocations x log types) once the index exists.
 void BM_CoreRelocReplay(benchmark::State& state) {
   static const std::vector<BpfObject> objects = [] {
     std::vector<BpfObject> out;

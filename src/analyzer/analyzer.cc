@@ -90,8 +90,9 @@ RelocInfo ResolveRelocInfo(const BpfObject& object, const CoreReloc& reloc) {
   info.is_guard_kind =
       reloc.kind == CoreRelocKind::kFieldExists || reloc.kind == CoreRelocKind::kTypeExists;
   if (reloc.kind == CoreRelocKind::kTypeExists) {
-    const BtfType* root = object.btf.Get(object.btf.ResolveAliases(reloc.root_type_id));
-    if (root != nullptr) {
+    const std::optional<BtfTypeView> root =
+        object.btf.Get(object.btf.ResolveAliases(reloc.root_type_id));
+    if (root) {
       info.struct_name = root->name;
     }
     return info;

@@ -146,8 +146,8 @@ Result<std::vector<FieldAccess>> ResolveReloc(const TypeGraph& btf, const CoreRe
   // The first index dereferences the root (usually "0"); subsequent
   // indices select members.
   for (size_t i = 1; i < indices.size(); ++i) {
-    const BtfType* t = btf.Get(current);
-    if (t == nullptr || (t->kind != BtfKind::kStruct && t->kind != BtfKind::kUnion)) {
+    const std::optional<BtfTypeView> t = btf.Get(current);
+    if (!t || (t->kind != BtfKind::kStruct && t->kind != BtfKind::kUnion)) {
       return Error(ErrorCode::kMalformedData,
                    "access chain does not traverse a struct: " + reloc.access_str);
     }
@@ -160,19 +160,20 @@ Result<std::vector<FieldAccess>> ResolveReloc(const TypeGraph& btf, const CoreRe
     }
     if (index >= t->members.size()) {
       return Error(ErrorCode::kMalformedData,
-                   StrFormat("member %zu out of range in %s", index, t->name.c_str()));
+                   StrFormat("member %zu out of range in %.*s", index,
+                             static_cast<int>(t->name.size()), t->name.data()));
     }
-    const BtfMember& member = t->members[index];
+    const BtfMemberView member = t->members[index];
     FieldAccess access;
-    access.struct_name = t->name;
-    access.field_name = member.name;
+    access.struct_name = std::string(t->name);
+    access.field_name = std::string(member.name);
     access.field_type = TypeString(btf, member.type_id);
     access.exists_check = reloc.kind == CoreRelocKind::kFieldExists;
     out.push_back(std::move(access));
     // Follow pointers/aliases into the next aggregate.
     current = btf.ResolveAliases(member.type_id);
-    const BtfType* next = btf.Get(current);
-    if (next != nullptr && next->kind == BtfKind::kPtr) {
+    const std::optional<BtfTypeView> next = btf.Get(current);
+    if (next && next->kind == BtfKind::kPtr) {
       current = btf.ResolveAliases(next->ref_type_id);
     }
   }

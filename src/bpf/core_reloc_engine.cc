@@ -12,8 +12,8 @@ namespace {
 // Byte size of a type in the kernel graph (pointers assume LP64; the value
 // only feeds kFieldSize results).
 uint32_t SizeOfKernelType(const TypeGraph& graph, BtfTypeId id) {
-  const BtfType* t = graph.Get(graph.ResolveAliases(id));
-  if (t == nullptr) {
+  const std::optional<BtfTypeView> t = graph.Get(graph.ResolveAliases(id));
+  if (!t) {
     return 0;
   }
   switch (t->kind) {
@@ -36,8 +36,9 @@ uint32_t SizeOfKernelType(const TypeGraph& graph, BtfTypeId id) {
 
 Result<RelocResult> ResolveCoreReloc(const TypeGraph& local_btf, const CoreReloc& reloc,
                                      const TypeGraph& kernel_btf) {
-  const BtfType* local_root = local_btf.Get(local_btf.ResolveAliases(reloc.root_type_id));
-  if (local_root == nullptr || local_root->name.empty()) {
+  const std::optional<BtfTypeView> local_root =
+      local_btf.Get(local_btf.ResolveAliases(reloc.root_type_id));
+  if (!local_root || local_root->name.empty()) {
     return Error(ErrorCode::kMalformedData, "relocation root is not a named type");
   }
   bool is_guard = reloc.kind == CoreRelocKind::kFieldExists;
@@ -49,17 +50,17 @@ Result<RelocResult> ResolveCoreReloc(const TypeGraph& local_btf, const CoreReloc
     if (reloc.kind == CoreRelocKind::kTypeExists || is_guard) {
       result.outcome = RelocOutcome::kGuardedAbsent;
       result.value = 0;
-      result.detail = local_root->name + " (absent)";
+      result.detail = StrCat({local_root->name, " (absent)"});
       return result;
     }
     result.outcome = RelocOutcome::kTypeMissing;
-    result.detail = "no type named " + local_root->name + " in kernel BTF";
+    result.detail = StrCat({"no type named ", local_root->name, " in kernel BTF"});
     return result;
   }
   if (reloc.kind == CoreRelocKind::kTypeExists) {
     RelocResult result;
     result.value = 1;
-    result.detail = local_root->name + " (present)";
+    result.detail = StrCat({local_root->name, " (present)"});
     return result;
   }
 
@@ -73,13 +74,14 @@ Result<RelocResult> ResolveCoreReloc(const TypeGraph& local_btf, const CoreReloc
   BtfTypeId local_id = local_btf.ResolveAliases(reloc.root_type_id);
   BtfTypeId kernel_id = *kernel_root;
   uint64_t bit_offset = 0;
-  std::string trail = local_root->name;
-  const BtfMember* kernel_member = nullptr;
+  std::string trail(local_root->name);
+  std::optional<BtfMemberView> kernel_member;
 
   for (size_t step = 1; step < indices.size(); ++step) {
-    const BtfType* local_type = local_btf.Get(local_id);
-    const BtfType* kernel_type = kernel_btf.Get(kernel_btf.ResolveAliases(kernel_id));
-    if (local_type == nullptr ||
+    const std::optional<BtfTypeView> local_type = local_btf.Get(local_id);
+    const std::optional<BtfTypeView> kernel_type =
+        kernel_btf.Get(kernel_btf.ResolveAliases(kernel_id));
+    if (!local_type ||
         (local_type->kind != BtfKind::kStruct && local_type->kind != BtfKind::kUnion)) {
       return Error(ErrorCode::kMalformedData, "local access chain leaves struct territory");
     }
@@ -93,25 +95,25 @@ Result<RelocResult> ResolveCoreReloc(const TypeGraph& local_btf, const CoreReloc
     if (index >= local_type->members.size()) {
       return Error(ErrorCode::kMalformedData, "local member index out of range");
     }
-    const BtfMember& local_member = local_type->members[index];
+    const BtfMemberView local_member = local_type->members[index];
 
     // Kernel side: the same struct, matched field by name.
-    if (kernel_type == nullptr ||
+    if (!kernel_type ||
         (kernel_type->kind != BtfKind::kStruct && kernel_type->kind != BtfKind::kUnion)) {
       RelocResult result;
       result.outcome = is_guard ? RelocOutcome::kGuardedAbsent : RelocOutcome::kTypeMissing;
       result.detail = trail + " is opaque in kernel BTF";
       return result;
     }
-    kernel_member = nullptr;
-    for (const BtfMember& m : kernel_type->members) {
+    kernel_member.reset();
+    for (const BtfMemberView m : kernel_type->members) {
       if (m.name == local_member.name) {
-        kernel_member = &m;
+        kernel_member = m;
         break;
       }
     }
-    trail += "::" + local_member.name;
-    if (kernel_member == nullptr) {
+    trail += StrCat({"::", local_member.name});
+    if (!kernel_member) {
       RelocResult result;
       if (is_guard) {
         result.outcome = RelocOutcome::kGuardedAbsent;
@@ -131,20 +133,20 @@ Result<RelocResult> ResolveCoreReloc(const TypeGraph& local_btf, const CoreReloc
     // Descend for chained accesses: through the member type, and through
     // one pointer hop (a->b->c).
     local_id = local_btf.ResolveAliases(local_member.type_id);
-    const BtfType* local_next = local_btf.Get(local_id);
-    if (local_next != nullptr && local_next->kind == BtfKind::kPtr) {
+    const std::optional<BtfTypeView> local_next = local_btf.Get(local_id);
+    if (local_next && local_next->kind == BtfKind::kPtr) {
       local_id = local_btf.ResolveAliases(local_next->ref_type_id);
       bit_offset = 0;  // a pointer hop restarts the offset in the new object
     }
     kernel_id = kernel_btf.ResolveAliases(kernel_member->type_id);
-    const BtfType* kernel_next = kernel_btf.Get(kernel_id);
-    if (kernel_next != nullptr && kernel_next->kind == BtfKind::kPtr) {
+    const std::optional<BtfTypeView> kernel_next = kernel_btf.Get(kernel_id);
+    if (kernel_next && kernel_next->kind == BtfKind::kPtr) {
       kernel_id = kernel_btf.ResolveAliases(kernel_next->ref_type_id);
     }
     // Named aggregates on the kernel side may be forward declarations in
     // this compilation unit; re-resolve by name to the full definition.
-    const BtfType* resolved = kernel_btf.Get(kernel_id);
-    if (resolved != nullptr && resolved->kind == BtfKind::kFwd) {
+    const std::optional<BtfTypeView> resolved = kernel_btf.Get(kernel_id);
+    if (resolved && resolved->kind == BtfKind::kFwd) {
       if (auto full = kernel_btf.FindStruct(resolved->name); full.has_value()) {
         kernel_id = *full;
       }

@@ -1,5 +1,8 @@
 #include "src/btf/btf.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "src/util/prng.h"
 #include "src/util/str_util.h"
 
@@ -41,148 +44,251 @@ const char* BtfKindName(BtfKind kind) {
   return "UNKNOWN";
 }
 
-BtfTypeId TypeGraph::Add(BtfType type) {
-  types_.push_back(std::move(type));
+TypeGraph::NameIndex::NameIndex(const NameIndex& other) {
+  std::lock_guard<std::mutex> lock(other.mu_);
+  built_ = other.built_;
+  entries_ = other.entries_;
+}
+
+TypeGraph::NameIndex::NameIndex(NameIndex&& other) noexcept
+    : built_(other.built_), entries_(std::move(other.entries_)) {
+  other.built_ = false;
+  other.entries_.clear();
+}
+
+TypeGraph::NameIndex& TypeGraph::NameIndex::operator=(const NameIndex& other) {
+  if (this != &other) {
+    std::scoped_lock lock(mu_, other.mu_);
+    built_ = other.built_;
+    entries_ = other.entries_;
+  }
+  return *this;
+}
+
+TypeGraph::NameIndex& TypeGraph::NameIndex::operator=(NameIndex&& other) noexcept {
+  if (this != &other) {
+    built_ = other.built_;
+    entries_ = std::move(other.entries_);
+    other.built_ = false;
+    other.entries_.clear();
+  }
+  return *this;
+}
+
+const std::vector<TypeGraph::IndexEntry>& TypeGraph::NameIndex::Get(
+    const TypeGraph& graph) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!built_) {
+    entries_.reserve(graph.types_.size());
+    for (uint32_t i = 0; i < graph.types_.size(); ++i) {
+      const Record& r = graph.types_[i];
+      entries_.push_back(IndexEntry{r.kind, r.name_off, r.name_len, i + 1});
+    }
+    std::sort(entries_.begin(), entries_.end(),
+              [&graph](const IndexEntry& a, const IndexEntry& b) {
+                if (a.kind != b.kind) {
+                  return a.kind < b.kind;
+                }
+                int order = graph.NameOf(a.name_off, a.name_len)
+                                .compare(graph.NameOf(b.name_off, b.name_len));
+                return order != 0 ? order < 0 : a.id < b.id;
+              });
+    built_ = true;
+  }
+  return entries_;
+}
+
+void TypeGraph::NameIndex::Clear() {
+  if (built_) {
+    built_ = false;
+    entries_.clear();
+  }
+}
+
+void TypeGraph::AddName(std::string_view name, uint32_t& off, uint32_t& len) {
+  len = static_cast<uint32_t>(name.size());
+  if (name.empty()) {
+    off = 0;
+    return;
+  }
+  // A name viewing this block is already in place; copying it in could
+  // reallocate the block out from under it.
+  const char* begin = strings_.data();
+  if (std::less_equal<const char*>()(begin, name.data()) &&
+      std::less<const char*>()(name.data(), begin + strings_.size())) {
+    off = static_cast<uint32_t>(name.data() - begin);
+    return;
+  }
+  off = static_cast<uint32_t>(strings_.size());
+  strings_.insert(strings_.end(), name.begin(), name.end());
+  strings_.push_back('\0');
+}
+
+template <typename Spec>
+void TypeGraph::AddRun(const std::vector<Spec>& specs, Record& record) {
+  record.first_entry = static_cast<uint32_t>(entries_.size());
+  record.num_entries = static_cast<uint32_t>(specs.size());
+  for (const Spec& spec : specs) {
+    BtfEntry entry;
+    AddName(spec.name, entry.name_off, entry.name_len);
+    if constexpr (std::is_same_v<Spec, BtfMember>) {
+      entry.type_or_value = spec.type_id;
+      entry.bits_offset = spec.bits_offset;
+    } else if constexpr (std::is_same_v<Spec, BtfParam>) {
+      entry.type_or_value = spec.type_id;
+    } else {
+      entry.type_or_value = static_cast<uint32_t>(spec.value);
+    }
+    entries_.push_back(entry);
+  }
+}
+
+BtfTypeId TypeGraph::AddRecord(const Record& record) {
+  index_.Clear();
+  types_.push_back(record);
   return static_cast<BtfTypeId>(types_.size());
 }
 
-const BtfType* TypeGraph::Get(BtfTypeId id) const {
-  if (id == 0 || id > types_.size()) {
-    return nullptr;
+BtfTypeId TypeGraph::Dedup(uint64_t key, Record record, std::string_view name) {
+  auto [it, inserted] = dedup_.try_emplace(key, kBtfVoid);
+  if (inserted) {
+    AddName(name, record.name_off, record.name_len);
+    it->second = AddRecord(record);
   }
-  return &types_[id - 1];
-}
-
-BtfType* TypeGraph::GetMutable(BtfTypeId id) {
-  if (id == 0 || id > types_.size()) {
-    return nullptr;
-  }
-  return &types_[id - 1];
-}
-
-BtfTypeId TypeGraph::Dedup(uint64_t key, BtfType type) {
-  auto it = dedup_.find(key);
-  if (it != dedup_.end()) {
-    return it->second;
-  }
-  BtfTypeId id = Add(std::move(type));
-  dedup_[key] = id;
-  return id;
+  return it->second;
 }
 
 BtfTypeId TypeGraph::Int(std::string_view name, uint32_t byte_size) {
-  BtfType t;
-  t.kind = BtfKind::kInt;
-  t.name = name;
-  t.size = byte_size;
-  t.int_bits = static_cast<uint8_t>(byte_size * 8);
-  return Dedup(HashCombine({1, HashString(name), byte_size}), std::move(t));
+  Record r;
+  r.kind = BtfKind::kInt;
+  r.size = byte_size;
+  r.int_bits = static_cast<uint8_t>(byte_size * 8);
+  return Dedup(HashCombine({1, HashString(name), byte_size}), r, name);
 }
 
 BtfTypeId TypeGraph::Float(std::string_view name, uint32_t byte_size) {
-  BtfType t;
-  t.kind = BtfKind::kFloat;
-  t.name = name;
-  t.size = byte_size;
-  return Dedup(HashCombine({16, HashString(name), byte_size}), std::move(t));
+  Record r;
+  r.kind = BtfKind::kFloat;
+  r.size = byte_size;
+  return Dedup(HashCombine({16, HashString(name), byte_size}), r, name);
 }
 
 BtfTypeId TypeGraph::Ptr(BtfTypeId to) {
-  BtfType t;
-  t.kind = BtfKind::kPtr;
-  t.ref_type_id = to;
-  return Dedup(HashCombine({2, to}), std::move(t));
+  Record r;
+  r.kind = BtfKind::kPtr;
+  r.ref_type_id = to;
+  return Dedup(HashCombine({2, to}), r, {});
 }
 
 BtfTypeId TypeGraph::Const(BtfTypeId of) {
-  BtfType t;
-  t.kind = BtfKind::kConst;
-  t.ref_type_id = of;
-  return Dedup(HashCombine({10, of}), std::move(t));
+  Record r;
+  r.kind = BtfKind::kConst;
+  r.ref_type_id = of;
+  return Dedup(HashCombine({10, of}), r, {});
 }
 
 BtfTypeId TypeGraph::Volatile(BtfTypeId of) {
-  BtfType t;
-  t.kind = BtfKind::kVolatile;
-  t.ref_type_id = of;
-  return Dedup(HashCombine({9, of}), std::move(t));
+  Record r;
+  r.kind = BtfKind::kVolatile;
+  r.ref_type_id = of;
+  return Dedup(HashCombine({9, of}), r, {});
 }
 
 BtfTypeId TypeGraph::Typedef(std::string_view name, BtfTypeId of) {
-  BtfType t;
-  t.kind = BtfKind::kTypedef;
-  t.name = name;
-  t.ref_type_id = of;
-  return Dedup(HashCombine({8, HashString(name), of}), std::move(t));
+  Record r;
+  r.kind = BtfKind::kTypedef;
+  r.ref_type_id = of;
+  return Dedup(HashCombine({8, HashString(name), of}), r, name);
 }
 
 BtfTypeId TypeGraph::Array(BtfTypeId element, uint32_t nelems) {
-  BtfType t;
-  t.kind = BtfKind::kArray;
-  t.ref_type_id = element;
-  t.nelems = nelems;
-  return Dedup(HashCombine({3, element, nelems}), std::move(t));
+  Record r;
+  r.kind = BtfKind::kArray;
+  r.ref_type_id = element;
+  r.nelems = nelems;
+  return Dedup(HashCombine({3, element, nelems}), r, {});
 }
 
 BtfTypeId TypeGraph::Fwd(std::string_view name) {
-  BtfType t;
-  t.kind = BtfKind::kFwd;
-  t.name = name;
-  return Dedup(HashCombine({7, HashString(name)}), std::move(t));
+  Record r;
+  r.kind = BtfKind::kFwd;
+  return Dedup(HashCombine({7, HashString(name)}), r, name);
 }
 
 BtfTypeId TypeGraph::Struct(std::string_view name, uint32_t byte_size,
-                            std::vector<BtfMember> members) {
-  BtfType t;
-  t.kind = BtfKind::kStruct;
-  t.name = name;
-  t.size = byte_size;
-  t.members = std::move(members);
-  return Add(std::move(t));
+                            const std::vector<BtfMember>& members) {
+  Record r;
+  r.kind = BtfKind::kStruct;
+  r.size = byte_size;
+  AddName(name, r.name_off, r.name_len);
+  AddRun(members, r);
+  return AddRecord(r);
 }
 
 BtfTypeId TypeGraph::Union(std::string_view name, uint32_t byte_size,
-                           std::vector<BtfMember> members) {
-  BtfType t;
-  t.kind = BtfKind::kUnion;
-  t.name = name;
-  t.size = byte_size;
-  t.members = std::move(members);
-  return Add(std::move(t));
+                           const std::vector<BtfMember>& members) {
+  Record r;
+  r.kind = BtfKind::kUnion;
+  r.size = byte_size;
+  AddName(name, r.name_off, r.name_len);
+  AddRun(members, r);
+  return AddRecord(r);
 }
 
-BtfTypeId TypeGraph::Enum(std::string_view name, std::vector<BtfEnumerator> enumerators) {
-  BtfType t;
-  t.kind = BtfKind::kEnum;
-  t.name = name;
-  t.size = 4;
-  t.enumerators = std::move(enumerators);
-  return Add(std::move(t));
+BtfTypeId TypeGraph::Enum(std::string_view name, const std::vector<BtfEnumerator>& enumerators) {
+  Record r;
+  r.kind = BtfKind::kEnum;
+  r.size = 4;
+  AddName(name, r.name_off, r.name_len);
+  AddRun(enumerators, r);
+  return AddRecord(r);
 }
 
-BtfTypeId TypeGraph::FuncProto(BtfTypeId return_type, std::vector<BtfParam> params) {
-  BtfType t;
-  t.kind = BtfKind::kFuncProto;
-  t.ref_type_id = return_type;
-  t.params = std::move(params);
-  return Add(std::move(t));
+BtfTypeId TypeGraph::FuncProto(BtfTypeId return_type, const std::vector<BtfParam>& params) {
+  Record r;
+  r.kind = BtfKind::kFuncProto;
+  r.ref_type_id = return_type;
+  AddRun(params, r);
+  return AddRecord(r);
 }
 
 BtfTypeId TypeGraph::Func(std::string_view name, BtfTypeId proto) {
-  BtfType t;
-  t.kind = BtfKind::kFunc;
-  t.name = name;
-  t.ref_type_id = proto;
-  return Add(std::move(t));
+  Record r;
+  r.kind = BtfKind::kFunc;
+  r.ref_type_id = proto;
+  AddName(name, r.name_off, r.name_len);
+  return AddRecord(r);
+}
+
+bool TypeGraph::RedefineStruct(BtfTypeId id, uint32_t byte_size,
+                               const std::vector<BtfMember>& members) {
+  if (id == 0 || id > types_.size()) {
+    return false;
+  }
+  Record& r = types_[id - 1];
+  if (r.kind != BtfKind::kStruct && r.kind != BtfKind::kFwd) {
+    return false;
+  }
+  index_.Clear();
+  r.kind = BtfKind::kStruct;
+  r.size = byte_size;
+  AddRun(members, r);
+  return true;
 }
 
 std::optional<BtfTypeId> TypeGraph::FindByKindAndName(BtfKind kind, std::string_view name) const {
-  for (uint32_t i = 0; i < types_.size(); ++i) {
-    if (types_[i].kind == kind && types_[i].name == name) {
-      return i + 1;
-    }
+  const std::vector<IndexEntry>& index = index_.Get(*this);
+  auto it = std::lower_bound(index.begin(), index.end(), name,
+                             [this, kind](const IndexEntry& e, std::string_view key) {
+                               if (e.kind != kind) {
+                                 return e.kind < kind;
+                               }
+                               return NameOf(e.name_off, e.name_len) < key;
+                             });
+  if (it == index.end() || it->kind != kind || NameOf(it->name_off, it->name_len) != name) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return it->id;
 }
 
 std::optional<BtfTypeId> TypeGraph::FindStruct(std::string_view name) const {
@@ -197,16 +303,16 @@ BtfTypeId TypeGraph::ResolveAliases(BtfTypeId id) const {
   // Alias chains are finite in valid graphs; the loop bound guards against
   // cycles in malformed ones.
   for (uint32_t depth = 0; depth < 64; ++depth) {
-    const BtfType* t = Get(id);
-    if (t == nullptr) {
+    if (id == 0 || id > types_.size()) {
       return id;
     }
-    switch (t->kind) {
+    const Record& r = types_[id - 1];
+    switch (r.kind) {
       case BtfKind::kConst:
       case BtfKind::kVolatile:
       case BtfKind::kRestrict:
       case BtfKind::kTypedef:
-        id = t->ref_type_id;
+        id = r.ref_type_id;
         break;
       default:
         return id;
@@ -216,15 +322,13 @@ BtfTypeId TypeGraph::ResolveAliases(BtfTypeId id) const {
 }
 
 Status TypeGraph::Validate() const {
-  auto check = [&](uint32_t id, const char* what) -> Status {
-    if (id > types_.size()) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("%s references type %u beyond %zu", what, id, types_.size()));
-    }
-    return Status::Ok();
+  const size_t n = types_.size();
+  auto beyond = [n](uint32_t id, const char* what) {
+    return Status(ErrorCode::kMalformedData,
+                  StrFormat("%s references type %u beyond %zu", what, id, n));
   };
-  for (const BtfType& t : types_) {
-    switch (t.kind) {
+  for (const Record& r : types_) {
+    switch (r.kind) {
       case BtfKind::kPtr:
       case BtfKind::kTypedef:
       case BtfKind::kConst:
@@ -233,16 +337,24 @@ Status TypeGraph::Validate() const {
       case BtfKind::kArray:
       case BtfKind::kFunc:
       case BtfKind::kFuncProto:
-        DEPSURF_RETURN_IF_ERROR(check(t.ref_type_id, BtfKindName(t.kind)));
+        if (r.ref_type_id > n) {
+          return beyond(r.ref_type_id, BtfKindName(r.kind));
+        }
         break;
       default:
         break;
     }
-    for (const BtfMember& m : t.members) {
-      DEPSURF_RETURN_IF_ERROR(check(m.type_id, "member"));
+    // Members and parameters name types; enumerators hold values.
+    const char* what = r.kind == BtfKind::kFuncProto ? "param"
+                       : r.kind == BtfKind::kStruct || r.kind == BtfKind::kUnion ? "member"
+                                                                                 : nullptr;
+    if (what == nullptr) {
+      continue;
     }
-    for (const BtfParam& p : t.params) {
-      DEPSURF_RETURN_IF_ERROR(check(p.type_id, "param"));
+    for (uint32_t i = r.first_entry; i < r.first_entry + r.num_entries; ++i) {
+      if (entries_[i].type_or_value > n) {
+        return beyond(entries_[i].type_or_value, what);
+      }
     }
   }
   return Status::Ok();

@@ -1,55 +1,115 @@
 #include "src/btf/btf_codec.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "src/obs/context.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
 #include "src/util/str_util.h"
+#include "src/util/string_table.h"
 
 namespace depsurf {
 
 namespace {
 
-// Deduplicating BTF string section builder; offset 0 is the empty string.
-class BtfStrtab {
- public:
-  BtfStrtab() { bytes_.push_back(0); }
-
-  uint32_t Add(const std::string& s) {
-    if (s.empty()) {
-      return 0;
-    }
-    auto it = offsets_.find(s);
-    if (it != offsets_.end()) {
-      return it->second;
-    }
-    uint32_t off = static_cast<uint32_t>(bytes_.size());
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
-    bytes_.push_back(0);
-    offsets_[s] = off;
-    return off;
-  }
-
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
-
- private:
-  std::vector<uint8_t> bytes_;
-  std::unordered_map<std::string, uint32_t> offsets_;
-};
-
 constexpr uint32_t MakeInfo(BtfKind kind, uint32_t vlen) {
   return (static_cast<uint32_t>(kind) << 24) | (vlen & 0xffff);
 }
 
+// Bytes of a record's fixed head: name offset, info, size or type.
+constexpr size_t kRecordHead = 12;
+
+uint32_t Load32(const uint8_t* p, bool swap) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return swap ? __builtin_bswap32(v) : v;
+}
+
+bool IsKnownKind(uint32_t kind_raw) {
+  // VAR (14) and DATASEC (15) are not produced by us; 17 and up are newer.
+  return kind_raw <= static_cast<uint32_t>(BtfKind::kFloat) && kind_raw != 14 &&
+         kind_raw != 15;
+}
+
+// Bytes of one run entry for the kinds that have runs, else 0.
+size_t EntryBytes(BtfKind kind) {
+  switch (kind) {
+    case BtfKind::kStruct:
+    case BtfKind::kUnion:
+      return 12;  // name, type, bit offset
+    case BtfKind::kEnum:
+    case BtfKind::kFuncProto:
+      return 8;  // name, then value or type
+    default:
+      return 0;
+  }
+}
+
+// Bytes after the head for the kinds without runs.
+size_t FixedPayloadBytes(BtfKind kind) {
+  switch (kind) {
+    case BtfKind::kInt:
+      return 4;  // encoding and bits
+    case BtfKind::kArray:
+      return 12;  // element type, index type, nelems
+    default:
+      return 0;
+  }
+}
+
+Error ReadBeyond(size_t offset) {
+  return Error(ErrorCode::kOutOfRange, "read beyond buffer").WithOffset(offset);
+}
+
+// Resolves name offsets against a string section: offset 0 is the empty
+// name, any other must start a NUL-terminated string inside the section.
+class NameReader {
+ public:
+  NameReader(const char* strings, size_t size) : strings_(strings), size_(size) {
+    // Every offset before the last NUL reaches a NUL; none after it does.
+    terminated_ = size;
+    while (terminated_ > 0 && strings[terminated_ - 1] != 0) {
+      --terminated_;
+    }
+  }
+
+  // Sets `len` to the length of the name at `off`; false when it cannot be
+  // read (Fail says why).
+  bool Read(uint32_t off, uint32_t& len) const {
+    if (off == 0) {
+      len = 0;
+      return true;
+    }
+    if (off >= terminated_) {
+      return false;
+    }
+    len = static_cast<uint32_t>(std::strlen(strings_ + off));
+    return true;
+  }
+
+  Error Fail(uint32_t off) const {
+    if (off >= size_) {
+      return Error(ErrorCode::kOutOfRange, "string offset beyond buffer").WithOffset(off);
+    }
+    return Error(ErrorCode::kMalformedData, "unterminated string").WithOffset(off);
+  }
+
+ private:
+  const char* strings_;
+  size_t size_;
+  size_t terminated_;
+};
+
 }  // namespace
 
 std::vector<uint8_t> EncodeBtf(const TypeGraph& graph, Endian endian) {
-  BtfStrtab strtab;
+  StringTableBuilder strtab;
   ByteWriter types(endian);
 
   for (BtfTypeId id = 1; id <= graph.num_types(); ++id) {
-    const BtfType& t = *graph.Get(id);
+    const BtfTypeView t = *graph.Get(id);
     uint32_t vlen = 0;
     switch (t.kind) {
       case BtfKind::kStruct:
@@ -92,20 +152,20 @@ std::vector<uint8_t> EncodeBtf(const TypeGraph& graph, Endian endian) {
         break;
       case BtfKind::kStruct:
       case BtfKind::kUnion:
-        for (const BtfMember& m : t.members) {
+        for (const BtfMemberView m : t.members) {
           types.WriteU32(strtab.Add(m.name));
           types.WriteU32(m.type_id);
           types.WriteU32(m.bits_offset);
         }
         break;
       case BtfKind::kEnum:
-        for (const BtfEnumerator& e : t.enumerators) {
+        for (const BtfEnumeratorView e : t.enumerators) {
           types.WriteU32(strtab.Add(e.name));
           types.WriteU32(static_cast<uint32_t>(e.value));
         }
         break;
       case BtfKind::kFuncProto:
-        for (const BtfParam& p : t.params) {
+        for (const BtfParamView p : t.params) {
           types.WriteU32(strtab.Add(p.name));
           types.WriteU32(p.type_id);
         }
@@ -160,101 +220,132 @@ Result<TypeGraph> DecodeBtf(ByteReader reader) {
   DEPSURF_ASSIGN_OR_RETURN(strs,
                            reader.Slice(static_cast<size_t>(hdr_len) + str_off, str_len));
 
-  auto read_name = [&](uint32_t off) -> Result<std::string> {
-    if (off == 0) {
-      return std::string();
+  const bool swap = (reader.endian() == Endian::kBig) != (std::endian::native == std::endian::big);
+  const uint8_t* data = types.data();
+  const size_t size = types.size();
+  const char* strings = reinterpret_cast<const char*>(strs.data());
+  const NameReader names(strings, strs.size());
+
+  // Sizing pass: the records and run entries that fit, so the arrays are
+  // allocated once. Errors are left to the decoding pass.
+  size_t num_records = 0;
+  size_t num_entries = 0;
+  for (size_t off = 0; size - off >= kRecordHead;) {
+    const uint32_t info = Load32(data + off + 4, swap);
+    const uint32_t kind_raw = (info >> 24) & 0x1f;
+    if (!IsKnownKind(kind_raw)) {
+      break;
     }
-    return strs.ReadCStringAt(off);
-  };
+    const BtfKind kind = static_cast<BtfKind>(kind_raw);
+    const size_t vlen = EntryBytes(kind) != 0 ? (info & 0xffff) : 0;
+    const size_t bytes = kRecordHead + FixedPayloadBytes(kind) + vlen * EntryBytes(kind);
+    if (bytes > size - off) {
+      break;
+    }
+    ++num_records;
+    num_entries += vlen;
+    off += bytes;
+  }
 
   TypeGraph graph;
-  while (!types.AtEnd()) {
-    DEPSURF_ASSIGN_OR_RETURN(name_off, types.ReadU32());
-    DEPSURF_ASSIGN_OR_RETURN(info, types.ReadU32());
-    DEPSURF_ASSIGN_OR_RETURN(size_or_type, types.ReadU32());
-    BtfType t;
-    uint32_t kind_raw = (info >> 24) & 0x1f;
-    uint32_t vlen = info & 0xffff;
-    if (kind_raw > static_cast<uint32_t>(BtfKind::kFloat) ||
-        kind_raw == 14 || kind_raw == 15) {  // VAR/DATASEC not produced by us
-      return Error(ErrorCode::kUnsupported, StrFormat("BTF kind %u", kind_raw))
-          .WithOffset(types.offset() - 8);  // the info word of this entry
+  graph.strings_.assign(strings, strings + strs.size());
+  graph.types_.reserve(num_records);
+  graph.entries_.reserve(num_entries);
+
+  // Each record is bounds-checked once and its fields loaded directly. A
+  // record that does not fit fails at the offset of its first field that
+  // does not, after the names before that field were checked, as reading
+  // field by field in order would.
+  size_t off = 0;
+  while (off < size) {
+    const size_t left = size - off;
+    if (left < kRecordHead) {
+      return ReadBeyond(off + left / 4 * 4);
     }
-    t.kind = static_cast<BtfKind>(kind_raw);
-    DEPSURF_ASSIGN_OR_RETURN(name, read_name(name_off));
-    t.name = std::move(name);
-    switch (t.kind) {
+    const uint8_t* p = data + off;
+    const uint32_t name_off = Load32(p, swap);
+    const uint32_t info = Load32(p + 4, swap);
+    const uint32_t size_or_type = Load32(p + 8, swap);
+    const uint32_t kind_raw = (info >> 24) & 0x1f;
+    if (!IsKnownKind(kind_raw)) {
+      return Error(ErrorCode::kUnsupported, StrFormat("BTF kind %u", kind_raw))
+          .WithOffset(off + 4);  // the info word of this entry
+    }
+    TypeGraph::Record r;
+    r.kind = static_cast<BtfKind>(kind_raw);
+    if (!names.Read(name_off, r.name_len)) {
+      return names.Fail(name_off);
+    }
+    r.name_off = name_off;
+    switch (r.kind) {
       case BtfKind::kInt:
       case BtfKind::kFloat:
       case BtfKind::kStruct:
       case BtfKind::kUnion:
       case BtfKind::kEnum:
-        t.size = size_or_type;
+        r.size = size_or_type;
         break;
       default:
-        t.ref_type_id = size_or_type;
+        r.ref_type_id = size_or_type;
         break;
     }
-    switch (t.kind) {
-      case BtfKind::kInt: {
-        DEPSURF_ASSIGN_OR_RETURN(int_data, types.ReadU32());
-        t.int_bits = static_cast<uint8_t>(int_data & 0xff);
-        break;
-      }
-      case BtfKind::kArray: {
-        DEPSURF_ASSIGN_OR_RETURN(elem, types.ReadU32());
-        DEPSURF_RETURN_IF_ERROR(types.Skip(4));  // index type
-        DEPSURF_ASSIGN_OR_RETURN(nelems, types.ReadU32());
-        t.ref_type_id = elem;
-        t.nelems = nelems;
-        break;
-      }
-      case BtfKind::kStruct:
-      case BtfKind::kUnion: {
-        t.members.reserve(vlen);
-        for (uint32_t i = 0; i < vlen; ++i) {
-          BtfMember m;
-          DEPSURF_ASSIGN_OR_RETURN(mname_off, types.ReadU32());
-          DEPSURF_ASSIGN_OR_RETURN(mname, read_name(mname_off));
-          m.name = std::move(mname);
-          DEPSURF_ASSIGN_OR_RETURN(mtype, types.ReadU32());
-          m.type_id = mtype;
-          DEPSURF_ASSIGN_OR_RETURN(moff, types.ReadU32());
-          m.bits_offset = moff;
-          t.members.push_back(std::move(m));
+    const size_t entry_bytes = EntryBytes(r.kind);
+    if (entry_bytes == 0) {
+      const size_t payload = FixedPayloadBytes(r.kind);
+      if (left - kRecordHead < payload) {
+        const size_t missing = off + kRecordHead + (left - kRecordHead) / 4 * 4;
+        // An array skips its index type rather than reading it.
+        if (r.kind == BtfKind::kArray && missing == off + 16) {
+          return Error(ErrorCode::kOutOfRange, "skip beyond buffer").WithOffset(missing);
         }
-        break;
+        return ReadBeyond(missing);
       }
-      case BtfKind::kEnum: {
-        t.enumerators.reserve(vlen);
-        for (uint32_t i = 0; i < vlen; ++i) {
-          BtfEnumerator e;
-          DEPSURF_ASSIGN_OR_RETURN(ename_off, types.ReadU32());
-          DEPSURF_ASSIGN_OR_RETURN(ename, read_name(ename_off));
-          e.name = std::move(ename);
-          DEPSURF_ASSIGN_OR_RETURN(eval, types.ReadU32());
-          e.value = static_cast<int32_t>(eval);
-          t.enumerators.push_back(std::move(e));
-        }
-        break;
+      if (r.kind == BtfKind::kInt) {
+        r.int_bits = static_cast<uint8_t>(Load32(p + 12, swap) & 0xff);
+      } else if (r.kind == BtfKind::kArray) {
+        r.ref_type_id = Load32(p + 12, swap);
+        r.nelems = Load32(p + 20, swap);
       }
-      case BtfKind::kFuncProto: {
-        t.params.reserve(vlen);
-        for (uint32_t i = 0; i < vlen; ++i) {
-          BtfParam p;
-          DEPSURF_ASSIGN_OR_RETURN(pname_off, types.ReadU32());
-          DEPSURF_ASSIGN_OR_RETURN(pname, read_name(pname_off));
-          p.name = std::move(pname);
-          DEPSURF_ASSIGN_OR_RETURN(ptype, types.ReadU32());
-          p.type_id = ptype;
-          t.params.push_back(std::move(p));
-        }
-        break;
-      }
-      default:
-        break;
+      graph.types_.push_back(r);
+      off += kRecordHead + payload;
+      continue;
     }
-    graph.Add(std::move(t));
+
+    const uint32_t vlen = info & 0xffff;
+    const size_t avail = left - kRecordHead;
+    const size_t fit = std::min<size_t>(vlen, avail / entry_bytes);
+    r.first_entry = static_cast<uint32_t>(graph.entries_.size());
+    r.num_entries = vlen;
+    for (size_t i = 0; i < fit; ++i) {
+      const uint8_t* q = p + kRecordHead + i * entry_bytes;
+      BtfEntry e;
+      e.name_off = Load32(q, swap);
+      if (!names.Read(e.name_off, e.name_len)) {
+        return names.Fail(e.name_off);
+      }
+      e.type_or_value = Load32(q + 4, swap);
+      if (entry_bytes == 12) {
+        e.bits_offset = Load32(q + 8, swap);
+      }
+      graph.entries_.push_back(e);
+    }
+    if (fit < vlen) {
+      // The first entry that does not fit: its name word, if present, is
+      // read (and its name checked) before the word that is missing.
+      const size_t at = off + kRecordHead + fit * entry_bytes;
+      const size_t rem = avail - fit * entry_bytes;
+      if (rem < 4) {
+        return ReadBeyond(at);
+      }
+      const uint32_t entry_name = Load32(data + at, swap);
+      uint32_t len = 0;
+      if (!names.Read(entry_name, len)) {
+        return names.Fail(entry_name);
+      }
+      return ReadBeyond(rem < 8 ? at + 4 : at + 8);
+    }
+    graph.types_.push_back(r);
+    off += kRecordHead + static_cast<size_t>(vlen) * entry_bytes;
   }
   DEPSURF_RETURN_IF_ERROR(graph.Validate());
   span.AddAttr("types", static_cast<uint64_t>(graph.num_types()));

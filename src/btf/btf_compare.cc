@@ -8,10 +8,10 @@ bool EqualsDepth(const TypeGraph& ga, BtfTypeId a, const TypeGraph& gb, BtfTypeI
   if (depth > 32) {
     return true;  // deep identical prefixes; treat as equal to stay total
   }
-  const BtfType* ta = ga.Get(a);
-  const BtfType* tb = gb.Get(b);
-  if (ta == nullptr || tb == nullptr) {
-    return ta == tb;  // both void
+  const std::optional<BtfTypeView> ta = ga.Get(a);
+  const std::optional<BtfTypeView> tb = gb.Get(b);
+  if (!ta || !tb) {
+    return !ta && !tb;  // both void
   }
   if (ta->kind != tb->kind) {
     // A FWD on one side matches a same-named aggregate on the other.
@@ -46,9 +46,10 @@ bool EqualsDepth(const TypeGraph& ga, BtfTypeId a, const TypeGraph& gb, BtfTypeI
         return false;
       }
       for (size_t i = 0; i < ta->members.size(); ++i) {
-        if (ta->members[i].name != tb->members[i].name ||
-            ta->members[i].bits_offset != tb->members[i].bits_offset ||
-            !EqualsDepth(ga, ta->members[i].type_id, gb, tb->members[i].type_id, depth + 1)) {
+        const BtfMemberView ma = ta->members[i];
+        const BtfMemberView mb = tb->members[i];
+        if (ma.name != mb.name || ma.bits_offset != mb.bits_offset ||
+            !EqualsDepth(ga, ma.type_id, gb, mb.type_id, depth + 1)) {
           return false;
         }
       }
@@ -90,8 +91,8 @@ bool EqualsDepth(const TypeGraph& ga, BtfTypeId a, const TypeGraph& gb, BtfTypeI
 enum class Shape { kVoid, kInteger, kFloat, kPointer, kAggregate, kArray, kFunc, kOther };
 
 Shape ShapeOf(const TypeGraph& g, BtfTypeId id) {
-  const BtfType* t = g.Get(g.ResolveAliases(id));
-  if (t == nullptr) {
+  const std::optional<BtfTypeView> t = g.Get(g.ResolveAliases(id));
+  if (!t) {
     return Shape::kVoid;
   }
   switch (t->kind) {

@@ -18,15 +18,15 @@ std::string TypeStringDepth(const TypeGraph& graph, BtfTypeId id, int depth, int
     return "<cycle>";
   }
   --budget;
-  const BtfType* t = graph.Get(id);
-  if (t == nullptr) {
+  const std::optional<BtfTypeView> t = graph.Get(id);
+  if (!t) {
     return "void";
   }
   switch (t->kind) {
     case BtfKind::kInt:
     case BtfKind::kFloat:
     case BtfKind::kTypedef:
-      return t->name;
+      return std::string(t->name);
     case BtfKind::kPtr: {
       std::string inner = TypeStringDepth(graph, t->ref_type_id, depth + 1, budget);
       if (!inner.empty() && inner.back() == '*') {
@@ -51,13 +51,13 @@ std::string TypeStringDepth(const TypeGraph& graph, BtfTypeId id, int depth, int
                        t->nelems);
     case BtfKind::kStruct:
     case BtfKind::kFwd:
-      return "struct " + t->name;
+      return StrCat({"struct ", t->name});
     case BtfKind::kUnion:
-      return "union " + t->name;
+      return StrCat({"union ", t->name});
     case BtfKind::kEnum:
-      return "enum " + t->name;
+      return StrCat({"enum ", t->name});
     case BtfKind::kFunc:
-      return t->name;
+      return std::string(t->name);
     case BtfKind::kFuncProto: {
       std::string out = TypeStringDepth(graph, t->ref_type_id, depth + 1, budget) + " (*)(";
       for (size_t i = 0; i < t->params.size(); ++i) {
@@ -84,13 +84,13 @@ std::string TypeStringDepth(const TypeGraph& graph, BtfTypeId id, int depth, int
 template <typename TypeStringFn>
 void FormatFuncDecl(const TypeGraph& graph, BtfTypeId func_id, TypeStringFn&& type_string,
                     std::string& out) {
-  const BtfType* func = graph.Get(func_id);
-  if (func == nullptr || func->kind != BtfKind::kFunc) {
+  const std::optional<BtfTypeView> func = graph.Get(func_id);
+  if (!func || func->kind != BtfKind::kFunc) {
     out = "<not a function>";
     return;
   }
-  const BtfType* proto = graph.Get(func->ref_type_id);
-  if (proto == nullptr || proto->kind != BtfKind::kFuncProto) {
+  const std::optional<BtfTypeView> proto = graph.Get(func->ref_type_id);
+  if (!proto || proto->kind != BtfKind::kFuncProto) {
     out = func->name;
     out += "()";
     return;
@@ -103,13 +103,14 @@ void FormatFuncDecl(const TypeGraph& graph, BtfTypeId func_id, TypeStringFn&& ty
     if (i != 0) {
       out += ", ";
     }
-    const std::string& type_str = type_string(proto->params[i].type_id);
+    const BtfParamView param = proto->params[i];
+    const std::string& type_str = type_string(param.type_id);
     out += type_str;
-    if (!proto->params[i].name.empty()) {
+    if (!param.name.empty()) {
       if (type_str.empty() || type_str.back() != '*') {
         out += " ";
       }
-      out += proto->params[i].name;
+      out += param.name;
     }
   }
   out += ")";

@@ -176,13 +176,13 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
   };
 
   auto decl_hash = [&](BtfTypeId func_id) -> uint64_t {
-    const BtfType* func = graph.Get(func_id);
-    const BtfType* proto = func != nullptr ? graph.Get(func->ref_type_id) : nullptr;
-    if (proto == nullptr || proto->kind != BtfKind::kFuncProto) {
+    const std::optional<BtfTypeView> func = graph.Get(func_id);
+    const std::optional<BtfTypeView> proto = func ? graph.Get(func->ref_type_id) : std::nullopt;
+    if (!proto || proto->kind != BtfKind::kFuncProto) {
       return 0;
     }
     uint64_t h = hash_type(proto->ref_type_id);
-    for (const BtfParam& p : proto->params) {
+    for (const BtfParamView p : proto->params) {
       h = HashCombine({h, HashString(p.name), hash_type(p.type_id)});
     }
     return h;
@@ -206,10 +206,10 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
 
   for (const auto& [name, id] : surface.structs()) {
     StructRecord sr;
-    const BtfType* st = graph.Get(id);
-    if (st != nullptr) {
+    const std::optional<BtfTypeView> st = graph.Get(id);
+    if (st) {
       sr.fields.reserve(st->members.size());
-      for (const BtfMember& m : st->members) {
+      for (const BtfMemberView m : st->members) {
         StrId type = intern_type(m.type_id);
         sr.fields.emplace_back(Intern(m.name), type);
       }
@@ -221,19 +221,19 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
   for (const auto& [name, tp] : surface.tracepoints()) {
     TracepointRecord tr;
     if (tp.func_btf_id != 0) {
-      const BtfType* func = graph.Get(tp.func_btf_id);
-      const BtfType* proto = func != nullptr ? graph.Get(func->ref_type_id) : nullptr;
-      if (proto != nullptr) {
-        for (const BtfParam& p : proto->params) {
+      const std::optional<BtfTypeView> func = graph.Get(tp.func_btf_id);
+      const std::optional<BtfTypeView> proto = func ? graph.Get(func->ref_type_id) : std::nullopt;
+      if (proto) {
+        for (const BtfParamView p : proto->params) {
           StrId type = intern_type(p.type_id);
           tr.func_params.emplace_back(Intern(p.name), type);
         }
       }
     }
     if (tp.struct_btf_id != 0) {
-      const BtfType* st = graph.Get(tp.struct_btf_id);
-      if (st != nullptr) {
-        for (const BtfMember& m : st->members) {
+      const std::optional<BtfTypeView> st = graph.Get(tp.struct_btf_id);
+      if (st) {
+        for (const BtfMemberView m : st->members) {
           StrId type = intern_type(m.type_id);
           tr.event_fields.emplace_back(Intern(m.name), type);
         }
@@ -248,9 +248,9 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
     record.syscalls.insert(Intern(name));
   }
   if (auto pt_regs = surface.FindStruct("pt_regs"); pt_regs.has_value()) {
-    const BtfType* st = graph.Get(*pt_regs);
+    const std::optional<BtfTypeView> st = graph.Get(*pt_regs);
     uint64_t h = 0x9e11;
-    for (const BtfMember& m : st->members) {
+    for (const BtfMemberView m : st->members) {
       h = HashCombine({h, HashString(m.name)});
     }
     record.pt_regs_hash = h;

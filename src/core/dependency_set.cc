@@ -44,11 +44,12 @@ Result<DependencySet> ExtractDependencySet(const BpfObject& object) {
   }
   for (const CoreReloc& reloc : object.relocs) {
     if (reloc.kind == CoreRelocKind::kTypeExists) {
-      const BtfType* root = object.btf.Get(object.btf.ResolveAliases(reloc.root_type_id));
-      if (root == nullptr || root->name.empty()) {
+      const std::optional<BtfTypeView> root =
+          object.btf.Get(object.btf.ResolveAliases(reloc.root_type_id));
+      if (!root || root->name.empty()) {
         return Error(ErrorCode::kMalformedData, "type-exists reloc without a named root");
       }
-      set.fields.try_emplace(root->name);  // struct dependency, no fields
+      set.fields.try_emplace(std::string(root->name));  // struct dependency, no fields
       continue;
     }
     DEPSURF_ASSIGN_OR_RETURN(chain, ResolveReloc(object.btf, reloc));

@@ -267,7 +267,7 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
       btf = TypeGraph();  // queries see an empty, valid graph
     }
     for (BtfTypeId id = 1; id <= btf.num_types(); ++id) {
-      const BtfType* t = btf.Get(id);
+      const std::optional<BtfTypeView> t = btf.Get(id);
       if (t->kind == BtfKind::kStruct) {
         btf_structs.emplace(t->name, id);
         if (!t->name.empty() && !StartsWith(t->name, kTraceStructPrefix)) {
@@ -597,8 +597,8 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
       DEPSURF_ASSIGN_OR_RETURN(ids, reader.SectionData(*ids_section));
       while (ids.remaining() >= 4) {
         DEPSURF_ASSIGN_OR_RETURN(id, ids.ReadU32());
-        const BtfType* t = btf.Get(id);
-        if (t == nullptr || t->kind != BtfKind::kFunc) {
+        const std::optional<BtfTypeView> t = btf.Get(id);
+        if (!t || t->kind != BtfKind::kFunc) {
           if (health.btf == DegradationState::kClean) {
             health.btf = DegradationState::kDegraded;
           }
@@ -607,7 +607,7 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
                        StrFormat("BTF_ids entry %u is not a FUNC", id));
           continue;
         }
-        surface.kfuncs_.insert(t->name);
+        surface.kfuncs_.emplace(t->name);
       }
       return Status::Ok();
     };

@@ -49,14 +49,14 @@ const char* TracepointChangeKindName(TracepointChangeKind kind) {
 
 namespace {
 
-const BtfType* ProtoOf(const TypeGraph& graph, BtfTypeId func_id) {
-  const BtfType* func = graph.Get(func_id);
-  if (func == nullptr || func->kind != BtfKind::kFunc) {
-    return nullptr;
+std::optional<BtfTypeView> ProtoOf(const TypeGraph& graph, BtfTypeId func_id) {
+  const std::optional<BtfTypeView> func = graph.Get(func_id);
+  if (!func || func->kind != BtfKind::kFunc) {
+    return std::nullopt;
   }
-  const BtfType* proto = graph.Get(func->ref_type_id);
-  if (proto == nullptr || proto->kind != BtfKind::kFuncProto) {
-    return nullptr;
+  const std::optional<BtfTypeView> proto = graph.Get(func->ref_type_id);
+  if (!proto || proto->kind != BtfKind::kFuncProto) {
+    return std::nullopt;
   }
   return proto;
 }
@@ -66,9 +66,9 @@ const BtfType* ProtoOf(const TypeGraph& graph, BtfTypeId func_id) {
 std::vector<FuncChangeKind> CompareFuncDecls(const TypeGraph& old_graph, BtfTypeId old_func,
                                              const TypeGraph& new_graph, BtfTypeId new_func) {
   std::vector<FuncChangeKind> out;
-  const BtfType* old_proto = ProtoOf(old_graph, old_func);
-  const BtfType* new_proto = ProtoOf(new_graph, new_func);
-  if (old_proto == nullptr || new_proto == nullptr) {
+  const std::optional<BtfTypeView> old_proto = ProtoOf(old_graph, old_func);
+  const std::optional<BtfTypeView> new_proto = ProtoOf(new_graph, new_func);
+  if (!old_proto || !new_proto) {
     return out;
   }
   if (!TypeEquals(old_graph, old_proto->ref_type_id, new_graph, new_proto->ref_type_id)) {
@@ -76,9 +76,9 @@ std::vector<FuncChangeKind> CompareFuncDecls(const TypeGraph& old_graph, BtfType
   }
   // Parameters are matched by name (the kernel's refactors keep names far
   // more stable than positions).
-  auto index_of = [](const BtfType* proto, const std::string& name) -> int {
-    for (size_t i = 0; i < proto->params.size(); ++i) {
-      if (proto->params[i].name == name) {
+  auto index_of = [](const BtfTypeView& proto, std::string_view name) -> int {
+    for (size_t i = 0; i < proto.params.size(); ++i) {
+      if (proto.params[i].name == name) {
         return static_cast<int>(i);
       }
     }
@@ -89,8 +89,8 @@ std::vector<FuncChangeKind> CompareFuncDecls(const TypeGraph& old_graph, BtfType
   bool reordered = false;
   bool type_changed = false;
   for (size_t i = 0; i < old_proto->params.size(); ++i) {
-    const BtfParam& p = old_proto->params[i];
-    int j = index_of(new_proto, p.name);
+    const BtfParamView p = old_proto->params[i];
+    int j = index_of(*new_proto, p.name);
     if (j < 0) {
       removed = true;
       continue;
@@ -102,8 +102,8 @@ std::vector<FuncChangeKind> CompareFuncDecls(const TypeGraph& old_graph, BtfType
       type_changed = true;
     }
   }
-  for (const BtfParam& p : new_proto->params) {
-    if (index_of(old_proto, p.name) < 0) {
+  for (const BtfParamView p : new_proto->params) {
+    if (index_of(*old_proto, p.name) < 0) {
       added = true;
     }
   }
@@ -125,32 +125,32 @@ std::vector<FuncChangeKind> CompareFuncDecls(const TypeGraph& old_graph, BtfType
 std::vector<StructChangeKind> CompareStructDecls(const TypeGraph& old_graph, BtfTypeId old_id,
                                                  const TypeGraph& new_graph, BtfTypeId new_id) {
   std::vector<StructChangeKind> out;
-  const BtfType* old_struct = old_graph.Get(old_id);
-  const BtfType* new_struct = new_graph.Get(new_id);
-  if (old_struct == nullptr || new_struct == nullptr) {
+  const std::optional<BtfTypeView> old_struct = old_graph.Get(old_id);
+  const std::optional<BtfTypeView> new_struct = new_graph.Get(new_id);
+  if (!old_struct || !new_struct) {
     return out;
   }
-  auto find = [](const BtfType* st, const std::string& name) -> const BtfMember* {
-    for (const BtfMember& m : st->members) {
+  auto find = [](const BtfTypeView& st, std::string_view name) -> std::optional<BtfMemberView> {
+    for (const BtfMemberView m : st.members) {
       if (m.name == name) {
-        return &m;
+        return m;
       }
     }
-    return nullptr;
+    return std::nullopt;
   };
   bool added = false;
   bool removed = false;
   bool type_changed = false;
-  for (const BtfMember& m : old_struct->members) {
-    const BtfMember* other = find(new_struct, m.name);
-    if (other == nullptr) {
+  for (const BtfMemberView m : old_struct->members) {
+    const std::optional<BtfMemberView> other = find(*new_struct, m.name);
+    if (!other) {
       removed = true;
     } else if (!TypeEquals(old_graph, m.type_id, new_graph, other->type_id)) {
       type_changed = true;
     }
   }
-  for (const BtfMember& m : new_struct->members) {
-    if (find(old_struct, m.name) == nullptr) {
+  for (const BtfMemberView m : new_struct->members) {
+    if (!find(*old_struct, m.name)) {
       added = true;
     }
   }

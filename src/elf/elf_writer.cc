@@ -1,37 +1,10 @@
 #include "src/elf/elf_writer.h"
 
-#include <map>
+#include "src/util/string_table.h"
 
 namespace depsurf {
 
 namespace {
-
-// A deduplicating string table (index 0 is the empty string).
-class StrtabBuilder {
- public:
-  StrtabBuilder() { bytes_.push_back(0); }
-
-  uint32_t Add(const std::string& s) {
-    if (s.empty()) {
-      return 0;
-    }
-    auto it = offsets_.find(s);
-    if (it != offsets_.end()) {
-      return it->second;
-    }
-    uint32_t off = static_cast<uint32_t>(bytes_.size());
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
-    bytes_.push_back(0);
-    offsets_[s] = off;
-    return off;
-  }
-
-  std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
-
- private:
-  std::vector<uint8_t> bytes_;
-  std::map<std::string, uint32_t> offsets_;
-};
 
 struct ShdrFields {
   uint32_t name = 0;
@@ -101,7 +74,7 @@ Result<std::vector<uint8_t>> ElfWriter::Finish() const {
   std::vector<Section> sections = sections_;
   uint32_t symtab_index = 0;
   if (!symbols_.empty()) {
-    StrtabBuilder strtab;
+    StringTableBuilder strtab;
     ByteWriter symdata(ident_.endian);
     // Entry 0 is the mandatory null symbol.
     WriteSym(symdata, ElfSymbol{}, 0, ident_.klass);
@@ -131,7 +104,7 @@ Result<std::vector<uint8_t>> ElfWriter::Finish() const {
     sections.push_back(Section{".strtab", SectionType::kStrtab, strtab.TakeBytes(), 0, 0, 0});
   }
 
-  StrtabBuilder shstrtab;
+  StringTableBuilder shstrtab;
   std::vector<uint32_t> name_offsets;
   name_offsets.reserve(sections.size() + 1);
   for (const Section& s : sections) {

@@ -86,7 +86,7 @@ Result<std::vector<uint8_t>> BuildKernelImage(const CompiledImage& image) {
       DEPSURF_ASSIGN_OR_RETURN(type_id, lowering.Lower(p.type));
       btf_params.push_back(BtfParam{p.name, type_id});
     }
-    BtfTypeId proto = graph.FuncProto(ret_id, std::move(btf_params));
+    BtfTypeId proto = graph.FuncProto(ret_id, btf_params);
     return graph.Func(name, proto);
   };
   for (const CompiledFunction& func : image.funcs) {

@@ -99,17 +99,13 @@ Result<BtfTypeId> TypeLowering::DefineStruct(const StructSpec& spec) {
   }
   uint32_t byte_size = (bits + 7) / 8;
   if (preexisting) {
-    // Replace the definition in place so existing references stay valid.
-    BtfType* node = graph_.GetMutable(it->second);
-    if (node == nullptr || (node->kind != BtfKind::kStruct && node->kind != BtfKind::kFwd)) {
+    // Redefine the registered id so existing references see the definition.
+    if (!graph_.RedefineStruct(it->second, byte_size, members)) {
       return Error(ErrorCode::kInternal, "struct registry out of sync");
     }
-    node->kind = BtfKind::kStruct;
-    node->size = byte_size;
-    node->members = std::move(members);
     return it->second;
   }
-  BtfTypeId id = graph_.Struct(spec.name, byte_size, std::move(members));
+  BtfTypeId id = graph_.Struct(spec.name, byte_size, members);
   structs_[spec.name] = id;
   return id;
 }
@@ -198,8 +194,8 @@ Result<BtfTypeId> TypeLowering::LowerCore(std::string_view core) {
 }
 
 uint32_t TypeLowering::SizeOf(BtfTypeId id) const {
-  const BtfType* t = graph_.Get(graph_.ResolveAliases(id));
-  if (t == nullptr) {
+  const std::optional<BtfTypeView> t = graph_.Get(graph_.ResolveAliases(id));
+  if (!t) {
     return 0;
   }
   switch (t->kind) {

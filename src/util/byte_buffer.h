@@ -68,6 +68,9 @@ class ByteReader {
 
   Endian endian() const { return endian_; }
   void set_endian(Endian endian) { endian_ = endian; }
+  // The bytes read, for decoders that bounds-check a whole record once and
+  // then load its fields directly.
+  const uint8_t* data() const { return data_; }
   size_t size() const { return size_; }
   size_t offset() const { return offset_; }
   size_t remaining() const { return size_ - offset_; }

@@ -32,6 +32,19 @@ std::string JoinStrings(const std::vector<std::string>& parts, std::string_view 
   return out;
 }
 
+std::string StrCat(std::initializer_list<std::string_view> parts) {
+  size_t size = 0;
+  for (std::string_view part : parts) {
+    size += part.size();
+  }
+  std::string out;
+  out.reserve(size);
+  for (std::string_view part : parts) {
+    out += part;
+  }
+  return out;
+}
+
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }

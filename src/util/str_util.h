@@ -3,6 +3,7 @@
 #define DEPSURF_SRC_UTIL_STR_UTIL_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,6 +17,9 @@ std::vector<std::string> SplitString(std::string_view s, char sep);
 
 // Joins with a separator.
 std::string JoinStrings(const std::vector<std::string>& parts, std::string_view sep);
+
+// The parts concatenated: StrCat({"struct ", name}).
+std::string StrCat(std::initializer_list<std::string_view> parts);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);

@@ -430,11 +430,9 @@ TEST(ResolveRelocTest, ErrorsOnBadAccess) {
 // must render in bounded time and size.
 TEST(ResolveRelocTest, FanOutMemberTypeRendersBounded) {
   TypeGraph btf;
-  BtfType ptr;
-  ptr.kind = BtfKind::kPtr;
-  ptr.ref_type_id = btf.num_types() + 2;
-  BtfTypeId fan = btf.Add(ptr);
-  ASSERT_EQ(btf.FuncProto(fan, {{"a", fan}, {"b", fan}}), ptr.ref_type_id);
+  const BtfTypeId proto = btf.num_types() + 2;
+  BtfTypeId fan = btf.Ptr(proto);
+  ASSERT_EQ(btf.FuncProto(fan, {{"a", fan}, {"b", fan}}), proto);
   BtfTypeId st = btf.Struct("ops", 8, {{"cb", fan, 0}});
   CoreReloc reloc{st, "0:0", CoreRelocKind::kFieldByteOffset};
   auto chain = ResolveReloc(btf, reloc);

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
+
 #include "src/btf/btf.h"
 #include "src/btf/btf_codec.h"
 #include "src/btf/btf_compare.h"
 #include "src/btf/btf_print.h"
+#include "src/util/str_util.h"
 
 namespace depsurf {
 namespace {
@@ -34,12 +38,12 @@ TEST(TypeGraphTest, BuilderDedupsScalars) {
 
 TEST(TypeGraphTest, GetBoundary) {
   TypeGraph g;
-  EXPECT_EQ(g.Get(0), nullptr);
-  EXPECT_EQ(g.Get(1), nullptr);
+  EXPECT_FALSE(g.Get(0).has_value());
+  EXPECT_FALSE(g.Get(1).has_value());
   BtfTypeId id = g.Int("u8", 1);
-  ASSERT_NE(g.Get(id), nullptr);
+  ASSERT_TRUE(g.Get(id).has_value());
   EXPECT_EQ(g.Get(id)->name, "u8");
-  EXPECT_EQ(g.Get(id + 1), nullptr);
+  EXPECT_FALSE(g.Get(id + 1).has_value());
 }
 
 TEST(TypeGraphTest, FindByName) {
@@ -49,6 +53,147 @@ TEST(TypeGraphTest, FindByName) {
   EXPECT_TRUE(g.FindStruct("file").has_value());
   EXPECT_FALSE(g.FindStruct("task_struct").has_value());
   EXPECT_FALSE(g.FindFunc("file").has_value());
+}
+
+// Of several types sharing a kind and name, the first id answers, as a
+// scan in id order would.
+TEST(TypeGraphTest, FindFirstIdWinsAmongDuplicates) {
+  TypeGraph g;
+  BtfTypeId i = g.Int("int", 4);
+  BtfTypeId first = g.Struct("dup", 4, {{"a", i, 0}});
+  g.Struct("dup", 8, {});
+  BtfTypeId union_dup = g.Union("dup", 4, {});
+  BtfTypeId func = g.Func("f", g.FuncProto(i, {}));
+  g.Func("f", g.FuncProto(kBtfVoid, {}));
+  EXPECT_EQ(g.FindStruct("dup"), first);
+  EXPECT_EQ(g.FindByKindAndName(BtfKind::kUnion, "dup"), union_dup);
+  EXPECT_EQ(g.FindFunc("f"), func);
+  // Unnamed types are indexed too: the first PTR, the first FUNC_PROTO.
+  EXPECT_EQ(g.FindByKindAndName(BtfKind::kFuncProto, ""), func - 1);
+  EXPECT_FALSE(g.FindByKindAndName(BtfKind::kPtr, "").has_value());
+}
+
+TEST(TypeGraphTest, FindEachKind) {
+  TypeGraph g;
+  const BtfTypeId i = g.Int("name", 4);
+  const std::pair<BtfKind, BtfTypeId> kinds[] = {
+      {BtfKind::kInt, i},
+      {BtfKind::kFloat, g.Float("name", 8)},
+      {BtfKind::kTypedef, g.Typedef("name", i)},
+      {BtfKind::kFwd, g.Fwd("name")},
+      {BtfKind::kStruct, g.Struct("name", 4, {{"name", i, 0}})},
+      {BtfKind::kUnion, g.Union("name", 4, {})},
+      {BtfKind::kEnum, g.Enum("name", {{"name", 1}})},
+      {BtfKind::kFunc, g.Func("name", g.FuncProto(i, {{"name", i}}))},
+      {BtfKind::kPtr, g.Ptr(i)},
+      {BtfKind::kArray, g.Array(i, 2)},
+      {BtfKind::kConst, g.Const(i)},
+      {BtfKind::kVolatile, g.Volatile(i)},
+  };
+  for (const auto& [kind, id] : kinds) {
+    const std::string_view name = g.Get(id)->name;
+    EXPECT_EQ(g.FindByKindAndName(kind, name), id) << BtfKindName(kind);
+    EXPECT_FALSE(g.FindByKindAndName(kind, "other").has_value()) << BtfKindName(kind);
+  }
+  const BtfTypeId proto = g.Get(g.FindFunc("name").value())->ref_type_id;
+  EXPECT_EQ(g.FindByKindAndName(BtfKind::kFuncProto, ""), proto);
+  EXPECT_FALSE(g.FindByKindAndName(BtfKind::kRestrict, "").has_value());
+}
+
+// A lookup after a builder call sees the graph as it is now: the index
+// built by an earlier lookup is dropped by every change.
+TEST(TypeGraphTest, FindAfterBuilderCall) {
+  TypeGraph g;
+  BtfTypeId fwd = g.Fwd("request");
+  EXPECT_FALSE(g.FindStruct("request").has_value());
+  EXPECT_EQ(g.FindByKindAndName(BtfKind::kFwd, "request"), fwd);
+  BtfTypeId later = g.Struct("later", 0, {});
+  EXPECT_EQ(g.FindStruct("later"), later);
+  ASSERT_TRUE(g.RedefineStruct(fwd, 8, {{"rq_disk", later, 0}}));
+  EXPECT_EQ(g.FindStruct("request"), fwd);
+  EXPECT_FALSE(g.FindByKindAndName(BtfKind::kFwd, "request").has_value());
+  EXPECT_EQ(g.Get(fwd)->members.size(), 1u);
+  EXPECT_EQ(g.Get(fwd)->size, 8u);
+  EXPECT_FALSE(g.RedefineStruct(g.Int("int", 4), 4, {}));
+  EXPECT_FALSE(g.RedefineStruct(kBtfVoid, 4, {}));
+  EXPECT_TRUE(g.Validate().ok());
+}
+
+// A builder call may name a type with a view of this very graph, even
+// when appending to the string block moves it.
+TEST(TypeGraphTest, BuilderAcceptsNamesViewingTheGraph) {
+  TypeGraph g;
+  BtfTypeId first = g.Struct("task_struct", 0, {});
+  for (int k = 0; k < 200; ++k) {
+    g.Func(std::string(k + 1, 'x'), kBtfVoid);  // grow the string block
+    BtfTypeId copy = g.Struct(g.Get(first)->name, 0, {});
+    ASSERT_EQ(g.Get(copy)->name, "task_struct");
+    BtfTypeId func = g.Func(g.Get(copy)->name, copy);
+    ASSERT_EQ(g.Get(func)->name, "task_struct");
+    ASSERT_EQ(g.Get(g.Typedef(g.Get(func - 2)->name, func))->name, std::string(k + 1, 'x'));
+  }
+  EXPECT_EQ(g.FindStruct("task_struct"), first);
+}
+
+// Every field, name and run of a graph, as owned text.
+std::string Dump(const TypeGraph& g) {
+  std::string out;
+  for (BtfTypeId id = 1; id <= g.num_types(); ++id) {
+    const BtfTypeView t = *g.Get(id);
+    out += StrFormat("%u %s '%s' %u %u %u %u:", id, BtfKindName(t.kind),
+                     std::string(t.name).c_str(), t.size, t.ref_type_id, t.nelems, t.int_bits);
+    for (const BtfMemberView m : t.members) {
+      out += StrFormat(" m'%s' %u %u", std::string(m.name).c_str(), m.type_id, m.bits_offset);
+    }
+    for (const BtfParamView p : t.params) {
+      out += StrFormat(" p'%s' %u", std::string(p.name).c_str(), p.type_id);
+    }
+    for (const BtfEnumeratorView e : t.enumerators) {
+      out += StrFormat(" e'%s' %d", std::string(e.name).c_str(), e.value);
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(TypeGraphTest, CopiesAndMovesOutliveTheOriginal) {
+  BtfTypeId func;
+  TypeGraph built = MakeVfsFsyncGraph(&func);
+  built.Enum("pid_type", {{"PIDTYPE_PID", 0}, {"PIDTYPE_TGID", -1}});
+  auto decoded = DecodeBtf(EncodeBtf(built));
+  ASSERT_TRUE(decoded.ok());
+  for (const TypeGraph* source : {&built, &*decoded}) {
+    const std::string want = Dump(*source);
+    auto original = std::make_unique<TypeGraph>(*source);
+    ASSERT_EQ(original->FindFunc("vfs_fsync"), func);  // builds the index
+    auto moved_from = std::make_unique<TypeGraph>(*source);
+    const std::string_view before_move = moved_from->Get(func)->name;
+    const BtfTypeId proto = moved_from->Get(func)->ref_type_id;
+    const BtfRun<BtfParamView> params_before_move = moved_from->Get(proto)->params;
+
+    TypeGraph copied(*original);
+    TypeGraph assigned;
+    assigned.Int("replaced", 1);
+    assigned = *original;
+    TypeGraph moved(std::move(*moved_from));
+    TypeGraph move_assigned;
+    move_assigned = TypeGraph(*original);
+    original.reset();
+    moved_from.reset();
+
+    for (const TypeGraph* g : {&copied, &assigned, &moved, &move_assigned}) {
+      EXPECT_EQ(Dump(*g), want);
+      EXPECT_EQ(g->FindFunc("vfs_fsync"), func);
+      EXPECT_EQ(g->FindStruct("file"), 2u);
+      EXPECT_EQ(FuncDeclString(*g, func), "int vfs_fsync(struct file *file, int datasync)");
+    }
+    // Views taken before the move now view the moved-to graph.
+    EXPECT_EQ(before_move, "vfs_fsync");
+    ASSERT_EQ(params_before_move.size(), 2u);
+    EXPECT_EQ(params_before_move[0].name, "file");
+    EXPECT_EQ(params_before_move[1].name, "datasync");
+    EXPECT_EQ(params_before_move, moved.Get(proto)->params);
+  }
 }
 
 TEST(TypeGraphTest, ResolveAliases) {
@@ -63,18 +208,11 @@ TEST(TypeGraphTest, ResolveAliases) {
 
 TEST(TypeGraphTest, ValidateCatchesDanglingRefs) {
   TypeGraph g;
-  BtfType bad;
-  bad.kind = BtfKind::kPtr;
-  bad.ref_type_id = 42;
-  g.Add(bad);
+  g.Ptr(42);
   EXPECT_FALSE(g.Validate().ok());
 
   TypeGraph g2;
-  BtfType s;
-  s.kind = BtfKind::kStruct;
-  s.name = "x";
-  s.members.push_back({"f", 99, 0});
-  g2.Add(s);
+  g2.Struct("x", 0, {{"f", 99, 0}});
   EXPECT_FALSE(g2.Validate().ok());
 }
 
@@ -97,8 +235,8 @@ TEST_P(BtfCodecEndianTest, RoundTripPreservesGraph) {
   ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
   ASSERT_EQ(decoded->num_types(), g.num_types());
   for (BtfTypeId id = 1; id <= g.num_types(); ++id) {
-    const BtfType* a = g.Get(id);
-    const BtfType* b = decoded->Get(id);
+    const std::optional<BtfTypeView> a = g.Get(id);
+    const std::optional<BtfTypeView> b = decoded->Get(id);
     EXPECT_EQ(a->kind, b->kind) << "id " << id;
     EXPECT_EQ(a->name, b->name);
     EXPECT_EQ(a->size, b->size);
@@ -167,12 +305,10 @@ TEST(BtfPrintTest, FuncDecl) {
 // the same marker as the depth cap.
 TEST(BtfPrintTest, FanOutRenderIsBounded) {
   TypeGraph g;
-  BtfType ptr;
-  ptr.kind = BtfKind::kPtr;
-  ptr.ref_type_id = g.num_types() + 2;
-  BtfTypeId fan = g.Add(ptr);
-  ASSERT_EQ(g.FuncProto(fan, {{"a", fan}, {"b", fan}}), ptr.ref_type_id);
-  BtfTypeId func = g.Func("fan_out", ptr.ref_type_id);
+  const BtfTypeId proto = g.num_types() + 2;
+  BtfTypeId fan = g.Ptr(proto);
+  ASSERT_EQ(g.FuncProto(fan, {{"a", fan}, {"b", fan}}), proto);
+  BtfTypeId func = g.Func("fan_out", proto);
 
   std::string rendered = TypeString(g, fan);
   EXPECT_LT(rendered.size(), 8192u);

@@ -244,8 +244,9 @@ TEST(DatasetDistillTest, ExactOnHostileBtf) {
   for (const char* name : {"deep", "looped"}) {
     auto id = surface->FindStruct(name);
     ASSERT_TRUE(id.has_value()) << name;
-    for (const BtfMember& m : btf.Get(*id)->members) {
-      auto distilled = dataset.FieldTypeAt(name, m.name, 0);
+    const std::optional<BtfTypeView> st = btf.Get(*id);
+    for (const BtfMemberView m : st->members) {
+      auto distilled = dataset.FieldTypeAt(name, std::string(m.name), 0);
       ASSERT_TRUE(distilled.has_value()) << name << "::" << m.name;
       EXPECT_EQ(*distilled, TypeString(btf, m.type_id)) << name << "::" << m.name;
     }

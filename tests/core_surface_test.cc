@@ -120,9 +120,9 @@ TEST(SurfaceExtractTest, StructsExtracted) {
   DependencySurface v54 = ExtractFor(KernelVersion(5, 4));
   auto request = v54.FindStruct("request");
   ASSERT_TRUE(request.has_value());
-  const BtfType* st = v54.btf().Get(*request);
+  const std::optional<BtfTypeView> st = v54.btf().Get(*request);
   bool has_rq_disk = false;
-  for (const BtfMember& m : st->members) {
+  for (const BtfMemberView m : st->members) {
     has_rq_disk |= m.name == "rq_disk";
   }
   EXPECT_TRUE(has_rq_disk);

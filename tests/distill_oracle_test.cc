@@ -123,16 +123,40 @@ TEST(DistillOracleTest, HostileGraphsMatchReference) {
   shifted.Ptr(2);
   const BtfTypeId offset = shifted.num_types();
   for (BtfTypeId id = 1; id <= base.graph.num_types(); ++id) {
-    BtfType t = *base.graph.Get(id);
+    const BtfTypeView t = *base.graph.Get(id);
     auto move = [offset](BtfTypeId ref) { return ref == 0 ? 0 : ref + offset; };
-    t.ref_type_id = move(t.ref_type_id);
-    for (BtfMember& m : t.members) {
-      m.type_id = move(m.type_id);
+    std::vector<BtfMember> members;
+    for (const BtfMemberView m : t.members) {
+      members.push_back({std::string(m.name), move(m.type_id), m.bits_offset});
     }
-    for (BtfParam& p : t.params) {
-      p.type_id = move(p.type_id);
+    std::vector<BtfParam> params;
+    for (const BtfParamView p : t.params) {
+      params.push_back({std::string(p.name), move(p.type_id)});
     }
-    shifted.Add(t);
+    BtfTypeId copied = kBtfVoid;
+    switch (t.kind) {
+      case BtfKind::kInt:
+        copied = shifted.Int(t.name, t.size);
+        break;
+      case BtfKind::kPtr:
+        copied = shifted.Ptr(move(t.ref_type_id));
+        break;
+      case BtfKind::kConst:
+        copied = shifted.Const(move(t.ref_type_id));
+        break;
+      case BtfKind::kStruct:
+        copied = shifted.Struct(t.name, t.size, members);
+        break;
+      case BtfKind::kFuncProto:
+        copied = shifted.FuncProto(move(t.ref_type_id), params);
+        break;
+      case BtfKind::kFunc:
+        copied = shifted.Func(t.name, move(t.ref_type_id));
+        break;
+      default:
+        FAIL() << "unexpected kind " << BtfKindName(t.kind);
+    }
+    ASSERT_EQ(copied, id + offset);
   }
   const BtfTypeId last = shifted.num_types() + 5;
   shifted.Struct("tail", 8, {{"last", last, 0}, {"loop", base.loop_ptr + offset, 32}});

@@ -28,21 +28,21 @@ void ReferenceDistill::AddImage(const std::string& label, const DependencySurfac
   const TypeGraph& graph = surface.btf();
 
   auto decl_hash = [&](BtfTypeId func_id) -> uint64_t {
-    const BtfType* func = graph.Get(func_id);
-    const BtfType* proto = func != nullptr ? graph.Get(func->ref_type_id) : nullptr;
-    if (proto == nullptr || proto->kind != BtfKind::kFuncProto) {
+    const std::optional<BtfTypeView> func = graph.Get(func_id);
+    const std::optional<BtfTypeView> proto = func ? graph.Get(func->ref_type_id) : std::nullopt;
+    if (!proto || proto->kind != BtfKind::kFuncProto) {
       return 0;
     }
     uint64_t h = HashString(TypeString(graph, proto->ref_type_id));
-    for (const BtfParam& p : proto->params) {
+    for (const BtfParamView p : proto->params) {
       h = HashCombine({h, HashString(p.name), HashString(TypeString(graph, p.type_id))});
     }
     return h;
   };
   // (name id, type id) of one member or parameter, type string first.
-  auto intern_pair = [&](const std::string& name, BtfTypeId type_id) {
+  auto intern_pair = [&](std::string_view name, BtfTypeId type_id) {
     StrId type = Intern(TypeString(graph, type_id));
-    StrId name_id = Intern(name);
+    StrId name_id = Intern(std::string(name));
     return std::make_pair(name_id, type);
   };
 
@@ -58,8 +58,8 @@ void ReferenceDistill::AddImage(const std::string& label, const DependencySurfac
   }
   for (const auto& [name, id] : surface.structs()) {
     StructRecord sr;
-    if (const BtfType* st = graph.Get(id)) {
-      for (const BtfMember& m : st->members) {
+    if (const std::optional<BtfTypeView> st = graph.Get(id)) {
+      for (const BtfMemberView m : st->members) {
         sr.fields.push_back(intern_pair(m.name, m.type_id));
       }
       std::sort(sr.fields.begin(), sr.fields.end());
@@ -70,17 +70,18 @@ void ReferenceDistill::AddImage(const std::string& label, const DependencySurfac
   for (const auto& [name, tp] : surface.tracepoints()) {
     TracepointRecord tr;
     if (tp.func_btf_id != 0) {
-      const BtfType* func = graph.Get(tp.func_btf_id);
-      const BtfType* proto = func != nullptr ? graph.Get(func->ref_type_id) : nullptr;
-      if (proto != nullptr) {
-        for (const BtfParam& p : proto->params) {
+      const std::optional<BtfTypeView> func = graph.Get(tp.func_btf_id);
+      const std::optional<BtfTypeView> proto =
+          func ? graph.Get(func->ref_type_id) : std::nullopt;
+      if (proto) {
+        for (const BtfParamView p : proto->params) {
           tr.func_params.push_back(intern_pair(p.name, p.type_id));
         }
       }
     }
     if (tp.struct_btf_id != 0) {
-      if (const BtfType* st = graph.Get(tp.struct_btf_id)) {
-        for (const BtfMember& m : st->members) {
+      if (const std::optional<BtfTypeView> st = graph.Get(tp.struct_btf_id)) {
+        for (const BtfMemberView m : st->members) {
           tr.event_fields.push_back(intern_pair(m.name, m.type_id));
         }
         std::sort(tr.event_fields.begin(), tr.event_fields.end());
@@ -95,7 +96,8 @@ void ReferenceDistill::AddImage(const std::string& label, const DependencySurfac
   }
   if (auto pt_regs = surface.FindStruct("pt_regs"); pt_regs.has_value()) {
     uint64_t h = 0x9e11;
-    for (const BtfMember& m : graph.Get(*pt_regs)->members) {
+    const std::optional<BtfTypeView> st = graph.Get(*pt_regs);
+    for (const BtfMemberView m : st->members) {
       h = HashCombine({h, HashString(m.name)});
     }
     record.pt_regs_hash = h;
@@ -198,10 +200,7 @@ HostileBtf BuildHostileBtf() {
   for (int k = 1; k <= 40; ++k) {
     out.chain.push_back(graph.Ptr(out.chain.back()));
   }
-  BtfType ptr;
-  ptr.kind = BtfKind::kPtr;
-  ptr.ref_type_id = graph.num_types() + 2;
-  out.loop_ptr = graph.Add(ptr);
+  out.loop_ptr = graph.Ptr(graph.num_types() + 2);
   out.loop_const = graph.Const(out.loop_ptr);
   // The capped chain comes first, so its inner nodes are visited deep
   // before the same nodes are rendered at the top of a later member.

@@ -93,8 +93,8 @@ TEST_F(TypeLangTest, ScalarsAndPointers) {
 TEST_F(TypeLangTest, TypedefsResolve) {
   auto u64 = lowering_.Lower("u64");
   ASSERT_TRUE(u64.ok());
-  const BtfType* t = graph_.Get(u64.value());
-  ASSERT_NE(t, nullptr);
+  const std::optional<BtfTypeView> t = graph_.Get(u64.value());
+  ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->kind, BtfKind::kTypedef);
   EXPECT_EQ(lowering_.SizeOf(u64.value()), 8u);
   EXPECT_EQ(lowering_.SizeOf(lowering_.Lower("umode_t").value()), 2u);
@@ -127,8 +127,8 @@ TEST_F(TypeLangTest, DefineStructResolvesForwardRefs) {
   auto def = lowering_.DefineStruct(spec);
   ASSERT_TRUE(def.ok()) << def.error().ToString();
   // The earlier pointer now points at the full definition.
-  const BtfType* pointee = graph_.Get(graph_.Get(ptr.value())->ref_type_id);
-  ASSERT_NE(pointee, nullptr);
+  const std::optional<BtfTypeView> pointee = graph_.Get(graph_.Get(ptr.value())->ref_type_id);
+  ASSERT_TRUE(pointee.has_value());
   EXPECT_EQ(pointee->kind, BtfKind::kStruct);
   ASSERT_EQ(pointee->members.size(), 2u);
   EXPECT_EQ(pointee->members[0].name, "name");
@@ -141,7 +141,7 @@ TEST_F(TypeLangTest, StructLayoutRespectsAlignment) {
   spec.fields = {{"a", "char"}, {"b", "u64"}, {"c", "short"}};
   auto id = lowering_.DefineStruct(spec);
   ASSERT_TRUE(id.ok());
-  const BtfType* t = graph_.Get(id.value());
+  const std::optional<BtfTypeView> t = graph_.Get(id.value());
   EXPECT_EQ(t->members[0].bits_offset, 0u);
   EXPECT_EQ(t->members[1].bits_offset, 64u);   // aligned to 8
   EXPECT_EQ(t->members[2].bits_offset, 128u);

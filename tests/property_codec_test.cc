@@ -40,7 +40,7 @@ TypeGraph RandomGraph(Prng& prng, int num_types) {
                                       static_cast<BtfTypeId>(prng.NextBelow(graph.num_types() + 1)),
                                       static_cast<uint32_t>(m * 64)});
         }
-        graph.Struct(StrFormat("s%d", i), static_cast<uint32_t>(n * 8), std::move(members));
+        graph.Struct(StrFormat("s%d", i), static_cast<uint32_t>(n * 8), members);
         break;
       }
       case 3: {
@@ -51,7 +51,7 @@ TypeGraph RandomGraph(Prng& prng, int num_types) {
                                     static_cast<BtfTypeId>(prng.NextBelow(graph.num_types() + 1))});
         }
         BtfTypeId proto = graph.FuncProto(
-            static_cast<BtfTypeId>(prng.NextBelow(graph.num_types() + 1)), std::move(params));
+            static_cast<BtfTypeId>(prng.NextBelow(graph.num_types() + 1)), params);
         graph.Func(StrFormat("fn%d", i), proto);
         break;
       }
@@ -83,8 +83,8 @@ TEST_P(SeededTest, BtfRoundTripRandomGraphs) {
     ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
     ASSERT_EQ(decoded->num_types(), graph.num_types());
     for (BtfTypeId id = 1; id <= graph.num_types(); ++id) {
-      const BtfType* a = graph.Get(id);
-      const BtfType* b = decoded->Get(id);
+      const std::optional<BtfTypeView> a = graph.Get(id);
+      const std::optional<BtfTypeView> b = decoded->Get(id);
       ASSERT_EQ(a->kind, b->kind);
       ASSERT_EQ(a->name, b->name);
       ASSERT_EQ(a->ref_type_id, b->ref_type_id);
