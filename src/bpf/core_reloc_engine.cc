@@ -75,7 +75,7 @@ Result<RelocResult> ResolveCoreReloc(const TypeGraph& local_btf, const CoreReloc
   BtfTypeId kernel_id = *kernel_root;
   uint64_t bit_offset = 0;
   std::string trail(local_root->name);
-  std::optional<BtfMemberView> kernel_member;
+  BtfMemberView kernel_member;  // the last step's match
 
   for (size_t step = 1; step < indices.size(); ++step) {
     const std::optional<BtfTypeView> local_type = local_btf.Get(local_id);
@@ -105,15 +105,17 @@ Result<RelocResult> ResolveCoreReloc(const TypeGraph& local_btf, const CoreReloc
       result.detail = trail + " is opaque in kernel BTF";
       return result;
     }
-    kernel_member.reset();
+    bool matched = false;
     for (const BtfMemberView m : kernel_type->members) {
       if (m.name == local_member.name) {
         kernel_member = m;
+        matched = true;
         break;
       }
     }
-    trail += StrCat({"::", local_member.name});
-    if (!kernel_member) {
+    trail += "::";
+    trail += local_member.name;
+    if (!matched) {
       RelocResult result;
       if (is_guard) {
         result.outcome = RelocOutcome::kGuardedAbsent;
@@ -125,7 +127,7 @@ Result<RelocResult> ResolveCoreReloc(const TypeGraph& local_btf, const CoreReloc
       }
       return result;
     }
-    bit_offset += kernel_member->bits_offset;
+    bit_offset += kernel_member.bits_offset;
     if (step + 1 == indices.size()) {
       break;  // final member: the accumulated offset is the answer
     }
@@ -138,7 +140,7 @@ Result<RelocResult> ResolveCoreReloc(const TypeGraph& local_btf, const CoreReloc
       local_id = local_btf.ResolveAliases(local_next->ref_type_id);
       bit_offset = 0;  // a pointer hop restarts the offset in the new object
     }
-    kernel_id = kernel_btf.ResolveAliases(kernel_member->type_id);
+    kernel_id = kernel_btf.ResolveAliases(kernel_member.type_id);
     const std::optional<BtfTypeView> kernel_next = kernel_btf.Get(kernel_id);
     if (kernel_next && kernel_next->kind == BtfKind::kPtr) {
       kernel_id = kernel_btf.ResolveAliases(kernel_next->ref_type_id);
@@ -165,7 +167,7 @@ Result<RelocResult> ResolveCoreReloc(const TypeGraph& local_btf, const CoreReloc
       result.detail = trail + " (present)";
       break;
     case CoreRelocKind::kFieldSize:
-      result.value = SizeOfKernelType(kernel_btf, kernel_member->type_id);
+      result.value = SizeOfKernelType(kernel_btf, kernel_member.type_id);
       result.detail = StrFormat("sizeof(%s) = %llu", trail.c_str(),
                                 static_cast<unsigned long long>(result.value));
       break;

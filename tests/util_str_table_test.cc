@@ -19,6 +19,12 @@ TEST(StrUtilTest, SplitJoin) {
   EXPECT_EQ(empties[3], "");
 }
 
+TEST(StrUtilTest, StrCat) {
+  EXPECT_EQ(StrCat({}), "");
+  EXPECT_EQ(StrCat({"struct ", std::string_view("file")}), "struct file");
+  EXPECT_EQ(StrCat({"", "a", "", std::string("bc")}), "abc");
+}
+
 TEST(StrUtilTest, StartsEndsWith) {
   EXPECT_TRUE(StartsWith("tracepoint/block/rq_issue", "tracepoint/"));
   EXPECT_FALSE(StartsWith("tp/x", "tracepoint/"));
