@@ -4,7 +4,9 @@
 // false, 0, -1, 0.5, "", "x", [] and {}. tests/golden/lint_mutations.txt
 // holds the validator's accept/reject answer for each mutation, one line per
 // (document, path), so any change to what a schema accepts shows up here as
-// a changed golden line.
+// a changed golden line. tests/golden/json_documents.txt holds the raw bytes
+// of the same documents, plus a function's surface status and an unmasked
+// run report, so any change to how a document is written shows up there.
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
@@ -116,11 +118,11 @@ void Serialize(const JsonValue& value, std::string& out) {
   }
 }
 
-// Two v5.4/v6.8 images: rq_disk is present on one and absent on the other,
-// so analysis against the dataset carries consequences and findings.
-const Dataset& MixedDataset() {
-  static const Dataset dataset = [] {
-    Dataset out;
+// The v5.4 and v6.8 surfaces: rq_disk is present on one and absent on the
+// other, so analysis against their dataset carries consequences and findings.
+const std::vector<DependencySurface>& MixedSurfaces() {
+  static const std::vector<DependencySurface> surfaces = [] {
+    std::vector<DependencySurface> out;
     KernelModel model(2025, 0.01, BuildCuratedCatalog());
     for (KernelVersion version : {KernelVersion(5, 4), KernelVersion(6, 8)}) {
       auto kernel = model.Configure(MakeBuild(version));
@@ -129,8 +131,18 @@ const Dataset& MixedDataset() {
       EXPECT_TRUE(bytes.ok());
       auto surface = DependencySurface::Extract(bytes.TakeValue());
       EXPECT_TRUE(surface.ok());
-      out.AddImage(version.Tag(), *surface);
+      out.push_back(surface.TakeValue());
     }
+    return out;
+  }();
+  return surfaces;
+}
+
+const Dataset& MixedDataset() {
+  static const Dataset dataset = [] {
+    Dataset out;
+    out.AddImage(KernelVersion(5, 4).Tag(), MixedSurfaces()[0]);
+    out.AddImage(KernelVersion(6, 8).Tag(), MixedSurfaces()[1]);
     return out;
   }();
   return dataset;
@@ -212,7 +224,7 @@ std::string SpanEventsOnly(const std::string& trace_json) {
   return out;
 }
 
-std::string RunReportDoc() {
+std::string RunReportDoc(bool mask_timings) {
   obs::SpanCollector spans;
   for (const obs::SpanNode& root : SpanForest()) {
     spans.AddRoot(root);
@@ -228,9 +240,9 @@ std::string RunReportDoc() {
   entry.has_offset = true;
   entry.message = "ran off the end of .sdwarf_info";
   const std::vector<DiagnosticEntry> diagnostics = {entry};
-  obs::RunReportOptions masked;
-  masked.mask_timings = true;
-  return RunReportJson(spans, metrics, masked, &diagnostics);
+  obs::RunReportOptions options;
+  options.mask_timings = mask_timings;
+  return RunReportJson(spans, metrics, options, &diagnostics);
 }
 
 std::string BenchDoc() {
@@ -330,7 +342,7 @@ const std::vector<LintDoc>& Docs() {
   static const std::vector<LintDoc> docs = [] {
     const BpfObject probe = LintProbe();
     const Dataset* mixed = &MixedDataset();
-    const std::string report = RunReportDoc();
+    const std::string report = RunReportDoc(/*mask_timings=*/true);
     auto agg = obs::MergeRunReports({{"img-a", report}, {"img-b", report}});
     EXPECT_TRUE(agg.ok());
     const size_t trace_events = obs::CountSpanNodes(SpanForest());
@@ -461,24 +473,60 @@ TEST(LintMutationTest, EveryDocumentLintsClean) {
   }
 }
 
-TEST(LintMutationTest, AnswersMatchTheGolden) {
-  const std::string golden = ReadText(DEPSURF_GOLDEN_DIR "/lint_mutations.txt");
-  const std::string actual = AnswerTable();
-  if (actual != golden) {
-    const std::string out = ::testing::TempDir() + "lint_mutations.txt";
-    std::ofstream(out, std::ios::binary) << actual;
-    std::istringstream want(golden);
-    std::istringstream got(actual);
-    while (want || got) {
-      std::string want_line;
-      std::string got_line;
-      std::getline(want, want_line);
-      std::getline(got, got_line);
-      EXPECT_EQ(got_line, want_line);
-    }
-    ADD_FAILURE() << "answers differ from tests/golden/lint_mutations.txt; the computed "
-                  << "table is in " << out;
+// Compares `actual` with the golden file `name` line by line. On a
+// difference it writes `actual` to gtest's temp dir and names the file.
+void ExpectGolden(const std::string& name, const std::string& actual) {
+  const std::string golden = ReadText(DEPSURF_GOLDEN_DIR "/" + name);
+  if (actual == golden) {
+    return;
   }
+  const std::string out = ::testing::TempDir() + name;
+  std::ofstream(out, std::ios::binary) << actual;
+  std::istringstream want(golden);
+  std::istringstream got(actual);
+  while (want || got) {
+    std::string want_line;
+    std::string got_line;
+    std::getline(want, want_line);
+    std::getline(got, got_line);
+    EXPECT_EQ(got_line, want_line);
+  }
+  ADD_FAILURE() << "output differs from tests/golden/" << name << "; the computed file is in "
+                << out;
+}
+
+TEST(LintMutationTest, AnswersMatchTheGolden) {
+  ExpectGolden("lint_mutations.txt", AnswerTable());
+}
+
+// Every document's raw bytes, each under a "== NAME (N bytes)" line and
+// followed by one newline, so N shows whether it ends in a newline of its
+// own. The serve report names the test's temp dir, which is replaced by a
+// fixed token.
+std::string DocumentBytes() {
+  std::string out;
+  auto add = [&out](const std::string& name, const std::string& json) {
+    out += StrFormat("== %s (%zu bytes)\n", name.c_str(), json.size());
+    out += json;
+    out += "\n";
+  };
+  for (const LintDoc& doc : Docs()) {
+    std::string json = doc.json;
+    for (size_t at = json.find(TestDir()); at != std::string::npos;
+         at = json.find(TestDir(), at)) {
+      json.replace(at, TestDir().size(), "TEMPDIR");
+    }
+    add(doc.name, json);
+  }
+  const FunctionEntry* fsync = MixedSurfaces()[0].FindFunction("vfs_fsync");
+  EXPECT_NE(fsync, nullptr);
+  add("surface/vfs_fsync", fsync != nullptr ? fsync->StatusJson() : "");
+  add("report/unmasked", RunReportDoc(/*mask_timings=*/false));
+  return out;
+}
+
+TEST(LintMutationTest, DocumentsMatchTheGolden) {
+  ExpectGolden("json_documents.txt", DocumentBytes());
 }
 
 // A rejection caused by deleting a member, or by changing the JSON kind of
