@@ -2,91 +2,73 @@
 // every collection is pre-sorted by AnalyzeObject, so two runs over the
 // same object produce byte-identical documents (golden-testable).
 #include "src/analyzer/analyzer.h"
-#include "src/obs/run_report.h"
-#include "src/util/str_util.h"
+#include "src/obs/json_writer.h"
 
 namespace depsurf {
 
-namespace {
+void WriteAnalysisHead(obs::JsonWriter& writer, const char* schema,
+                       const ObjectAnalysis& analysis) {
+  writer.BeginObject().Break(2).Key("schema").String(schema);
+  writer.Break(2).Key("object").String(analysis.object_name).Break(2).Key("against");
+  if (analysis.against_dataset) {
+    writer.BeginObject().Key("images").Uint(analysis.against_images).EndObject();
+  } else {
+    writer.Null();
+  }
+}
 
-std::string Quoted(const std::string& s) { return "\"" + obs::JsonEscape(s) + "\""; }
-
-std::string Bool(bool b) { return b ? "true" : "false"; }
-
-}  // namespace
+void WriteFindingMembers(obs::JsonWriter& writer, const Finding& finding) {
+  writer.Key("kind").String(FindingKindName(finding.kind)).Key("program").String(finding.program);
+  writer.Key("insn_off").Uint(finding.insn_off);
+  if (finding.reloc_index >= 0) {
+    writer.Key("reloc").Int(finding.reloc_index);
+  }
+  writer.Key("detail").String(finding.detail);
+}
 
 std::string AnalysisToJson(const ObjectAnalysis& analysis) {
   std::string out;
-  out += "{\n";
-  out += StrFormat("  \"schema\": \"%s\",\n", kAnalysisSchema);
-  out += "  \"object\": " + Quoted(analysis.object_name) + ",\n";
-  if (analysis.against_dataset) {
-    out += StrFormat("  \"against\": {\"images\": %zu},\n", analysis.against_images);
-  } else {
-    out += "  \"against\": null,\n";
+  obs::JsonWriter writer(out);
+  WriteAnalysisHead(writer, kAnalysisSchema, analysis);
+  // One element per line. Each leaves a Break(2) pending, so a non-empty
+  // array closes on a line of its own.
+  writer.Break(2).Key("programs").BeginArray();
+  for (const ProgramAnalysis& pa : analysis.programs) {
+    writer.Break(4).BeginObject().Key("name").String(pa.name).Key("section").String(pa.section);
+    writer.Key("insns").Uint(pa.insn_count).Key("blocks").Uint(pa.block_count);
+    writer.Key("reachable_insns").Uint(pa.reachable_insns);
+    writer.Key("helper_calls").Uint(pa.helper_calls).EndObject().Break(2);
   }
-
-  out += "  \"programs\": [";
-  for (size_t i = 0; i < analysis.programs.size(); ++i) {
-    const ProgramAnalysis& pa = analysis.programs[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": " + Quoted(pa.name) + ", \"section\": " + Quoted(pa.section);
-    out += StrFormat(", \"insns\": %zu, \"blocks\": %zu, \"reachable_insns\": %zu"
-                     ", \"helper_calls\": %zu}",
-                     pa.insn_count, pa.block_count, pa.reachable_insns, pa.helper_calls);
-  }
-  out += analysis.programs.empty() ? "],\n" : "\n  ],\n";
-
-  out += "  \"relocs\": [";
-  for (size_t i = 0; i < analysis.relocs.size(); ++i) {
-    const RelocVerdict& verdict = analysis.relocs[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += StrFormat("    {\"index\": %zu, \"kind\": \"%s\"", verdict.index,
-                     CoreRelocKindName(verdict.kind));
-    out += ", \"struct\": " + Quoted(verdict.struct_name);
-    out += ", \"field\": " + Quoted(verdict.field_name);
+  writer.EndArray().Break(2).Key("relocs").BeginArray();
+  for (const RelocVerdict& verdict : analysis.relocs) {
+    writer.Break(4).BeginObject().Key("index").Uint(verdict.index);
+    writer.Key("kind").String(CoreRelocKindName(verdict.kind));
+    writer.Key("struct").String(verdict.struct_name).Key("field").String(verdict.field_name);
     if (verdict.bound) {
-      out += ", \"program\": " + Quoted(verdict.program);
-      out += StrFormat(", \"insn_off\": %u", verdict.insn_off);
+      writer.Key("program").String(verdict.program).Key("insn_off").Uint(verdict.insn_off);
     } else {
-      out += ", \"program\": null";
+      writer.Key("program").Null();
     }
-    out += ", \"reachable\": " + std::string(Bool(verdict.reachable));
-    out += ", \"unguarded\": " + std::string(Bool(verdict.unguarded));
+    writer.Key("reachable").Bool(verdict.reachable).Key("unguarded").Bool(verdict.unguarded);
     if (analysis.against_dataset) {
-      out += ", \"consequence\": " + Quoted(verdict.consequence);
+      writer.Key("consequence").String(verdict.consequence);
     }
-    out += "}";
+    writer.EndObject().Break(2);
   }
-  out += analysis.relocs.empty() ? "],\n" : "\n  ],\n";
-
-  out += "  \"findings\": [";
-  for (size_t i = 0; i < analysis.findings.size(); ++i) {
-    const Finding& finding = analysis.findings[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += StrFormat("    {\"kind\": \"%s\", \"program\": %s, \"insn_off\": %u",
-                     FindingKindName(finding.kind), Quoted(finding.program).c_str(),
-                     finding.insn_off);
-    if (finding.reloc_index >= 0) {
-      out += StrFormat(", \"reloc\": %d", finding.reloc_index);
-    }
-    out += ", \"detail\": " + Quoted(finding.detail);
-    out += ", \"remediation\": " + Quoted(finding.remediation) + "}";
+  writer.EndArray().Break(2).Key("findings").BeginArray();
+  for (const Finding& finding : analysis.findings) {
+    writer.Break(4).BeginObject();
+    WriteFindingMembers(writer, finding);
+    writer.Key("remediation").String(finding.remediation).EndObject().Break(2);
   }
-  out += analysis.findings.empty() ? "],\n" : "\n  ],\n";
-
-  out += "  \"summary\": {";
-  out += StrFormat("\"findings\": %zu", analysis.findings.size());
-  out += StrFormat(", \"raw_offset_deref\": %zu",
-                   analysis.CountKind(FindingKind::kRawOffsetDeref));
-  out += StrFormat(", \"unguarded_reloc\": %zu",
-                   analysis.CountKind(FindingKind::kUnguardedReloc));
-  out += StrFormat(", \"unknown_helper\": %zu",
-                   analysis.CountKind(FindingKind::kUnknownHelper));
-  out += StrFormat(", \"unreachable_reloc\": %zu",
-                   analysis.CountKind(FindingKind::kUnreachableReloc));
-  out += "}\n";
-  out += "}\n";
+  writer.EndArray().Break(2).Key("summary").BeginObject();
+  writer.Key("findings").Uint(analysis.findings.size());
+  writer.Key("raw_offset_deref").Uint(analysis.CountKind(FindingKind::kRawOffsetDeref));
+  writer.Key("unguarded_reloc").Uint(analysis.CountKind(FindingKind::kUnguardedReloc));
+  writer.Key("unknown_helper").Uint(analysis.CountKind(FindingKind::kUnknownHelper));
+  writer.Key("unreachable_reloc").Uint(analysis.CountKind(FindingKind::kUnreachableReloc));
+  writer.EndObject().Break(0).EndObject();
+  out += '\n';
   return out;
 }
 

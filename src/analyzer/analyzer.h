@@ -32,6 +32,10 @@
 
 namespace depsurf {
 
+namespace obs {
+class JsonWriter;
+}  // namespace obs
+
 inline constexpr char kAnalysisSchema[] = "depsurf.analysis.v1";
 
 enum class FindingKind : uint8_t {
@@ -115,6 +119,14 @@ void ApplyGuardFacts(const ObjectAnalysis& analysis, DependencySet& deps);
 
 // Deterministic depsurf.analysis.v1 JSON document.
 std::string AnalysisToJson(const ObjectAnalysis& analysis);
+
+// What depsurf.analysis.v1 and depsurf.remediation.v1 share.
+// WriteAnalysisHead opens the document and writes its schema, object and
+// against members; WriteFindingMembers writes the members that name a
+// finding: kind, program, insn_off, reloc and detail.
+void WriteAnalysisHead(obs::JsonWriter& writer, const char* schema,
+                       const ObjectAnalysis& analysis);
+void WriteFindingMembers(obs::JsonWriter& writer, const Finding& finding);
 
 }  // namespace depsurf
 

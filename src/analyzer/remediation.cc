@@ -7,14 +7,12 @@
 #include "src/analyzer/cfg.h"
 #include "src/analyzer/liveness.h"
 #include "src/core/dataset.h"
-#include "src/obs/run_report.h"
+#include "src/obs/json_writer.h"
 #include "src/util/str_util.h"
 
 namespace depsurf {
 
 namespace {
-
-std::string Quoted(const std::string& s) { return "\"" + obs::JsonEscape(s) + "\""; }
 
 // Per-program state the planner needs, built once on demand.
 struct ProgramView {
@@ -233,57 +231,40 @@ std::string RemediationToJson(const ObjectAnalysis& analysis,
                               const RemediationPlan& plan,
                               const RemediationVerification* verification) {
   std::string out;
-  out += "{\n";
-  out += StrFormat("  \"schema\": \"%s\",\n", kRemediationSchema);
-  out += "  \"object\": " + Quoted(analysis.object_name) + ",\n";
-  if (analysis.against_dataset) {
-    out += StrFormat("  \"against\": {\"images\": %zu},\n", analysis.against_images);
-  } else {
-    out += "  \"against\": null,\n";
-  }
-
-  out += "  \"remediations\": [";
+  obs::JsonWriter writer(out);
+  WriteAnalysisHead(writer, kRemediationSchema, analysis);
+  // One remediation per line, closed as AnalysisToJson closes its arrays.
+  writer.Break(2).Key("remediations").BeginArray();
   for (size_t i = 0; i < plan.items.size(); ++i) {
     const Remediation& item = plan.items[i];
-    const Finding& finding = analysis.findings[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += StrFormat("    {\"finding\": {\"kind\": \"%s\", \"program\": %s"
-                     ", \"insn_off\": %u",
-                     FindingKindName(finding.kind), Quoted(finding.program).c_str(),
-                     finding.insn_off);
-    if (finding.reloc_index >= 0) {
-      out += StrFormat(", \"reloc\": %d", finding.reloc_index);
-    }
-    out += ", \"detail\": " + Quoted(finding.detail) + "}";
+    writer.Break(4).BeginObject().Key("finding").BeginObject();
+    WriteFindingMembers(writer, analysis.findings[i]);
+    writer.EndObject().Key("fixable").Bool(item.fixable);
     if (item.fixable) {
-      out += StrFormat(", \"fixable\": true, \"insn_off\": %u, \"scratch_reg\": %d",
-                       item.insn_off, item.scratch_reg);
-      out += ", \"struct\": " + Quoted(item.struct_name);
-      out += ", \"field\": " + Quoted(item.field_name);
-      out += ", \"guard\": " + Quoted(item.guard);
+      writer.Key("insn_off").Uint(item.insn_off).Key("scratch_reg").Int(item.scratch_reg);
+      writer.Key("struct").String(item.struct_name).Key("field").String(item.field_name);
+      writer.Key("guard").String(item.guard);
     } else {
-      out += ", \"fixable\": false, \"reason\": " + Quoted(item.reason);
+      writer.Key("reason").String(item.reason);
     }
-    out += "}";
+    writer.EndObject().Break(2);
   }
-  out += plan.items.empty() ? "],\n" : "\n  ],\n";
-
+  writer.EndArray().Break(2).Key("verification");
   if (verification != nullptr) {
-    out += StrFormat("  \"verification\": {\"findings_before\": %zu, \"targeted\": %zu"
-                     ", \"findings_after\": %zu, \"targeted_remaining\": %zu"
-                     ", \"new_findings\": %zu, \"ok\": %s},\n",
-                     verification->findings_before, verification->targeted,
-                     verification->findings_after, verification->targeted_remaining,
-                     verification->new_findings, verification->ok ? "true" : "false");
+    writer.BeginObject().Key("findings_before").Uint(verification->findings_before);
+    writer.Key("targeted").Uint(verification->targeted);
+    writer.Key("findings_after").Uint(verification->findings_after);
+    writer.Key("targeted_remaining").Uint(verification->targeted_remaining);
+    writer.Key("new_findings").Uint(verification->new_findings);
+    writer.Key("ok").Bool(verification->ok).EndObject();
   } else {
-    out += "  \"verification\": null,\n";
+    writer.Null();
   }
-
-  out += StrFormat("  \"summary\": {\"findings\": %zu, \"fixable\": %zu"
-                   ", \"unfixable\": %zu}\n",
-                   plan.items.size(), plan.FixableCount(),
-                   plan.items.size() - plan.FixableCount());
-  out += "}\n";
+  writer.Break(2).Key("summary").BeginObject().Key("findings").Uint(plan.items.size());
+  writer.Key("fixable").Uint(plan.FixableCount());
+  writer.Key("unfixable").Uint(plan.items.size() - plan.FixableCount());
+  writer.EndObject().Break(0).EndObject();
+  out += '\n';
   return out;
 }
 

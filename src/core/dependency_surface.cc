@@ -10,6 +10,7 @@
 #include "src/elf/elf_reader.h"
 #include "src/obs/diagnostics.h"
 #include "src/obs/context.h"
+#include "src/obs/json_writer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
 #include "src/util/str_util.h"
@@ -135,42 +136,32 @@ std::string FunctionEntry::StatusJson() const {
   const char* inline_type = status.fully_inlined          ? "Fully inlined"
                             : status.selectively_inlined  ? "Partially inlined"
                                                           : "Not inlined";
-  auto quoted_list = [](std::string& out, std::span<const std::string_view> items) {
-    for (size_t k = 0; k < items.size(); ++k) {
-      out.append(k != 0 ? ", \"" : "\"").append(items[k]).append("\"");
+  std::string out;
+  obs::JsonWriter writer(out);
+  auto strings = [&writer](const char* key, std::span<const std::string_view> items) {
+    writer.Key(key).BeginArray();
+    for (std::string_view item : items) {
+      writer.String(item);
     }
+    writer.EndArray();
   };
-  std::string out = "{\"name\": \"";
-  out.append(name).append("\"");
-  out += ", \"collision_type\": \"" + status.CollisionClass() + "\"";
-  out.append(", \"inline_type\": \"").append(inline_type).append("\"");
-  out += ", \"funcs\": [";
-  for (size_t i = 0; i < instances.size(); ++i) {
-    const FunctionInstance& inst = instances[i];
-    if (i != 0) {
-      out += ", ";
-    }
-    out += StrFormat("{\"name\": \"%.*s\", \"external\": %s, \"loc\": \"%.*s:%u\"",
-                     static_cast<int>(inst.name.size()), inst.name.data(),
-                     inst.external ? "true" : "false", static_cast<int>(inst.decl_file.size()),
-                     inst.decl_file.data(), inst.decl_line);
-    out += ", \"caller_inline\": [";
-    quoted_list(out, inst.caller_inline);
-    out += "], \"caller_func\": [";
-    quoted_list(out, inst.caller_func);
-    out += "]}";
+  writer.BeginObject().Key("name").String(name);
+  writer.Key("collision_type").String(status.CollisionClass());
+  writer.Key("inline_type").String(inline_type).Key("funcs").BeginArray();
+  for (const FunctionInstance& inst : instances) {
+    writer.BeginObject().Key("name").String(inst.name).Key("external").Bool(inst.external);
+    writer.Key("loc").String(std::string(inst.decl_file) + ":" + std::to_string(inst.decl_line));
+    strings("caller_inline", inst.caller_inline);
+    strings("caller_func", inst.caller_func);
+    writer.EndObject();
   }
-  out += "], \"symbols\": [";
-  for (size_t i = 0; i < symbols.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    out += StrFormat("{\"name\": \"%s\", \"addr\": %llu, \"bind\": \"%s\", \"size\": %llu}",
-                     symbols[i]->name.c_str(), (unsigned long long)symbols[i]->value,
-                     symbols[i]->bind == SymBind::kGlobal ? "STB_GLOBAL" : "STB_LOCAL",
-                     (unsigned long long)symbols[i]->size);
+  writer.EndArray().Key("symbols").BeginArray();
+  for (const ElfSymbol* symbol : symbols) {
+    writer.BeginObject().Key("name").String(symbol->name).Key("addr").Uint(symbol->value);
+    writer.Key("bind").String(symbol->bind == SymBind::kGlobal ? "STB_GLOBAL" : "STB_LOCAL");
+    writer.Key("size").Uint(symbol->size).EndObject();
   }
-  out += "]}";
+  writer.EndArray().EndObject();
   return out;
 }
 

@@ -18,7 +18,7 @@
 #include "src/core/dependency_surface.h"
 #include "src/faultgen/fault_injector.h"
 #include "src/obs/context.h"
-#include "src/obs/run_report.h"
+#include "src/obs/json_writer.h"
 #include "src/study/study.h"
 #include "src/util/prng.h"
 #include "src/util/str_util.h"
@@ -418,101 +418,65 @@ std::vector<std::string> RunBlindSweep(const std::vector<FuzzSeed>& seeds,
 }
 
 std::string RenderFuzzCampaignJson(const FuzzCampaignResult& result) {
-  using obs::JsonEscape;
-  std::string out = "{\n";
-  out += StrFormat("  \"schema\": \"%s\",\n", kFuzzCampaignSchema);
-  out += StrFormat("  \"mode\": \"%s\",\n", SeedModeName(result.mode));
-  out += StrFormat(
-      "  \"config\": {\"rounds\": %llu, \"seed\": %llu, \"time_budget_ms\": %llu, "
-      "\"max_ledger_entries\": %llu},\n",
-      static_cast<unsigned long long>(result.rounds),
-      static_cast<unsigned long long>(result.seed),
-      static_cast<unsigned long long>(result.time_budget_ms),
-      static_cast<unsigned long long>(result.max_ledger_entries));
-  out += "  \"seeds\": [";
-  for (size_t i = 0; i < result.seed_names.size(); ++i) {
-    if (i) out += ", ";
-    out += "\"" + JsonEscape(result.seed_names[i]) + "\"";
-  }
-  out += "],\n";
-  out += StrFormat("  \"candidates\": %llu,\n",
-                   static_cast<unsigned long long>(result.candidates));
-  out += StrFormat("  \"coverage\": {\"tuples\": %zu, \"keys\": [",
-                   result.coverage.size());
-  for (size_t i = 0; i < result.coverage.size(); ++i) {
-    if (i) out += ", ";
-    out += "\"" + JsonEscape(result.coverage[i]) + "\"";
-  }
-  out += "]},\n";
-  out += "  \"growth\": [";
-  for (size_t i = 0; i < result.growth.size(); ++i) {
-    if (i) out += ", ";
-    out += StrFormat("{\"round\": %llu, \"tuples\": %zu}",
-                     static_cast<unsigned long long>(result.growth[i].round),
-                     result.growth[i].tuples);
-  }
-  out += "],\n";
-  out += "  \"kinds\": [";
-  for (size_t i = 0; i < result.kinds.size(); ++i) {
-    if (i) out += ", ";
-    out += StrFormat("{\"kind\": \"%s\", \"attempts\": %llu, \"novel\": %llu}",
-                     result.kinds[i].kind.c_str(),
-                     static_cast<unsigned long long>(result.kinds[i].attempts),
-                     static_cast<unsigned long long>(result.kinds[i].novel));
-  }
-  out += "],\n";
-  out += "  \"corpus\": [\n";
-  for (size_t i = 0; i < result.corpus.size(); ++i) {
-    const FuzzCorpusEntry& e = result.corpus[i];
-    out += StrFormat(
-        "    {\"index\": %zu, \"name\": \"%s\", \"seed\": %s, \"round\": %llu, "
-        "\"kind\": \"%s\", \"fault_seed\": %llu, \"parent\": %zu, "
-        "\"description\": \"%s\", \"size\": %zu, \"tuple_count\": %zu, "
-        "\"new_tuples\": [",
-        e.index, JsonEscape(e.name).c_str(), e.is_seed ? "true" : "false",
-        static_cast<unsigned long long>(e.round), JsonEscape(e.kind).c_str(),
-        static_cast<unsigned long long>(e.fault_seed), e.parent,
-        JsonEscape(e.description).c_str(), e.bytes.size(), e.tuples.size());
-    for (size_t j = 0; j < e.new_tuples.size(); ++j) {
-      if (j) out += ", ";
-      out += "\"" + JsonEscape(e.new_tuples[j]) + "\"";
+  std::string out;
+  obs::JsonWriter writer(out);
+  auto strings = [&writer](const std::vector<std::string>& items) {
+    writer.BeginArray();
+    for (const std::string& item : items) {
+      writer.String(item);
     }
-    out += "]}";
-    out += (i + 1 < result.corpus.size()) ? ",\n" : "\n";
+    writer.EndArray();
+  };
+  writer.BeginObject().Break(2).Key("schema").String(kFuzzCampaignSchema);
+  writer.Break(2).Key("mode").String(SeedModeName(result.mode));
+  writer.Break(2).Key("config").BeginObject().Key("rounds").Uint(result.rounds);
+  writer.Key("seed").Uint(result.seed).Key("time_budget_ms").Uint(result.time_budget_ms);
+  writer.Key("max_ledger_entries").Uint(result.max_ledger_entries).EndObject();
+  writer.Break(2).Key("seeds");
+  strings(result.seed_names);
+  writer.Break(2).Key("candidates").Uint(result.candidates);
+  writer.Break(2).Key("coverage").BeginObject().Key("tuples").Uint(result.coverage.size());
+  writer.Key("keys");
+  strings(result.coverage);
+  writer.EndObject().Break(2).Key("growth").BeginArray();
+  for (const FuzzGrowthPoint& point : result.growth) {
+    writer.BeginObject().Key("round").Uint(point.round).Key("tuples").Uint(point.tuples);
+    writer.EndObject();
   }
-  out += "  ],\n";
-  out += "  \"minimized\": [";
-  for (size_t i = 0; i < result.minimized.size(); ++i) {
-    if (i) out += ", ";
-    out += StrFormat("%zu", result.minimized[i]);
+  writer.EndArray().Break(2).Key("kinds").BeginArray();
+  for (const FuzzKindStats& stats : result.kinds) {
+    writer.BeginObject().Key("kind").String(stats.kind).Key("attempts").Uint(stats.attempts);
+    writer.Key("novel").Uint(stats.novel).EndObject();
   }
-  out += "],\n";
-  out += "  \"oracle\": {\"disagreements\": [";
-  for (size_t i = 0; i < result.disagreements.size(); ++i) {
-    const FuzzOracleDisagreement& d = result.disagreements[i];
-    if (i) out += ", ";
-    out += StrFormat(
-        "{\"round\": %llu, \"kind\": \"%s\", \"fault_seed\": %llu, "
-        "\"violation\": \"%s\"}",
-        static_cast<unsigned long long>(d.round), JsonEscape(d.kind).c_str(),
-        static_cast<unsigned long long>(d.fault_seed),
-        JsonEscape(d.violation).c_str());
+  writer.EndArray().Break(2).Key("corpus").BeginArray();
+  for (const FuzzCorpusEntry& e : result.corpus) {
+    writer.Break(4).BeginObject().Key("index").Uint(e.index).Key("name").String(e.name);
+    writer.Key("seed").Bool(e.is_seed).Key("round").Uint(e.round).Key("kind").String(e.kind);
+    writer.Key("fault_seed").Uint(e.fault_seed).Key("parent").Uint(e.parent);
+    writer.Key("description").String(e.description).Key("size").Uint(e.bytes.size());
+    writer.Key("tuple_count").Uint(e.tuples.size()).Key("new_tuples");
+    strings(e.new_tuples);
+    writer.EndObject();
   }
-  out += "]},\n";
-  out += "  \"hangs\": [";
-  for (size_t i = 0; i < result.hangs.size(); ++i) {
-    const FuzzHang& h = result.hangs[i];
-    if (i) out += ", ";
-    out += StrFormat(
-        "{\"round\": %llu, \"kind\": \"%s\", \"fault_seed\": %llu, "
-        "\"description\": \"%s\"}",
-        static_cast<unsigned long long>(h.round), JsonEscape(h.kind).c_str(),
-        static_cast<unsigned long long>(h.fault_seed),
-        JsonEscape(h.description).c_str());
+  writer.Break(2).EndArray().Break(2).Key("minimized").BeginArray();
+  for (size_t index : result.minimized) {
+    writer.Uint(index);
   }
-  out += "],\n";
-  out += StrFormat("  \"exit_code\": %d\n", result.ExitCode());
-  out += "}\n";
+  writer.EndArray().Break(2).Key("oracle").BeginObject().Key("disagreements").BeginArray();
+  for (const FuzzOracleDisagreement& d : result.disagreements) {
+    writer.BeginObject().Key("round").Uint(d.round).Key("kind").String(d.kind);
+    writer.Key("fault_seed").Uint(d.fault_seed).Key("violation").String(d.violation);
+    writer.EndObject();
+  }
+  writer.EndArray().EndObject().Break(2).Key("hangs").BeginArray();
+  for (const FuzzHang& h : result.hangs) {
+    writer.BeginObject().Key("round").Uint(h.round).Key("kind").String(h.kind);
+    writer.Key("fault_seed").Uint(h.fault_seed).Key("description").String(h.description);
+    writer.EndObject();
+  }
+  writer.EndArray().Break(2).Key("exit_code").Int(result.ExitCode());
+  writer.Break(0).EndObject();
+  out += '\n';
   return out;
 }
 

@@ -4,8 +4,7 @@
 #include <fstream>
 
 #include "src/obs/diag.h"
-#include "src/obs/run_report.h"
-#include "src/util/str_util.h"
+#include "src/obs/json_writer.h"
 
 namespace depsurf {
 namespace obs {
@@ -53,32 +52,26 @@ std::string BenchReporter::path() const {
 
 Status BenchReporter::WriteJson() {
   written_ = true;
-  std::string out = "{\n\"schema\": \"";
-  out += kBenchReportSchema;
-  out += "\",\n\"bench\": \"" + JsonEscape(name_) + "\",\n";
-  out += "\"notes\": {";
-  for (size_t i = 0; i < notes_.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    out += "\"" + JsonEscape(notes_[i].first) + "\": \"" + JsonEscape(notes_[i].second) + "\"";
+  std::string out;
+  JsonWriter writer(out);
+  writer.BeginObject().Break(0).Key("schema").String(kBenchReportSchema);
+  writer.Break(0).Key("bench").String(name_);
+  writer.Break(0).Key("notes").BeginObject();
+  for (const auto& [key, value] : notes_) {
+    writer.Key(key).String(value);
   }
-  out += "},\n\"stages\": [";
-  for (size_t i = 0; i < stages_.size(); ++i) {
-    const BenchStage& stage = stages_[i];
-    if (i != 0) {
-      out += ",";
-    }
-    out += "\n  ";
-    out += StrFormat(
-        "{\"name\": \"%s\", \"seconds\": %.6f, \"items\": %llu, "
-        "\"items_per_sec\": %.3f, \"bytes\": %llu, \"bytes_per_sec\": %.1f}",
-        JsonEscape(stage.name).c_str(), stage.seconds, (unsigned long long)stage.items,
-        stage.seconds > 0 ? static_cast<double>(stage.items) / stage.seconds : 0.0,
-        (unsigned long long)stage.bytes,
-        stage.seconds > 0 ? static_cast<double>(stage.bytes) / stage.seconds : 0.0);
+  writer.EndObject().Break(0).Key("stages").BeginArray();
+  for (const BenchStage& stage : stages_) {
+    auto per_sec = [&stage](uint64_t n) {
+      return stage.seconds > 0 ? static_cast<double>(n) / stage.seconds : 0.0;
+    };
+    writer.Break(2).BeginObject().Key("name").String(stage.name);
+    writer.Key("seconds").Fixed(stage.seconds, 6).Key("items").Uint(stage.items);
+    writer.Key("items_per_sec").Fixed(per_sec(stage.items), 3).Key("bytes").Uint(stage.bytes);
+    writer.Key("bytes_per_sec").Fixed(per_sec(stage.bytes), 1).EndObject();
   }
-  out += "\n]\n}\n";
+  writer.Break(0).EndArray().Break(0).EndObject();
+  out += '\n';
 
   std::string file = path();
   std::ofstream stream(file, std::ios::binary);

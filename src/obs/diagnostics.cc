@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <tuple>
 
-#include "src/obs/run_report.h"
-#include "src/util/str_util.h"
+#include "src/obs/json_writer.h"
 
 namespace depsurf {
 namespace obs {
@@ -48,21 +47,19 @@ bool DiagnosticEntryLess(const DiagnosticEntry& a, const DiagnosticEntry& b) {
 
 std::string DiagnosticsJson(std::vector<DiagnosticEntry> entries) {
   std::sort(entries.begin(), entries.end(), DiagnosticEntryLess);
-  std::string out = "[";
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const DiagnosticEntry& e = entries[i];
-    if (i != 0) {
-      out += ", ";
-    }
-    out += StrFormat(
-        "{\"severity\": \"%s\", \"subsystem\": \"%s\", \"code\": \"%s\", "
-        "\"offset\": %lld, \"message\": \"%s\"}",
-        DiagSeverityName(e.severity), DiagSubsystemName(e.subsystem),
-        ErrorCodeName(e.code),
-        e.has_offset ? static_cast<long long>(e.offset) : -1LL,
-        JsonEscape(e.message).c_str());
+  std::string out;
+  JsonWriter writer(out);
+  writer.BeginArray();
+  for (const DiagnosticEntry& e : entries) {
+    writer.BeginObject();
+    writer.Key("severity").String(DiagSeverityName(e.severity));
+    writer.Key("subsystem").String(DiagSubsystemName(e.subsystem));
+    writer.Key("code").String(ErrorCodeName(e.code));
+    writer.Key("offset").Int(e.has_offset ? static_cast<int64_t>(e.offset) : -1);
+    writer.Key("message").String(e.message);
+    writer.EndObject();
   }
-  out += "]";
+  writer.EndArray();
   return out;
 }
 

@@ -327,6 +327,9 @@ int CompareReportSpans(const JsonValue& a, const JsonValue& b) {
 
 namespace {
 
+// The canonical form is built by hand, not through JsonWriter: it is the
+// compact form `metrics canon` defines (no spaces, numbers as integers or
+// %.17g), and `contract` hashes it, so it keeps its own syntax.
 std::string CanonicalNumber(double v) {
   if (std::floor(v) == v && std::fabs(v) < 9.0e15) {
     return StrFormat("%lld", (long long)v);

@@ -3,6 +3,7 @@
 #include <map>
 
 #include "src/obs/bench_report.h"
+#include "src/obs/json_writer.h"
 #include "src/obs/run_report.h"
 #include "src/util/str_util.h"
 
@@ -170,28 +171,23 @@ std::string PerfComparisonJson(const PerfComparison& comparison,
     added += delta.cls == StageClass::kAdded ? 1 : 0;
     removed += delta.cls == StageClass::kRemoved ? 1 : 0;
   }
-  std::string out = "{\n\"schema\": \"";
-  out += kPerfCompareSchema;
-  out += "\",\n";
-  out += StrFormat("\"max_regress\": %.6f, \"noise_floor_seconds\": %.6f,\n",
-                   options.max_regress, options.noise_floor_seconds);
-  out += StrFormat(
-      "\"improved\": %zu, \"flat\": %zu, \"regressed\": %zu, \"added\": %zu, "
-      "\"removed\": %zu,\n",
-      comparison.improved, flat, comparison.regressed, added, removed);
-  out += "\"stages\": [";
-  for (size_t i = 0; i < comparison.stages.size(); ++i) {
-    const StageDelta& delta = comparison.stages[i];
-    if (i != 0) {
-      out += ",";
-    }
-    out += StrFormat(
-        "\n  {\"name\": \"%s\", \"class\": \"%s\", \"base_seconds\": %.6f, "
-        "\"head_seconds\": %.6f, \"delta_pct\": %.2f}",
-        JsonEscape(delta.name).c_str(), StageClassName(delta.cls), delta.base_seconds,
-        delta.head_seconds, delta.delta_pct);
+  std::string out;
+  JsonWriter writer(out);
+  writer.BeginObject().Break(0).Key("schema").String(kPerfCompareSchema);
+  writer.Break(0).Key("max_regress").Fixed(options.max_regress, 6);
+  writer.Key("noise_floor_seconds").Fixed(options.noise_floor_seconds, 6);
+  writer.Break(0).Key("improved").Uint(comparison.improved).Key("flat").Uint(flat);
+  writer.Key("regressed").Uint(comparison.regressed).Key("added").Uint(added);
+  writer.Key("removed").Uint(removed).Break(0).Key("stages").BeginArray();
+  for (const StageDelta& delta : comparison.stages) {
+    writer.Break(2).BeginObject().Key("name").String(delta.name);
+    writer.Key("class").String(StageClassName(delta.cls));
+    writer.Key("base_seconds").Fixed(delta.base_seconds, 6);
+    writer.Key("head_seconds").Fixed(delta.head_seconds, 6);
+    writer.Key("delta_pct").Fixed(delta.delta_pct, 2).EndObject();
   }
-  out += "\n]\n}\n";
+  writer.Break(0).EndArray().Break(0).EndObject();
+  out += '\n';
   return out;
 }
 

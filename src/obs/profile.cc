@@ -4,6 +4,7 @@
 #include <map>
 
 #include "src/obs/json_lint.h"
+#include "src/obs/json_writer.h"
 #include "src/obs/run_report.h"
 #include "src/util/str_util.h"
 
@@ -11,9 +12,6 @@ namespace depsurf {
 namespace obs {
 
 namespace {
-
-std::string U64(uint64_t v) { return StrFormat("%llu", (unsigned long long)v); }
-std::string I64(int64_t v) { return StrFormat("%lld", (long long)v); }
 
 // Self time: inclusive duration minus the summed durations of direct
 // children. Children open and close on the parent's thread strictly inside
@@ -83,8 +81,8 @@ int64_t GaugeValue(const JsonValue* value) {
   return static_cast<int64_t>(std::min<uint64_t>(CountValue(value), INT64_MAX));
 }
 
-// Rebuilds a SpanNode subtree from a parsed run-report span object.
-// Resource fields missing from older reports default to 0.
+}  // namespace
+
 SpanNode SpanFromValue(const JsonValue& value) {
   SpanNode node;
   const JsonValue* name = value.Find("name");
@@ -93,6 +91,12 @@ SpanNode SpanFromValue(const JsonValue& value) {
   node.cpu_ns = MemberU64(value, "cpu_ns");
   node.alloc_count = MemberU64(value, "alloc_count");
   node.alloc_bytes = MemberU64(value, "alloc_bytes");
+  const JsonValue* attrs = value.Find("attrs");
+  if (attrs != nullptr && attrs->kind == JsonValue::Kind::kObject) {
+    for (const auto& [key, attr] : attrs->object) {
+      node.attrs.emplace_back(key, attr.string);
+    }
+  }
   const JsonValue* children = value.Find("children");
   if (children != nullptr && children->kind == JsonValue::Kind::kArray) {
     for (const JsonValue& child : children->array) {
@@ -101,6 +105,8 @@ SpanNode SpanFromValue(const JsonValue& value) {
   }
   return node;
 }
+
+namespace {
 
 Result<std::vector<SpanNode>> ReportSpanForest(std::string_view json, const JsonValue** doc_out,
                                                JsonValue& storage) {
@@ -258,56 +264,34 @@ Result<Profile> ProfileFromReportJson(std::string_view json) {
 }
 
 std::string ProfileJson(const Profile& profile) {
-  std::string out = "{\n\"schema\": \"";
-  out += kProfileSchema;
-  out += "\",\n";
-  out += "\"span_nodes\": " + U64(profile.span_nodes) + ",\n";
-  out += "\"names\": [";
-  for (size_t i = 0; i < profile.names.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    const ProfileNameRow& row = profile.names[i];
-    out += "{\"name\": \"" + JsonEscape(row.name) + "\"";
-    out += ", \"count\": " + U64(row.count);
-    out += ", \"dur_ns\": " + U64(row.dur_ns);
-    out += ", \"self_ns\": " + U64(row.self_ns);
-    out += ", \"cpu_ns\": " + U64(row.cpu_ns);
-    out += ", \"alloc_count\": " + U64(row.alloc_count);
-    out += ", \"alloc_bytes\": " + U64(row.alloc_bytes);
-    out += "}";
+  std::string out;
+  JsonWriter writer(out);
+  writer.BeginObject().Break(0).Key("schema").String(kProfileSchema);
+  writer.Break(0).Key("span_nodes").Uint(profile.span_nodes);
+  writer.Break(0).Key("names").BeginArray();
+  for (const ProfileNameRow& row : profile.names) {
+    writer.BeginObject().Key("name").String(row.name).Key("count").Uint(row.count);
+    writer.Key("dur_ns").Uint(row.dur_ns).Key("self_ns").Uint(row.self_ns);
+    writer.Key("cpu_ns").Uint(row.cpu_ns).Key("alloc_count").Uint(row.alloc_count);
+    writer.Key("alloc_bytes").Uint(row.alloc_bytes).EndObject();
   }
-  out += "],\n";
-  out += "\"critical_path\": {\"wall_ns\": " + U64(profile.wall_ns);
-  out += ", \"serial_self_ns\": " + U64(profile.serial_self_ns);
-  out += StrFormat(", \"serial_share_pct\": %.2f", SerialSharePct(profile));
-  out += ", \"steps\": [";
-  for (size_t i = 0; i < profile.critical_path.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    const CriticalPathStep& step = profile.critical_path[i];
-    out += "{\"name\": \"" + JsonEscape(step.name) + "\"";
-    out += ", \"dur_ns\": " + U64(step.dur_ns);
-    out += ", \"self_ns\": " + U64(step.self_ns);
-    out += "}";
+  writer.EndArray().Break(0).Key("critical_path").BeginObject();
+  writer.Key("wall_ns").Uint(profile.wall_ns).Key("serial_self_ns").Uint(profile.serial_self_ns);
+  writer.Key("serial_share_pct").Fixed(SerialSharePct(profile), 2).Key("steps").BeginArray();
+  for (const CriticalPathStep& step : profile.critical_path) {
+    writer.BeginObject().Key("name").String(step.name).Key("dur_ns").Uint(step.dur_ns);
+    writer.Key("self_ns").Uint(step.self_ns).EndObject();
   }
-  out += "]},\n";
   const ExecutorStats& executor = profile.executor;
-  out += "\"executor\": {\"window\": " + I64(executor.window);
-  out += ", \"wall_ms\": " + I64(executor.wall_ms);
-  out += ", \"serialize_stall_us\": " + U64(executor.serialize_stall_us);
-  out += ", \"queue_waits\": " + U64(executor.queue_waits);
-  out += ", \"workers\": [";
-  for (size_t i = 0; i < executor.worker_busy_ms.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    out += "{\"lane\": " + I64(executor.worker_busy_ms[i].first);
-    out += ", \"busy_ms\": " + I64(executor.worker_busy_ms[i].second);
-    out += "}";
+  writer.EndArray().EndObject().Break(0).Key("executor").BeginObject();
+  writer.Key("window").Int(executor.window).Key("wall_ms").Int(executor.wall_ms);
+  writer.Key("serialize_stall_us").Uint(executor.serialize_stall_us);
+  writer.Key("queue_waits").Uint(executor.queue_waits).Key("workers").BeginArray();
+  for (const auto& [lane, busy_ms] : executor.worker_busy_ms) {
+    writer.BeginObject().Key("lane").Int(lane).Key("busy_ms").Int(busy_ms).EndObject();
   }
-  out += "]}\n}\n";
+  writer.EndArray().EndObject().Break(0).EndObject();
+  out += '\n';
   return out;
 }
 
@@ -414,7 +398,7 @@ std::string FoldedStacks(const std::vector<SpanNode>& roots) {
   }
   std::string out;
   for (const auto& [frames, self_ns] : folded) {
-    out += frames + " " + U64(self_ns) + "\n";
+    out += frames + " " + std::to_string(self_ns) + "\n";
   }
   return out;
 }

@@ -44,6 +44,8 @@ namespace obs {
 
 inline constexpr char kProfileSchema[] = "depsurf.profile.v1";
 
+struct JsonValue;
+
 // One row of the per-name aggregate table.
 struct ProfileNameRow {
   std::string name;
@@ -102,6 +104,11 @@ void FillExecutorStats(Profile& profile, const MetricsRegistry& metrics);
 // span forest; executor stats come from the report's gauges, counters, and
 // histograms. Spans without cpu/alloc fields (older reports) profile as 0.
 Result<Profile> ProfileFromReportJson(std::string_view json);
+
+// Rebuilds a span subtree from a parsed run-report span object. Every
+// number reads through CountValue; a missing resource field (older
+// reports) or attr value that is not a string reads as 0 or "".
+SpanNode SpanFromValue(const JsonValue& value);
 
 // Deterministically serializes the profile (see schema above).
 std::string ProfileJson(const Profile& profile);

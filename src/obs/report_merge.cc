@@ -1,10 +1,11 @@
 #include "src/obs/report_merge.h"
 
 #include <algorithm>
-#include <climits>
 #include <map>
 
 #include "src/obs/json_lint.h"
+#include "src/obs/json_writer.h"
+#include "src/obs/profile.h"
 #include "src/obs/run_report.h"
 #include "src/util/str_util.h"
 
@@ -13,20 +14,18 @@ namespace obs {
 
 namespace {
 
-// `v` is a count or a sum of counts (CheckFoldedCounts ran on every input);
-// a sum past 2^64 saturates rather than wrapping.
-std::string U64(double v) {
-  v += 0.5;
-  return StrFormat("%llu", v < 18446744073709551616.0 ? (unsigned long long)v : ULLONG_MAX);
-}
-// Gauges and diagnostic offsets may be negative and are not checked: clamp
-// where a cast would be undefined.
-std::string I64(double v) {
+// Gauges and diagnostic offsets may be negative and are not checked: round
+// half away from zero, and clamp where a cast would be undefined.
+int64_t SignedValue(double v) {
   v = v < 0 ? v - 0.5 : v + 0.5;
-  return StrFormat("%lld", v <= -9223372036854775808.0 ? LLONG_MIN
-                           : v >= 9223372036854775808.0 ? LLONG_MAX
-                                                        : (long long)v);
+  return v <= -9223372036854775808.0 ? INT64_MIN
+         : v >= 9223372036854775808.0 ? INT64_MAX
+                                      : static_cast<int64_t>(v);
 }
+
+// A sum of counts past 2^64 saturates rather than wrapping. Each count is
+// read through CountValue, the rule `profile` reads the same members by.
+void AddCount(uint64_t& sum, uint64_t n) { sum = n > UINT64_MAX - sum ? UINT64_MAX : sum + n; }
 
 Status CheckOptionalCount(const JsonValue* value, const std::string& path) {
   return value == nullptr ? Status::Ok() : CheckValue(value, path, want::kCount);
@@ -100,67 +99,39 @@ Status CheckFoldedCounts(const JsonValue& doc, bool is_agg) {
 }
 
 struct HistogramAcc {
-  double count = 0;
-  double sum = 0;
-  std::map<uint64_t, double> buckets;  // lower bound -> count
+  uint64_t count = 0;
+  uint64_t sum = 0;
+  std::map<uint64_t, uint64_t> buckets;  // lower bound -> count
 };
 
-// Re-emits a parsed span subtree in run-report span form, normalizing to
-// the known members (name, dur_ns, cpu_ns, alloc_count, alloc_bytes,
-// attrs, children). Resource fields default to 0 for reports written
-// before they existed.
-void AppendSpanValue(std::string& out, const JsonValue& span) {
-  const JsonValue* name = span.Find("name");
-  const JsonValue* dur = span.Find("dur_ns");
-  const JsonValue* cpu = span.Find("cpu_ns");
-  const JsonValue* alloc_count = span.Find("alloc_count");
-  const JsonValue* alloc_bytes = span.Find("alloc_bytes");
-  out += "{\"name\": \"" + JsonEscape(name != nullptr ? name->string : "") + "\"";
-  out += ", \"dur_ns\": " + U64(dur != nullptr ? dur->number : 0);
-  out += ", \"cpu_ns\": " + U64(cpu != nullptr ? cpu->number : 0);
-  out += ", \"alloc_count\": " + U64(alloc_count != nullptr ? alloc_count->number : 0);
-  out += ", \"alloc_bytes\": " + U64(alloc_bytes != nullptr ? alloc_bytes->number : 0);
-  out += ", \"attrs\": {";
-  const JsonValue* attrs = span.Find("attrs");
-  if (attrs != nullptr && attrs->kind == JsonValue::Kind::kObject) {
-    for (size_t i = 0; i < attrs->object.size(); ++i) {
-      if (i != 0) {
-        out += ", ";
-      }
-      out += "\"" + JsonEscape(attrs->object[i].first) + "\": \"" +
-             JsonEscape(attrs->object[i].second.string) + "\"";
-    }
-  }
-  out += "}, \"children\": [";
-  const JsonValue* children = span.Find("children");
-  if (children != nullptr && children->kind == JsonValue::Kind::kArray) {
-    for (size_t i = 0; i < children->array.size(); ++i) {
-      if (i != 0) {
-        out += ", ";
-      }
-      AppendSpanValue(out, children->array[i]);
-    }
-  }
-  out += "]}";
+// One provenance entry, serialized with the label first so that sorting the
+// strings sorts by label.
+std::string SourceEntry(std::string_view label, uint64_t spans, uint64_t counters,
+                        uint64_t diags) {
+  std::string out;
+  JsonWriter(out).BeginObject().Key("label").String(label).Key("spans").Uint(spans)
+      .Key("counters").Uint(counters).Key("diags").Uint(diags).EndObject();
+  return out;
 }
 
 // Pre-serializes a parsed diagnostics entry with its source label first, so
 // sorting the strings sorts by (label, severity, subsystem, ...).
-std::string LabeledDiagEntry(const std::string& label, const JsonValue& entry) {
-  const JsonValue* severity = entry.Find("severity");
-  const JsonValue* subsystem = entry.Find("subsystem");
-  const JsonValue* code = entry.Find("code");
+std::string LabeledDiagEntry(std::string_view label, const JsonValue& entry) {
+  auto text = [&entry](const char* key) {
+    const JsonValue* value = entry.Find(key);
+    return value != nullptr ? std::string_view(value->string) : std::string_view();
+  };
   const JsonValue* offset = entry.Find("offset");
-  const JsonValue* message = entry.Find("message");
-  return StrFormat(
-      "{\"label\": \"%s\", \"severity\": \"%s\", \"subsystem\": \"%s\", "
-      "\"code\": \"%s\", \"offset\": %s, \"message\": \"%s\"}",
-      JsonEscape(label).c_str(),
-      JsonEscape(severity != nullptr ? severity->string : "").c_str(),
-      JsonEscape(subsystem != nullptr ? subsystem->string : "").c_str(),
-      JsonEscape(code != nullptr ? code->string : "").c_str(),
-      I64(offset != nullptr ? offset->number : -1).c_str(),
-      JsonEscape(message != nullptr ? message->string : "").c_str());
+  std::string out;
+  JsonWriter writer(out);
+  writer.BeginObject().Key("label").String(label);
+  writer.Key("severity").String(text("severity"));
+  writer.Key("subsystem").String(text("subsystem"));
+  writer.Key("code").String(text("code"));
+  writer.Key("offset").Int(SignedValue(offset != nullptr ? offset->number : -1));
+  writer.Key("message").String(text("message"));
+  writer.EndObject();
+  return out;
 }
 
 }  // namespace
@@ -169,12 +140,12 @@ Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports) {
   if (reports.empty()) {
     return Error(ErrorCode::kInvalidArgument, "nothing to merge");
   }
-  double total_reports = 0;               // summed like counters
-  std::vector<std::string> sources;       // pre-serialized provenance entries
-  std::vector<std::string> diagnostics;   // pre-serialized labeled entries
-  std::vector<JsonValue> spans;           // all root spans across inputs
-  std::map<std::string, double> counters; // summed
-  std::map<std::string, double> gauges;   // last write wins
+  uint64_t total_reports = 0;                // summed like counters
+  std::vector<std::string> sources;          // pre-serialized provenance entries
+  std::vector<std::string> diagnostics;      // pre-serialized labeled entries
+  std::vector<SpanNode> spans;               // all root spans across inputs
+  std::map<std::string, uint64_t> counters;  // summed
+  std::map<std::string, double> gauges;      // last write wins
   std::map<std::string, HistogramAcc> histograms;
 
   for (const LabeledReport& report : reports) {
@@ -201,20 +172,15 @@ Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports) {
             ? doc_diags->array.size()
             : 0;
     if (is_agg) {
-      total_reports += doc.Find("reports")->number;
+      AddCount(total_reports, CountValue(doc.Find("reports")));
       const JsonValue* nested_sources = doc.Find("sources");
       if (nested_sources != nullptr && nested_sources->kind == JsonValue::Kind::kArray) {
         for (const JsonValue& source : nested_sources->array) {
           const JsonValue* label = source.Find("label");
-          const JsonValue* source_spans = source.Find("spans");
-          const JsonValue* source_counters = source.Find("counters");
-          const JsonValue* source_diags = source.Find("diags");
-          sources.push_back(StrFormat(
-              "{\"label\": \"%s\", \"spans\": %s, \"counters\": %s, \"diags\": %s}",
-              JsonEscape(label != nullptr ? label->string : "").c_str(),
-              U64(source_spans != nullptr ? source_spans->number : 0).c_str(),
-              U64(source_counters != nullptr ? source_counters->number : 0).c_str(),
-              U64(source_diags != nullptr ? source_diags->number : 0).c_str()));
+          sources.push_back(SourceEntry(label != nullptr ? label->string : "",
+                                        CountValue(source.Find("spans")),
+                                        CountValue(source.Find("counters")),
+                                        CountValue(source.Find("diags"))));
         }
       }
       if (doc_diags != nullptr && doc_diags->kind == JsonValue::Kind::kArray) {
@@ -226,13 +192,11 @@ Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports) {
         }
       }
     } else {
-      total_reports += 1;
+      AddCount(total_reports, 1);
       const JsonValue* doc_counters = doc.Find("counters");
-      sources.push_back(StrFormat(
-          "{\"label\": \"%s\", \"spans\": %zu, \"counters\": %zu, \"diags\": %zu}",
-          JsonEscape(report.label).c_str(), CountReportSpanNodes(doc),
-          doc_counters != nullptr ? doc_counters->object.size() : size_t{0},
-          doc_diag_count));
+      sources.push_back(SourceEntry(report.label, CountReportSpanNodes(doc),
+                                    doc_counters != nullptr ? doc_counters->object.size() : 0,
+                                    doc_diag_count));
       if (doc_diags != nullptr && doc_diags->kind == JsonValue::Kind::kArray) {
         for (const JsonValue& entry : doc_diags->array) {
           diagnostics.push_back(LabeledDiagEntry(report.label, entry));
@@ -243,13 +207,13 @@ Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports) {
     const JsonValue* doc_spans = doc.Find("spans");
     if (doc_spans != nullptr && doc_spans->kind == JsonValue::Kind::kArray) {
       for (const JsonValue& span : doc_spans->array) {
-        spans.push_back(span);
+        spans.push_back(SpanFromValue(span));
       }
     }
     const JsonValue* doc_counters = doc.Find("counters");
     if (doc_counters != nullptr) {
       for (const auto& [name, value] : doc_counters->object) {
-        counters[name] += value.number;
+        AddCount(counters[name], CountValue(&value));
       }
     }
     const JsonValue* doc_gauges = doc.Find("gauges");
@@ -262,15 +226,13 @@ Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports) {
     if (doc_histograms != nullptr) {
       for (const auto& [name, histogram] : doc_histograms->object) {
         HistogramAcc& acc = histograms[name];
-        const JsonValue* count = histogram.Find("count");
-        const JsonValue* sum = histogram.Find("sum");
-        acc.count += count != nullptr ? count->number : 0;
-        acc.sum += sum != nullptr ? sum->number : 0;
+        AddCount(acc.count, CountValue(histogram.Find("count")));
+        AddCount(acc.sum, CountValue(histogram.Find("sum")));
         const JsonValue* buckets = histogram.Find("buckets");
         if (buckets != nullptr && buckets->kind == JsonValue::Kind::kArray) {
           for (const JsonValue& bucket : buckets->array) {
             if (bucket.array.size() == 2) {
-              acc.buckets[CountValue(&bucket.array[0])] += bucket.array[1].number;
+              AddCount(acc.buckets[CountValue(&bucket.array[0])], CountValue(&bucket.array[1]));
             }
           }
         }
@@ -278,81 +240,50 @@ Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports) {
     }
   }
 
-  std::sort(spans.begin(), spans.end(), [](const JsonValue& a, const JsonValue& b) {
-    return CompareReportSpans(a, b) < 0;
+  // The masked order, the one CompareReportSpans gives their parsed form.
+  std::sort(spans.begin(), spans.end(), [](const SpanNode& a, const SpanNode& b) {
+    return CompareSpanNodesMasked(a, b) < 0;
   });
-  // Provenance entries are serialized with the label first, so sorting the
-  // strings sorts by label — merge output is independent of input order.
   std::sort(sources.begin(), sources.end());
   std::sort(diagnostics.begin(), diagnostics.end());
 
-  std::string out = "{\n\"schema\": \"";
-  out += kRunReportAggSchema;
-  out += "\",\n";
-  out += "\"reports\": " + U64(total_reports) + ",\n";
-  out += "\"sources\": [";
-  for (size_t i = 0; i < sources.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    out += sources[i];
+  std::string out;
+  JsonWriter writer(out);
+  writer.BeginObject().Break(0).Key("schema").String(kRunReportAggSchema);
+  writer.Break(0).Key("reports").Uint(total_reports);
+  writer.Break(0).Key("sources").BeginArray();
+  for (const std::string& source : sources) {
+    writer.Raw(source);
   }
-  out += "],\n\"spans\": [";
-  for (size_t i = 0; i < spans.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    AppendSpanValue(out, spans[i]);
+  writer.EndArray().Break(0).Key("spans").BeginArray();
+  for (const SpanNode& span : spans) {
+    WriteSpanJson(writer, span, RunReportOptions{});
   }
-  out += "],\n\"counters\": {";
-  bool first = true;
+  writer.EndArray().Break(0).Key("counters").BeginObject();
   for (const auto& [name, value] : counters) {
-    if (!first) {
-      out += ", ";
-    }
-    first = false;
-    out += "\"" + JsonEscape(name) + "\": " + U64(value);
+    writer.Key(name).Uint(value);
   }
-  out += "},\n\"gauges\": {";
-  first = true;
+  writer.EndObject().Break(0).Key("gauges").BeginObject();
   for (const auto& [name, value] : gauges) {
-    if (!first) {
-      out += ", ";
-    }
-    first = false;
-    out += "\"" + JsonEscape(name) + "\": " + I64(value);
+    writer.Key(name).Int(SignedValue(value));
   }
-  out += "},\n\"histograms\": {";
-  first = true;
+  writer.EndObject().Break(0).Key("histograms").BeginObject();
   for (const auto& [name, acc] : histograms) {
-    if (!first) {
-      out += ", ";
-    }
-    first = false;
-    out += "\"" + JsonEscape(name) + "\": {\"count\": " + U64(acc.count);
-    out += ", \"sum\": " + U64(acc.sum);
-    out += ", \"buckets\": [";
-    bool first_bucket = true;
+    writer.Key(name).BeginObject().Key("count").Uint(acc.count);
+    writer.Key("sum").Uint(acc.sum).Key("buckets").BeginArray();
     for (const auto& [lower, count] : acc.buckets) {
-      if (count <= 0) {
-        continue;
+      if (count != 0) {
+        writer.BeginArray().Uint(lower).Uint(count).EndArray();
       }
-      if (!first_bucket) {
-        out += ", ";
-      }
-      first_bucket = false;
-      out += "[" + StrFormat("%llu", (unsigned long long)lower) + ", " + U64(count) + "]";
     }
-    out += "]}";
+    writer.EndArray().EndObject();
   }
-  out += "},\n\"diagnostics\": [";
-  for (size_t i = 0; i < diagnostics.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    out += diagnostics[i];
+  writer.EndObject().Break(0).Key("diagnostics").BeginArray();
+  for (const std::string& entry : diagnostics) {
+    writer.Raw(entry);
   }
-  out += "]\n}\n";
+  writer.EndArray().Break(0).EndObject();
+  out += '\n';
   return out;
 }
 

@@ -12,36 +12,6 @@ namespace obs {
 
 namespace {
 
-std::string U64(uint64_t v) { return StrFormat("%llu", (unsigned long long)v); }
-std::string I64(int64_t v) { return StrFormat("%lld", (long long)v); }
-
-void AppendSpanJson(std::string& out, const SpanNode& span, const RunReportOptions& options) {
-  out += "{\"name\": \"" + JsonEscape(span.name) + "\"";
-  out += ", \"dur_ns\": " + U64(options.mask_timings ? 0 : span.dur_ns);
-  out += ", \"cpu_ns\": " + U64(options.mask_timings ? 0 : span.cpu_ns);
-  // Allocation figures vary with the allocator, libstdc++ version, and
-  // whether the alloc hooks are compiled in, so masking zeroes them too.
-  out += ", \"alloc_count\": " + U64(options.mask_timings ? 0 : span.alloc_count);
-  out += ", \"alloc_bytes\": " + U64(options.mask_timings ? 0 : span.alloc_bytes);
-  out += ", \"attrs\": {";
-  for (size_t i = 0; i < span.attrs.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    const auto& [key, value] = span.attrs[i];
-    bool mask = options.mask_timings && IsTimingMetricName(key);
-    out += "\"" + JsonEscape(key) + "\": \"" + JsonEscape(mask ? "0" : value) + "\"";
-  }
-  out += "}, \"children\": [";
-  for (size_t i = 0; i < span.children.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    AppendSpanJson(out, span.children[i], options);
-  }
-  out += "]}";
-}
-
 void AppendSpanText(std::string& out, const SpanNode& span, int depth) {
   out += std::string(static_cast<size_t>(depth) * 2, ' ');
   out += StrFormat("%-40s %10.3f ms", span.name.c_str(),
@@ -64,57 +34,33 @@ void AppendSpanText(std::string& out, const SpanNode& span, int depth) {
 
 }  // namespace
 
-void AppendJsonEscaped(std::string& out, std::string_view s) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  size_t copied = 0;  // s[copied, i) needs no escape and is not yet in `out`
-  for (size_t i = 0; i < s.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(s[i]);
-    if (c >= 0x20 && c != '"' && c != '\\') {
-      continue;
-    }
-    out.append(s.data() + copied, i - copied);
-    copied = i + 1;
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        out += "\\u00";
-        out += kHex[c >> 4];
-        out += kHex[c & 0xf];
-    }
+void WriteSpanJson(JsonWriter& writer, const SpanNode& span, const RunReportOptions& options) {
+  const bool mask = options.mask_timings;
+  writer.BeginObject().Key("name").String(span.name);
+  writer.Key("dur_ns").Uint(mask ? 0 : span.dur_ns);
+  writer.Key("cpu_ns").Uint(mask ? 0 : span.cpu_ns);
+  // Allocation figures vary with the allocator, libstdc++ version, and
+  // whether the alloc hooks are compiled in, so masking zeroes them too.
+  writer.Key("alloc_count").Uint(mask ? 0 : span.alloc_count);
+  writer.Key("alloc_bytes").Uint(mask ? 0 : span.alloc_bytes);
+  writer.Key("attrs").BeginObject();
+  for (const auto& [key, value] : span.attrs) {
+    writer.Key(key).String(mask && IsTimingMetricName(key) ? "0" : value);
   }
-  out.append(s.data() + copied, s.size() - copied);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  AppendJsonEscaped(out, s);
-  return out;
+  writer.EndObject().Key("children").BeginArray();
+  for (const SpanNode& child : span.children) {
+    WriteSpanJson(writer, child, options);
+  }
+  writer.EndArray().EndObject();
 }
 
 std::string RunReportJson(const SpanCollector& spans, const MetricsRegistry& metrics,
                           const RunReportOptions& options,
                           const std::vector<DiagnosticEntry>* diagnostics) {
-  std::string out = "{\n";
-  out += "\"schema\": \"";
-  out += kRunReportSchema;
-  out += "\",\n";
+  std::string out;
+  JsonWriter writer(out);
+  writer.BeginObject().Break(0).Key("schema").String(kRunReportSchema);
 
-  out += "\"spans\": [";
   std::vector<SpanNode> roots = spans.Snapshot();
   if (options.mask_timings) {
     // Root finish order is racy when dataset build lanes close their
@@ -124,69 +70,35 @@ std::string RunReportJson(const SpanCollector& spans, const MetricsRegistry& met
       return CompareSpanNodesMasked(a, b) < 0;
     });
   }
-  for (size_t i = 0; i < roots.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    AppendSpanJson(out, roots[i], options);
+  writer.Break(0).Key("spans").BeginArray();
+  for (const SpanNode& root : roots) {
+    WriteSpanJson(writer, root, options);
   }
-  out += "],\n";
-
-  out += "\"counters\": {";
-  auto counters = metrics.CounterSnapshot();
-  for (size_t i = 0; i < counters.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    bool mask = options.mask_timings && IsTimingMetricName(counters[i].first);
-    out += "\"" + JsonEscape(counters[i].first) + "\": " + U64(mask ? 0 : counters[i].second);
+  writer.EndArray().Break(0).Key("counters").BeginObject();
+  for (const auto& [name, value] : metrics.CounterSnapshot()) {
+    writer.Key(name).Uint(options.mask_timings && IsTimingMetricName(name) ? 0 : value);
   }
-  out += "},\n";
-
-  out += "\"gauges\": {";
-  auto gauges = metrics.GaugeSnapshot();
-  for (size_t i = 0; i < gauges.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    bool mask = options.mask_timings && IsTimingMetricName(gauges[i].first);
-    out += "\"" + JsonEscape(gauges[i].first) + "\": " + I64(mask ? 0 : gauges[i].second);
+  writer.EndObject().Break(0).Key("gauges").BeginObject();
+  for (const auto& [name, value] : metrics.GaugeSnapshot()) {
+    writer.Key(name).Int(options.mask_timings && IsTimingMetricName(name) ? 0 : value);
   }
-  out += "},\n";
-
-  out += "\"histograms\": {";
-  auto histograms = metrics.HistogramSnapshot();
-  for (size_t i = 0; i < histograms.size(); ++i) {
-    if (i != 0) {
-      out += ", ";
-    }
-    const auto& [name, histogram] = histograms[i];
-    bool mask = options.mask_timings && IsTimingMetricName(name);
-    out += "\"" + JsonEscape(name) + "\": {\"count\": " + U64(mask ? 0 : histogram->count());
-    out += ", \"sum\": " + U64(mask ? 0 : histogram->sum());
-    out += ", \"buckets\": [";
-    if (!mask) {
-      bool first = true;
-      for (size_t b = 0; b < Histogram::kNumBuckets; ++b) {
-        uint64_t n = histogram->bucket(b);
-        if (n == 0) {
-          continue;  // sparse: only occupied buckets are serialized
-        }
-        if (!first) {
-          out += ", ";
-        }
-        first = false;
-        out += "[" + U64(Histogram::BucketLowerBound(b)) + ", " + U64(n) + "]";
+  writer.EndObject().Break(0).Key("histograms").BeginObject();
+  for (const auto& [name, histogram] : metrics.HistogramSnapshot()) {
+    const bool mask = options.mask_timings && IsTimingMetricName(name);
+    writer.Key(name).BeginObject().Key("count").Uint(mask ? 0 : histogram->count());
+    writer.Key("sum").Uint(mask ? 0 : histogram->sum()).Key("buckets").BeginArray();
+    for (size_t b = 0; !mask && b < Histogram::kNumBuckets; ++b) {
+      if (uint64_t n = histogram->bucket(b); n != 0) {  // sparse: only occupied buckets
+        writer.BeginArray().Uint(Histogram::BucketLowerBound(b)).Uint(n).EndArray();
       }
     }
-    out += "]}";
+    writer.EndArray().EndObject();
   }
-  out += "},\n";
-
-  out += "\"diagnostics\": ";
-  out += DiagnosticsJson(diagnostics != nullptr ? *diagnostics
-                                                : std::vector<DiagnosticEntry>());
-  out += "\n}\n";
+  writer.EndObject().Break(0).Key("diagnostics");
+  writer.Raw(DiagnosticsJson(diagnostics != nullptr ? *diagnostics
+                                                    : std::vector<DiagnosticEntry>()));
+  writer.Break(0).EndObject();
+  out += '\n';
   return out;
 }
 

@@ -29,6 +29,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/obs/json_writer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
 #include "src/util/diagnostic_ledger.h"
@@ -56,6 +57,10 @@ std::string RunReportJson(const SpanCollector& spans, const MetricsRegistry& met
                           const std::vector<DiagnosticEntry>* diagnostics = nullptr);
 std::string RunReportText(const SpanCollector& spans, const MetricsRegistry& metrics);
 
+// Writes one span subtree in the "spans" form above. Run reports and their
+// aggregates both write spans through it.
+void WriteSpanJson(JsonWriter& writer, const SpanNode& span, const RunReportOptions& options);
+
 // Serializes one obs::Context — the spans, metrics, and diagnostics it
 // collected — as a run_report.v1 document. This is how report-mode corpus
 // builds turn each image's scoped context into its per-image report.
@@ -66,14 +71,6 @@ std::string ContextRunReportJson(const Context& context, const RunReportOptions&
 std::string GlobalRunReportJson(const RunReportOptions& options = {});
 std::string GlobalRunReportText();
 Status WriteGlobalRunReport(const std::string& path, const RunReportOptions& options = {});
-
-// Appends `s` to `out`, escaped for embedding in a JSON document (no
-// surrounding quotes): '"', '\\', \n, \t and \r get their short escapes,
-// other bytes below 0x20 a \u00xx escape, and every other byte is copied.
-void AppendJsonEscaped(std::string& out, std::string_view s);
-
-// AppendJsonEscaped into a fresh string.
-std::string JsonEscape(const std::string& s);
 
 }  // namespace obs
 }  // namespace depsurf

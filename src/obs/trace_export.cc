@@ -5,7 +5,7 @@
 #include <limits>
 #include <set>
 
-#include "src/obs/run_report.h"
+#include "src/obs/json_writer.h"
 #include "src/util/str_util.h"
 
 namespace depsurf {
@@ -80,39 +80,28 @@ std::string TraceEventJson(const std::vector<SpanNode>& roots) {
   for (const SpanNode& root : roots) {
     CollectTids(root, tids);
   }
-  std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-  bool first = true;
+  std::string out;
+  JsonWriter writer(out);
+  writer.BeginObject().Key("displayTimeUnit").String("ms").Key("traceEvents").BeginArray();
   for (uint32_t tid : tids) {
-    if (!first) {
-      out += ",";
-    }
-    first = false;
-    out += StrFormat(
-        "\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": %u"
-        ", \"args\": {\"name\": \"worker-%u\"}}",
-        tid, tid);
+    writer.Break(2).BeginObject().Key("name").String("thread_name").Key("ph").String("M");
+    writer.Key("pid").Uint(1).Key("tid").Uint(tid);
+    writer.Key("args").BeginObject().Key("name").String("worker-" + std::to_string(tid));
+    writer.EndObject().EndObject();
   }
-  for (size_t i = 0; i < events.size(); ++i) {
-    const SpanNode& span = *events[i].span;
-    if (!first) {
-      out += ",";
+  for (const FlatEvent& event : events) {
+    const SpanNode& span = *event.span;
+    writer.Break(2).BeginObject().Key("name").String(span.name).Key("ph").String("X");
+    writer.Key("ts").Raw(Us(event.start_ns - min_start_ns)).Key("dur").Raw(Us(span.dur_ns));
+    writer.Key("pid").Uint(1).Key("tid").Uint(span.tid);
+    writer.Key("args").BeginObject();
+    for (const auto& [key, value] : span.attrs) {
+      writer.Key(key).String(value);
     }
-    first = false;
-    out += "\n  {\"name\": \"" + JsonEscape(span.name) + "\", \"ph\": \"X\"";
-    out += ", \"ts\": " + Us(events[i].start_ns - min_start_ns);
-    out += ", \"dur\": " + Us(span.dur_ns);
-    out += ", \"pid\": 1, \"tid\": " + StrFormat("%u", span.tid);
-    out += ", \"args\": {";
-    for (size_t a = 0; a < span.attrs.size(); ++a) {
-      if (a != 0) {
-        out += ", ";
-      }
-      out += "\"" + JsonEscape(span.attrs[a].first) + "\": \"" +
-             JsonEscape(span.attrs[a].second) + "\"";
-    }
-    out += "}}";
+    writer.EndObject().EndObject();
   }
-  out += "\n]}\n";
+  writer.Break(0).EndArray().EndObject();
+  out += '\n';
   return out;
 }
 

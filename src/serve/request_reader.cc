@@ -3,7 +3,7 @@
 #include <cstdlib>
 #include <utility>
 
-#include "src/obs/run_report.h"
+#include "src/obs/json_writer.h"
 #include "src/util/str_util.h"
 
 namespace depsurf {
@@ -370,6 +370,7 @@ class Reader {
       if (!ReadString(&id)) {
         return false;
       }
+      // Serve's per-request path builds its JSON by hand (see Answer).
       id_json_ = "\"" + obs::JsonEscape(id) + "\"";
       return true;
     }

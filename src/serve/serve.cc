@@ -15,8 +15,8 @@
 #include "src/bpf/bpf_object.h"
 #include "src/core/report.h"
 #include "src/obs/context.h"
+#include "src/obs/json_writer.h"
 #include "src/obs/metrics.h"
-#include "src/obs/run_report.h"
 #include "src/obs/span.h"
 #include "src/serve/request_reader.h"
 #include "src/util/prng.h"
@@ -176,6 +176,10 @@ ServeEngine::RequestOutcome ServeEngine::Answer(const DependencySet& deps) const
   // helper threads never race on the global registries.
   obs::Context context;
   obs::ScopedContext scoped(context);
+  // The body is built by hand, not through obs::JsonWriter: it is the only
+  // JSON on a timed path (perfbench `query`), where a writer's separator and
+  // key logic cost more than these appends. Every string from outside still
+  // goes through AppendJsonEscaped.
   RequestOutcome outcome;
   std::string& body = outcome.body;
   body += "\"ok\": true, \"results\": [";
@@ -283,7 +287,8 @@ std::vector<std::string> ServeEngine::HandleBatch(const std::vector<std::string>
 
   // Pass 3, in request order: responses, counters and cache admissions.
   // Admitting cannot move a cached body `cached` points at: unordered_map
-  // keeps its elements in place when it rehashes.
+  // keeps its elements in place when it rehashes. Each response splices its
+  // id and body by hand, as Answer builds the body.
   std::vector<std::string> responses(lines.size());
   uint64_t batch_hits = 0;
   uint64_t batch_misses = 0;
@@ -339,28 +344,22 @@ std::vector<std::string> ServeEngine::HandleBatch(const std::vector<std::string>
 }
 
 std::string ServeEngine::ReportJson() const {
-  std::string out = "{\n\"schema\": \"";
-  out += kServeReportSchema;
-  out += "\",\n";
-  out += StrFormat("\"jobs\": %d,\n", options_.jobs);
-  out += "\"datasets\": [";
-  for (size_t i = 0; i < datasets_.size(); ++i) {
-    if (i != 0) {
-      out += ",";
-    }
-    out += "\n  {\"path\": \"" + obs::JsonEscape(datasets_[i].path) + "\"";
-    out += StrFormat(", \"format\": \"v2\", \"images\": %zu}", datasets_[i].view.num_images());
+  std::string out;
+  obs::JsonWriter writer(out);
+  writer.BeginObject().Break(0).Key("schema").String(kServeReportSchema);
+  writer.Break(0).Key("jobs").Int(options_.jobs);
+  writer.Break(0).Key("datasets").BeginArray();
+  for (const DatasetEntry& entry : datasets_) {
+    writer.Break(2).BeginObject().Key("path").String(entry.path).Key("format").String("v2");
+    writer.Key("images").Uint(entry.view.num_images()).EndObject();
   }
-  out += "\n],\n";
-  out += StrFormat("\"requests\": %llu,\n\"ok\": %llu,\n\"errors\": %llu,\n",
-                   static_cast<unsigned long long>(requests_),
-                   static_cast<unsigned long long>(ok_),
-                   static_cast<unsigned long long>(errors_));
-  out += StrFormat(
-      "\"cache\": {\"hits\": %llu, \"misses\": %llu, \"entries\": %zu, \"capacity\": %zu}\n",
-      static_cast<unsigned long long>(hits_), static_cast<unsigned long long>(misses_),
-      cache_.size(), options_.cache_capacity);
-  out += "}\n";
+  writer.Break(0).EndArray().Break(0).Key("requests").Uint(requests_);
+  writer.Break(0).Key("ok").Uint(ok_);
+  writer.Break(0).Key("errors").Uint(errors_);
+  writer.Break(0).Key("cache").BeginObject().Key("hits").Uint(hits_).Key("misses").Uint(misses_);
+  writer.Key("entries").Uint(cache_.size()).Key("capacity").Uint(options_.cache_capacity);
+  writer.EndObject().Break(0).EndObject();
+  out += '\n';
   return out;
 }
 

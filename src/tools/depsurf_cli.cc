@@ -36,6 +36,7 @@
 #include "src/obs/diag.h"
 #include "src/obs/diagnostics.h"
 #include "src/obs/json_lint.h"
+#include "src/obs/json_writer.h"
 #include "src/obs/perf_gate.h"
 #include "src/obs/profile.h"
 #include "src/obs/report_merge.h"
@@ -362,18 +363,20 @@ std::string DiagnosticsDocJson(const std::string& image, const SurfaceHealth& he
     fatal.message = fatal_error->message();
     entries.push_back(fatal);
   }
-  std::string out = "{\n";
-  out += StrFormat("\"schema\": \"%s\",\n", obs::kDiagnosticsSchema);
-  out += StrFormat("\"image\": \"%s\",\n", obs::JsonEscape(image).c_str());
-  out += StrFormat(
-      "\"health\": {\"elf\": \"%s\", \"dwarf\": \"%s\", \"btf\": \"%s\", "
-      "\"tracepoint\": \"%s\", \"syscall\": \"%s\"},\n",
-      DegradationStateName(health.elf), DegradationStateName(health.dwarf),
-      DegradationStateName(health.btf), DegradationStateName(health.tracepoint),
-      DegradationStateName(health.syscall));
-  out += StrFormat("\"fatal\": %s,\n", fatal_error != nullptr ? "true" : "false");
-  out += "\"entries\": " + obs::DiagnosticsJson(std::move(entries));
-  out += "\n}\n";
+  std::string out;
+  obs::JsonWriter writer(out);
+  writer.BeginObject().Break(0).Key("schema").String(obs::kDiagnosticsSchema);
+  writer.Break(0).Key("image").String(image);
+  writer.Break(0).Key("health").BeginObject();
+  writer.Key("elf").String(DegradationStateName(health.elf));
+  writer.Key("dwarf").String(DegradationStateName(health.dwarf));
+  writer.Key("btf").String(DegradationStateName(health.btf));
+  writer.Key("tracepoint").String(DegradationStateName(health.tracepoint));
+  writer.Key("syscall").String(DegradationStateName(health.syscall));
+  writer.EndObject().Break(0).Key("fatal").Bool(fatal_error != nullptr);
+  writer.Break(0).Key("entries").Raw(obs::DiagnosticsJson(std::move(entries)));
+  writer.Break(0).EndObject();
+  out += '\n';
   return out;
 }
 

@@ -1,6 +1,7 @@
 // Tests for the observability layer: span nesting and ordering, histogram
 // bucket boundaries, counter thread-safety (raw and under a concurrent
 // BuildDataset), and the golden run-report schema with timings masked.
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -9,6 +10,7 @@
 #include "src/obs/context.h"
 #include "src/obs/diagnostics.h"
 #include "src/obs/json_lint.h"
+#include "src/obs/json_writer.h"
 #include "src/obs/metrics.h"
 #include "src/obs/profile.h"
 #include "src/obs/run_report.h"
@@ -780,6 +782,198 @@ TEST(JsonEscapeTest, AppendMatchesTheReferenceOnEveryByteAndSeededStrings) {
     obs::AppendJsonEscaped(appended, s);
     EXPECT_EQ(appended, "x" + ReferenceJsonEscape(s)) << round;
     EXPECT_EQ(obs::JsonEscape(s), ReferenceJsonEscape(s)) << round;
+  }
+}
+
+// What `write` puts through a fresh writer.
+std::string Written(const std::function<void(obs::JsonWriter&)>& write) {
+  std::string out;
+  obs::JsonWriter writer(out);
+  write(writer);
+  return out;
+}
+
+TEST(JsonWriterTest, EmptyContainersWithAndWithoutABreak) {
+  EXPECT_EQ(Written([](obs::JsonWriter& w) { w.BeginObject().EndObject(); }), "{}");
+  EXPECT_EQ(Written([](obs::JsonWriter& w) { w.BeginArray().EndArray(); }), "[]");
+  EXPECT_EQ(Written([](obs::JsonWriter& w) { w.BeginObject().Break(2).EndObject(); }),
+            "{\n  }");
+  EXPECT_EQ(Written([](obs::JsonWriter& w) { w.BeginArray().Break(0).EndArray(); }), "[\n]");
+}
+
+TEST(JsonWriterTest, BreaksBeforeAFirstElementBetweenSiblingsAndBeforeACloser) {
+  EXPECT_EQ(Written([](obs::JsonWriter& w) {
+              w.BeginObject().Break(2).Key("a").Uint(1).Key("b").BeginArray();
+              w.Break(4).Uint(2).Break(4).Uint(3).Uint(4).Break(2).EndArray();
+              w.Break(0).EndObject();
+            }),
+            "{\n  \"a\": 1, \"b\": [\n    2,\n    3, 4\n  ]\n}");
+  // A later break replaces a pending one.
+  EXPECT_EQ(Written([](obs::JsonWriter& w) {
+              w.BeginArray().Break(3).Break(1).Uint(1).Break(2).EndArray();
+            }),
+            "[\n 1\n  ]");
+}
+
+TEST(JsonWriterTest, Nesting) {
+  EXPECT_EQ(Written([](obs::JsonWriter& w) {
+              w.BeginArray().BeginObject().Key("x").BeginArray().BeginArray().EndArray().Null();
+              w.EndArray().Key("y").BeginObject().EndObject().EndObject();
+              w.Bool(true).Bool(false).EndArray();
+            }),
+            "[{\"x\": [[], null], \"y\": {}}, true, false]");
+}
+
+TEST(JsonWriterTest, EscapesEveryByteAsAKeyAndAsAString) {
+  for (int byte = 0; byte < 256; ++byte) {
+    const std::string one(1, static_cast<char>(byte));
+    const std::string quoted = "\"" + ReferenceJsonEscape(one) + "\"";
+    auto write = [&one](obs::JsonWriter& w) { w.BeginObject().Key(one).String(one).EndObject(); };
+    EXPECT_EQ(Written(write), "{" + quoted + ": " + quoted + "}") << byte;
+  }
+}
+
+TEST(JsonWriterTest, IntegersAtTheirLimits) {
+  EXPECT_EQ(Written([](obs::JsonWriter& w) {
+              w.BeginArray().Uint(0).Uint(UINT64_MAX).Int(INT64_MIN).Int(-1).EndArray();
+            }),
+            "[0, 18446744073709551615, -9223372036854775808, -1]");
+}
+
+TEST(JsonWriterTest, FixedMatchesPrintf) {
+  for (double v : {0.0, 1.0, -1.0, 0.125, 2.5, -3.14159, 1e-7, 6.6666666, 2730.6666666, 1e12}) {
+    for (int digits : {0, 1, 2, 3, 6}) {
+      EXPECT_EQ(Written([&](obs::JsonWriter& w) { w.Fixed(v, digits); }),
+                StrFormat("%.*f", digits, v))
+          << v << " " << digits;
+    }
+  }
+}
+
+TEST(JsonWriterTest, RawSplicesAValue) {
+  EXPECT_EQ(Written([](obs::JsonWriter& w) {
+              w.BeginObject().Key("a").Raw("[1,2]").Key("b").Raw("0.500").EndObject();
+            }),
+            "{\"a\": [1,2], \"b\": 0.500}");
+  EXPECT_EQ(Written([](obs::JsonWriter& w) {
+              w.BeginArray().Raw("{}").Break(1).Raw("\"x\"").EndArray();
+            }),
+            "[{},\n \"x\"]");
+}
+
+bool SameJson(const obs::JsonValue& a, const obs::JsonValue& b) {
+  if (a.kind != b.kind || a.boolean != b.boolean || a.number != b.number ||
+      a.string != b.string || a.array.size() != b.array.size() ||
+      a.object.size() != b.object.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.array.size(); ++i) {
+    if (!SameJson(a.array[i], b.array[i])) {
+      return false;
+    }
+  }
+  for (size_t i = 0; i < a.object.size(); ++i) {
+    if (a.object[i].first != b.object[i].first ||
+        !SameJson(a.object[i].second, b.object[i].second)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Writes a random value, with breaks in random places, and returns the
+// value ParseJson should read back.
+obs::JsonValue WriteRandomValue(obs::JsonWriter& writer, Prng& rng, int depth) {
+  using Kind = obs::JsonValue::Kind;
+  auto maybe_break = [&] {
+    if (rng.NextBool(0.3)) {
+      writer.Break(static_cast<int>(rng.NextBelow(5)));
+    }
+  };
+  auto random_string = [&rng] {
+    std::string s(rng.NextBelow(12), '\0');
+    for (char& c : s) {
+      c = static_cast<char>(rng.NextBelow(256));
+    }
+    return s;
+  };
+  obs::JsonValue value;
+  switch (rng.NextBelow(depth < 4 ? 8 : 6)) {
+    case 0:
+      writer.Null();
+      break;
+    case 1:
+      value.kind = Kind::kBool;
+      value.boolean = rng.NextBool(0.5);
+      writer.Bool(value.boolean);
+      break;
+    case 2: {
+      const uint64_t n = rng.NextU64();
+      value.kind = Kind::kNumber;
+      value.number = static_cast<double>(n);
+      writer.Uint(n);
+      break;
+    }
+    case 3: {
+      const int64_t n = static_cast<int64_t>(rng.NextU64());
+      value.kind = Kind::kNumber;
+      value.number = static_cast<double>(n);
+      writer.Int(n);
+      break;
+    }
+    case 4:
+      // Multiples of 1/64 print exactly with 6 digits.
+      value.kind = Kind::kNumber;
+      value.number = (static_cast<double>(rng.NextBelow(2000001)) - 1000000) / 64;
+      writer.Fixed(value.number, 6);
+      break;
+    case 5:
+      value.kind = Kind::kString;
+      value.string = random_string();
+      writer.String(value.string);
+      break;
+    case 6:
+      value.kind = Kind::kArray;
+      writer.BeginArray();
+      for (uint64_t n = rng.NextBelow(5); n > 0; --n) {
+        maybe_break();
+        value.array.push_back(WriteRandomValue(writer, rng, depth + 1));
+      }
+      maybe_break();
+      writer.EndArray();
+      break;
+    case 7:
+      value.kind = Kind::kObject;
+      writer.BeginObject();
+      for (uint64_t n = rng.NextBelow(5); n > 0; --n) {
+        maybe_break();
+        std::string key = random_string();
+        writer.Key(key);
+        obs::JsonValue member = WriteRandomValue(writer, rng, depth + 1);
+        value.object.emplace_back(std::move(key), std::move(member));
+      }
+      maybe_break();
+      writer.EndObject();
+      break;
+  }
+  return value;
+}
+
+TEST(JsonWriterTest, SeededDocumentsReadBackEqual) {
+  Prng rng(2025);
+  for (int round = 0; round < 500; ++round) {
+    std::string out;
+    obs::JsonWriter writer(out);
+    obs::JsonValue want;
+    want.kind = obs::JsonValue::Kind::kArray;
+    writer.BeginArray();
+    for (uint64_t n = rng.NextBelow(8); n > 0; --n) {
+      want.array.push_back(WriteRandomValue(writer, rng, 0));
+    }
+    writer.EndArray();
+    auto parsed = obs::ParseJson(out);
+    ASSERT_TRUE(parsed.ok()) << round << ": " << parsed.error().ToString() << "\n" << out;
+    EXPECT_TRUE(SameJson(*parsed, want)) << round << ": " << out;
   }
 }
 

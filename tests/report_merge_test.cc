@@ -7,11 +7,13 @@
 #include <cstdint>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/obs/json_lint.h"
 #include "src/obs/metrics.h"
 #include "src/obs/perf_gate.h"
+#include "src/obs/profile.h"
 #include "src/obs/report_merge.h"
 #include "src/obs/run_report.h"
 #include "src/obs/span.h"
@@ -189,6 +191,52 @@ TEST(ReportMergeTest, RefusesANegativeSourceCount) {
     ASSERT_FALSE(refused.ok()) << to;
     EXPECT_EQ(refused.error().message(), "x: " + message);
   }
+}
+
+// `metrics lint` accepts a count that is not an integer. Merge reads every
+// count by CountValue, the rule `profile` reads the same members by, so
+// such a report profiles the same before and after merging. An odd count
+// past 2^52 keeps its value (rounding half up made it one larger).
+TEST(ReportMergeTest, ReadsNonIntegralCountsAsProfileDoes) {
+  const std::string report =
+      "{\"schema\": \"depsurf.run_report.v1\", \"spans\": [{\"name\": \"r\", \"dur_ns\": 2.7, "
+      "\"cpu_ns\": 1.5, \"alloc_count\": 0.9, \"alloc_bytes\": 3.99, \"attrs\": {\"k\": \"v\"}, "
+      "\"children\": [{\"name\": \"c\", \"dur_ns\": 1.2, \"cpu_ns\": 0, \"alloc_count\": 0, "
+      "\"alloc_bytes\": 0, \"attrs\": {}, \"children\": []}]}], "
+      "\"counters\": {\"m.big\": 4503599627370497, \"study.executor.serialize_stall_us\": 7.9}, "
+      "\"gauges\": {}, \"histograms\": {\"study.executor.queue_wait_us\": {\"count\": 2.7, "
+      "\"sum\": 9.5, \"buckets\": [[4, 2.7]]}}, \"diagnostics\": []}";
+  ASSERT_TRUE(obs::ValidateRunReport(report).ok());
+  auto merged = obs::MergeRunReports({{"a", report}});
+  ASSERT_TRUE(merged.ok()) << merged.error().ToString();
+  auto direct = obs::ProfileFromReportJson(report);
+  auto via_merge = obs::ProfileFromReportJson(*merged);
+  ASSERT_TRUE(direct.ok() && via_merge.ok());
+  EXPECT_EQ(direct->wall_ns, 2u);
+  EXPECT_EQ(direct->executor.serialize_stall_us, 7u);
+  EXPECT_EQ(direct->executor.queue_waits, 2u);
+  EXPECT_EQ(obs::ProfileJson(*via_merge), obs::ProfileJson(*direct));
+  EXPECT_NE(merged->find("\"m.big\": 4503599627370497,"), std::string::npos) << *merged;
+  EXPECT_NE(merged->find("\"histograms\": {\"study.executor.queue_wait_us\": {\"count\": 2, "
+                         "\"sum\": 9, \"buckets\": [[4, 2]]}}"),
+            std::string::npos)
+      << *merged;
+
+  // An aggregate's report and source counts read the same way.
+  std::string agg = *merged;
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {"\"reports\": 1,", "\"reports\": 1.9,"}, {"\"spans\": 2,", "\"spans\": 2.5,"}}) {
+    const size_t at = agg.find(from);
+    ASSERT_NE(at, std::string::npos) << from << "\n" << agg;
+    agg.replace(at, from.size(), to);
+  }
+  ASSERT_TRUE(obs::ValidateAggReport(agg).ok());
+  auto remerged = obs::MergeRunReports({{"agg", agg}});
+  ASSERT_TRUE(remerged.ok()) << remerged.error().ToString();
+  EXPECT_NE(remerged->find("\"reports\": 1,"), std::string::npos) << *remerged;
+  EXPECT_NE(remerged->find("{\"label\": \"a\", \"spans\": 2, \"counters\": 2, \"diags\": 0}"),
+            std::string::npos)
+      << *remerged;
 }
 
 TEST(PerfGateTest, ClassifiesStagesAgainstThresholdAndFloor) {

@@ -2,7 +2,8 @@
 # End-to-end robustness smoke, registered with ctest as `robustness-smoke`
 # (labeled `robustness`, so it also runs under DEPSURF_SANITIZE builds).
 # Drives `depsurf doctor` over a clean image, a hand-poisoned one, and a
-# seeded fault-injection sweep, runs a short coverage-guided fuzz campaign
+# seeded fault-injection sweep, checks that `surface --json` escapes the
+# names an image gives, runs a short coverage-guided fuzz campaign
 # (deterministic across reruns, lintable fuzz_campaign.v1 document), then
 # walks the quarantine path of `study build` end to end: by default it must
 # finish with the poisoned image quarantined and listed in the aggregate
@@ -26,6 +27,29 @@ fail() {
 grep -q "clean" doctor.txt || fail "clean image not reported clean"
 "$DEPSURF" doctor img --json > doctor.json || fail "doctor --json exited $?"
 "$DEPSURF" metrics lint doctor.json --kind=diag || fail "diagnostics doc invalid"
+
+# ---- names come from the image, so a hostile image can name a function
+# with a quote or a backslash: patch vfs_fsync's three name strings, then
+# `surface --func=NAME --json` must print a document `metrics canon` reads
+# back with the name intact.
+python3 - <<'EOF'
+img = open('img', 'rb').read()
+assert img.count(b'vfs_fsync\0') == 3, img.count(b'vfs_fsync\0')
+open('img_quote', 'wb').write(img.replace(b'vfs_fsync\0', b'vfs"fsync\0'))
+open('img_backslash', 'wb').write(img.replace(b'vfs_fsync\0', b'vfs\\fsync\0'))
+EOF
+check_hostile_name() {
+  image=$1 name=$2 want=$3
+  "$DEPSURF" surface "$image" "--func=$name" --json > "$image.txt" \
+    || fail "surface $image --func=$name exited $?"
+  tail -n 1 "$image.txt" > "$image.json"
+  "$DEPSURF" metrics canon "$image.json" > "$image.canon" \
+    || fail "surface --json of $image is not JSON: $(cat "$image.json")"
+  grep -qF "\"name\":$want" "$image.canon" \
+    || fail "surface --json of $image does not name $want: $(cat "$image.canon")"
+}
+check_hostile_name img_quote 'vfs"fsync' '"vfs\"fsync"'
+check_hostile_name img_backslash 'vfs\fsync' '"vfs\\fsync"'
 
 # ---- doctor on a salvaged image: damage the image body, expect exit 2
 # and ledger entries in the JSON document.
