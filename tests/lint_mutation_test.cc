@@ -7,6 +7,10 @@
 // a changed golden line. tests/golden/json_documents.txt holds the raw bytes
 // of the same documents, plus a function's surface status and an unmasked
 // run report, so any change to how a document is written shows up there.
+// tests/golden/json_grammar.txt holds obs::ParseJson's answer for seeded
+// mutants of serve request lines and hand-written edges of the grammar, so
+// any change to what the one JSON grammar accepts, builds or reports shows
+// up there.
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
@@ -39,6 +43,7 @@
 #include "src/obs/trace_export.h"
 #include "src/serve/serve.h"
 #include "src/util/str_util.h"
+#include "tests/json_mutants.h"
 
 namespace depsurf {
 namespace {
@@ -527,6 +532,103 @@ std::string DocumentBytes() {
 
 TEST(LintMutationTest, DocumentsMatchTheGolden) {
   ExpectGolden("json_documents.txt", DocumentBytes());
+}
+
+// The grammar's inputs: seeded mutants of serve request lines (the seeds of
+// ServeTest.ReaderMatchesLintGrammar, with fixed paths), then hand-written
+// edges of each rule.
+std::vector<std::string> GrammarInputs() {
+  const std::string inline_query =
+      "{\"id\": 1, \"program\": \"biotop\", \"funcs\": [\"vfs_read\"],"
+      " \"fields\": {\"request\": {\"rq_disk\": {\"type\": \"struct gendisk *\","
+      " \"guarded\": false}}}, \"tracepoints\": [\"block_rq_issue\"],"
+      " \"syscalls\": [\"openat\"]}";
+  const std::vector<std::string> seeds = {
+      inline_query,
+      "{\"id\": 3, \"program\": \"q3\", \"funcs\": [\"vfs_fsync\", \"get_order\"]}",
+      "{\"id\": 4, \"object\": \"/data/biotop.o\"}",
+      "{\"id\": 5, \"syscalls\": [\"openat2\"], \"tracepoints\": [\"no_such_event\"]}",
+      "{\"id\": \"bad-1\", \"object\": \"/data/missing.o\"}",
+      "{\"id\": 6, not json",
+      "[1, 2, 3]",
+      R"({"id": -1.5e3, "x": {"a": [true, false, null, "\u00e9\n\/é"]}, "funcs": ["a\"b"]})",
+      R"({"id": "s", "fields": {"request": {"rq_disk": {"type": "int",)"
+      R"( "guarded": true}, "q": null}}, "lsm_hooks": [], "program": "p"})",
+      " \t{\"id\":+1,\"tracepoints\":[\"a\",\"b\"]}\r ",
+  };
+  std::vector<std::string> inputs = JsonMutants(seeds, 1000, 2025);
+  const char* const edges[] = {
+      // Each escape, \u below and at 0x80, and the malformed ones.
+      R"("\"")", R"("\\")", R"("\/")", R"("\b")", R"("\f")", R"("\n")", R"("\r")", R"("\t")",
+      R"("\u0041")", R"("\u0000")", R"("\u007f")", R"("\u007F")", R"("\u0080")", R"("\u00e9")",
+      R"("\uFFFF")", R"("\uD83D\uDE00")", R"("\x")", R"("\a")", R"("\U0041")", R"("\'")",
+      // Truncated strings and escapes.
+      R"(")", R"("abc)", R"("\)", R"("\u)", R"("\u12)", R"("\u123)", R"("\u12g4")",
+      R"("\u 123")", R"("a\"b)",
+      // The lenient number run: anything strtod consumes whole.
+      "0", "-0", "1", "-1", "+1", "1e", "1e+", "1E5", "1e-5", ".5", "5.", "1.2.3", "--1", "-",
+      "1-2", "1e999", "-1e999", "1e-999", "01", "0x10", "1.5e3.2", "9007199254740993",
+      "123456789012345678901234567890", "-.5e-0",
+      // Keywords.
+      "tru", "nul", "fals", "true", "false", "null", "nulll", "True", "t", "[tru]", "truefalse",
+      // \v and \f are not whitespace.
+      "\v1", "1\v", "[1,\v2]", "\f1", " \t\r\n1 \t\r\n",
+      // Empty, blank, and trailing bytes.
+      "", " ", " \t\r\n", "1 2", "{} x", "[]]", "{}}", "\"a\"\"b\"", "null,",
+      // Structure.
+      "{", "[", "}", "]", ":", ",", "{\"a\"", "{\"a\":", "{\"a\" 1}", "{1:2}", "{a:1}", "[1 2]",
+      "{\"a\":1,}", "[1,]", "[,1]", "{,}", "{\"a\":1 \"b\":2}", "{\"a\":1,\"a\":2}",
+      "[[],{},\"\",0,true,false,null]", "{\"\":{\"\":[]}}", "{ \"a\" : [ 1 , 2 ] }",
+      // Raw bytes: UTF-8, invalid UTF-8 and control bytes inside strings.
+      "\"\xc3\xa9\"", "\"\xff\"", "\xff", "\"a\tb\"", "\"a\nb\"", "\"\x01\x7f\"",
+  };
+  for (const char* edge : edges) {
+    inputs.emplace_back(edge);
+  }
+  inputs.push_back(std::string("1\0", 2));
+  // The nesting cap: 256 levels parse, the 257th fails at its own offset,
+  // also after whitespace and when the document never closes.
+  for (int levels : {256, 257}) {
+    inputs.push_back(std::string(levels, '[') + std::string(levels, ']'));
+    std::string objects;
+    for (int i = 0; i < levels; ++i) {
+      objects += "{\"k\": ";
+    }
+    inputs.push_back(objects + "1" + std::string(levels, '}'));
+    std::string spaced;
+    for (int i = 0; i < levels; ++i) {
+      spaced += i % 2 == 0 ? " [" : "\t{\"\":";
+    }
+    inputs.push_back(spaced);
+  }
+  inputs.push_back(std::string(300, '['));
+  return inputs;
+}
+
+// One line per input: its index, then the parser's error text or the tree
+// it built, unmasked, with numbers as %.17g.
+std::string GrammarAnswers() {
+  std::string out =
+      "# JSON grammar golden (tests/lint_mutation_test.cc): one line per input,\n"
+      "# its index, then obs::ParseJson's error text or the tree it built\n";
+  const std::vector<std::string> inputs = GrammarInputs();
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    Result<JsonValue> parsed = obs::ParseJson(inputs[i]);
+    out += StrFormat("%zu ", i);
+    if (parsed.ok()) {
+      Serialize(*parsed, out);
+    } else {
+      out += parsed.error().message();
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+// The grammar both JSON readers share: what it accepts, the tree it builds
+// and every error text and offset.
+TEST(JsonLintTest, GrammarMatchesTheGolden) {
+  ExpectGolden("json_grammar.txt", GrammarAnswers());
 }
 
 // A rejection caused by deleting a member, or by changing the JSON kind of

@@ -33,7 +33,7 @@
 #include "src/obs/context.h"
 #include "src/obs/json_lint.h"
 #include "src/obs/run_report.h"
-#include "src/util/prng.h"
+#include "tests/json_mutants.h"
 
 namespace depsurf {
 namespace {
@@ -408,43 +408,7 @@ TEST(ServeTest, ReaderMatchesLintGrammar) {
   seeds.push_back(R"({"id": "s", "fields": {"request": {"rq_disk": {"type": "int",)"
                   R"( "guarded": true}, "q": null}}, "lsm_hooks": [], "program": "p"})");
   seeds.push_back(" \t{\"id\":+1,\"tracepoints\":[\"a\",\"b\"]}\r ");
-  const std::string alphabet = "{}[]\",:\\ \t\r\ntfnu0123456789.eE+-abx";
-  Prng rng(2025);
-  auto random_byte = [&]() -> char {
-    if (rng.NextBool(0.85)) {
-      return alphabet[rng.NextBelow(alphabet.size())];
-    }
-    return static_cast<char>(rng.NextBelow(256));
-  };
-  std::vector<std::string> lines;
-  while (lines.size() < 12000) {
-    std::string line = seeds[rng.NextBelow(seeds.size())];
-    for (uint64_t m = rng.NextInRange(1, 3); m > 0; --m) {
-      const size_t pos = rng.NextBelow(line.size() + 1);
-      switch (rng.NextBelow(5)) {
-        case 0:  // replace
-          if (pos < line.size()) {
-            line[pos] = random_byte();
-          }
-          break;
-        case 1:  // delete
-          line.erase(pos, rng.NextInRange(1, 3));
-          break;
-        case 2:  // insert
-          line.insert(line.begin() + static_cast<std::ptrdiff_t>(pos), random_byte());
-          break;
-        case 3:  // truncate
-          line.resize(pos);
-          break;
-        default: {  // splice another seed's tail
-          const std::string& other = seeds[rng.NextBelow(seeds.size())];
-          line = line.substr(0, pos) + other.substr(rng.NextBelow(other.size() + 1));
-          break;
-        }
-      }
-    }
-    lines.push_back(std::move(line));
-  }
+  const std::vector<std::string> lines = JsonMutants(seeds, 12000, 2025);
   std::vector<std::string> responses = engine->HandleBatch(lines);
   ASSERT_EQ(responses.size(), lines.size());
   size_t rejected = 0;
