@@ -5,7 +5,9 @@
 #include <cstdlib>
 
 #include "src/obs/diagnostics.h"
+#include "src/obs/json_reader.h"
 #include "src/obs/metrics.h"
+#include "src/obs/profile.h"
 #include "src/obs/run_report.h"
 #include "src/util/str_util.h"
 
@@ -14,244 +16,48 @@ namespace obs {
 
 namespace {
 
-class Parser {
- public:
-  // Containers nest at most this deep (a study build's run reports nest 8),
-  // so no document can exhaust the stack of this recursive parser.
-  static constexpr size_t kMaxDepth = 256;
+// Containers nest at most this deep (a study build's run reports nest 8),
+// so no document can exhaust the stack of this recursive builder. The
+// reader itself keeps no limit: only the tree builder recurses.
+constexpr size_t kMaxDepth = 256;
 
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Result<JsonValue> Parse() {
-    DEPSURF_ASSIGN_OR_RETURN(value, ParseValue());
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Fail("trailing characters after document");
-    }
-    return value;
-  }
-
- private:
-  Error Fail(const std::string& what) {
-    return Error(ErrorCode::kMalformedData,
-                 StrFormat("JSON: %s at offset %zu", what.c_str(), pos_));
-  }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                                   text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Result<JsonValue> ParseValue() {
-    SkipWhitespace();
-    if (pos_ >= text_.size()) {
-      return Fail("unexpected end of input");
-    }
-    char c = text_[pos_];
-    if (c == '{') {
-      return ParseObject();
-    }
-    if (c == '[') {
-      return ParseArray();
-    }
-    if (c == '"') {
-      return ParseString();
-    }
-    if (c == 't' || c == 'f') {
-      return ParseKeyword(c == 't' ? "true" : "false", JsonValue::Kind::kBool, c == 't');
-    }
-    if (c == 'n') {
-      return ParseKeyword("null", JsonValue::Kind::kNull, false);
-    }
-    return ParseNumber();
-  }
-
-  Result<JsonValue> ParseKeyword(std::string_view keyword, JsonValue::Kind kind, bool value) {
-    if (text_.substr(pos_, keyword.size()) != keyword) {
-      return Fail("bad keyword");
-    }
-    pos_ += keyword.size();
-    JsonValue out;
-    out.kind = kind;
-    out.boolean = value;
-    return out;
-  }
-
-  Result<JsonValue> ParseNumber() {
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           ((text_[pos_] >= '0' && text_[pos_] <= '9') || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
-            text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return Fail("expected a value");
-    }
-    std::string digits(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    double value = strtod(digits.c_str(), &end);
-    if (end != digits.c_str() + digits.size()) {
-      return Fail("malformed number");
-    }
-    JsonValue out;
-    out.kind = JsonValue::Kind::kNumber;
-    out.number = value;
-    return out;
-  }
-
-  Result<JsonValue> ParseString() {
-    ++pos_;  // opening quote
-    JsonValue out;
-    out.kind = JsonValue::Kind::kString;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c != '\\') {
-        out.string += c;
-        continue;
+// Reads the next value into `value`, with `depth` containers open around it.
+bool ReadTree(JsonReader& reader, JsonValue& value, size_t depth) {
+  const int c = reader.Peek();
+  switch (c) {
+    case JsonReader::kEnd:
+      return reader.Fail("unexpected end of input");
+    case '{':
+    case '[':
+      if (depth == kMaxDepth) {
+        return reader.Fail("nesting deeper than 256");
       }
-      if (pos_ >= text_.size()) {
-        return Fail("truncated escape");
+      if (c == '{') {
+        value.kind = JsonValue::Kind::kObject;
+        return reader.ReadObject([&](std::string& key) {
+          value.object.emplace_back(std::move(key), JsonValue());
+          return ReadTree(reader, value.object.back().second, depth + 1);
+        });
       }
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"':
-        case '\\':
-        case '/':
-          out.string += esc;
-          break;
-        case 'n':
-          out.string += '\n';
-          break;
-        case 't':
-          out.string += '\t';
-          break;
-        case 'r':
-          out.string += '\r';
-          break;
-        case 'b':
-          out.string += '\b';
-          break;
-        case 'f':
-          out.string += '\f';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return Fail("truncated \\u escape");
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Fail("bad \\u escape");
-            }
-          }
-          // Control-plane strings are ASCII; wider code points round-trip
-          // as '?' which is fine for validation purposes.
-          out.string += code < 0x80 ? static_cast<char>(code) : '?';
-          break;
-        }
-        default:
-          return Fail("unknown escape");
-      }
-    }
-    if (pos_ >= text_.size()) {
-      return Fail("unterminated string");
-    }
-    ++pos_;  // closing quote
-    return out;
+      value.kind = JsonValue::Kind::kArray;
+      return reader.ReadArray([&] {
+        return ReadTree(reader, value.array.emplace_back(), depth + 1);
+      });
+    case '"':
+      value.kind = JsonValue::Kind::kString;
+      return reader.ReadString(&value.string);
+    case 't':
+    case 'f':
+      value.kind = JsonValue::Kind::kBool;
+      value.boolean = c == 't';
+      return reader.SkipKeyword(value.boolean ? "true" : "false");
+    case 'n':
+      return reader.SkipKeyword("null");
+    default:
+      value.kind = JsonValue::Kind::kNumber;
+      return reader.ReadNumber(&value.number);
   }
-
-  // Counts one open container for as long as it lives.
-  struct DepthScope {
-    explicit DepthScope(size_t& open) : depth(open) { ++depth; }
-    ~DepthScope() { --depth; }
-    size_t& depth;
-  };
-
-  Result<JsonValue> ParseArray() {
-    if (depth_ == kMaxDepth) {
-      return Fail("nesting deeper than 256");
-    }
-    DepthScope scope(depth_);
-    ++pos_;  // '['
-    JsonValue out;
-    out.kind = JsonValue::Kind::kArray;
-    SkipWhitespace();
-    if (Consume(']')) {
-      return out;
-    }
-    while (true) {
-      DEPSURF_ASSIGN_OR_RETURN(element, ParseValue());
-      out.array.push_back(std::move(element));
-      if (Consume(',')) {
-        continue;
-      }
-      if (Consume(']')) {
-        return out;
-      }
-      return Fail("expected ',' or ']'");
-    }
-  }
-
-  Result<JsonValue> ParseObject() {
-    if (depth_ == kMaxDepth) {
-      return Fail("nesting deeper than 256");
-    }
-    DepthScope scope(depth_);
-    ++pos_;  // '{'
-    JsonValue out;
-    out.kind = JsonValue::Kind::kObject;
-    SkipWhitespace();
-    if (Consume('}')) {
-      return out;
-    }
-    while (true) {
-      SkipWhitespace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return Fail("expected object key");
-      }
-      DEPSURF_ASSIGN_OR_RETURN(key, ParseString());
-      if (!Consume(':')) {
-        return Fail("expected ':'");
-      }
-      DEPSURF_ASSIGN_OR_RETURN(value, ParseValue());
-      out.object.emplace_back(std::move(key.string), std::move(value));
-      if (Consume(',')) {
-        continue;
-      }
-      if (Consume('}')) {
-        return out;
-      }
-      return Fail("expected ',' or '}'");
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-  size_t depth_ = 0;
-};
+}
 
 size_t CountSpanNodesFrom(const JsonValue& span) {
   size_t n = 1;
@@ -276,56 +82,6 @@ void CollectSpanNamesFrom(const JsonValue& span, std::set<std::string>& out) {
     }
   }
 }
-
-}  // namespace
-
-// Mirror of CompareSpanNodesMasked (span.h) over parsed span objects: name,
-// then attrs with timing values ignored, then children recursively. Both
-// orderings must agree so a masked-serialized report and a canonicalized
-// unmasked report of the same run sort their roots identically.
-int CompareReportSpans(const JsonValue& a, const JsonValue& b) {
-  const JsonValue* a_name = a.Find("name");
-  const JsonValue* b_name = b.Find("name");
-  std::string_view an = a_name != nullptr ? std::string_view(a_name->string) : std::string_view();
-  std::string_view bn = b_name != nullptr ? std::string_view(b_name->string) : std::string_view();
-  if (int c = an.compare(bn); c != 0) {
-    return c;
-  }
-  const JsonValue* a_attrs = a.Find("attrs");
-  const JsonValue* b_attrs = b.Find("attrs");
-  size_t a_n = a_attrs != nullptr ? a_attrs->object.size() : 0;
-  size_t b_n = b_attrs != nullptr ? b_attrs->object.size() : 0;
-  for (size_t i = 0; i < std::min(a_n, b_n); ++i) {
-    const auto& [ak, av] = a_attrs->object[i];
-    const auto& [bk, bv] = b_attrs->object[i];
-    if (int c = ak.compare(bk); c != 0) {
-      return c;
-    }
-    if (!IsTimingMetricName(ak)) {
-      if (int c = av.string.compare(bv.string); c != 0) {
-        return c;
-      }
-    }
-  }
-  if (a_n != b_n) {
-    return a_n < b_n ? -1 : 1;
-  }
-  const JsonValue* a_kids = a.Find("children");
-  const JsonValue* b_kids = b.Find("children");
-  size_t a_k = a_kids != nullptr ? a_kids->array.size() : 0;
-  size_t b_k = b_kids != nullptr ? b_kids->array.size() : 0;
-  for (size_t i = 0; i < std::min(a_k, b_k); ++i) {
-    if (int c = CompareReportSpans(a_kids->array[i], b_kids->array[i]); c != 0) {
-      return c;
-    }
-  }
-  if (a_k != b_k) {
-    return a_k < b_k ? -1 : 1;
-  }
-  return 0;
-}
-
-namespace {
 
 // The canonical form is built by hand, not through JsonWriter: it is the
 // compact form `metrics canon` defines (no spaces, numbers as integers or
@@ -435,7 +191,14 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
   return nullptr;
 }
 
-Result<JsonValue> ParseJson(std::string_view text) { return Parser(text).Parse(); }
+Result<JsonValue> ParseJson(std::string_view text) {
+  JsonReader reader(text);
+  JsonValue value;
+  if (!ReadTree(reader, value, 0) || !reader.ReadEnd()) {
+    return Error(ErrorCode::kMalformedData, reader.error());
+  }
+  return value;
+}
 
 std::set<std::string> CollectSpanNames(const JsonValue& report) {
   std::set<std::string> names;
@@ -879,13 +642,22 @@ std::string CanonicalMaskedJson(const JsonValue& value) {
   const JsonValue* schema = value.Find("schema");
   if (schema != nullptr && schema->kind == JsonValue::Kind::kString &&
       (schema->string == kRunReportSchema || schema->string == kRunReportAggSchema)) {
+    // Roots sort in the masked span order, read once per root.
     JsonValue sorted = value;
     for (auto& [key, member] : sorted.object) {
       if (key == "spans" && member.kind == JsonValue::Kind::kArray) {
-        std::sort(member.array.begin(), member.array.end(),
-                  [](const JsonValue& a, const JsonValue& b) {
-                    return CompareReportSpans(a, b) < 0;
-                  });
+        std::vector<std::pair<SpanNode, JsonValue*>> roots;
+        for (JsonValue& root : member.array) {
+          roots.emplace_back(SpanFromValue(root), &root);
+        }
+        std::sort(roots.begin(), roots.end(), [](const auto& a, const auto& b) {
+          return CompareSpanNodesMasked(a.first, b.first) < 0;
+        });
+        std::vector<JsonValue> in_order;
+        for (auto& root : roots) {
+          in_order.push_back(std::move(*root.second));
+        }
+        member.array = std::move(in_order);
       }
     }
     std::string out;

@@ -1,7 +1,8 @@
-// Minimal JSON parser used to validate run reports without external
-// dependencies: full object/array/string/number/bool/null grammar, parsed
-// into a small DOM that preserves object key order. Powers the golden-schema
-// test, `depsurf metrics lint`, and the obs-smoke determinism check.
+// A small JSON tree and the schema checks over it. ParseJson builds the
+// tree through obs::JsonReader (json_reader.h), which holds the one grammar
+// the program reads, serve's request lines included; the tree preserves
+// object key order. Powers `depsurf metrics lint` and `metrics canon`,
+// `report merge`, `profile`, and the golden-schema tests.
 // Arrays and objects nest at most 256 deep; a deeper document is rejected
 // as malformed, naming the offset of the container that went too deep.
 #ifndef DEPSURF_SRC_OBS_JSON_LINT_H_
@@ -192,19 +193,14 @@ std::set<std::string> CollectSpanNames(const JsonValue& report);
 // exactly this many events (see trace_export.h).
 size_t CountReportSpanNodes(const JsonValue& report);
 
-// Total order over parsed span objects ignoring timing fields — the
-// JsonValue mirror of CompareSpanNodesMasked (span.h). Canonicalization and
-// report merging both sort roots with it so multi-threaded finish order
-// never leaks into deterministic output.
-int CompareReportSpans(const JsonValue& a, const JsonValue& b);
-
 // Re-emits a parsed JSON document in canonical compact form with timing
 // fields masked ("dur_ns" members and members/attr keys with timing
 // suffixes zeroed, timing histograms emptied). Run-report documents
 // (run_report.v1 / run_report_agg.v1) additionally get their root spans
-// sorted into the deterministic masked order, since multi-threaded runs
-// collect roots in racy finish order. Two runs over identical inputs
-// canonicalize to identical bytes.
+// sorted into the deterministic masked order (CompareSpanNodesMasked over
+// each root read through SpanFromValue, the order `report merge` writes),
+// since multi-threaded runs collect roots in racy finish order. Two runs
+// over identical inputs canonicalize to identical bytes.
 std::string CanonicalMaskedJson(const JsonValue& value);
 
 }  // namespace obs

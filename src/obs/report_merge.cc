@@ -240,7 +240,7 @@ Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports) {
     }
   }
 
-  // The masked order, the one CompareReportSpans gives their parsed form.
+  // The masked order, the one CanonicalMaskedJson sorts roots into.
   std::sort(spans.begin(), spans.end(), [](const SpanNode& a, const SpanNode& b) {
     return CompareSpanNodesMasked(a, b) < 0;
   });

@@ -1,10 +1,10 @@
 // One-pass reader for `depsurf serve` request lines (wire format: serve.h).
 //
 // The reader walks a line's bytes once, straight into a RequestLine; it
-// builds no JSON tree. It accepts exactly the grammar of the lint parser
-// (obs::ParseJson), with the same error texts and offsets: its whitespace
-// set, the lenient number run checked by strtod, \u escapes at 0x80 or
-// above read as '?', and "trailing characters after document". Key rules:
+// builds no JSON tree. The grammar, its error texts and offsets are
+// obs::JsonReader's (src/obs/json_reader.h), the one obs::ParseJson reads
+// too; a syntax error is answered as "bad request JSON: " and the reader's
+// text. On top of it the reader keeps only the request's key rules:
 //   - the first "id", "object", "program", list and "fields" member wins;
 //     later ones are only validated;
 //   - inside "fields", repeated struct entries merge and a repeated field's
@@ -14,9 +14,9 @@
 //     ones;
 //   - errors are reported in this order: JSON syntax, non-object, object,
 //     program, funcs, tracepoints, syscalls, lsm_hooks, fields.
-// Values the request does not use are validated by an iterative skip with
-// an explicit stack, so no request byte drives recursion and a line costs
-// work in proportion to its length.
+// Values the request does not use are validated by the reader's iterative
+// skip, so no request byte drives recursion and a line costs work in
+// proportion to its length.
 #ifndef DEPSURF_SRC_SERVE_REQUEST_READER_H_
 #define DEPSURF_SRC_SERVE_REQUEST_READER_H_
 
