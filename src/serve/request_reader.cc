@@ -1,5 +1,6 @@
 #include "src/serve/request_reader.h"
 
+#include <cmath>
 #include <utility>
 
 #include "src/obs/json_reader.h"
@@ -127,9 +128,16 @@ class Reader : private obs::JsonReader {
     if (!ReadNumber(&number)) {
       return false;
     }
-    const long long integral = static_cast<long long>(number);
-    id_json_ = static_cast<double>(integral) == number ? StrFormat("%lld", integral)
-                                                       : StrFormat("%g", number);
+    if (!std::isfinite(number)) {
+      return true;  // 1e999 reads as infinity, which JSON cannot spell: null
+    }
+    // The cast is defined only inside long long's range; an id outside it
+    // prints through %g.
+    constexpr double kTwoTo63 = 9223372036854775808.0;
+    const bool integral = number >= -kTwoTo63 && number < kTwoTo63 &&
+                          static_cast<double>(static_cast<long long>(number)) == number;
+    id_json_ = integral ? StrFormat("%lld", static_cast<long long>(number))
+                        : StrFormat("%g", number);
     return true;
   }
 

@@ -29,8 +29,10 @@ namespace depsurf {
 
 struct RequestLine {
   // The first "id" member rendered back to JSON: a string is escaped, a
-  // number prints as %lld when integral and %g otherwise, a bool as itself,
-  // anything else (or no id, or a line that is not an object) as null.
+  // number prints as %lld when it is an integer inside long long's range
+  // and %g otherwise (1e300 as 1e+300), a bool as itself, and anything else
+  // (an infinite number such as 1e999, no id, or a line that is not an
+  // object) as null.
   std::string id_json = "null";
   std::string error;  // non-empty: the text of the error response
   // Set when the line names an object file; `deps` is then not used.

@@ -504,6 +504,36 @@ TEST(ServeTest, RequestKeySemantics) {
   }
 }
 
+// A numeric id is echoed as JSON at any size. Past long long's range it
+// prints through %g with no cast: that cast is undefined, which the
+// sanitizers' float-cast-overflow check reports. An id that reads as
+// infinity, which JSON cannot spell, is echoed as null.
+TEST(ServeTest, NumericIdsEchoAsJson) {
+  const std::pair<const char*, const char*> ids[] = {
+      {"1e300", "1e+300"},
+      {"-1e300", "-1e+300"},
+      {"9.3e18", "9.3e+18"},
+      {"1e999", "null"},
+      {"-1e999", "null"},
+      // The edges of the range: -2^63 is a long long, 2^63 is not.
+      {"-9223372036854775808", "-9223372036854775808"},
+      {"9223372036854775808", "9.22337e+18"},
+      {"-9.2233720368547758e18", "-9223372036854775808"},
+  };
+  auto engine = ServeEngine::Open({Fixture().v2_path}, ServeOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.error().ToString();
+  std::vector<std::string> lines;
+  for (const auto& [id, echoed] : ids) {
+    lines.push_back(std::string("{\"id\": ") + id + ", \"syscalls\": [\"openat\"]}");
+  }
+  std::vector<std::string> responses = engine->HandleBatch(lines);
+  ASSERT_EQ(responses.size(), lines.size());
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const std::string want = std::string("{\"id\": ") + ids[i].second + ", \"cache\": ";
+    EXPECT_EQ(responses[i].substr(0, want.size()), want) << "line: " << lines[i];
+  }
+}
+
 int ConnectUnix(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
