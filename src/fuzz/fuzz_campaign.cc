@@ -4,7 +4,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -20,6 +19,7 @@
 #include "src/obs/context.h"
 #include "src/obs/json_writer.h"
 #include "src/study/study.h"
+#include "src/util/file_util.h"
 #include "src/util/prng.h"
 #include "src/util/str_util.h"
 
@@ -494,20 +494,11 @@ Result<std::vector<std::string>> WriteFuzzCorpus(const FuzzCampaignResult& resul
     const std::string path =
         dir + "/" + StrFormat("fuzz_%04zu_%s.bin", entry.index,
                               entry.is_seed ? "seed" : entry.kind.c_str());
-    std::ofstream out(path, std::ios::binary);
-    out.write(reinterpret_cast<const char*>(entry.bytes.data()),
-              static_cast<std::streamsize>(entry.bytes.size()));
-    if (!out) {
-      return Error(ErrorCode::kIoError, "cannot write corpus file '" + path + "'");
-    }
+    DEPSURF_RETURN_IF_ERROR(WriteFile(path, entry.bytes));
     written.push_back(path);
   }
   const std::string json_path = dir + "/campaign.json";
-  std::ofstream out(json_path, std::ios::binary);
-  out << RenderFuzzCampaignJson(result);
-  if (!out) {
-    return Error(ErrorCode::kIoError, "cannot write '" + json_path + "'");
-  }
+  DEPSURF_RETURN_IF_ERROR(WriteFile(json_path, RenderFuzzCampaignJson(result)));
   written.push_back(json_path);
   return written;
 }

@@ -1,10 +1,10 @@
 #include "src/obs/bench_report.h"
 
 #include <cstdlib>
-#include <fstream>
 
 #include "src/obs/diag.h"
 #include "src/obs/json_writer.h"
+#include "src/util/file_util.h"
 
 namespace depsurf {
 namespace obs {
@@ -73,18 +73,11 @@ Status BenchReporter::WriteJson() {
   writer.Break(0).EndArray().Break(0).EndObject();
   out += '\n';
 
-  std::string file = path();
-  std::ofstream stream(file, std::ios::binary);
-  if (!stream) {
-    Diag(Severity::kWarning, "cannot write bench report " + file);
-    return Status(ErrorCode::kIoError, "cannot write " + file);
+  Status written = WriteFile(path(), out);
+  if (!written.ok()) {
+    Diag(Severity::kWarning, "bench report", written.error());
   }
-  stream.write(out.data(), static_cast<std::streamsize>(out.size()));
-  if (!stream) {
-    Diag(Severity::kWarning, "short write to bench report " + file);
-    return Status(ErrorCode::kIoError, "short write to " + file);
-  }
-  return Status::Ok();
+  return written;
 }
 
 }  // namespace obs

@@ -1,10 +1,10 @@
 #include "src/obs/run_report.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "src/obs/context.h"
 #include "src/obs/diagnostics.h"
+#include "src/util/file_util.h"
 #include "src/util/str_util.h"
 
 namespace depsurf {
@@ -162,16 +162,7 @@ std::string GlobalRunReportText() {
 }
 
 Status WriteGlobalRunReport(const std::string& path, const RunReportOptions& options) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status(ErrorCode::kIoError, "cannot write " + path);
-  }
-  std::string json = GlobalRunReportJson(options);
-  out.write(json.data(), static_cast<std::streamsize>(json.size()));
-  if (!out) {
-    return Status(ErrorCode::kIoError, "short write to " + path);
-  }
-  return Status::Ok();
+  return WriteFile(path, GlobalRunReportJson(options));
 }
 
 }  // namespace obs

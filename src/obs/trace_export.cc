@@ -1,11 +1,11 @@
 #include "src/obs/trace_export.h"
 
 #include <algorithm>
-#include <fstream>
 #include <limits>
 #include <set>
 
 #include "src/obs/json_writer.h"
+#include "src/util/file_util.h"
 #include "src/util/str_util.h"
 
 namespace depsurf {
@@ -106,16 +106,7 @@ std::string TraceEventJson(const std::vector<SpanNode>& roots) {
 }
 
 Status WriteGlobalTrace(const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status(ErrorCode::kIoError, "cannot write " + path);
-  }
-  std::string json = TraceEventJson(SpanCollector::Global().Snapshot());
-  out.write(json.data(), static_cast<std::streamsize>(json.size()));
-  if (!out) {
-    return Status(ErrorCode::kIoError, "short write to " + path);
-  }
-  return Status::Ok();
+  return WriteFile(path, TraceEventJson(SpanCollector::Global().Snapshot()));
 }
 
 Status ValidateTrace(const JsonValue& trace, int64_t expect_events) {

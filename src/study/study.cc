@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <ctime>
 #include <deque>
-#include <fstream>
 #include <future>
 #include <memory>
 #include <optional>
@@ -20,6 +19,7 @@
 #include "src/obs/report_merge.h"
 #include "src/obs/run_report.h"
 #include "src/obs/span.h"
+#include "src/util/file_util.h"
 #include "src/util/str_util.h"
 #include "src/util/worker_pool.h"
 
@@ -98,18 +98,6 @@ uint64_t ConsumeStallNs(Future& future) {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                    std::chrono::steady_clock::now() - start)
                                    .count());
-}
-
-Status WriteFileBytes(const std::string& path, const std::string& contents) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status(ErrorCode::kIoError, "cannot write " + path);
-  }
-  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-  if (!out) {
-    return Status(ErrorCode::kIoError, "short write to " + path);
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -302,7 +290,7 @@ Result<Dataset> BuildDatasetFromImages(
     if (reporting) {
       std::string json = obs::ContextRunReportJson(*entry.context);
       std::string path = report_dir + "/report_" + label + ".json";
-      DEPSURF_RETURN_IF_ERROR(WriteFileBytes(path, json));
+      DEPSURF_RETURN_IF_ERROR(WriteFile(path, json));
       reports.push_back(obs::LabeledReport{label, std::move(json)});
       if (files != nullptr) {
         files->per_image.push_back(path);
@@ -327,7 +315,7 @@ Result<Dataset> BuildDatasetFromImages(
       return aggregate.TakeError();
     }
     std::string agg_path = report_dir + "/report_agg.json";
-    DEPSURF_RETURN_IF_ERROR(WriteFileBytes(agg_path, *aggregate));
+    DEPSURF_RETURN_IF_ERROR(WriteFile(agg_path, *aggregate));
     if (files != nullptr) {
       files->aggregate = agg_path;
     }

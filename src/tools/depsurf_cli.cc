@@ -44,6 +44,7 @@
 #include "src/obs/trace_export.h"
 #include "src/serve/serve.h"
 #include "src/study/study.h"
+#include "src/util/file_util.h"
 #include "src/util/str_util.h"
 
 using namespace depsurf;
@@ -103,16 +104,6 @@ Result<std::vector<uint8_t>> ReadFile(const std::string& path) {
   std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
                              std::istreambuf_iterator<char>());
   return bytes;
-}
-
-Status WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status(ErrorCode::kIoError, "cannot write " + path);
-  }
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  return Status::Ok();
 }
 
 // The items of a comma-separated flag value (--against, --versions,
@@ -649,13 +640,9 @@ int CmdReportMerge(const Args& args) {
   if (!merged.ok()) {
     return DiagError(merged.error());
   }
-  std::ofstream out(out_path, std::ios::binary);
-  if (!out) {
-    return DiagError("cannot write " + out_path);
-  }
-  out.write(merged->data(), static_cast<std::streamsize>(merged->size()));
-  if (!out) {
-    return DiagError("short write to " + out_path);
+  Status written = WriteFile(out_path, *merged);
+  if (!written.ok()) {
+    return DiagError(written.ToString());
   }
   printf("wrote %s (%zu input reports, %zu bytes)\n", out_path.c_str(), reports.size(),
          merged->size());
@@ -823,11 +810,9 @@ int CmdStudyBuild(const Args& args) {
       profile = obs::BuildProfile(obs::SpanCollector::Global().Snapshot());
     }
     obs::FillExecutorStats(profile, obs::MetricsRegistry::Global());
-    std::string json = obs::ProfileJson(profile);
-    std::ofstream pout(profile_out, std::ios::binary);
-    pout.write(json.data(), static_cast<std::streamsize>(json.size()));
-    if (!pout) {
-      return DiagError("cannot write " + profile_out);
+    Status written = WriteFile(profile_out, obs::ProfileJson(profile));
+    if (!written.ok()) {
+      return DiagError(written.ToString());
     }
     printf("wrote %s (%s)\n", profile_out.c_str(), obs::kProfileSchema);
   }
@@ -872,20 +857,17 @@ int CmdProfile(const Args& args) {
   }
   const std::string& out_path = args.Str("out");
   if (!out_path.empty()) {
-    std::string json = obs::ProfileJson(profile);
-    std::ofstream out(out_path, std::ios::binary);
-    out.write(json.data(), static_cast<std::streamsize>(json.size()));
-    if (!out) {
-      return DiagError("cannot write " + out_path);
+    Status written = WriteFile(out_path, obs::ProfileJson(profile));
+    if (!written.ok()) {
+      return DiagError(written.ToString());
     }
     printf("wrote %s (%s)\n", out_path.c_str(), obs::kProfileSchema);
   }
   const std::string& folded_path = args.Str("folded-out");
   if (!folded_path.empty()) {
-    std::ofstream out(folded_path, std::ios::binary);
-    out.write(folded.data(), static_cast<std::streamsize>(folded.size()));
-    if (!out) {
-      return DiagError("cannot write " + folded_path);
+    Status written = WriteFile(folded_path, folded);
+    if (!written.ok()) {
+      return DiagError(written.ToString());
     }
     printf("wrote %s (%zu bytes folded stacks)\n", folded_path.c_str(), folded.size());
   }
@@ -1260,11 +1242,9 @@ int CmdServe(const Args& args) {
 
   const std::string& report_out = args.Str("report-out");
   if (!report_out.empty()) {
-    std::string report = engine->ReportJson();
-    std::ofstream out(report_out, std::ios::binary);
-    out.write(report.data(), static_cast<std::streamsize>(report.size()));
-    if (!out) {
-      return DiagError("cannot write " + report_out);
+    Status written = WriteFile(report_out, engine->ReportJson());
+    if (!written.ok()) {
+      return DiagError(written.ToString());
     }
     fprintf(stderr, "wrote %s (%s)\n", report_out.c_str(), kServeReportSchema);
   }

@@ -7,8 +7,9 @@
 # (deterministic across reruns, lintable fuzz_campaign.v1 document), then
 # walks the quarantine path of `study build` end to end: by default it must
 # finish with the poisoned image quarantined and listed in the aggregate
-# report; --strict must fail. Last, both build commands must refuse an
-# output location they could not write before doing any image work.
+# report; --strict must fail. Both build commands must refuse an output
+# location they could not write before doing any image work. Last, a write
+# that fails at the device (/dev/full) must fail the command.
 set -eu
 
 DEPSURF=${1:?usage: robustness_smoke.sh /path/to/depsurf}
@@ -145,5 +146,23 @@ check_output_error --out nodir/x.dds study build --versions=5.4,5.8 --scale=0.02
   --out=nodir/x.dds
 check_output_error --report-dir nodir/x study build --versions=5.4,5.8 --scale=0.02 \
   --report-dir=nodir/x
+
+# ---- a file whose bytes do not all reach the device fails the command:
+# exit 1, naming the file, even when the bytes were still buffered when the
+# file closed. /dev/full takes none.
+check_full_write() {
+  set +e
+  "$DEPSURF" "$@" --out=/dev/full > full.txt 2> full.err
+  code=$?
+  set -e
+  [ "$code" -eq 1 ] || fail "'depsurf $* --out=/dev/full' exited $code, want 1"
+  grep -q "/dev/full" full.err \
+    || fail "error for 'depsurf $* --out=/dev/full' does not name the file: $(cat full.err)"
+}
+if [ -e /dev/full ]; then
+  check_full_write gen --version=5.4 --scale=0.02
+  check_full_write dataset build img44 img
+  check_full_write emit biotop
+fi
 
 echo "robustness_smoke: PASS"
