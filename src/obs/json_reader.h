@@ -50,23 +50,6 @@ class JsonReader {
     return false;
   }
 
-  void SkipWhitespace() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                                   text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  // Skips whitespace, then `c` if it comes next.
-  bool Consume(char c) {
-    SkipWhitespace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
   // Skips whitespace; the first byte of the next value, or kEnd.
   int Peek() {
     SkipWhitespace();
@@ -185,22 +168,6 @@ class JsonReader {
     return true;
   }
 
-  // An object member's key, decoded into `key` (if any), and the ':' after
-  // it.
-  bool ReadKey(std::string* key) {
-    SkipWhitespace();
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return Fail("expected object key");
-    }
-    if (key != nullptr) {
-      key->clear();
-    }
-    if (!ReadString(key)) {
-      return false;
-    }
-    return Consume(':') || Fail("expected ':'");
-  }
-
   // Validates one value of any shape. Containers are tracked on an explicit
   // stack, one byte per open '[' or '{', so depth costs memory, not frames.
   bool SkipValue() {
@@ -292,6 +259,39 @@ class JsonReader {
   }
 
  private:
+  void SkipWhitespace() {
+    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+                                   text_[pos_] == '\n' || text_[pos_] == '\r')) {
+      ++pos_;
+    }
+  }
+
+  // Skips whitespace, then `c` if it comes next.
+  bool Consume(char c) {
+    SkipWhitespace();
+    if (pos_ < text_.size() && text_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+
+  // An object member's key, decoded into `key` (if any), and the ':' after
+  // it.
+  bool ReadKey(std::string* key) {
+    SkipWhitespace();
+    if (pos_ >= text_.size() || text_[pos_] != '"') {
+      return Fail("expected object key");
+    }
+    if (key != nullptr) {
+      key->clear();
+    }
+    if (!ReadString(key)) {
+      return false;
+    }
+    return Consume(':') || Fail("expected ':'");
+  }
+
   // A string, keyword or number whose first byte `c` is next.
   bool SkipScalar(int c) {
     switch (c) {
