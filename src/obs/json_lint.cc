@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "src/obs/diagnostics.h"
 #include "src/obs/json_reader.h"

@@ -212,8 +212,8 @@ class JsonReader {
   }
 
   // Walks the object whose '{' is next. `member(key)` is called with the
-  // reader before each member's value and must read or skip exactly it;
-  // `key` is the reader's buffer, which the member may move from.
+  // reader at each member's value and must read or skip exactly that value;
+  // `key` is the reader's buffer, which `member` may move from.
   template <typename Member>
   bool ReadObject(Member&& member) {
     ++pos_;  // '{'

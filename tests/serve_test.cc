@@ -396,9 +396,12 @@ TEST(ServeTest, HostileRequestLinesGetAnswers) {
             "offset " + std::to_string(unclosed.size() - 1) + "\"}");
 }
 
-// Seeded byte mutations of request lines: the reader must reject exactly
-// the lines the lint parser rejects, with the same message. Mutations add
-// at most a few brackets, so nesting stays far below the lint's limit.
+// Seeded byte mutations of request lines: serve must answer exactly the
+// lines ParseJson rejects with a syntax error, carrying ParseJson's text.
+// Both read obs::JsonReader's grammar, so this checks serve's side (the
+// "bad request JSON: " wrapping and the null id); the grammar itself is
+// pinned by JsonLintTest.GrammarMatchesTheGolden. Mutations add at most a
+// few brackets, so nesting stays far below ParseJson's limit.
 TEST(ServeTest, ReaderMatchesLintGrammar) {
   auto engine = ServeEngine::Open({Fixture().v2_path}, ServeOptions{});
   ASSERT_TRUE(engine.ok()) << engine.error().ToString();
