@@ -57,16 +57,23 @@ char MismatchKindCode(MismatchKind kind) {
   return '?';
 }
 
-const StrId* StructRecord::FindField(StrId name) const {
-  auto it = std::lower_bound(fields.begin(), fields.end(), name,
-                             [](const auto& field, StrId key) { return field.first < key; });
-  if (it == fields.end() || it->first != name) {
-    return nullptr;
-  }
-  return &it->second;
+namespace {
+
+// The value of the first entry named `name` in a run ascending by name id,
+// or nullptr. kNoStr is above every id, so it finds nothing.
+template <typename Value>
+const Value* FindInRun(const std::vector<std::pair<StrId, Value>>& run, StrId name) {
+  auto it = std::lower_bound(run.begin(), run.end(), name,
+                             [](const auto& entry, StrId key) { return entry.first < key; });
+  return it != run.end() && it->first == name ? &it->second : nullptr;
 }
 
-namespace {
+// Sorts a run appended in surface order by name id.
+template <typename Value>
+void SortRun(std::vector<std::pair<StrId, Value>>& run) {
+  std::sort(run.begin(), run.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+}
 
 uint32_t PoolTag(std::string_view s) {
   return static_cast<uint32_t>(std::hash<std::string_view>{}(s));
@@ -74,11 +81,13 @@ uint32_t PoolTag(std::string_view s) {
 
 }  // namespace
 
+const StrId* StructRecord::FindField(StrId name) const { return FindInRun(fields, name); }
+
 size_t Dataset::FindSlot(std::string_view s, uint32_t tag) const {
   const size_t mask = index_.size() - 1;
   for (size_t i = tag & mask;; i = (i + 1) & mask) {
     const PoolSlot& slot = index_[i];
-    if (slot.id == kNoStr || (slot.tag == tag && pool_[slot.id] == s)) {
+    if (slot.id == kNoStr || (slot.tag == tag && View(slot.id) == s)) {
       return i;
     }
   }
@@ -101,7 +110,7 @@ void Dataset::GrowIndex() {
 }
 
 StrId Dataset::Intern(std::string_view s) {
-  if ((pool_.size() + 1) * 2 > index_.size()) {
+  if ((pool_size() + 1) * 2 > index_.size()) {
     GrowIndex();
   }
   const uint32_t tag = PoolTag(s);
@@ -111,8 +120,10 @@ StrId Dataset::Intern(std::string_view s) {
     return slot.id;
   }
   ++intern_misses_;
-  pool_.emplace_back(s);
-  slot = {static_cast<StrId>(pool_.size() - 1), tag};
+  block_.insert(block_.end(), s.begin(), s.end());
+  block_.push_back('\0');
+  offsets_.push_back(block_.size());
+  slot = {static_cast<StrId>(pool_size() - 1), tag};
   return slot.id;
 }
 
@@ -192,7 +203,9 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
   // calls is part of the .dds bytes. A (name, type) pair interns its type
   // string first, in its own statement: as two arguments of one call the
   // order would be the compiler's choice.
+  // Each run is appended in surface order and sorted by name id once.
   std::string decl;  // every declaration is rendered into this one buffer
+  record.funcs.reserve(surface.functions().size());
   for (const FunctionEntry& entry : surface.functions()) {
     FuncRecord fr;
     fr.status = entry.status;
@@ -201,9 +214,11 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
       FuncDeclString(type_string, entry.btf_id, decl);
       fr.decl = Intern(decl);
     }
-    record.funcs.emplace(Intern(entry.name), std::move(fr));
+    record.funcs.emplace_back(Intern(entry.name), std::move(fr));
   }
+  SortRun(record.funcs);
 
+  record.structs.reserve(surface.structs().size());
   for (const auto& [name, id] : surface.structs()) {
     StructRecord sr;
     const std::optional<BtfTypeView> st = graph.Get(id);
@@ -215,9 +230,11 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
       }
       std::sort(sr.fields.begin(), sr.fields.end());
     }
-    record.structs.emplace(Intern(name), std::move(sr));
+    record.structs.emplace_back(Intern(name), std::move(sr));
   }
+  SortRun(record.structs);
 
+  record.tracepoints.reserve(surface.tracepoints().size());
   for (const auto& [name, tp] : surface.tracepoints()) {
     TracepointRecord tr;
     if (tp.func_btf_id != 0) {
@@ -240,13 +257,16 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
         std::sort(tr.event_fields.begin(), tr.event_fields.end());
       }
     }
-    record.tracepoints.emplace(Intern(name), std::move(tr));
+    record.tracepoints.emplace_back(Intern(name), std::move(tr));
   }
+  SortRun(record.tracepoints);
 
+  record.syscalls.reserve(surface.syscalls().size());
   for (const auto& [name, entry] : surface.syscalls()) {
     (void)entry;
-    record.syscalls.insert(Intern(name));
+    record.syscalls.push_back(Intern(name));
   }
+  std::sort(record.syscalls.begin(), record.syscalls.end());
   if (auto pt_regs = surface.FindStruct("pt_regs"); pt_regs.has_value()) {
     const std::optional<BtfTypeView> st = graph.Get(*pt_regs);
     uint64_t h = 0x9e11;
@@ -260,10 +280,10 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
   metrics.Incr("dataset.images_distilled");
   metrics.Incr("dataset.funcs_distilled", record.funcs.size());
   metrics.Incr("dataset.structs_distilled", record.structs.size());
-  metrics.Set("dataset.pool_strings", static_cast<int64_t>(pool_.size()));
+  metrics.Set("dataset.pool_strings", static_cast<int64_t>(pool_size()));
   span.AddAttr("funcs", static_cast<uint64_t>(record.funcs.size()));
   span.AddAttr("structs", static_cast<uint64_t>(record.structs.size()));
-  span.AddAttr("pool_strings", static_cast<uint64_t>(pool_.size()));
+  span.AddAttr("pool_strings", static_cast<uint64_t>(pool_size()));
   images_.push_back(std::move(record));
 }
 
@@ -281,13 +301,7 @@ std::vector<MismatchSet> Dataset::CheckFunc(const std::string& name) const {
   StrId id = Lookup(name);
   const FuncRecord* baseline = nullptr;
   for (size_t i = 0; i < images_.size(); ++i) {
-    const FuncRecord* fr = nullptr;
-    if (id != kNoStr) {
-      auto it = images_[i].funcs.find(id);
-      if (it != images_[i].funcs.end()) {
-        fr = &it->second;
-      }
-    }
+    const FuncRecord* fr = FindInRun(images_[i].funcs, id);
     if (fr == nullptr) {
       out[i].insert(MismatchKind::kAbsent);
       continue;
@@ -321,13 +335,7 @@ std::vector<MismatchSet> Dataset::CheckStruct(const std::string& name) const {
   StrId id = Lookup(name);
   const StructRecord* baseline = nullptr;
   for (size_t i = 0; i < images_.size(); ++i) {
-    const StructRecord* sr = nullptr;
-    if (id != kNoStr) {
-      auto it = images_[i].structs.find(id);
-      if (it != images_[i].structs.end()) {
-        sr = &it->second;
-      }
-    }
+    const StructRecord* sr = FindInRun(images_[i].structs, id);
     if (sr == nullptr) {
       out[i].insert(MismatchKind::kAbsent);
       continue;
@@ -351,13 +359,8 @@ std::vector<MismatchSet> Dataset::CheckField(const std::string& struct_name,
   StrId expected = expected_type.empty() ? kNoStr : Lookup(expected_type);
   bool expectation_fixed = !expected_type.empty();
   for (size_t i = 0; i < images_.size(); ++i) {
-    const StrId* actual = nullptr;
-    if (sid != kNoStr && fid != kNoStr) {
-      auto it = images_[i].structs.find(sid);
-      if (it != images_[i].structs.end()) {
-        actual = it->second.FindField(fid);
-      }
-    }
+    const StructRecord* sr = FindInRun(images_[i].structs, sid);
+    const StrId* actual = sr != nullptr ? sr->FindField(fid) : nullptr;
     if (actual == nullptr) {
       if (!guarded) {
         out[i].insert(MismatchKind::kAbsent);
@@ -378,13 +381,7 @@ std::vector<MismatchSet> Dataset::CheckTracepoint(const std::string& event) cons
   StrId id = Lookup(event);
   const TracepointRecord* baseline = nullptr;
   for (size_t i = 0; i < images_.size(); ++i) {
-    const TracepointRecord* tr = nullptr;
-    if (id != kNoStr) {
-      auto it = images_[i].tracepoints.find(id);
-      if (it != images_[i].tracepoints.end()) {
-        tr = &it->second;
-      }
-    }
+    const TracepointRecord* tr = FindInRun(images_[i].tracepoints, id);
     if (tr == nullptr) {
       out[i].insert(MismatchKind::kAbsent);
       continue;
@@ -403,7 +400,8 @@ std::vector<MismatchSet> Dataset::CheckSyscall(const std::string& name) const {
   std::vector<MismatchSet> out(images_.size());
   StrId id = Lookup(name);
   for (size_t i = 0; i < images_.size(); ++i) {
-    if (id == kNoStr || images_[i].syscalls.count(id) == 0) {
+    const std::vector<StrId>& syscalls = images_[i].syscalls;
+    if (!std::binary_search(syscalls.begin(), syscalls.end(), id)) {
       out[i].insert(MismatchKind::kAbsent);
     }
     // Compat (32-bit) traceability is a per-image property reported by the
@@ -417,15 +415,11 @@ std::optional<std::string_view> Dataset::FuncDeclAt(const std::string& name,
   if (image_index >= images_.size()) {
     return std::nullopt;
   }
-  StrId id = Lookup(name);
-  if (id == kNoStr) {
+  const FuncRecord* fr = FindInRun(images_[image_index].funcs, Lookup(name));
+  if (fr == nullptr || fr->decl == kNoStr) {
     return std::nullopt;
   }
-  auto it = images_[image_index].funcs.find(id);
-  if (it == images_[image_index].funcs.end() || it->second.decl == kNoStr) {
-    return std::nullopt;
-  }
-  return std::string_view(pool_[it->second.decl]);
+  return View(fr->decl);
 }
 
 std::optional<std::string_view> Dataset::FieldTypeAt(const std::string& struct_name,
@@ -434,20 +428,12 @@ std::optional<std::string_view> Dataset::FieldTypeAt(const std::string& struct_n
   if (image_index >= images_.size()) {
     return std::nullopt;
   }
-  StrId sid = Lookup(struct_name);
-  StrId fid = Lookup(field_name);
-  if (sid == kNoStr || fid == kNoStr) {
-    return std::nullopt;
-  }
-  auto it = images_[image_index].structs.find(sid);
-  if (it == images_[image_index].structs.end()) {
-    return std::nullopt;
-  }
-  const StrId* type = it->second.FindField(fid);
+  const StructRecord* sr = FindInRun(images_[image_index].structs, Lookup(struct_name));
+  const StrId* type = sr != nullptr ? sr->FindField(Lookup(field_name)) : nullptr;
   if (type == nullptr) {
     return std::nullopt;
   }
-  return std::string_view(pool_[*type]);
+  return View(*type);
 }
 
 SurfaceMeta Dataset::MetaAt(size_t image_index) const {

@@ -9,12 +9,15 @@
 // pool's index is a flat table of ids, not a second copy of the strings.
 // Function declarations are kept as fingerprints (hashes); benches that
 // need change *kinds* (Table 4) diff full surfaces pairwise instead.
+//
+// The heap layout is the v2 file's (dataset_io.h): each image's records are
+// runs strictly ascending by name id, and the pool is one block of
+// NUL-terminated strings in id order plus their start offsets, so distill
+// appends to arrays and saving or loading copies them.
 #ifndef DEPSURF_SRC_CORE_DATASET_H_
 #define DEPSURF_SRC_CORE_DATASET_H_
 
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,10 +50,12 @@ struct TracepointRecord {
 struct ImageRecord {
   std::string label;
   SurfaceMeta meta;
-  std::map<StrId, FuncRecord> funcs;
-  std::map<StrId, StructRecord> structs;
-  std::map<StrId, TracepointRecord> tracepoints;
-  std::set<StrId> syscalls;
+  // Record runs, each strictly ascending by name id (names are distinct
+  // within a kind): the order of the v2 sections and of the binary search.
+  std::vector<std::pair<StrId, FuncRecord>> funcs;
+  std::vector<std::pair<StrId, StructRecord>> structs;
+  std::vector<std::pair<StrId, TracepointRecord>> tracepoints;
+  std::vector<StrId> syscalls;
   uint64_t pt_regs_hash = 0;
   // Salvage provenance, persisted with the record (see dataset_io.cc):
   // per-subsystem degradation states plus the extraction ledger, so report
@@ -97,16 +102,29 @@ class Dataset : public DatasetView {
                                               size_t image_index) const override;
 
   // Appends a pre-built record (deserialization path; see dataset_io.h).
-  // String ids inside the record must already be interned in this dataset.
+  // String ids inside the record must already be interned in this dataset,
+  // and its runs must be ascending by name id.
   void RestoreImage(ImageRecord record) { images_.push_back(std::move(record)); }
 
   // Interning accessors (exposed for benches and serialization).
-  size_t pool_size() const { return pool_.size(); }
+  size_t pool_size() const { return offsets_.size() - 1; }
+  // The id of `s`, appending it to the pool on first use. `s` may view a
+  // whole pool string (a View): that is a hit and leaves the block as it
+  // is, where appending from the block's own storage would be undefined.
+  // It must not view part of a pool string.
   StrId Intern(std::string_view s);
   // kNoStr if the string was never interned.
   static constexpr StrId kNoStr = 0xffffffff;
   StrId Lookup(std::string_view s) const;
-  const std::string& StringAt(StrId id) const { return pool_[id]; }
+  // Pool string `id`, valid until the next Intern (which may move the block).
+  std::string_view View(StrId id) const {
+    return std::string_view(block_.data() + offsets_[id], offsets_[id + 1] - offsets_[id] - 1);
+  }
+  std::string StringAt(StrId id) const { return std::string(View(id)); }
+  // The pool as the v2 string sections hold it: every string followed by a
+  // NUL, in id order, and the offset of each plus the block's end.
+  const std::vector<char>& pool_block() const { return block_; }
+  const std::vector<uint64_t>& pool_offsets() const { return offsets_; }
 
   // Publishes intern hit/miss counts accumulated since the last flush to the
   // current obs::Context. Intern() itself only bumps plain members — it is
@@ -118,7 +136,7 @@ class Dataset : public DatasetView {
   void FlushInternMetrics();
 
  private:
-  // One slot of the index over pool_: a pool id (kNoStr when empty) and the
+  // One slot of the index over the pool: a pool id (kNoStr when empty) and the
   // low 32 bits of its string's hash, which also place the slot. Linear
   // probing in a power-of-two table kept at most half full; growing moves
   // slots by their tags, so no string is hashed twice.
@@ -132,7 +150,8 @@ class Dataset : public DatasetView {
   void GrowIndex();
 
   std::vector<ImageRecord> images_;
-  std::vector<std::string> pool_;
+  std::vector<char> block_;
+  std::vector<uint64_t> offsets_ = {0};  // pool_size() + 1 entries
   std::vector<PoolSlot> index_;
   uint64_t intern_hits_ = 0;
   uint64_t intern_misses_ = 0;

@@ -184,10 +184,9 @@ std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset) {
     }
   }
   const size_t num_strings = pool_size + appended.size();
-  size_t blob_size = 0;
-  for (uint32_t i = 0; i < pool_size; ++i) {
-    blob_size += dataset.StringAt(i).size() + 1;
-  }
+  const std::vector<char>& pool_block = dataset.pool_block();
+  const std::vector<uint64_t>& pool_offsets = dataset.pool_offsets();
+  size_t blob_size = pool_block.size();
   for (std::string_view s : appended) {
     blob_size += s.size() + 1;
   }
@@ -226,25 +225,27 @@ std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset) {
   auto section = [&](uint32_t kind) { return base + offsets[kind - kSecStringOffsets]; };
 
   // String table: cumulative offsets + NUL-terminated blob + sorted index.
-  // The index sorts views into the blob just written; pool strings are
-  // distinct, so the order is the same as sorting the pool itself.
+  // The pool's block and offsets are already the start of both sections;
+  // the appended strings follow. The index sorts views into the blob just
+  // written; pool strings are distinct, so the order is the same as sorting
+  // the pool itself.
   uint8_t* str_offsets = section(kSecStringOffsets);
   char* const blob = reinterpret_cast<char*>(section(kSecStringBlob));
+  std::copy(pool_block.begin(), pool_block.end(), blob);
   std::vector<std::pair<std::string_view, uint32_t>> sorted;
   sorted.reserve(num_strings);
-  uint64_t blob_cursor = 0;
-  auto put_string = [&](std::string_view s) {
+  for (uint32_t i = 0; i < pool_size; ++i) {
+    const uint64_t at = pool_offsets[i];
+    StoreU64(str_offsets + 8 * i, at);
+    sorted.emplace_back(std::string_view(blob + at, pool_offsets[i + 1] - at - 1), i);
+  }
+  uint64_t blob_cursor = pool_block.size();
+  for (std::string_view s : appended) {
     StoreU64(str_offsets + 8 * sorted.size(), blob_cursor);
     std::copy(s.begin(), s.end(), blob + blob_cursor);
     sorted.emplace_back(std::string_view(blob + blob_cursor, s.size()),
                         static_cast<uint32_t>(sorted.size()));
     blob_cursor += s.size() + 1;
-  };
-  for (uint32_t i = 0; i < pool_size; ++i) {
-    put_string(dataset.StringAt(i));
-  }
-  for (std::string_view s : appended) {
-    put_string(s);
   }
   StoreU64(str_offsets + 8 * num_strings, blob_cursor);
   std::sort(sorted.begin(), sorted.end());
@@ -280,8 +281,8 @@ std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset) {
   };
   for (const ImageRecord& image : dataset.images()) {
     uint32_t func_begin = func_cursor;
-    // std::map iteration is ascending by name id: exactly the order the
-    // mmap-side binary search requires.
+    // Runs are ascending by name id: exactly the order the mmap-side binary
+    // search requires.
     for (const auto& [name, record] : image.funcs) {
       StoreU32(func, name);
       StoreU32(func + 4, record.decl);  // Dataset::kNoStr doubles as "no decl"
@@ -921,7 +922,7 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
     if (!s.has_value()) {
       return Error(ErrorCode::kMalformedData, "v2 string table entry corrupt");
     }
-    StrId id = dataset.Intern(std::string(*s));
+    StrId id = dataset.Intern(*s);
     if (id != i) {
       return Error(ErrorCode::kMalformedData, "duplicate string in pool");
     }
@@ -944,7 +945,7 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
     if (id >= num_strings) {
       return Error(ErrorCode::kMalformedData, "v2 sorted string index id out of range");
     }
-    if (i != 0 && !(dataset.StringAt(prev) < dataset.StringAt(id))) {
+    if (i != 0 && !(dataset.View(prev) < dataset.View(id))) {
       return Error(ErrorCode::kMalformedData, "v2 sorted string index out of order");
     }
     prev = id;
@@ -1041,6 +1042,7 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
     uint32_t func_count = LoadU32(img + kImgFuncRange + 4);
     DEPSURF_RETURN_IF_ERROR(
         check_range(func_begin, func_count, funcs_size / kV2FuncEntrySize, "function"));
+    image.funcs.reserve(func_count);
     for (uint32_t i = 0; i < func_count; ++i) {
       const uint8_t* e =
           data + funcs_off + (static_cast<uint64_t>(func_begin) + i) * kV2FuncEntrySize;
@@ -1058,26 +1060,28 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
           e[20], suffix == Dataset::kNoStr ? std::string() : dataset.StringAt(suffix));
       record.decl_hash = LoadU64(e + 8);
       record.decl = decl;
-      image.funcs.emplace_hint(image.funcs.end(), LoadU32(e), std::move(record));
+      image.funcs.emplace_back(LoadU32(e), std::move(record));
     }
 
     uint32_t struct_begin = LoadU32(img + kImgStructRange);
     uint32_t struct_count = LoadU32(img + kImgStructRange + 4);
     DEPSURF_RETURN_IF_ERROR(
         check_range(struct_begin, struct_count, structs_size / kV2StructEntrySize, "struct"));
+    image.structs.reserve(struct_count);
     for (uint32_t i = 0; i < struct_count; ++i) {
       const uint8_t* e =
           data + structs_off + (static_cast<uint64_t>(struct_begin) + i) * kV2StructEntrySize;
       DEPSURF_RETURN_IF_ERROR(check_name(e, i == 0 ? nullptr : e - kV2StructEntrySize, "struct"));
       StructRecord record;
       DEPSURF_RETURN_IF_ERROR(read_pairs(LoadU32(e + 4), LoadU32(e + 8), true, &record.fields));
-      image.structs.emplace_hint(image.structs.end(), LoadU32(e), std::move(record));
+      image.structs.emplace_back(LoadU32(e), std::move(record));
     }
 
     uint32_t tp_begin = LoadU32(img + kImgTracepointRange);
     uint32_t tp_count = LoadU32(img + kImgTracepointRange + 4);
     DEPSURF_RETURN_IF_ERROR(
         check_range(tp_begin, tp_count, tps_size / kV2TracepointEntrySize, "tracepoint"));
+    image.tracepoints.reserve(tp_count);
     for (uint32_t i = 0; i < tp_count; ++i) {
       const uint8_t* e =
           data + tps_off + (static_cast<uint64_t>(tp_begin) + i) * kV2TracepointEntrySize;
@@ -1088,16 +1092,17 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
           read_pairs(LoadU32(e + 4), LoadU32(e + 8), false, &record.func_params));
       DEPSURF_RETURN_IF_ERROR(
           read_pairs(LoadU32(e + 12), LoadU32(e + 16), false, &record.event_fields));
-      image.tracepoints.emplace_hint(image.tracepoints.end(), LoadU32(e), std::move(record));
+      image.tracepoints.emplace_back(LoadU32(e), std::move(record));
     }
 
     uint32_t sys_begin = LoadU32(img + kImgSyscallRange);
     uint32_t sys_count = LoadU32(img + kImgSyscallRange + 4);
     DEPSURF_RETURN_IF_ERROR(check_range(sys_begin, sys_count, sys_size / 4, "syscall"));
+    image.syscalls.reserve(sys_count);
     for (uint32_t i = 0; i < sys_count; ++i) {
       const uint8_t* e = data + sys_off + (static_cast<uint64_t>(sys_begin) + i) * 4;
       DEPSURF_RETURN_IF_ERROR(check_name(e, i == 0 ? nullptr : e - 4, "syscall"));
-      image.syscalls.insert(image.syscalls.end(), LoadU32(e));
+      image.syscalls.push_back(LoadU32(e));
     }
 
     uint32_t diag_begin = LoadU32(img + kImgDiagRange);

@@ -1,6 +1,8 @@
 #include "tests/distill_reference.h"
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <sstream>
 #include <tuple>
 
@@ -21,6 +23,13 @@ StrId ReferenceDistill::Intern(const std::string& s) {
 }
 
 void ReferenceDistill::AddImage(const std::string& label, const DependencySurface& surface) {
+  // Each kind is keyed in a std::map or std::set and copied into the
+  // record's run at the end, so the runs' order comes from the tree, not
+  // from Dataset's sort.
+  std::map<StrId, FuncRecord> funcs;
+  std::map<StrId, StructRecord> structs;
+  std::map<StrId, TracepointRecord> tracepoints;
+  std::set<StrId> syscalls;
   ImageRecord record;
   record.label = label;
   record.meta = surface.meta();
@@ -54,7 +63,7 @@ void ReferenceDistill::AddImage(const std::string& label, const DependencySurfac
       fr.decl = Intern(FuncDeclString(graph, entry.btf_id));
     }
     StrId name_id = Intern(std::string(entry.name));
-    record.funcs.emplace(name_id, std::move(fr));
+    funcs.emplace(name_id, std::move(fr));
   }
   for (const auto& [name, id] : surface.structs()) {
     StructRecord sr;
@@ -65,7 +74,7 @@ void ReferenceDistill::AddImage(const std::string& label, const DependencySurfac
       std::sort(sr.fields.begin(), sr.fields.end());
     }
     StrId name_id = Intern(name);
-    record.structs.emplace(name_id, std::move(sr));
+    structs.emplace(name_id, std::move(sr));
   }
   for (const auto& [name, tp] : surface.tracepoints()) {
     TracepointRecord tr;
@@ -88,12 +97,16 @@ void ReferenceDistill::AddImage(const std::string& label, const DependencySurfac
       }
     }
     StrId name_id = Intern(name);
-    record.tracepoints.emplace(name_id, std::move(tr));
+    tracepoints.emplace(name_id, std::move(tr));
   }
   for (const auto& [name, entry] : surface.syscalls()) {
     (void)entry;
-    record.syscalls.insert(Intern(name));
+    syscalls.insert(Intern(name));
   }
+  record.funcs.assign(funcs.begin(), funcs.end());
+  record.structs.assign(structs.begin(), structs.end());
+  record.tracepoints.assign(tracepoints.begin(), tracepoints.end());
+  record.syscalls.assign(syscalls.begin(), syscalls.end());
   if (auto pt_regs = surface.FindStruct("pt_regs"); pt_regs.has_value()) {
     uint64_t h = 0x9e11;
     const std::optional<BtfTypeView> st = graph.Get(*pt_regs);
@@ -138,8 +151,8 @@ std::string LedgerText(const DiagnosticLedger& ledger) {
 }
 
 // The first key whose records differ, or whose presence differs.
-template <typename Map, typename Equal>
-std::string MapDifference(const char* what, const Map& a, const Map& b, Equal equal) {
+template <typename Run, typename Equal>
+std::string RunDifference(const char* what, const Run& a, const Run& b, Equal equal) {
   auto ia = a.begin();
   auto ib = b.begin();
   for (; ia != a.end() && ib != b.end(); ++ia, ++ib) {
@@ -174,16 +187,16 @@ std::string ImageRecordDifference(const ImageRecord& a, const ImageRecord& b) {
   if (a.syscalls != b.syscalls) {
     return "syscalls";
   }
-  std::string diff = MapDifference("funcs", a.funcs, b.funcs, [](const auto& x, const auto& y) {
+  std::string diff = RunDifference("funcs", a.funcs, b.funcs, [](const auto& x, const auto& y) {
     return StatusTuple(x.status) == StatusTuple(y.status) && x.decl_hash == y.decl_hash &&
            x.decl == y.decl;
   });
   if (diff.empty()) {
-    diff = MapDifference("structs", a.structs, b.structs,
+    diff = RunDifference("structs", a.structs, b.structs,
                          [](const auto& x, const auto& y) { return x.fields == y.fields; });
   }
   if (diff.empty()) {
-    diff = MapDifference("tracepoints", a.tracepoints, b.tracepoints,
+    diff = RunDifference("tracepoints", a.tracepoints, b.tracepoints,
                          [](const auto& x, const auto& y) {
                            return x.func_params == y.func_params &&
                                   x.event_fields == y.event_fields;
