@@ -18,7 +18,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <initializer_list>
 #include <iostream>
 #include <map>
@@ -95,16 +94,6 @@ struct Args {
   uint64_t Num(const std::string& flag) const { return values.at(flag).number; }
   double Real(const std::string& flag) const { return values.at(flag).real; }
 };
-
-Result<std::vector<uint8_t>> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Error(ErrorCode::kIoError, "cannot open " + path);
-  }
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  return bytes;
-}
 
 // The items of a comma-separated flag value (--against, --versions,
 // --require), or of another `sep`-separated list; empty items are dropped.

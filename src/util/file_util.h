@@ -1,4 +1,5 @@
-// Whole-file writes that report every byte that did not reach the file.
+// Whole-file reads and writes that report every failure as a Status naming
+// the path, and never throw.
 #ifndef DEPSURF_SRC_UTIL_FILE_UTIL_H_
 #define DEPSURF_SRC_UTIL_FILE_UTIL_H_
 
@@ -10,6 +11,11 @@
 #include "src/util/error.h"
 
 namespace depsurf {
+
+// Reads the whole file at `path`. Fails with kIoError naming the path when
+// the file cannot be opened ("cannot open PATH") or when a read fails
+// ("cannot read PATH"), as it does for a directory.
+Result<std::vector<uint8_t>> ReadFile(const std::string& path);
 
 // Writes `bytes` to `path`, replacing what was there. Fails with kIoError
 // naming the path when the file cannot be opened ("cannot write PATH") or

@@ -14,7 +14,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -25,6 +24,7 @@
 #include "src/obs/json_lint.h"
 #include "src/obs/profile.h"
 #include "src/study/study.h"
+#include "src/util/file_util.h"
 
 namespace depsurf {
 namespace {
@@ -214,16 +214,9 @@ TEST(ParallelBuildTest, WideWindowQuarantineStaysIsolated) {
   }
 }
 
-// A source that reads an image file, the way `dataset build` does.
+// A source that reads an image file with the loader `dataset build` uses.
 ImageSource FileSource(const std::string& path) {
-  return ImageSource{path, [path]() -> Result<std::vector<uint8_t>> {
-                       std::ifstream in(path, std::ios::binary);
-                       if (!in) {
-                         return Error(ErrorCode::kIoError, "cannot open " + path);
-                       }
-                       return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
-                                                   std::istreambuf_iterator<char>());
-                     }};
+  return ImageSource{path, [path] { return ReadFile(path); }};
 }
 
 // Writes the five LTS images into `dir` and returns their paths.

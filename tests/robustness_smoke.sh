@@ -8,8 +8,9 @@
 # walks the quarantine path of `study build` end to end: by default it must
 # finish with the poisoned image quarantined and listed in the aggregate
 # report; --strict must fail. Both build commands must refuse an output
-# location they could not write before doing any image work. Last, a write
-# that fails at the device (/dev/full) must fail the command.
+# location they could not write before doing any image work. A path that
+# opens but cannot be read (a directory) must be an error naming it. Last,
+# a write that fails at the device (/dev/full) must fail the command.
 set -eu
 
 DEPSURF=${1:?usage: robustness_smoke.sh /path/to/depsurf}
@@ -146,6 +147,24 @@ check_output_error --out nodir/x.dds study build --versions=5.4,5.8 --scale=0.02
   --out=nodir/x.dds
 check_output_error --report-dir nodir/x study build --versions=5.4,5.8 --scale=0.02 \
   --report-dir=nodir/x
+
+# ---- a directory opens but cannot be read: every command reading it fails
+# with exit 1 and an error naming it, and the build writes no dataset.
+mkdir -p adir
+check_unreadable() {
+  set +e
+  "$DEPSURF" "$@" > unreadable.txt 2> unreadable.err
+  code=$?
+  set -e
+  [ "$code" -eq 1 ] || fail "'depsurf $*' exited $code, want 1"
+  grep -q "cannot read adir" unreadable.err \
+    || fail "error for 'depsurf $*' does not name adir: $(cat unreadable.err)"
+  [ ! -e adir.dds ] || fail "'depsurf $*' wrote adir.dds"
+}
+check_unreadable metrics lint adir
+check_unreadable dataset info adir
+check_unreadable surface adir
+check_unreadable dataset build img44 adir --out=adir.dds
 
 # ---- a file whose bytes do not all reach the device fails the command:
 # exit 1, naming the file, even when the bytes were still buffered when the
