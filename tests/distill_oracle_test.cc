@@ -3,8 +3,9 @@
 // images of two seeds and over hostile type graphs, both must build the
 // same pool (every id), the same records, the same intern counters and the
 // same SaveDatasetV2 bytes. The pool alone is checked against a
-// std::unordered_map over 200,000 seeded strings, and the v2 loader must
-// still refuse a pool that holds one string twice.
+// std::unordered_map over 200,000 seeded strings, interning a view of a
+// pool string must be a hit that leaves the block as it is, and the v2
+// loader must still refuse a pool that holds one string twice.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -236,7 +237,7 @@ TEST(StringPoolTest, InternMatchesUnorderedMapThroughGrowths) {
   }
   ASSERT_EQ(dataset.pool_size(), reference.size());
   for (const auto& [s, id] : reference) {
-    ASSERT_EQ(dataset.StringAt(id), s);
+    ASSERT_EQ(dataset.View(id), s);
     ASSERT_EQ(dataset.Lookup(s), id);
   }
   for (size_t i = 0; i < 1000; ++i) {
@@ -248,6 +249,33 @@ TEST(StringPoolTest, InternMatchesUnorderedMapThroughGrowths) {
   dataset.FlushInternMetrics();
   EXPECT_EQ(CounterValue(context, "dataset.intern_misses"), reference.size());
   EXPECT_EQ(CounterValue(context, "dataset.intern_hits"), kStrings + 2 - reference.size());
+}
+
+// A View of a pool string interns as a hit and leaves the block as it is:
+// appending a string from the block's own storage would be undefined, and
+// the hit is what rules it out. Views of the empty string and of a string
+// holding a NUL end where their NUL terminator starts.
+TEST(StringPoolTest, InterningAViewOfThePoolIsAHit) {
+  obs::Context context;
+  obs::ScopedContext scope(context);
+  Dataset dataset;
+  std::vector<StrId> ids = {dataset.Intern(""), dataset.Intern(std::string_view("\0", 1))};
+  for (int i = 0; i < 1000; ++i) {
+    ids.push_back(dataset.Intern("pool_string_" + std::to_string(i)));
+  }
+  ASSERT_EQ(dataset.View(ids[0]), "");
+  ASSERT_EQ(dataset.View(ids[1]), std::string_view("\0", 1));
+  const std::vector<char> block = dataset.pool_block();
+  const std::vector<uint64_t> offsets = dataset.pool_offsets();
+  for (StrId id : ids) {
+    ASSERT_EQ(dataset.Intern(dataset.View(id)), id) << "pool id " << id;
+  }
+  EXPECT_EQ(dataset.pool_size(), ids.size());
+  EXPECT_EQ(dataset.pool_block(), block);
+  EXPECT_EQ(dataset.pool_offsets(), offsets);
+  dataset.FlushInternMetrics();
+  EXPECT_EQ(CounterValue(context, "dataset.intern_misses"), ids.size());
+  EXPECT_EQ(CounterValue(context, "dataset.intern_hits"), ids.size());
 }
 
 TEST(StringPoolTest, LoadRejectsADuplicatedPoolString) {
