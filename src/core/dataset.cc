@@ -120,9 +120,9 @@ StrId Dataset::Intern(std::string_view s) {
     return slot.id;
   }
   ++intern_misses_;
+  offsets_.push_back(block_.size());
   block_.insert(block_.end(), s.begin(), s.end());
   block_.push_back('\0');
-  offsets_.push_back(block_.size());
   slot = {static_cast<StrId>(pool_size() - 1), tag};
   return slot.id;
 }

@@ -108,7 +108,7 @@ class Dataset : public DatasetView {
   void RestoreImage(ImageRecord record) { images_.push_back(std::move(record)); }
 
   // Interning accessors (exposed for benches and serialization).
-  size_t pool_size() const { return offsets_.size() - 1; }
+  size_t pool_size() const { return offsets_.size(); }
   // The id of `s`, appending it to the pool on first use. `s` may view a
   // whole pool string (a View): that is a hit and leaves the block as it
   // is, where appending from the block's own storage would be undefined.
@@ -119,11 +119,12 @@ class Dataset : public DatasetView {
   StrId Lookup(std::string_view s) const;
   // Pool string `id`, valid until the next Intern (which may move the block).
   std::string_view View(StrId id) const {
-    return std::string_view(block_.data() + offsets_[id], offsets_[id + 1] - offsets_[id] - 1);
+    const uint64_t end = id + 1 < offsets_.size() ? offsets_[id + 1] : block_.size();
+    return std::string_view(block_.data() + offsets_[id], end - offsets_[id] - 1);
   }
   std::string StringAt(StrId id) const { return std::string(View(id)); }
-  // The pool as the v2 string sections hold it: every string followed by a
-  // NUL, in id order, and the offset of each plus the block's end.
+  // The pool as the v2 string sections begin: every string followed by a
+  // NUL, in id order, and the offset at which each starts.
   const std::vector<char>& pool_block() const { return block_; }
   const std::vector<uint64_t>& pool_offsets() const { return offsets_; }
 
@@ -152,7 +153,7 @@ class Dataset : public DatasetView {
 
   std::vector<ImageRecord> images_;
   std::vector<char> block_;
-  std::vector<uint64_t> offsets_ = {0};  // pool_size() + 1 entries
+  std::vector<uint64_t> offsets_;
   std::vector<PoolSlot> index_;
   uint64_t intern_hits_ = 0;
   uint64_t intern_misses_ = 0;

@@ -237,7 +237,7 @@ std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset) {
   for (uint32_t i = 0; i < pool_size; ++i) {
     const uint64_t at = pool_offsets[i];
     StoreU64(str_offsets + 8 * i, at);
-    sorted.emplace_back(std::string_view(blob + at, pool_offsets[i + 1] - at - 1), i);
+    sorted.emplace_back(std::string_view(blob + at, dataset.View(i).size()), i);
   }
   uint64_t blob_cursor = pool_block.size();
   for (std::string_view s : appended) {
