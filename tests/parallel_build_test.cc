@@ -323,6 +323,15 @@ TEST(ParallelBuildTest, StrictFileBuildStopsAtATruncatedFileWithTheWindowDrained
   ASSERT_EQ(failed.size(), 1u);
   EXPECT_TRUE(failed[0].load_failed);
   EXPECT_EQ(failed[0].error.ToString(), "io_error: cannot open " + missing);
+
+  // So does a path that opens but cannot be read, such as a directory.
+  failed.clear();
+  auto directory =
+      BuildDatasetFromImages({FileSource(paths[0]), FileSource(dir)}, strict, {}, &failed);
+  ASSERT_FALSE(directory.ok());
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_TRUE(failed[0].load_failed);
+  EXPECT_EQ(failed[0].error.ToString(), "io_error: cannot read " + dir);
 }
 
 }  // namespace
