@@ -13,7 +13,8 @@
 // The heap layout is the v2 file's (dataset_io.h): each image's records are
 // runs strictly ascending by name id, and the pool is one block of
 // NUL-terminated strings in id order plus their start offsets, so distill
-// appends to arrays and saving or loading copies them.
+// appends to arrays and saving or loading copies them. A pool string is read
+// as a View into that block, valid until the next Intern.
 #ifndef DEPSURF_SRC_CORE_DATASET_H_
 #define DEPSURF_SRC_CORE_DATASET_H_
 
